@@ -423,11 +423,19 @@ def cmd_spectral(args) -> int:
         f"{'pass' if props.passed else 'fail'}"
     )
     if args.csv_out:
-        rows = []
-        for k, (xi, eta) in enumerate(samples):
-            for t in XF.thresholds:
-                value = complex(np.vdot(eta, XF.evaluate(float(t)) @ xi))
-                rows.append([k, float(t), value.real, value.imag])
+        # column k is the path <X(t) xi_k, eta_k> over the thresholds t
+        paths = np.cumsum(
+            XF.jump_values(
+                np.array([xi for xi, _ in samples]).T,
+                np.array([eta for _, eta in samples]).T,
+            ),
+            axis=0,
+        )
+        rows = [
+            [k, float(t), value.real, value.imag]
+            for k, path in enumerate(paths.T)
+            for t, value in zip(XF.thresholds, path.tolist())
+        ]
         write_csv(args.csv_out, ["sample", "lambda", "re", "im"], rows)
     if args.json_out:
         write_json(args.json_out, report)

@@ -1,0 +1,144 @@
+"""The factored E and X families against the dense oracle, and their cost."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qherm import (
+    Operator,
+    make_metric,
+    solve_metric,
+    spectral_family,
+    x_family,
+    x_properties,
+)
+from dense_oracle import dense_evaluate, dense_spectral_family, dense_x_family
+from helpers import (
+    diagonalizable_real_spectrum,
+    manufactured_quasi_hermitian,
+    random_pd,
+    random_unitary,
+    rng,
+)
+
+N = 40
+TOL = 1e-10
+
+
+def _random_real_spectrum():
+    a, _ = diagonalizable_real_spectrum(rng(61), N)
+    return a, solve_metric(Operator(a), 1e-8).canonical
+
+
+def _clustered_spectrum():
+    gen = rng(62)
+    lam = np.repeat([-2.0, -0.5, 0.3, 1.7, 2.2, 3.0], [5, 8, 1, 12, 4, 10])
+    u = random_unitary(gen, N)
+    h = (u * lam) @ u.conj().T
+    m = make_metric(Operator(random_pd(gen, N, spread=6.0)))
+    return m.G_invhalf.matrix @ h @ m.G_half.matrix, m
+
+
+def _samples(gen, n, count):
+    return [
+        (
+            gen.standard_normal(n) + 1j * gen.standard_normal(n),
+            gen.standard_normal(n) + 1j * gen.standard_normal(n),
+        )
+        for _ in range(count)
+    ]
+
+
+def _max_diff(x, y) -> float:
+    return float(np.abs(np.asarray(x) - np.asarray(y)).max())
+
+
+@pytest.mark.parametrize("case", [_random_real_spectrum, _clustered_spectrum])
+def test_factored_families_match_dense_oracle(case):
+    a, m = case()
+    xf = x_family(Operator(a), m)
+    thresholds, members = dense_x_family(a, m.G_half.matrix, m.G_invhalf.matrix, TOL)
+    assert np.array_equal(xf.thresholds, thresholds)
+    if case is _clustered_spectrum:
+        assert len(thresholds) == 6
+    mids = 0.5 * (thresholds[1:] + thresholds[:-1])
+    probes = [thresholds[0] - 1.0, *thresholds, *mids, thresholds[-1] + 1.0]
+    for lam in probes:
+        assert _max_diff(xf.evaluate(float(lam)), dense_evaluate(thresholds, members, lam)) <= TOL
+    assert not xf.evaluate(float(thresholds[0] - 1.0)).any()
+    for got, want in zip(xf.x_projectors, members, strict=True):
+        assert _max_diff(got.matrix, want) <= TOL
+    prev = np.zeros_like(members[0])
+    for got, want in zip(xf.jumps(), members, strict=True):
+        assert _max_diff(got, want - prev) <= TOL
+        prev = want
+
+    k = m.G_half.matrix @ a @ m.G_invhalf.matrix
+    ef = spectral_family(Operator(0.5 * (k + k.conj().T)))
+    e_thresholds, projectors, ranks = dense_spectral_family(k, TOL)
+    assert np.array_equal(ef.thresholds, e_thresholds)
+    assert ef.ranks == tuple(ranks)
+    for got, want in zip(ef.projectors, projectors, strict=True):
+        assert _max_diff(got.matrix, want) <= TOL
+    for lam in probes:
+        assert _max_diff(ef.evaluate(float(lam)), dense_evaluate(e_thresholds, projectors, lam)) <= TOL
+
+
+@pytest.mark.parametrize("case", [_random_real_spectrum, _clustered_spectrum])
+def test_batched_x_properties_matches_per_sample_loop(case):
+    a, m = case()
+    xf = x_family(Operator(a), m)
+    samples = _samples(rng(63), N, 8)
+    rep = x_properties(xf, Operator(a), samples, TOL)
+    a2 = np.linalg.norm(a, 2)
+    jumps = xf.jumps()
+    for (xi, eta), row in zip(samples, rep.samples, strict=True):
+        values = [np.vdot(eta, p @ xi) for p in jumps]
+        scale = np.linalg.norm(xi) * np.linalg.norm(eta)
+        endpoint = abs(sum(values) - np.vdot(eta, xi)) / scale
+        variation = sum(abs(v) for v in values)
+        bound = np.linalg.norm(m.G_half.matrix @ xi) * np.linalg.norm(m.G_invhalf.matrix @ eta)
+        stieltjes = sum(t * v for t, v in zip(xf.thresholds, values))
+        recon = abs(np.vdot(eta, a @ xi) - stieltjes) / (a2 * scale)
+        assert row.endpoint_residual == pytest.approx(endpoint, rel=1e-6, abs=1e-14)
+        assert row.total_variation == pytest.approx(variation, rel=1e-12)
+        assert row.variation_bound == pytest.approx(bound, rel=1e-12)
+        assert row.reconstruction_residual == pytest.approx(recon, rel=1e-6, abs=1e-14)
+        assert row.total_variation <= row.variation_bound * (1 + TOL)
+    assert rep.variation_violations == 0
+    assert rep.passed
+
+
+def test_variation_verdict_is_scale_free():
+    # eta = G xi attains the Cauchy-Schwarz bound exactly: every jump value
+    # <P xi, G xi> is real and nonnegative because G P = P* G
+    gen = rng(64)
+    a, g = manufactured_quasi_hermitian(gen, 24)
+    m = make_metric(Operator(g))
+    xf = x_family(Operator(a), m, 1e-8)
+    xis = [gen.standard_normal(24) + 1j * gen.standard_normal(24) for _ in range(40)]
+    samples = [(xi, m.G.matrix @ xi) for xi in xis] + _samples(gen, 24, 4)
+    reports = [
+        x_properties(xf, Operator(a), [(s * xi, s * eta) for xi, eta in samples], 1e-8)
+        for s in (1.0, 1e-8, 1e8)
+    ]
+    assert [r.variation_violations for r in reports] == [0, 0, 0]
+    assert [r.passed for r in reports] == [True, True, True]
+
+
+def test_x_family_memory_is_quadratic():
+    gen = rng(65)
+    n = 200
+    a, g = manufactured_quasi_hermitian(gen, n)
+    a_op, m = Operator(a), make_metric(Operator(g))
+    samples = _samples(gen, n, 8)
+    tracemalloc.start()
+    try:
+        xf = x_family(a_op, m, 1e-8)
+        rep = x_properties(xf, a_op, samples, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
