@@ -23,21 +23,16 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, Operator, eig_general, herm_residual
-from .errors import (
-    ComplexSpectrum,
-    Defective,
-    ParseError,
-    QhermError,
-    SpectrumNotConjugateClosed,
-)
+from .core import DEFAULT_TOL, Operator, eig_general, herm_residual, real_eigenvalue_mask
+from .errors import ParseError, QhermError, SpectrumNotConjugateClosed
 from .halfline import HalfLineSpec, default_box_length, samsonov_report
 from .lattice import make_metric, verify_lattice
 from .quasihermitian import (
+    _canonical_metric,
+    _pseudo_metric,
     quasi_hermiticity_residual,
     quasi_sa_transform,
     solve_metric,
-    solve_pseudo_metric,
 )
 from .quasisimilarity import (
     push_eigenvectors,
@@ -229,16 +224,12 @@ def _digest(op: Operator) -> dict:
     return {"dim": op.dim, "label": op.label}
 
 
-def _spectral_summary(op: Operator, tol: float) -> dict:
-    es = eig_general(op, tol)
-    real = bool(
-        np.all(np.abs(es.eigenvalues.imag) <= tol * (1.0 + np.abs(es.eigenvalues)))
-    )
+def _spectral_summary(es, tol: float) -> dict:
     return {
         "eigenvalues": [complex(z) for z in es.eigenvalues],
-        "all_real": real,
+        "all_real": bool(real_eigenvalue_mask(es.eigenvalues, tol).all()),
         "defective": es.defective,
-        "vector_condition": float(es.vector_condition),
+        "vector_condition": es.vector_condition,
     }
 
 
@@ -250,43 +241,41 @@ def cmd_analyze(args) -> int:
     tol = args.tol
     report = _report_head("analyze", tol)
     report["input"] = _digest(A)
-    spectral = _spectral_summary(A, tol)
+    # one diagonalization decides the class and feeds the metric builders
+    es = eig_general(A, tol)
+    spectral = _spectral_summary(es, tol)
     metric_summary = None
     transform_summary = None
-    if spectral["defective"]:
+    if es.defective:
         classification = "defective"
     elif herm_residual(A.matrix) <= tol:
         classification = "hermitian"
         metric_summary = {"eig_min": 1.0, "condition": 1.0, "residual": 0.0}
         transform_summary = {"herm_residual": herm_residual(A.matrix)}
+    elif spectral["all_real"]:
+        sol = _canonical_metric(A, es, tol)
+        classification = "quasi_hermitian_pd"
+        M = sol.canonical
+        metric_summary = {
+            "eig_min": M.eig_min,
+            "condition": M.eig_max / M.eig_min,
+            "residual": sol.residual,
+            "scale": sol.scale,
+            "G": operator_payload(M.G),
+        }
+        K = quasi_sa_transform(A, M, tol=np.inf, force=False)
+        transform_summary = {"herm_residual": herm_residual(K.matrix)}
     else:
         try:
-            sol = solve_metric(A, tol)
-            classification = "quasi_hermitian_pd"
-            M = sol.canonical
+            T, signature = _pseudo_metric(A, es, tol)
+            classification = "pseudo_hermitian_indefinite"
             metric_summary = {
-                "eig_min": M.eig_min,
-                "condition": M.eig_max / M.eig_min,
-                "residual": sol.residual,
-                "scale": sol.scale,
-                "G": operator_payload(M.G),
+                "signature": list(signature),
+                "residual": quasi_hermiticity_residual(A, T),
+                "T": operator_payload(T),
             }
-            K = quasi_sa_transform(A, M, tol=np.inf, force=False)
-            transform_summary = {"herm_residual": herm_residual(K.matrix)}
-        except ComplexSpectrum:
-            try:
-                T, signature = solve_pseudo_metric(A, tol)
-                classification = "pseudo_hermitian_indefinite"
-                residual = quasi_hermiticity_residual(A, T)
-                metric_summary = {
-                    "signature": list(signature),
-                    "residual": residual,
-                    "T": operator_payload(T),
-                }
-            except (SpectrumNotConjugateClosed, Defective):
-                classification = "not_pseudo_hermitian"
-        except Defective:
-            classification = "defective"
+        except SpectrumNotConjugateClosed:
+            classification = "not_pseudo_hermitian"
     report["classification"] = classification
     report["metric"] = metric_summary
     report["transform"] = transform_summary
@@ -511,7 +500,12 @@ def cmd_samsonov(args) -> int:
     report["max_im_nonincreasing"] = rep.max_im_nonincreasing
     report["gap_monotone"] = rep.gap_monotone
     report["passed"] = rep.passed
-    report["rows"] = rep.csv_rows()
+    # an undefined estimate (NaN) is null in JSON and an empty CSV field
+    rows = [
+        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+        for row in rep.csv_rows()
+    ]
+    report["rows"] = rows
     for row in rep.rows:
         print(
             f"n={row.n:5d} min_eig_G={row.min_eig_G:.9f} "
@@ -521,38 +515,8 @@ def cmd_samsonov(args) -> int:
         )
     print(f"verdict: {'pass' if rep.passed else 'fail'}")
     if args.csv_out:
-        header = [
-            "n",
-            "h",
-            "min_eig_G",
-            "gap_to_d2",
-            "residual_full",
-            "residual_interior",
-            "herm_residual_h",
-            "max_im_lambda_H",
-            "order_estimates",
-        ]
-        rows = []
-        for r in rep.rows:
-            rows.append(
-                [
-                    r.n,
-                    r.spacing,
-                    r.min_eig_G,
-                    r.gap_to_d2,
-                    r.residual_full,
-                    r.residual_interior,
-                    r.herm_residual_h,
-                    r.max_im_lambda_H,
-                    "" if math.isnan(r.order_estimate) else r.order_estimate,
-                ]
-            )
-        write_csv(args.csv_out, header, rows)
+        write_csv(args.csv_out, list(rows[0]), [list(row.values()) for row in rows])
     if args.json_out:
-        rows = report["rows"]
-        for row in rows:
-            if math.isnan(row["order_estimates"]):
-                row["order_estimates"] = None
         write_json(args.json_out, report)
     return EXIT_OK if rep.passed else EXIT_VERIFICATION_FAILED
 

@@ -6,6 +6,11 @@ tolerance decisions are relative and scale-free; the package default
 ``DEFAULT_TOL = 1e-10`` leaves about five digits of double-precision
 headroom.  Eigenvalues are always reported ascending by real part, ties
 broken by imaginary part, so that reports are deterministic.
+
+Costly quantities are computed where they are read: ``vector_condition``
+(one SVD) on access, ``||A||_2`` only for a repeated eigenvalue.  The
+positive-definite validator and root assembly here also serve
+``lattice.make_metric``.
 """
 
 from __future__ import annotations
@@ -114,19 +119,23 @@ def adjoint(A: Operator | np.ndarray) -> Operator:
 class Eigensystem:
     """Eigenvalues with unit-norm right eigenvector columns.
 
-    ``vector_condition`` is the 2-norm condition number of the eigenvector
-    matrix (1 for a normal operator); ``defective`` is set when some
-    eigenvalue cluster has geometric multiplicity below its algebraic one.
+    ``defective`` is set when some eigenvalue cluster has geometric
+    multiplicity below its algebraic one.  ``vector_condition``, the
+    2-norm condition number of the eigenvector matrix (1 for a normal
+    operator), is computed on access, one SVD per read.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    vector_condition: float
     defective: bool
 
     @property
     def dim(self) -> int:
         return self.right_vectors.shape[0]
+
+    @property
+    def vector_condition(self) -> float:
+        return float(np.linalg.cond(self.right_vectors, 2))
 
 
 @dataclass(frozen=True)
@@ -188,15 +197,8 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
     Eigenvalues come out real and ascending, eigenvectors orthonormal.
     Raises :class:`NotHermitian` when ``||H - H*||_F > tol*||H||_F``.
     """
-    H = ensure_operator(H)
-    defect = herm_residual(H.matrix)
-    if defect > tol:
-        raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    w, v = np.linalg.eigh(herm_part(H.matrix))
-    cond = float(np.linalg.cond(v, 2))
-    return Eigensystem(w.astype(np.complex128), v, cond, False)
+    w, v = _checked_eigh(ensure_operator(H).matrix, tol)
+    return Eigensystem(w.astype(np.complex128), v, False)
 
 
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
@@ -213,19 +215,55 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
     w, v = _sorted_eig(w, v)
-    a2 = spec_norm(A.matrix)
+    a2 = None
     defective = False
     for cluster in cluster_eigenvalues(w, tol):
         if cluster.size == 1:
             continue
+        if a2 is None:
+            a2 = spec_norm(A.matrix)
         shifted = A.matrix - cluster.value * np.eye(A.dim)
         sv = np.linalg.svd(shifted, compute_uv=False)
         rank = int(np.count_nonzero(sv > tol * a2))
         if A.dim - rank < cluster.size:
             defective = True
             break
-    cond = float(np.linalg.cond(v, 2))
-    return Eigensystem(w, v, cond, defective)
+    return Eigensystem(w, v, defective)
+
+
+def _checked_eigh(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``eigh`` of ``H`` after the Hermiticity test.
+
+    Raises :class:`NotHermitian` when ``||H - H*||_F > tol*||H||_F``.
+    """
+    defect = herm_residual(H)
+    if defect > tol:
+        raise NotHermitian(
+            f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return np.linalg.eigh(herm_part(H))
+
+
+def _pd_eigh(G: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_checked_eigh` of a positive-definite ``G``.
+
+    Raises :class:`NotPositiveDefinite` unless the smallest eigenvalue
+    exceeds the margin ``tol * max|eigenvalue|``.
+    """
+    w, v = _checked_eigh(G, tol)
+    wmin = float(w[0])
+    if wmin <= tol * max(float(np.abs(w).max()), _TINY):
+        raise NotPositiveDefinite(
+            f"minimum eigenvalue {wmin:.3e} fails the positivity margin",
+            min_eigenvalue=wmin,
+        )
+    return w, v
+
+
+def _pd_roots(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(G^1/2, G^-1/2)`` reassembled from the eigendecomposition ``(w, v)``."""
+    root = np.sqrt(w)
+    return herm_part((v * root) @ v.conj().T), herm_part((v / root) @ v.conj().T)
 
 
 def sqrt_pd(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Operator, Operator]:
@@ -234,20 +272,5 @@ def sqrt_pd(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Operato
     Both results are Hermitian positive definite; built by spectral
     reassembly so they commute with ``G`` exactly up to rounding.
     """
-    G = ensure_operator(G)
-    defect = herm_residual(G.matrix)
-    if defect > tol:
-        raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    w, v = np.linalg.eigh(herm_part(G.matrix))
-    wmin = float(w[0])
-    if wmin <= tol * max(float(np.abs(w).max()), _TINY):
-        raise NotPositiveDefinite(
-            f"minimum eigenvalue {wmin:.3e} fails the positivity margin",
-            min_eigenvalue=wmin,
-        )
-    root = np.sqrt(w)
-    half = herm_part((v * root) @ v.conj().T)
-    invhalf = herm_part((v / root) @ v.conj().T)
+    half, invhalf = _pd_roots(*_pd_eigh(ensure_operator(G).matrix, tol))
     return Operator(half, "sqrt"), Operator(invhalf, "invsqrt")

@@ -18,12 +18,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     Operator,
+    _pd_eigh,
+    _pd_roots,
     ensure_operator,
     herm_part,
-    herm_residual,
     inner,
 )
-from .errors import DimensionMismatch, NotHermitian, NotPositiveDefinite
+from .errors import DimensionMismatch
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -81,14 +82,14 @@ class MetricOperator:
 
 
 def _metric_from_eigh(G: Operator, w: np.ndarray, v: np.ndarray) -> MetricOperator:
-    root = np.sqrt(w)
-    half = Operator(herm_part((v * root) @ v.conj().T))
-    invhalf = Operator(herm_part((v / root) @ v.conj().T))
+    half, invhalf = _pd_roots(w, v)
     arr_w = np.array(w, dtype=np.float64)
     arr_w.setflags(write=False)
     arr_v = np.array(v, dtype=np.complex128)
     arr_v.setflags(write=False)
-    return MetricOperator(G, half, invhalf, float(w[0]), float(w[-1]), arr_w, arr_v)
+    return MetricOperator(
+        G, Operator(half), Operator(invhalf), float(w[0]), float(w[-1]), arr_w, arr_v
+    )
 
 
 def make_metric(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricOperator:
@@ -98,19 +99,7 @@ def make_metric(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricOpe
     positivity margin is ``tol * ||G||_2``).
     """
     G = ensure_operator(G)
-    defect = herm_residual(G.matrix)
-    if defect > tol:
-        raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    w, v = np.linalg.eigh(herm_part(G.matrix))
-    wmin = float(w[0])
-    if wmin <= tol * max(float(np.abs(w).max()), _TINY):
-        raise NotPositiveDefinite(
-            f"minimum eigenvalue {wmin:.3e} fails the positivity margin",
-            min_eigenvalue=wmin,
-        )
-    return _metric_from_eigh(G, w, v)
+    return _metric_from_eigh(G, *_pd_eigh(G.matrix, tol))
 
 
 def g_inner(M: MetricOperator, xi: np.ndarray, eta: np.ndarray) -> complex:
@@ -153,6 +142,11 @@ class LatticeNorms:
         )
 
 
+def _rg_norm(M: MetricOperator, xi: np.ndarray) -> float:
+    # sqrt(<xi, xi> + <G xi, xi>), the R_G-norm from one G-matvec
+    return float(np.sqrt(max(inner(xi, xi).real + inner(M.G.matrix @ xi, xi).real, 0.0)))
+
+
 def _quad_norm(M: MetricOperator, values: np.ndarray, xi: np.ndarray) -> float:
     # sqrt(<f(G) xi, xi>) by diagonal arithmetic in the eigenbasis
     y = M.eigenvectors.conj().T @ xi
@@ -174,7 +168,7 @@ def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
     plain = float(np.linalg.norm(xi))
     g = float(np.linalg.norm(M.G_half.matrix @ xi))
     g_inv = float(np.linalg.norm(M.G_invhalf.matrix @ xi))
-    rg = float(np.sqrt(max(inner(xi, xi).real + inner(M.G.matrix @ xi, xi).real, 0.0)))
+    rg = _rg_norm(M, xi)
     rg_inv = _quad_norm(M, 1.0 / (1.0 + w), xi)
     rginv = _quad_norm(M, 1.0 + 1.0 / w, xi)
     rginv_inv = _quad_norm(M, w / (1.0 + w), xi)
@@ -228,22 +222,20 @@ def verify_lattice(
     riesz_inv = M.function_matrix(1.0 / (1.0 + w))
     rescale = 1.0 / M.eig_max
     scale_root = float(np.sqrt(rescale))
+    candidates = [np.asarray(s, dtype=np.complex128) for s in samples]
+    sample_norms = [lattice_norms(M, xi) for xi in candidates]
+    denoms = [norms.rg for norms in sample_norms]
     rows = []
-    for xi in samples:
-        xi = np.asarray(xi, dtype=np.complex128)
-        norms = lattice_norms(M, xi)
+    for xi, norms in zip(candidates, sample_norms):
         rg2 = norms.rg**2
         proj = abs(rg2 - norms.plain**2 - norms.g**2) / max(rg2, _TINY)
 
         eta_star = riesz_inv @ xi
-        candidates = [np.asarray(s, dtype=np.complex128) for s in samples]
-        candidates.append(eta_star)
         sup_samples = 0.0
         sup_all = 0.0
-        for k, eta in enumerate(candidates):
-            denom = float(
-                np.sqrt(max(inner(eta, eta).real + inner(M.G.matrix @ eta, eta).real, 0.0))
-            )
+        for k, (eta, denom) in enumerate(
+            zip(candidates + [eta_star], denoms + [_rg_norm(M, eta_star)])
+        ):
             if denom <= _TINY:
                 continue
             ratio = abs(inner(xi, eta)) / denom

@@ -137,7 +137,11 @@ def solve_metric(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricSo
     eigenvector basis is badly conditioned.
     """
     A = ensure_operator(A)
-    es = eig_general(A, tol)
+    return _canonical_metric(A, eig_general(A, tol), tol)
+
+
+def _canonical_metric(A: Operator, es: Eigensystem, tol: float) -> MetricSolution:
+    # solve_metric from the eigensystem es = eig_general(A, tol)
     _check_real_spectrum(es, tol, "solve_metric")
     s = _canonical_eigvec_scaling(es.right_vectors)
     u, sig, _ = np.linalg.svd(s)
@@ -146,7 +150,7 @@ def solve_metric(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricSo
         warnings.warn(
             f"eigenvector basis condition {cond:.3e}; metric is nearly singular",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     # (S S*)^-1 = U diag(sig^-2) U*, normalized to unit spectral norm;
     # sig is descending, so scale/sig^2 is already ascending
@@ -294,7 +298,13 @@ def solve_pseudo_metric(
     the spectrum is real.
     """
     A = ensure_operator(A)
-    es = eig_general(A, tol)
+    return _pseudo_metric(A, eig_general(A, tol), tol)
+
+
+def _pseudo_metric(
+    A: Operator, es: Eigensystem, tol: float
+) -> tuple[Operator, tuple[int, int]]:
+    # solve_pseudo_metric from the eigensystem es = eig_general(A, tol)
     if es.defective:
         raise Defective("solve_pseudo_metric: operator is numerically defective")
     w = es.eigenvalues
@@ -304,11 +314,12 @@ def solve_pseudo_metric(
         m[i, i] = m[j, j] = 0.0
         m[i, j] = m[j, i] = 1.0
     s = _canonical_eigvec_scaling(es.right_vectors)
-    if es.vector_condition > CONDITION_WARN_THRESHOLD:
+    cond = es.vector_condition
+    if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
-            f"eigenvector basis condition {es.vector_condition:.3e}",
+            f"eigenvector basis condition {cond:.3e}",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     s_inv = np.linalg.inv(s)
     t = herm_part(s_inv.conj().T @ m @ s_inv)
