@@ -40,7 +40,6 @@ from .halfline import (
     SamsonovRow,
     build_pair,
     default_box_length,
-    export_operators,
     samsonov_report,
 )
 from .lattice import (

@@ -2,18 +2,23 @@
 
 Reads operator/spec files (JSON, ``"format": 1``), runs one module
 pipeline per subcommand, prints a short human summary and optionally
-writes machine artifacts (``--json-out`` / ``--csv-out``).
+writes machine artifacts (``--json-out`` / ``--csv-out``).  Each
+subcommand returns its exit code and report body; :func:`main` puts the
+common head (tool, version, command, tolerances) in front of the body and
+writes the ``--json-out`` report.
 
 Exit codes: 0 = analysis completed, 1 = a verification assertion failed,
 2 = input or usage error.  JSON output is byte-identical for identical
 inputs and flags: key order is fixed and floats carry 17 significant
-digits.  Complex numbers are serialized as ``[re, im]`` pairs.
+digits.  Complex numbers are serialized as ``[re, im]`` pairs, and
+dataclasses as objects of their fields in declaration order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -35,8 +40,9 @@ from .quasihermitian import (
     solve_metric,
 )
 from .quasisimilarity import (
-    push_eigenvectors,
-    spectral_comparison,
+    MATCH_TOL,
+    _match_spectra,
+    _push_eigenvectors,
     verify_intertwining,
 )
 from .spectralfamily import x_family, x_properties
@@ -60,6 +66,11 @@ def render_json(value) -> str:
     parts: list[str] = []
     _render(value, parts)
     return "".join(parts)
+
+
+def _finite_or_none(x):
+    """An undefined (non-finite) estimate: null in JSON, an empty CSV field."""
+    return x if math.isfinite(x) else None
 
 
 def _render(value, out: list[str]) -> None:
@@ -92,6 +103,8 @@ def _render(value, out: list[str]) -> None:
         out.append("]")
     elif isinstance(value, np.ndarray):
         _render(value.tolist(), out)
+    elif dataclasses.is_dataclass(value):
+        _render({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, out)
     else:
         raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -175,7 +188,10 @@ def _parse_dense(path: str, doc: dict) -> Operator:
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in pair)
         ):
             raise ParseError(f"{path}: entry {k} must be a [re, im] number pair")
-        values[k] = complex(pair[0], pair[1])
+        try:
+            values[k] = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise ParseError(f"{path}: entry {k}: {exc}") from exc
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"{path}: label must be a string")
@@ -191,7 +207,7 @@ def _parse_samsonov(path: str, doc: dict) -> HalfLineSpec:
         b = float(doc["b"])
         n = doc["n"]
         box = float(doc.get("box_length", default_box_length(d)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad half-line parameters: {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"{path}: n must be an integer")
@@ -211,15 +227,6 @@ def _load_dense(path: str) -> Operator:
 # ---------------------------------------------------------------------------
 # report fragments
 
-def _report_head(command: str, tol: float) -> dict:
-    return {
-        "tool": "qherm",
-        "version": __version__,
-        "command": command,
-        "tolerances": {"tol": tol},
-    }
-
-
 def _digest(op: Operator) -> dict:
     return {"dim": op.dim, "label": op.label}
 
@@ -229,18 +236,16 @@ def _spectral_summary(es, tol: float) -> dict:
         "eigenvalues": [complex(z) for z in es.eigenvalues],
         "all_real": bool(real_eigenvalue_mask(es.eigenvalues, tol).all()),
         "defective": es.defective,
-        "vector_condition": es.vector_condition,
+        "vector_condition": _finite_or_none(es.vector_condition),
     }
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, report body); main adds the head
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict]:
     A = _load_dense(args.path)
     tol = args.tol
-    report = _report_head("analyze", tol)
-    report["input"] = _digest(A)
     # one diagonalization decides the class and feeds the metric builders
     es = eig_general(A, tol)
     spectral = _spectral_summary(es, tol)
@@ -276,43 +281,38 @@ def cmd_analyze(args) -> int:
             }
         except SpectrumNotConjugateClosed:
             classification = "not_pseudo_hermitian"
-    report["classification"] = classification
-    report["metric"] = metric_summary
-    report["transform"] = transform_summary
-    report["spectrum"] = spectral
     print(f"classification: {classification}")
     if metric_summary and "residual" in metric_summary:
         print(f"metric residual: {metric_summary['residual']:.3e}")
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK
+    return EXIT_OK, {
+        "input": _digest(A),
+        "classification": classification,
+        "metric": metric_summary,
+        "transform": transform_summary,
+        "spectrum": spectral,
+    }
 
 
-def cmd_metric(args) -> int:
+def cmd_metric(args) -> tuple[int, dict]:
     A = _load_dense(args.path)
     sol = solve_metric(A, args.tol)
-    report = _report_head("metric", args.tol)
-    report["input"] = _digest(A)
-    report["residual"] = sol.residual
-    report["scale"] = sol.scale
-    report["vector_condition"] = sol.vector_condition
-    report["eig_min"] = sol.canonical.eig_min
-    report["eig_max"] = sol.canonical.eig_max
-    report["freedom"] = [
-        {"start": c.start, "size": c.size, "value": complex(c.value)}
-        for c in sol.freedom
-    ]
-    report["G"] = operator_payload(sol.canonical.G)
     print(
         f"metric found: residual {sol.residual:.3e}, "
         f"eig_min {sol.canonical.eig_min:.3e}, scale {sol.scale:.6g}"
     )
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK
+    return EXIT_OK, {
+        "input": _digest(A),
+        "residual": sol.residual,
+        "scale": sol.scale,
+        "vector_condition": sol.vector_condition,
+        "eig_min": sol.canonical.eig_min,
+        "eig_max": sol.canonical.eig_max,
+        "freedom": sol.freedom,
+        "G": operator_payload(sol.canonical.G),
+    }
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple[int, dict]:
     A = _load_dense(args.path)
     if args.metric:
         M = make_metric(_load_dense(args.metric), args.tol)
@@ -320,51 +320,26 @@ def cmd_transform(args) -> int:
         M = solve_metric(A, args.tol).canonical
     K = quasi_sa_transform(A, M, args.tol, force=args.force)
     res = herm_residual(K.matrix)
-    report = _report_head("transform", args.tol)
-    report["input"] = _digest(A)
-    report["herm_residual"] = res
-    report["K"] = operator_payload(K)
     print(f"transform Hermiticity residual: {res:.3e}")
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK
+    return EXIT_OK, {"input": _digest(A), "herm_residual": res, "K": operator_payload(K)}
 
 
-def cmd_qsim(args) -> int:
+def cmd_qsim(args) -> tuple[int, dict]:
     A = _load_dense(args.a)
     B = _load_dense(args.b)
     T = _load_dense(args.t)
     tol = args.tol
     rep = verify_intertwining(A, B, T, tol)
-    match = spectral_comparison(A, B)
-    report = _report_head("qsim", tol)
-    report["intertwining"] = {
-        "residual": rep.residual,
-        "min_sv": rep.min_sv,
-        "numerical_rank": rep.numerical_rank,
-        "quasi_affinity": rep.quasi_affinity,
-        "singular_values": list(rep.singular_values),
-    }
-    report["spectral_match"] = {
-        "tolerance": match.tolerance,
-        "inclusion": match.inclusion,
-        "pairs": [
-            {
-                "value_a": p.value_a,
-                "value_b": p.value_b,
-                "distance": p.distance,
-                "mult_a": p.mult_a,
-                "mult_b": p.mult_b,
-            }
-            for p in match.pairs
-        ],
-        "unmatched_a": [{"value": v, "mult": m} for v, m in match.unmatched_a],
-        "unmatched_b": [{"value": v, "mult": m} for v, m in match.unmatched_b],
-    }
+    # eigenvalues and vectors do not depend on the tolerance passed to
+    # eig_general, so one eigensystem of A serves the match and the push
+    es_a = eig_general(A, tol)
+    match = _match_spectra(
+        es_a.eigenvalues, eig_general(B, MATCH_TOL).eigenvalues, MATCH_TOL
+    )
     ok = rep.residual <= tol
     push_summary = None
     if ok:
-        push = push_eigenvectors(A, B, T, tol)
+        push = _push_eigenvectors(es_a, B, T, rep, tol)
         push_summary = {
             "max_residual": push.max_residual,
             "annihilated": [
@@ -373,18 +348,31 @@ def cmd_qsim(args) -> int:
             "passed": push.passed,
         }
         ok = push.passed
-    report["push"] = push_summary
-    report["passed"] = ok
     print(
         f"intertwining residual {rep.residual:.3e}; quasi-affine: {rep.quasi_affinity}; "
         f"verdict: {'pass' if ok else 'fail'}"
     )
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED, {
+        "intertwining": {
+            "residual": rep.residual,
+            "min_sv": rep.min_sv,
+            "numerical_rank": rep.numerical_rank,
+            "quasi_affinity": rep.quasi_affinity,
+            "singular_values": rep.singular_values,
+        },
+        "spectral_match": {
+            "tolerance": match.tolerance,
+            "inclusion": match.inclusion,
+            "pairs": match.pairs,
+            "unmatched_a": [{"value": v, "mult": m} for v, m in match.unmatched_a],
+            "unmatched_b": [{"value": v, "mult": m} for v, m in match.unmatched_b],
+        },
+        "push": push_summary,
+        "passed": ok,
+    }
 
 
-def cmd_spectral(args) -> int:
+def cmd_spectral(args) -> tuple[int, dict]:
     A = _load_dense(args.path)
     tol = args.tol
     sol = solve_metric(A, tol)
@@ -397,15 +385,6 @@ def cmd_spectral(args) -> int:
         eta = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         samples.append((xi, eta))
     props = x_properties(XF, A, samples, tol)
-    report = _report_head("spectral", tol)
-    report["input"] = _digest(A)
-    report["seed"] = args.seed
-    report["thresholds"] = [float(t) for t in XF.thresholds]
-    report["max_reconstruction_residual"] = props.max_reconstruction_residual
-    report["variation_violations"] = props.variation_violations
-    report["max_endpoint_residual"] = props.max_endpoint_residual
-    report["right_continuous"] = props.right_continuous
-    report["passed"] = props.passed
     print(
         f"{len(XF.thresholds)} thresholds; reconstruction residual "
         f"{props.max_reconstruction_residual:.3e}; verdict: "
@@ -426,12 +405,19 @@ def cmd_spectral(args) -> int:
             for t, value in zip(XF.thresholds, path.tolist())
         ]
         write_csv(args.csv_out, ["sample", "lambda", "re", "im"], rows)
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK if props.passed else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if props.passed else EXIT_VERIFICATION_FAILED, {
+        "input": _digest(A),
+        "seed": args.seed,
+        "thresholds": [float(t) for t in XF.thresholds],
+        "max_reconstruction_residual": props.max_reconstruction_residual,
+        "variation_violations": props.variation_violations,
+        "max_endpoint_residual": props.max_endpoint_residual,
+        "right_continuous": props.right_continuous,
+        "passed": props.passed,
+    }
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple[int, dict]:
     G = _load_dense(args.path)
     tol = args.tol
     M = make_metric(G, tol)
@@ -441,35 +427,22 @@ def cmd_lattice(args) -> int:
         for _ in range(args.samples)
     ]
     rep = verify_lattice(M, samples, tol)
-    report = _report_head("lattice", tol)
-    report["input"] = _digest(G)
-    report["seed"] = args.seed
-    report["rescale_factor"] = rep.rescale_factor
-    report["max_projective_residual"] = rep.max_projective_residual
-    report["max_duality_residual"] = rep.max_duality_residual
-    report["max_unitarity_residual"] = rep.max_unitarity_residual
-    report["chain_holds"] = rep.chain_holds
-    report["passed"] = rep.passed
-    report["norms"] = [
-        {
-            "plain": r.norms.plain,
-            "g": r.norms.g,
-            "g_inv": r.norms.g_inv,
-            "rg": r.norms.rg,
-            "rg_inv": r.norms.rg_inv,
-            "rginv": r.norms.rginv,
-            "rginv_inv": r.norms.rginv_inv,
-        }
-        for r in rep.samples
-    ]
     print(
         f"lattice checks over {args.samples} samples: "
         f"{'pass' if rep.passed else 'fail'} "
         f"(projective {rep.max_projective_residual:.3e})"
     )
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if rep.passed else EXIT_VERIFICATION_FAILED, {
+        "input": _digest(G),
+        "seed": args.seed,
+        "rescale_factor": rep.rescale_factor,
+        "max_projective_residual": rep.max_projective_residual,
+        "max_duality_residual": rep.max_duality_residual,
+        "max_unitarity_residual": rep.max_unitarity_residual,
+        "chain_holds": rep.chain_holds,
+        "passed": rep.passed,
+        "norms": [r.norms for r in rep.samples],
+    }
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -479,7 +452,7 @@ def _parse_schedule(text: str) -> list[int]:
         raise ParseError(f"bad schedule {text!r}: {exc}") from exc
 
 
-def cmd_samsonov(args) -> int:
+def cmd_samsonov(args) -> tuple[int, dict]:
     if args.path:
         spec = load_operator_file(args.path)
         if not isinstance(spec, HalfLineSpec):
@@ -490,22 +463,7 @@ def cmd_samsonov(args) -> int:
         schedule = _parse_schedule(args.n) if args.n else [200, 400, 800]
         spec = HalfLineSpec(args.d, args.b, box, schedule[0])
     rep = samsonov_report(spec, schedule)
-    report = _report_head("samsonov", DEFAULT_TOL)
-    report["d"] = spec.d
-    report["b"] = spec.b
-    report["box_length"] = spec.box_length
-    report["floor_epsilon"] = rep.floor_epsilon
-    report["d_squared"] = rep.d_squared
-    report["interior_residual_nonincreasing"] = rep.interior_residual_nonincreasing
-    report["max_im_nonincreasing"] = rep.max_im_nonincreasing
-    report["gap_monotone"] = rep.gap_monotone
-    report["passed"] = rep.passed
-    # an undefined estimate (NaN) is null in JSON and an empty CSV field
-    rows = [
-        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
-        for row in rep.csv_rows()
-    ]
-    report["rows"] = rows
+    rows = [{k: _finite_or_none(v) for k, v in row.items()} for row in rep.csv_rows()]
     for row in rep.rows:
         print(
             f"n={row.n:5d} min_eig_G={row.min_eig_G:.9f} "
@@ -516,9 +474,18 @@ def cmd_samsonov(args) -> int:
     print(f"verdict: {'pass' if rep.passed else 'fail'}")
     if args.csv_out:
         write_csv(args.csv_out, list(rows[0]), [list(row.values()) for row in rows])
-    if args.json_out:
-        write_json(args.json_out, report)
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if rep.passed else EXIT_VERIFICATION_FAILED, {
+        "d": spec.d,
+        "b": spec.b,
+        "box_length": spec.box_length,
+        "floor_epsilon": rep.floor_epsilon,
+        "d_squared": rep.d_squared,
+        "interior_residual_nonincreasing": rep.interior_residual_nonincreasing,
+        "max_im_nonincreasing": rep.max_im_nonincreasing,
+        "gap_monotone": rep.gap_monotone,
+        "passed": rep.passed,
+        "rows": rows,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, csv_out=False, seed=False):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    def common(p, csv_out=False, seed=False, tol=True):
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--json-out", metavar="PATH")
         if csv_out:
             p.add_argument("--csv-out", metavar="PATH")
@@ -581,8 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--L", type=float)
     p.add_argument("--n", help="comma-separated ascending grid sizes")
-    common(p, csv_out=True)
-    p.set_defaults(func=cmd_samsonov)
+    # the refinement study takes no tolerance; its report records the default
+    common(p, csv_out=True, tol=False)
+    p.set_defaults(func=cmd_samsonov, tol=DEFAULT_TOL)
 
     return parser
 
@@ -591,7 +560,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, body = args.func(args)
+        if args.json_out:
+            head = {
+                "tool": "qherm",
+                "version": __version__,
+                "command": args.command,
+                "tolerances": {"tol": args.tol},
+            }
+            write_json(args.json_out, {**head, **body})
+        return code
     except QhermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

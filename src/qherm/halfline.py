@@ -56,7 +56,6 @@ __all__ = [
     "default_box_length",
     "build_pair",
     "samsonov_report",
-    "export_operators",
 ]
 
 
@@ -77,8 +76,6 @@ class HalfLineSpec:
     b: float
     box_length: float
     n: int
-    far_bc: str = "dirichlet"
-    scheme_order: int = 2
 
     def __post_init__(self):
         if not (np.isfinite(self.d) and np.isfinite(self.b)):
@@ -87,10 +84,6 @@ class HalfLineSpec:
             raise InvalidSpec(f"box_length must be positive, got {self.box_length}")
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
-        if self.far_bc != "dirichlet":
-            raise InvalidSpec(f"unsupported far boundary condition {self.far_bc!r}")
-        if self.scheme_order != 2:
-            raise InvalidSpec(f"unsupported scheme order {self.scheme_order}")
 
     @property
     def spacing(self) -> float:
@@ -101,7 +94,7 @@ class HalfLineSpec:
         return complex(self.d, self.b)
 
     def with_n(self, n: int) -> "HalfLineSpec":
-        return HalfLineSpec(self.d, self.b, self.box_length, n, self.far_bc, self.scheme_order)
+        return HalfLineSpec(self.d, self.b, self.box_length, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +126,6 @@ def build_pair(spec: HalfLineSpec) -> DiscretizedPair:
         Operator(lmat, "first-order factor"),
         h,
     )
-
-
-def export_operators(pair: DiscretizedPair) -> tuple[Operator, Operator]:
-    """The pair ``(H, G_raw)`` as plain dense operators for other modules."""
-    return pair.H, pair.G_raw
 
 
 @dataclass(frozen=True)

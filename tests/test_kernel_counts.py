@@ -1,7 +1,9 @@
 """How many LAPACK-backed kernels the pipelines run.
 
-``qherm analyze`` diagonalizes its input once, whatever the class, and
-condition numbers are computed only where a report or warning reads them.
+``qherm analyze`` diagonalizes its input once, whatever the class,
+``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
+of ``T``, and condition numbers are computed only where a report or
+warning reads them.
 """
 
 import os
@@ -12,6 +14,7 @@ import pytest
 from helpers import diagonalizable_real_spectrum, rng
 from qherm import Operator, solve_metric, x_family, x_properties
 from qherm.cli import main
+from test_golden import run_case
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -36,6 +39,13 @@ def test_analyze_diagonalizes_once(monkeypatch, capsys, name):
     assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
     assert eig_calls[0] == 1
     capsys.readouterr()
+
+
+def test_qsim_diagonalizes_each_operator_once(monkeypatch, tmp_path):
+    eig_calls = _count_calls(monkeypatch, "eig")
+    svd_calls = _count_calls(monkeypatch, "svd")
+    assert run_case("qsim_worked", str(tmp_path))["out"].startswith(b"exit 0\n")
+    assert (eig_calls[0], svd_calls[0]) == (2, 1)
 
 
 def test_simple_spectrum_pipeline_computes_no_condition_number(monkeypatch):
