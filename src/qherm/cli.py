@@ -12,13 +12,20 @@ Exit codes: 0 = analysis completed, 1 = a verification assertion failed,
 inputs and flags: key order is fixed and floats carry 17 significant
 digits.  Complex numbers are serialized as ``[re, im]`` pairs, and
 dataclasses as objects of their fields in declaration order.
+
+Numbers move in bulk at both ends.  A dense operator file whose entries
+are all pairs of JSON numbers becomes one float64 array in a single
+``np.fromiter`` pass; any other file is checked entry by entry, and that
+check alone writes the error naming the first bad entry.  A matrix in a
+report is its ``(n*n, 2)`` float64 view, and it and every CSV table are
+formatted by one ``%``-template over all their rows.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -102,17 +109,41 @@ def _render(value, out: list[str]) -> None:
             _render(v, out)
         out.append("]")
     elif isinstance(value, np.ndarray):
-        _render(value.tolist(), out)
+        if value.ndim == 2 and value.dtype == np.float64:
+            _check_finite(value)
+            row = "[" + ",".join(["%.17g"] * value.shape[1]) + "]"
+            out.append("[" + _format_rows(value, row, ",") + "]")
+        else:
+            _render(value.tolist(), out)
     elif dataclasses.is_dataclass(value):
         _render({f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, out)
     else:
         raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def matrix_entries(mat: np.ndarray) -> list[list[float]]:
-    """Row-major ``[re, im]`` pairs, the operator-file wire format."""
-    flat = np.asarray(mat, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+def _check_finite(values: np.ndarray) -> None:
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        _fmt_float(float(bad[0]))  # raises the finite-number error
+
+
+def _format_rows(table: np.ndarray, template: str, sep: str) -> str:
+    """All rows of a 2-D float array through one ``%``-template, joined by ``sep``.
+
+    ``"%.17g" % x`` is ``format(x, ".17g")``, so this writes the same
+    digits as :func:`_fmt_float`; the caller checks finiteness.
+    """
+    return sep.join([template] * len(table)) % tuple(table.reshape(-1).tolist())
+
+
+def matrix_entries(mat: np.ndarray) -> np.ndarray:
+    """Row-major ``[re, im]`` pairs, the operator-file wire format.
+
+    Returns the ``(n*n, 2)`` float64 view of the complex matrix (a copy
+    only if ``mat`` is not C-contiguous complex128).
+    """
+    flat = np.ascontiguousarray(mat, dtype=np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
 
 
 def operator_payload(op: Operator) -> dict:
@@ -136,17 +167,18 @@ def write_json(path: str, payload) -> None:
     _write_text_atomic(path, render_json(payload) + "\n")
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    import io
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a table of numbers, 17 significant digits per cell.
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_fmt_float(v) if isinstance(v, float) else v for v in row]
-        )
-    _write_text_atomic(path, buf.getvalue())
+    ``rows`` is a 2-D float array or a list of number rows.  ``None`` or
+    NaN is an undefined number and leaves its field empty; an infinite
+    cell raises.  Integers up to 2**53 print as they would with ``str``.
+    """
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
+    _check_finite(table[~np.isnan(table)])
+    # "%.17g" writes NaN as "nan", and no finite number's text holds an "n"
+    body = _format_rows(table, ",".join(["%.17g"] * len(header)) + "\n", "")
+    _write_text_atomic(path, ",".join(header) + "\n" + body.replace("nan", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +191,7 @@ def load_operator_file(path: str):
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -180,7 +212,40 @@ def _parse_dense(path: str, doc: dict) -> Operator:
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ParseError(f"{path}: expected {dim * dim} entries")
-    values = np.empty(dim * dim, dtype=np.complex128)
+    values = _bulk_entries(entries)
+    if values is None:
+        values = _checked_entries(path, entries)
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise ParseError(f"{path}: label must be a string")
+    try:
+        return Operator(values.reshape(dim, dim), label)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _bulk_entries(entries: list) -> np.ndarray | None:
+    """All ``[re, im]`` pairs as complex128 in C-level passes, or ``None``.
+
+    ``None`` means some entry is not a list of two JSON numbers (``bool``
+    is its own type here, so ``true`` is not taken for 1) or holds an int
+    beyond float range; :func:`_checked_entries` then finds and names it.
+    numpy rounds an int to float as ``float()`` does, so the values equal
+    ``complex(re, im)`` bit for bit.
+    """
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+        return None
+    numbers = itertools.chain.from_iterable(entries)
+    try:
+        return np.fromiter(numbers, np.float64, 2 * len(entries)).view(np.complex128)
+    except OverflowError:
+        return None
+
+
+def _checked_entries(path: str, entries: list) -> np.ndarray:
+    values = np.empty(len(entries), dtype=np.complex128)
     for k, pair in enumerate(entries):
         if (
             not isinstance(pair, list)
@@ -192,13 +257,7 @@ def _parse_dense(path: str, doc: dict) -> Operator:
             values[k] = complex(pair[0], pair[1])
         except OverflowError as exc:
             raise ParseError(f"{path}: entry {k}: {exc}") from exc
-    label = doc.get("label", "")
-    if not isinstance(label, str):
-        raise ParseError(f"{path}: label must be a string")
-    try:
-        return Operator(values.reshape(dim, dim), label)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return values
 
 
 def _parse_samsonov(path: str, doc: dict) -> HalfLineSpec:
@@ -399,12 +458,17 @@ def cmd_spectral(args) -> tuple[int, dict]:
             ),
             axis=0,
         )
-        rows = [
-            [k, float(t), value.real, value.imag]
-            for k, path in enumerate(paths.T)
-            for t, value in zip(XF.thresholds, path.tolist())
-        ]
-        write_csv(args.csv_out, ["sample", "lambda", "re", "im"], rows)
+        steps, count = paths.shape
+        flat = paths.T.reshape(-1)  # sample-major: all thresholds of sample 0 first
+        table = np.column_stack(
+            [
+                np.repeat(np.arange(count), steps),
+                np.tile(XF.thresholds, count),
+                flat.real,
+                flat.imag,
+            ]
+        )
+        write_csv(args.csv_out, ["sample", "lambda", "re", "im"], table)
     return EXIT_OK if props.passed else EXIT_VERIFICATION_FAILED, {
         "input": _digest(A),
         "seed": args.seed,

@@ -82,6 +82,10 @@ class HalfLineSpec:
             raise InvalidSpec("d and b must be finite")
         if not (np.isfinite(self.box_length) and self.box_length > 0):
             raise InvalidSpec(f"box_length must be positive, got {self.box_length}")
+        try:
+            float(self.n)  # the spacing box_length / n must be a float
+        except OverflowError:
+            raise InvalidSpec("grid size n is too large for a float") from None
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
 

@@ -328,3 +328,58 @@ def test_samsonov_underflowing_metric_exit_two(capsys):
     # at h = 1e300/16 every entry of G = L* L underflows to zero
     assert main(["samsonov", "--d", "0", "--b", "0", "--L", "1e300", "--n", "16,32"]) == 2
     assert "discretized metric has no positive spectrum" in capsys.readouterr().err
+
+
+def _dense_with(entry, index):
+    """A 2x2 dense payload whose entry ``index`` is replaced by ``entry``."""
+    entries = [[1, 0], [0.5, 0], [0, -1.5], [2, 0]]
+    entries[index] = entry
+    return {"format": 1, "kind": "dense", "dim": 2, "entries": entries}
+
+
+# each input passes the file-level checks, so only the per-entry check can
+# reject it; the message must name the same entry as before the bulk parse
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(_dense_with([True, 0], 1), "entry 1 must be", id="true-re"),
+        pytest.param(_dense_with([1.5, False], 2), "entry 2 must be", id="false-im"),
+        pytest.param(_dense_with(["1.5", 0], 3), "entry 3 must be", id="numeric-string"),
+        pytest.param(_dense_with([[1, 0], 0], 1), "entry 1 must be", id="nested-pair"),
+        pytest.param(_dense_with([1, 0, 0], 2), "entry 2 must be", id="triple"),
+        pytest.param(_dense_with(1.5, 3), "entry 3 must be", id="bare-number"),
+        pytest.param(_dense_with({"re": 1, "im": 0}, 1), "entry 1 must be", id="dict"),
+        pytest.param(
+            _dense_with([0, 10**400], 2),
+            "entry 2: int too large to convert to float",
+            id="int-overflows-float",
+        ),
+    ],
+)
+def test_bulk_parse_rejections_name_the_entry(tmp_path, capsys, payload, message):
+    path = _write(tmp_path, "bad.json", payload)
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+
+HUGE_N = 10**400
+
+
+def test_samsonov_spec_huge_n_exit_two(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": {HUGE_N}}}')
+    assert main(["samsonov", str(path)]) == 2
+    assert "grid size n is too large for a float" in capsys.readouterr().err
+
+
+def test_samsonov_flag_huge_n_exit_two(capsys):
+    assert main(["samsonov", "--d", "-1", "--b", "1", "--n", str(HUGE_N)]) == 2
+    assert "grid size n is too large for a float" in capsys.readouterr().err
+
+
+def test_json_past_the_int_digit_limit_exit_two(tmp_path, capsys):
+    # Python refuses to parse a decimal int of more than 4300 digits
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 1{"0" * 5000}}}')
+    assert main(["samsonov", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err

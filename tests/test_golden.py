@@ -5,7 +5,11 @@ its exit code, stdout, ``--json-out`` and ``--csv-out`` are compared with
 the files recorded under ``tests/golden``.  The recorded files come from
 numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64: floats are written with 17
 significant digits, so another BLAS/LAPACK build can differ in the last
-digits without any change in qherm.  After an intended change of output,
+digits without any change in qherm.  So can the BLAS thread count: they
+were recorded with OpenBLAS's default threads on a 2-CPU machine, and
+``samsonov_robin`` fails under ``OPENBLAS_NUM_THREADS=1``, because the
+summation order of the dense complex matrix products changes the last
+digits.  After an intended change of output,
 rewrite them with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
