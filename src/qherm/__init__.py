@@ -12,8 +12,8 @@ from .core import (
     cluster_eigenvalues,
     eig_general,
     eig_hermitian,
+    ensure_eigensystem,
     ensure_operator,
-    sqrt_pd,
 )
 from .errors import (
     ComplexSpectrum,
@@ -50,6 +50,7 @@ from .lattice import (
     lattice_norms,
     make_metric,
     riesz_operator,
+    sqrt_pd,
     verify_lattice,
 )
 from .quasihermitian import (

@@ -36,22 +36,16 @@ import numpy as np
 
 from . import __version__
 from .core import DEFAULT_TOL, Operator, eig_general, herm_residual, real_eigenvalue_mask
-from .errors import ParseError, QhermError, SpectrumNotConjugateClosed
+from .errors import IntertwiningViolated, ParseError, QhermError, SpectrumNotConjugateClosed
 from .halfline import HalfLineSpec, default_box_length, samsonov_report
 from .lattice import make_metric, verify_lattice
 from .quasihermitian import (
-    _canonical_metric,
-    _pseudo_metric,
     quasi_hermiticity_residual,
     quasi_sa_transform,
     solve_metric,
+    solve_pseudo_metric,
 )
-from .quasisimilarity import (
-    MATCH_TOL,
-    _match_spectra,
-    _push_eigenvectors,
-    verify_intertwining,
-)
+from .quasisimilarity import MATCH_TOL, push_eigenvectors, spectral_comparison
 from .spectralfamily import x_family, x_properties
 
 EXIT_OK = 0
@@ -310,14 +304,15 @@ def cmd_analyze(args) -> tuple[int, dict]:
     spectral = _spectral_summary(es, tol)
     metric_summary = None
     transform_summary = None
+    herm_res = herm_residual(A.matrix)
     if es.defective:
         classification = "defective"
-    elif herm_residual(A.matrix) <= tol:
+    elif herm_res <= tol:
         classification = "hermitian"
         metric_summary = {"eig_min": 1.0, "condition": 1.0, "residual": 0.0}
-        transform_summary = {"herm_residual": herm_residual(A.matrix)}
+        transform_summary = {"herm_residual": herm_res}
     elif spectral["all_real"]:
-        sol = _canonical_metric(A, es, tol)
+        sol = solve_metric(es, tol)
         classification = "quasi_hermitian_pd"
         M = sol.canonical
         metric_summary = {
@@ -331,7 +326,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         transform_summary = {"herm_residual": herm_residual(K.matrix)}
     else:
         try:
-            T, signature = _pseudo_metric(A, es, tol)
+            T, signature = solve_pseudo_metric(es, tol)
             classification = "pseudo_hermitian_indefinite"
             metric_summary = {
                 "signature": list(signature),
@@ -388,17 +383,18 @@ def cmd_qsim(args) -> tuple[int, dict]:
     B = _load_dense(args.b)
     T = _load_dense(args.t)
     tol = args.tol
-    rep = verify_intertwining(A, B, T, tol)
     # eigenvalues and vectors do not depend on the tolerance passed to
-    # eig_general, so one eigensystem of A serves the match and the push
+    # eig_general, so one eigensystem of A serves the push and the match
     es_a = eig_general(A, tol)
-    match = _match_spectra(
-        es_a.eigenvalues, eig_general(B, MATCH_TOL).eigenvalues, MATCH_TOL
-    )
-    ok = rep.residual <= tol
+    try:
+        push = push_eigenvectors(es_a, B, T, tol)
+        rep = push.intertwiner
+    except IntertwiningViolated as exc:
+        push, rep = None, exc.report
+    match = spectral_comparison(es_a, B, MATCH_TOL)
+    ok = push is not None and push.passed
     push_summary = None
-    if ok:
-        push = _push_eigenvectors(es_a, B, T, rep, tol)
+    if push is not None:
         push_summary = {
             "max_residual": push.max_residual,
             "annihilated": [
@@ -406,7 +402,6 @@ def cmd_qsim(args) -> tuple[int, dict]:
             ],
             "passed": push.passed,
         }
-        ok = push.passed
     print(
         f"intertwining residual {rep.residual:.3e}; quasi-affine: {rep.quasi_affinity}; "
         f"verdict: {'pass' if ok else 'fail'}"

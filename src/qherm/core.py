@@ -1,16 +1,17 @@
 """Dense complex matrix kernels: the substrate every other module calls.
 
-Adjoints, Hermitian and general eigendecompositions, positive-definite
-square roots, and the tolerance conventions used throughout.  All
+Adjoints, Hermitian and general eigendecompositions, eigenvalue
+clustering, and the tolerance conventions used throughout.  All
 tolerance decisions are relative and scale-free; the package default
 ``DEFAULT_TOL = 1e-10`` leaves about five digits of double-precision
 headroom.  Eigenvalues are always reported ascending by real part, ties
 broken by imaginary part, so that reports are deterministic.
 
-Costly quantities are computed where they are read: ``vector_condition``
-(one SVD) on access, ``||A||_2`` only for a repeated eigenvalue.  The
-positive-definite validator and root assembly here also serve
-``lattice.make_metric``.
+One :class:`Eigensystem` carries the operator it diagonalizes, so the
+metric builders and spectral checks of the other modules accept it in
+place of the operator and reuse it (:func:`ensure_eigensystem`).  Costly
+quantities are computed where they are read: ``vector_condition`` (one
+SVD) on access, ``||A||_2`` only for a repeated eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionMismatch,
-    NotHermitian,
-    NotPositiveDefinite,
-)
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-10
-
-_TINY = np.finfo(np.float64).tiny
 
 __all__ = [
     "DEFAULT_TOL",
@@ -38,9 +32,9 @@ __all__ = [
     "adjoint",
     "eig_hermitian",
     "eig_general",
-    "sqrt_pd",
     "cluster_eigenvalues",
     "ensure_operator",
+    "ensure_eigensystem",
 ]
 
 
@@ -117,7 +111,7 @@ def adjoint(A: Operator | np.ndarray) -> Operator:
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """Eigenvalues with unit-norm right eigenvector columns.
+    """Eigenvalues with unit-norm right eigenvector columns of ``operator``.
 
     ``defective`` is set when some eigenvalue cluster has geometric
     multiplicity below its algebraic one.  ``vector_condition``, the
@@ -125,6 +119,7 @@ class Eigensystem:
     operator), is computed on access, one SVD per read.
     """
 
+    operator: Operator
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     defective: bool
@@ -197,8 +192,14 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
     Eigenvalues come out real and ascending, eigenvectors orthonormal.
     Raises :class:`NotHermitian` when ``||H - H*||_F > tol*||H||_F``.
     """
-    w, v = _checked_eigh(ensure_operator(H).matrix, tol)
-    return Eigensystem(w.astype(np.complex128), v, False)
+    H = ensure_operator(H)
+    defect = herm_residual(H.matrix)
+    if defect > tol:
+        raise NotHermitian(
+            f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
+        )
+    w, v = np.linalg.eigh(herm_part(H.matrix))
+    return Eigensystem(H, w.astype(np.complex128), v, False)
 
 
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
@@ -228,49 +229,16 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
         if A.dim - rank < cluster.size:
             defective = True
             break
-    return Eigensystem(w, v, defective)
+    return Eigensystem(A, w, v, defective)
 
 
-def _checked_eigh(H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ``eigh`` of ``H`` after the Hermiticity test.
+def ensure_eigensystem(value, tol: float = DEFAULT_TOL) -> Eigensystem:
+    """Diagonalize ``value`` with :func:`eig_general` (no-op for an Eigensystem).
 
-    Raises :class:`NotHermitian` when ``||H - H*||_F > tol*||H||_F``.
+    A passed :class:`Eigensystem` is returned as it is, so it keeps the
+    ``defective`` verdict of the tolerance it was computed at.
     """
-    defect = herm_residual(H)
-    if defect > tol:
-        raise NotHermitian(
-            f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return np.linalg.eigh(herm_part(H))
+    if isinstance(value, Eigensystem):
+        return value
+    return eig_general(value, tol)
 
-
-def _pd_eigh(G: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_checked_eigh` of a positive-definite ``G``.
-
-    Raises :class:`NotPositiveDefinite` unless the smallest eigenvalue
-    exceeds the margin ``tol * max|eigenvalue|``.
-    """
-    w, v = _checked_eigh(G, tol)
-    wmin = float(w[0])
-    if wmin <= tol * max(float(np.abs(w).max()), _TINY):
-        raise NotPositiveDefinite(
-            f"minimum eigenvalue {wmin:.3e} fails the positivity margin",
-            min_eigenvalue=wmin,
-        )
-    return w, v
-
-
-def _pd_roots(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(G^1/2, G^-1/2)`` reassembled from the eigendecomposition ``(w, v)``."""
-    root = np.sqrt(w)
-    return herm_part((v * root) @ v.conj().T), herm_part((v / root) @ v.conj().T)
-
-
-def sqrt_pd(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Operator, Operator]:
-    """Positive-definite square root and its inverse, ``(G^1/2, G^-1/2)``.
-
-    Both results are Hermitian positive definite; built by spectral
-    reassembly so they commute with ``G`` exactly up to rounding.
-    """
-    half, invhalf = _pd_roots(*_pd_eigh(ensure_operator(G).matrix, tol))
-    return Operator(half, "sqrt"), Operator(invhalf, "invsqrt")

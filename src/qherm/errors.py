@@ -62,7 +62,14 @@ class SpectrumNotConjugateClosed(QhermError):
 
 
 class IntertwiningViolated(QhermError):
-    """An operation presupposing an intertwining identity was called without one."""
+    """An operation presupposing an intertwining identity was called without one.
+
+    Carries the failing ``IntertwinerReport`` in ``report``.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class InvalidSpec(QhermError):

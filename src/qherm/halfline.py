@@ -41,6 +41,10 @@ _TINY = np.finfo(np.float64).tiny
 # perturbed entry, so three is one row of slack
 _BOUNDARY_MARGIN = 3
 
+# largest grid size: every kernel here is dense, and one n x n complex128
+# matrix at n = 8192 already takes 16 * 8192**2 bytes = 1 GiB
+MAX_GRID_SIZE = 8192
+
 # spectrum floor applied to G before forming G^{+-1/2}
 FLOOR_EPSILON = 1e-12
 
@@ -70,6 +74,7 @@ class HalfLineSpec:
 
     Grid nodes sit at ``x_j = j h`` for ``j = 0 .. n-1`` with
     ``h = box_length / n``; the Dirichlet wall removes the node at ``L``.
+    ``n`` runs from 16 to :data:`MAX_GRID_SIZE`.
     """
 
     d: float
@@ -86,6 +91,10 @@ class HalfLineSpec:
             float(self.n)  # the spacing box_length / n must be a float
         except OverflowError:
             raise InvalidSpec("grid size n is too large for a float") from None
+        if self.n > MAX_GRID_SIZE:
+            raise InvalidSpec(
+                f"grid size n = {self.n} exceeds the dense limit {MAX_GRID_SIZE}"
+            )
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
 
@@ -200,11 +209,14 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(sizes) != sizes:
         raise InvalidSpec(f"schedule must be ascending grid sizes, got {schedule}")
+    # every grid size is validated before the first grid is built
+    specs = [spec.with_n(n) for n in sizes]
     d2 = spec.d**2
     rows: list[SamsonovRow] = []
     prev: SamsonovRow | None = None
-    for n in sizes:
-        pair = build_pair(spec.with_n(n))
+    for grid in specs:
+        n = grid.n
+        pair = build_pair(grid)
         hmat, gmat = pair.H.matrix, pair.G_raw.matrix
 
         w_g, v_g = np.linalg.eigh(herm_part(gmat))

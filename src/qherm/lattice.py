@@ -1,30 +1,31 @@
-"""Metric operators and the seven-norm lattice they generate.
+"""Metric operators, their square roots, and the seven-norm lattice they generate.
 
-A metric operator is a Hermitian positive-definite ``G``.  Around one
-``G`` live seven inner products: the plain one, the ``G`` and ``G^-1``
-ones, and the four built from the Riesz operators ``I + G`` and
-``I + G^-1`` and their inverses.  At finite dimension the underlying
-spaces coincide as sets, so this module materializes the lattice purely
-as computable norms, together with verification of the projective-norm
-identity, the duality relation and the embedding chain.
+A metric operator is a Hermitian positive-definite ``G``, held with its
+eigendecomposition; ``G^1/2`` and ``G^-1/2`` are reassembled from it on
+first read, and :func:`sqrt_pd` is such a read.  Around one ``G`` live
+seven inner products: the plain one, the ``G`` and ``G^-1`` ones, and the
+four built from the Riesz operators ``I + G`` and ``I + G^-1`` and their
+inverses.  At finite dimension the underlying spaces coincide as sets, so
+this module materializes the lattice purely as computable norms, together
+with verification of the projective-norm identity, the duality relation
+and the embedding chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
     Operator,
-    _pd_eigh,
-    _pd_roots,
-    ensure_operator,
+    eig_hermitian,
     herm_part,
     inner,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -33,6 +34,7 @@ __all__ = [
     "LatticeNorms",
     "LatticeReport",
     "make_metric",
+    "sqrt_pd",
     "g_inner",
     "riesz_operator",
     "lattice_norms",
@@ -42,36 +44,54 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """Validated positive-definite Hermitian ``G`` with cached roots.
+    """Positive-definite Hermitian ``G`` with its ascending eigendecomposition.
 
-    ``eigenvalues``/``eigenvectors`` hold the ascending eigendecomposition
-    used to build ``G_half`` and ``G_invhalf``; keeping it around makes the
-    Riesz-operator norms diagonal arithmetic.
+    ``G = V diag(w) V*`` for ``w = eigenvalues`` and ``V = eigenvectors``
+    (stored as read-only copies).  The roots ``G_half`` and ``G_invhalf``
+    are reassembled from them on first read and then kept; two threads
+    reading a root at once at worst both compute the same value.  The
+    stored eigendecomposition also makes the Riesz-operator norms
+    diagonal arithmetic.
     """
 
     G: Operator
-    G_half: Operator
-    G_invhalf: Operator
-    eig_min: float
-    eig_max: float
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name, dtype in (("eigenvalues", np.float64), ("eigenvectors", np.complex128)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return self.G.dim
 
+    @property
+    def eig_min(self) -> float:
+        return float(self.eigenvalues[0])
+
+    @property
+    def eig_max(self) -> float:
+        return float(self.eigenvalues[-1])
+
+    @cached_property
+    def G_half(self) -> Operator:
+        v, root = self.eigenvectors, np.sqrt(self.eigenvalues)
+        return Operator(herm_part((v * root) @ v.conj().T), "sqrt")
+
+    @cached_property
+    def G_invhalf(self) -> Operator:
+        v, root = self.eigenvectors, np.sqrt(self.eigenvalues)
+        return Operator(herm_part((v / root) @ v.conj().T), "invsqrt")
+
     @staticmethod
     def identity(dim: int) -> "MetricOperator":
-        eye = Operator.identity(dim)
-        w = np.ones(dim)
-        v = np.eye(dim)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return MetricOperator(eye, eye, eye, 1.0, 1.0, w, v)
+        return MetricOperator(Operator.identity(dim), np.ones(dim), np.eye(dim))
 
     def inverse_matrix(self) -> np.ndarray:
-        """Dense ``G^-1`` from the cached eigendecomposition."""
+        """Dense ``G^-1`` from the stored eigendecomposition."""
         v, w = self.eigenvectors, self.eigenvalues
         return herm_part((v / w) @ v.conj().T)
 
@@ -81,25 +101,31 @@ class MetricOperator:
         return (v * values) @ v.conj().T
 
 
-def _metric_from_eigh(G: Operator, w: np.ndarray, v: np.ndarray) -> MetricOperator:
-    half, invhalf = _pd_roots(w, v)
-    arr_w = np.array(w, dtype=np.float64)
-    arr_w.setflags(write=False)
-    arr_v = np.array(v, dtype=np.complex128)
-    arr_v.setflags(write=False)
-    return MetricOperator(
-        G, Operator(half), Operator(invhalf), float(w[0]), float(w[-1]), arr_w, arr_v
-    )
-
-
 def make_metric(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricOperator:
-    """Validate ``G`` and cache its square roots and extremal eigenvalues.
+    """Validate ``G`` and keep its eigendecomposition.
 
     Raises :class:`NotHermitian` or :class:`NotPositiveDefinite` (the
     positivity margin is ``tol * ||G||_2``).
     """
-    G = ensure_operator(G)
-    return _metric_from_eigh(G, *_pd_eigh(G.matrix, tol))
+    es = eig_hermitian(G, tol)
+    w = es.eigenvalues.real
+    wmin = float(w[0])
+    if wmin <= tol * max(float(np.abs(w).max()), _TINY):
+        raise NotPositiveDefinite(
+            f"minimum eigenvalue {wmin:.3e} fails the positivity margin",
+            min_eigenvalue=wmin,
+        )
+    return MetricOperator(es.operator, w, es.right_vectors)
+
+
+def sqrt_pd(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Operator, Operator]:
+    """Positive-definite square root and its inverse, ``(G^1/2, G^-1/2)``.
+
+    Both results are Hermitian positive definite; built by spectral
+    reassembly so they commute with ``G`` exactly up to rounding.
+    """
+    M = make_metric(G, tol)
+    return M.G_half, M.G_invhalf
 
 
 def g_inner(M: MetricOperator, xi: np.ndarray, eta: np.ndarray) -> complex:

@@ -29,7 +29,7 @@ from .core import (
     Operator,
     adjoint,
     cluster_eigenvalues,
-    eig_general,
+    ensure_eigensystem,
     ensure_operator,
     fro,
     herm_part,
@@ -46,7 +46,7 @@ from .errors import (
     NotQuasiHermitian,
     SpectrumNotConjugateClosed,
 )
-from .lattice import MetricOperator, _metric_from_eigh
+from .lattice import MetricOperator
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -86,11 +86,8 @@ def _canonical_eigvec_scaling(v: np.ndarray) -> np.ndarray:
     the canonical metric below is fully deterministic.
     """
     s = np.array(v, dtype=np.complex128)
-    for k in range(s.shape[1]):
-        pivot = s[np.argmax(np.abs(s[:, k])), k]
-        if pivot != 0:
-            s[:, k] /= pivot
-    return s
+    pivots = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
+    return np.divide(s, pivots, out=s, where=pivots != 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,37 +109,32 @@ class MetricSolution:
     vector_condition: float
 
 
-def _check_real_spectrum(es: Eigensystem, tol: float, context: str) -> None:
-    if es.defective:
-        raise Defective(f"{context}: operator is numerically defective")
-    mask = real_eigenvalue_mask(es.eigenvalues, tol)
-    if not bool(mask.all()):
-        offending = es.eigenvalues[~mask]
-        raise ComplexSpectrum(
-            f"{context}: spectrum has nonreal eigenvalues {offending}",
-            eigenvalues=offending,
-        )
-
-
-def solve_metric(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricSolution:
+def solve_metric(
+    A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL
+) -> MetricSolution:
     """Construct the canonical positive-definite metric for ``A``.
 
     Requires ``A`` diagonalizable with real spectrum at tolerance; the
     canonical choice fixes ``D = I`` on eigenvector columns scaled to unit
     largest entry, and the result is normalized to unit spectral norm
-    (factor recorded in ``scale``).
+    (factor recorded in ``scale``).  ``A`` may be given as its
+    :class:`Eigensystem`, which is then reused with its own ``defective``
+    verdict.
 
     Raises :class:`ComplexSpectrum` or :class:`Defective` when no
     positive metric exists; warns :class:`IllConditionedWarning` when the
     eigenvector basis is badly conditioned.
     """
-    A = ensure_operator(A)
-    return _canonical_metric(A, eig_general(A, tol), tol)
-
-
-def _canonical_metric(A: Operator, es: Eigensystem, tol: float) -> MetricSolution:
-    # solve_metric from the eigensystem es = eig_general(A, tol)
-    _check_real_spectrum(es, tol, "solve_metric")
+    es = ensure_eigensystem(A, tol)
+    if es.defective:
+        raise Defective("solve_metric: operator is numerically defective")
+    mask = real_eigenvalue_mask(es.eigenvalues, tol)
+    if not bool(mask.all()):
+        offending = es.eigenvalues[~mask]
+        raise ComplexSpectrum(
+            f"solve_metric: spectrum has nonreal eigenvalues {offending}",
+            eigenvalues=offending,
+        )
     s = _canonical_eigvec_scaling(es.right_vectors)
     u, sig, _ = np.linalg.svd(s)
     cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else float("inf")
@@ -150,18 +142,16 @@ def _canonical_metric(A: Operator, es: Eigensystem, tol: float) -> MetricSolutio
         warnings.warn(
             f"eigenvector basis condition {cond:.3e}; metric is nearly singular",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     # (S S*)^-1 = U diag(sig^-2) U*, normalized to unit spectral norm;
     # sig is descending, so scale/sig^2 is already ascending
     scale = float(sig[-1] ** 2)
     w = scale / sig**2
-    v = u
-    G = Operator(herm_part((v * w) @ v.conj().T), "canonical metric")
-    metric = _metric_from_eigh(G, w, v)
-    residual = quasi_hermiticity_residual(A, G)
+    G = Operator(herm_part((u * w) @ u.conj().T), "canonical metric")
+    residual = quasi_hermiticity_residual(es.operator, G)
     freedom = cluster_eigenvalues(es.eigenvalues, tol)
-    return MetricSolution(metric, Operator(s), freedom, residual, scale, cond)
+    return MetricSolution(MetricOperator(G, w, u), Operator(s), freedom, residual, scale, cond)
 
 
 def quasi_sa_transform(
@@ -287,7 +277,7 @@ def _conjugate_pairing(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
 
 
 def solve_pseudo_metric(
-    A: Operator | np.ndarray, tol: float = DEFAULT_TOL
+    A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[Operator, tuple[int, int]]:
     """Hermitian invertible ``T`` with ``TA = A*T`` and its inertia.
 
@@ -295,21 +285,14 @@ def solve_pseudo_metric(
     ``T = S^-* M S^-1`` where ``M`` is the identity on real-eigenvalue
     positions and swaps each conjugate pair; the result is normalized to
     unit spectral norm.  Reduces to the canonical positive metric when
-    the spectrum is real.
+    the spectrum is real.  ``A`` may be given as its :class:`Eigensystem`,
+    which is then reused with its own ``defective`` verdict.
     """
-    A = ensure_operator(A)
-    return _pseudo_metric(A, eig_general(A, tol), tol)
-
-
-def _pseudo_metric(
-    A: Operator, es: Eigensystem, tol: float
-) -> tuple[Operator, tuple[int, int]]:
-    # solve_pseudo_metric from the eigensystem es = eig_general(A, tol)
+    es = ensure_eigensystem(A, tol)
     if es.defective:
         raise Defective("solve_pseudo_metric: operator is numerically defective")
-    w = es.eigenvalues
-    pairs = _conjugate_pairing(w, tol)
-    m = np.eye(A.dim, dtype=np.complex128)
+    pairs = _conjugate_pairing(es.eigenvalues, tol)
+    m = np.eye(es.dim, dtype=np.complex128)
     for i, j in pairs:
         m[i, i] = m[j, j] = 0.0
         m[i, j] = m[j, i] = 1.0
@@ -319,7 +302,7 @@ def _pseudo_metric(
         warnings.warn(
             f"eigenvector basis condition {cond:.3e}",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     s_inv = np.linalg.inv(s)
     t = herm_part(s_inv.conj().T @ m @ s_inv)

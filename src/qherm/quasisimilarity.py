@@ -25,7 +25,7 @@ from .core import (
     Eigensystem,
     Operator,
     cluster_eigenvalues,
-    eig_general,
+    ensure_eigensystem,
     ensure_operator,
     fro,
 )
@@ -125,25 +125,19 @@ class SpectralMatch:
 
 
 def spectral_comparison(
-    A: Operator | np.ndarray,
-    B: Operator | np.ndarray,
+    A: Operator | Eigensystem | np.ndarray,
+    B: Operator | Eigensystem | np.ndarray,
     tol: float = MATCH_TOL,
 ) -> SpectralMatch:
     """Match the eigenvalue multisets of ``A`` and ``B`` at tolerance.
 
     Eigenvalues are clustered at ``tol*(1+|lam|)`` to obtain multiplicities,
-    then clusters are paired greedily with their nearest partner.
+    then clusters are paired greedily with their nearest partner.  Either
+    operator may be given as its :class:`Eigensystem`, whose eigenvalues
+    are then reused.
     """
-    A, B = ensure_operator(A), ensure_operator(B)
-    return _match_spectra(eig_general(A, tol).eigenvalues, eig_general(B, tol).eigenvalues, tol)
-
-
-def _match_spectra(
-    eigenvalues_a: np.ndarray, eigenvalues_b: np.ndarray, tol: float
-) -> SpectralMatch:
-    """:func:`spectral_comparison` of two sorted eigenvalue arrays."""
-    ca = cluster_eigenvalues(eigenvalues_a, tol)
-    cb = cluster_eigenvalues(eigenvalues_b, tol)
+    ca = cluster_eigenvalues(ensure_eigensystem(A, tol).eigenvalues, tol)
+    cb = cluster_eigenvalues(ensure_eigensystem(B, tol).eigenvalues, tol)
     used = [False] * len(cb)
     pairs: list[MatchedPair] = []
     unmatched_a: list[tuple[complex, int]] = []
@@ -192,7 +186,7 @@ class PushReport:
 
 
 def push_eigenvectors(
-    A: Operator | np.ndarray,
+    A: Operator | Eigensystem | np.ndarray,
     B: Operator | np.ndarray,
     T: Operator | np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -200,22 +194,18 @@ def push_eigenvectors(
     """Check that ``T`` maps eigenvectors of ``A`` to eigenvectors of ``B``.
 
     Requires the intertwining residual to be below ``tol`` (else
-    :class:`IntertwiningViolated`); per surviving eigenpair the report
-    records ``||B(T xi) - lam (T xi)|| / ||T xi||``.
+    :class:`IntertwiningViolated`, carrying the report on ``T``); per
+    surviving eigenpair the report records
+    ``||B(T xi) - lam (T xi)|| / ||T xi||``.  ``A`` may be given as its
+    :class:`Eigensystem`, which is then reused.
     """
-    A, B, T = ensure_operator(A), ensure_operator(B), ensure_operator(T)
-    rep = verify_intertwining(A, B, T, tol)
+    B, T = ensure_operator(B), ensure_operator(T)
+    rep = verify_intertwining(A.operator if isinstance(A, Eigensystem) else A, B, T, tol)
     if rep.residual > tol:
         raise IntertwiningViolated(
-            f"intertwining residual {rep.residual:.3e} exceeds {tol:.3e}"
+            f"intertwining residual {rep.residual:.3e} exceeds {tol:.3e}", report=rep
         )
-    return _push_eigenvectors(eig_general(A, tol), B, T, rep, tol)
-
-
-def _push_eigenvectors(
-    es: Eigensystem, B: Operator, T: Operator, rep: IntertwinerReport, tol: float
-) -> PushReport:
-    """:func:`push_eigenvectors` from the eigensystem of ``A`` and the report on ``T``."""
+    es = ensure_eigensystem(A, tol)
     t2 = float(rep.singular_values[0]) if len(rep.singular_values) else 0.0
     rows: list[PushedEigenvector] = []
     annihilated: list[tuple[complex, float]] = []

@@ -40,8 +40,8 @@ from .core import (
     cluster_eigenvalues,
     eig_hermitian,
     ensure_operator,
-    fro,
     herm_part,
+    herm_residual,
     spec_norm,
 )
 from .errors import DimensionMismatch, NotQuasiSelfAdjoint
@@ -179,7 +179,7 @@ def x_family(
     if A.dim != M.dim:
         raise DimensionMismatch(f"A has dim {A.dim}, metric has dim {M.dim}")
     K = M.G_half.matrix @ A.matrix @ M.G_invhalf.matrix
-    defect = fro(K - K.conj().T) / max(fro(K), 1e-300)
+    defect = herm_residual(K)
     if defect > tol:
         raise NotQuasiSelfAdjoint(
             f"transform Hermiticity defect {defect:.3e} exceeds {tol:.3e}"

@@ -383,3 +383,21 @@ def test_json_past_the_int_digit_limit_exit_two(tmp_path, capsys):
     path.write_text(f'{{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 1{"0" * 5000}}}')
     assert main(["samsonov", str(path)]) == 2
     assert "is not valid JSON" in capsys.readouterr().err
+
+
+def _no_grid(spec):
+    raise AssertionError("no grid may be built for a rejected schedule")
+
+
+def test_samsonov_flag_beyond_dense_limit_builds_no_grid(monkeypatch, capsys):
+    monkeypatch.setattr("qherm.halfline.build_pair", _no_grid)
+    assert main(["samsonov", "--d", "-1", "--b", "1", "--n", "100,1000000000000"]) == 2
+    assert "exceeds the dense limit 8192" in capsys.readouterr().err
+
+
+def test_samsonov_spec_beyond_dense_limit_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("qherm.halfline.build_pair", _no_grid)
+    path = tmp_path / "spec.json"
+    path.write_text('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 8193}')
+    assert main(["samsonov", str(path)]) == 2
+    assert "exceeds the dense limit 8192" in capsys.readouterr().err

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 from helpers import diagonalizable_real_spectrum, rng
-from qherm import Operator, solve_metric, x_family, x_properties
+from qherm import (
+    Operator,
+    adjoint,
+    eig_general,
+    push_eigenvectors,
+    solve_metric,
+    solve_pseudo_metric,
+    spectral_comparison,
+    x_family,
+    x_properties,
+)
 from qherm.cli import main
 from test_golden import run_case
 
@@ -60,3 +70,17 @@ def test_simple_spectrum_pipeline_computes_no_condition_number(monkeypatch):
     props = x_properties(x_family(A, sol.canonical), A, samples)
     assert props.passed
     assert cond_calls[0] == 0
+
+
+def test_builders_reuse_a_passed_eigensystem(monkeypatch):
+    a, _ = diagonalizable_real_spectrum(rng(13), 8)
+    A = Operator(a)
+    es = eig_general(A)
+    es_star = eig_general(adjoint(A))
+    G = solve_metric(A).canonical.G
+    eig_calls = _count_calls(monkeypatch, "eig")
+    solve_metric(es)
+    solve_pseudo_metric(es)
+    spectral_comparison(es, es_star)
+    assert push_eigenvectors(es, adjoint(A), G).passed
+    assert eig_calls[0] == 0

@@ -314,3 +314,27 @@ def test_quasi_sa_transform_randomized_invariant():
         wa = np.sort(eig_general(Operator(a)).eigenvalues.real)
         wk = np.sort(np.linalg.eigvalsh(0.5 * (k.matrix + k.matrix.conj().T)))
         assert np.abs(wa - wk).max() <= 1e-8 * (1 + np.abs(wa).max())
+
+
+def _loop_eigvec_scaling(v):
+    # the per-column reference for the vectorized canonical scaling
+    s = np.array(v, dtype=np.complex128)
+    for k in range(s.shape[1]):
+        pivot = s[np.argmax(np.abs(s[:, k])), k]
+        if pivot != 0:
+            s[:, k] /= pivot
+    return s
+
+
+def test_canonical_eigvec_scaling_matches_the_column_loop():
+    from qherm.quasihermitian import _canonical_eigvec_scaling
+
+    gen = rng(41)
+    v = gen.standard_normal((7, 7)) + 1j * gen.standard_normal((7, 7))
+    v[:, 2] = 0.0  # a zero pivot leaves its column alone
+    v[:, 4] = -0.0
+    v[:, 3] = [0.5, 2.0, 0.1, 0.0, 1j, -2.0, 1.0]  # a tie in modulus picks the first row
+    for case in (v, v[:, :3], v.real, eig_general(Operator(A_WORKED)).right_vectors):
+        got = _canonical_eigvec_scaling(case)
+        want = _loop_eigvec_scaling(case)
+        assert got.tobytes() == want.tobytes()

@@ -86,8 +86,9 @@ def test_push_eigenvectors_worked():
     assert np.allclose(image, [1.0, -1.0], atol=0)
     assert np.allclose(A_WORKED.conj().T @ image, image, atol=0)
 
-    with pytest.raises(IntertwiningViolated):
+    with pytest.raises(IntertwiningViolated) as exc:
         push_eigenvectors(a, a, Operator(G_WORKED))
+    assert exc.value.report.residual > 1e-10  # the default tol
 
 
 def test_push_eigenvectors_annihilation():
