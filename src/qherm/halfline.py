@@ -21,6 +21,20 @@ The continuum facts to track under grid refinement: ``min sigma(G)`` is
 ``d^2``, and for ``d < 0`` the spectrum of ``H`` is purely continuous and
 real, so the discrete ``max |Im lambda(H)|`` must shrink with ``n``.
 
+The refinement study works on the three diagonals of ``H``, ``G`` and
+``L`` and costs O(n^2) time and O(n) memory per grid.  ``H`` and ``G``
+are rank-one corner updates of Toeplitz tridiagonals with closed-form
+eigenpairs, so their spectra are the roots of secular equations (Golub
+1973): all of ``sigma(H)`` by simultaneous Aberth-Ehrlich sweeps
+(Bini-Robol 2014), certified by ``tr H`` and ``tr H^2``, and the extremes
+of ``sigma(G)`` by bisection.  The commutator ``GH - H*G`` comes from its
+five bands, and the Hermiticity residual of ``G^1/2 H G^-1/2`` from
+``L H L^-1`` in closed form.  Two dense paths stay, each for the inputs it
+alone serves: a floored ``eigh(G)`` when ``L`` is near-singular, and
+``eigvals(H)`` when the secular roots fail their certificate.  None of
+the kernels reduces through BLAS, so the report does not depend on the
+BLAS thread count.
+
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
 """
@@ -35,18 +49,28 @@ from .core import Operator, fro, herm_part
 from .errors import InvalidSpec, SingularMetric
 
 _TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 
 # rows this close to either end are "boundary" for the interior residual;
 # the commutator of the two tridiagonal operators reaches two rows past a
 # perturbed entry, so three is one row of slack
 _BOUNDARY_MARGIN = 3
 
-# largest grid size: every kernel here is dense, and one n x n complex128
-# matrix at n = 8192 already takes 16 * 8192**2 bytes = 1 GiB
+# largest grid size: build_pair and the floored path of samsonov_report
+# form dense n x n matrices, and one complex128 matrix at n = 8192 already
+# takes 16 * 8192**2 bytes = 1 GiB
 MAX_GRID_SIZE = 8192
 
-# spectrum floor applied to G before forming G^{+-1/2}
+# floor on sigma(G), relative to its top, below which G^{+-1/2} are formed
+# from a floored dense eigendecomposition
 FLOOR_EPSILON = 1e-12
+
+# Aberth sweeps before the dense eigensolver takes over the spectrum of H
+_MAX_SWEEPS = 60
+
+# elements of one row block of an Aberth sweep: each (block x n) temporary
+# stays at 1 MiB whatever n is
+_BLOCK_ELEMENTS = 1 << 16
 
 # slack for the non-increasing trend tests, absorbing rounding noise on
 # quantities that sit at machine level (the interior residual in particular)
@@ -197,6 +221,161 @@ def _nonincreasing(values: list[float], floor: float) -> bool:
     return all(b <= a + floor for a, b in zip(values, values[1:]))
 
 
+# The kernels below work on tridiagonal matrices stored as (n, 3) band
+# arrays, column s + 1 holding the entries [i, i + s]; entries that fall
+# outside the matrix are zero.  They reduce with numpy sums only (no BLAS
+# call), so every number is the same under any BLAS thread count.
+
+
+def _bands(grid: HalfLineSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of ``H`` and ``G = L* L``, entry for entry as :func:`build_pair`."""
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    inv_h = 1.0 / h
+    s = inv_h * inv_h
+    diag = c - inv_h  # the diagonal of L
+    hb = np.zeros((n, 3), dtype=np.complex128)
+    hb[:, 1] = 2.0 * s
+    hb[0, 1] = s - c / h
+    hb[1:, 0] = -s
+    hb[:-1, 2] = -s
+    gb = np.zeros((n, 3), dtype=np.complex128)
+    gb[:, 1] = diag.real**2 + diag.imag**2 + s
+    gb[0, 1] = diag.real**2 + diag.imag**2
+    gb[1:, 0] = inv_h * diag
+    gb[:-1, 2] = diag.conjugate() * inv_h
+    return hb, gb
+
+
+def _sum_sq(a: np.ndarray) -> float:
+    return float(np.sum(a.real**2 + a.imag**2))
+
+
+def _commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """The five bands (offsets -2..2) of ``C = GH - H*G = M - M*``, ``M = GH``."""
+    n = gb.shape[0]
+    h_rows = np.zeros((n + 2, 3), dtype=np.complex128)
+    h_rows[1:-1] = hb
+    # M[i, i + s + u] collects G[i, i + s] H[i + s, i + s + u]; two zero
+    # rows pad M at either end
+    m = np.zeros((n + 4, 5), dtype=np.complex128)
+    for s in (-1, 0, 1):
+        m[2:-2, s + 1 : s + 4] += gb[:, s + 1, None] * h_rows[1 + s : n + 1 + s]
+    # M*[i, i + t] = conj(M[i + t, i]), band 2 - t of row i + t
+    adj = np.stack([m[2 + t : n + 2 + t, 2 - t] for t in range(-2, 3)], axis=1)
+    return m[2:-2] - adj.conj()
+
+
+def _bisect_decreasing(f, lo: float, hi: float) -> float:
+    """The root of a decreasing ``f`` in ``[lo, hi]``, to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
+    """``min sigma(G)`` and ``max sigma(G)`` from the metric's secular equation.
+
+    With ``a = c - 1/h`` the phase similarity ``diag(phi^j)``,
+    ``phi = -conj(beta)/|beta|``, turns ``G`` into the real
+    ``T0 - h^-2 e0 e0^T`` with ``T0 = (|a|^2 + h^-2) I - |beta| (S + S^T)``
+    and ``|beta| = |a|/h``.  ``T0`` has eigenvalues
+    ``nu_k = (|a| - 1/h)^2 + 4 (|a|/h) sin^2(theta_k/2)``,
+    ``theta_k = k pi/(n+1)``, and squared first components
+    ``2 sin^2(theta_k)/(n+1)``, so ``sigma(G)`` are the roots of
+    ``1 = h^-2 sum_k z_k^2/(nu_k - lam)``: one below ``nu_1`` and one in
+    each gap above it.  The two outer roots are found by bisection, in
+    O(n) per step.  ``nu_k`` is a sum of two nonnegative terms, so the
+    lowest root carries rounding of the size of ``nu_1``, not of ``||G||``.
+    """
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    inv_h = 1.0 / h
+    rho = inv_h * inv_h
+    diag = c - inv_h
+    mod = abs(diag)
+    coupling = mod * inv_h
+    if coupling == 0.0:
+        # G is diagonal: |a|^2 in the corner, |a|^2 + h^-2 below it
+        return mod * mod, mod * mod + rho
+    # |a| - 1/h without cancellation: |a|^2 - h^-2 = |c|^2 - 2 d/h
+    shift = (abs(c) ** 2 - 2.0 * c.real * inv_h) / (mod + inv_h)
+    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+    nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
+    z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
+
+    def secular(lam: float) -> float:
+        return 1.0 - rho * float(np.sum(z2 / (nu - lam)))
+
+    lowest = _bisect_decreasing(secular, float(nu[0] - rho), float(nu[0]))
+    highest = _bisect_decreasing(secular, float(nu[-2]), float(nu[-1]))
+    return lowest, highest
+
+
+def _factor_herm_residual(grid: HalfLineSpec) -> float:
+    """``||Z - Z*||_F / ||Z||_F`` with ``Z = L H L^-1``, in closed form.
+
+    ``G^1/2 = Q* L`` and ``G^-1/2 = L^-1 Q``, with ``Q`` the unitary polar
+    factor of ``L``, so ``G^1/2 H G^-1/2 = Q* Z Q`` and the Frobenius norms
+    of it and of its anti-Hermitian part ``G^-1/2 C G^-1/2 = Q* L^-* C
+    L^-1 Q`` are those of ``Z`` and ``Z - Z*``.  ``L = D + cI`` and ``H``
+    commute up to rows 0 and n-1, so with ``s = h^-2`` and
+    ``q = 1/(1 - hc)``::
+
+        Z = H + e0 w^T - s q e_{n-1} e_{n-1}^T,
+        w_0 = s q,  w_j = c^2 q^(j+1) for j >= 1.
+
+    ``Z - Z*`` is then row and column 0 and the last diagonal entry.  Its
+    entries are written without cancellation, ``|q|^2 = 1/|1 - hc|^2``.
+    """
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    d, b = c.real, c.imag
+    s = 1.0 / (h * h)
+    one_minus = 1.0 - h * c  # -h times the diagonal of L
+    m2 = one_minus.real**2 + one_minus.imag**2
+    q = 1.0 / one_minus
+    c2 = c * c
+    c4 = c2.real**2 + c2.imag**2
+    # |q|^(2k) for k = 2..n: |w_j|^2 = |c|^4 |q|^(2(j+1))
+    tail = np.exp(np.arange(2, n + 1) * -np.log(m2))
+    # Im Z[0,0] = s Im q - b/h and Im Z[n-1,n-1] = -s Im q
+    im_corner = b * (2.0 * d - h * abs(c) ** 2) / m2
+    im_last = b / (h * m2)
+    num_sq = 4.0 * im_corner**2 + 2.0 * c4 * np.sum(tail) + 4.0 * im_last**2
+    z00 = s * (1.0 + q) - c / h
+    z01 = c2 * q * q - s
+    den_sq = (
+        abs(z00) ** 2
+        + abs(z01) ** 2
+        + c4 * np.sum(tail[1:])
+        # rows 1..n-2 of H, then row n-1 with its corrected diagonal
+        + s * s * (6.0 * (n - 2) + 1.0 + abs(2.0 - q) ** 2)
+    )
+    return float(np.sqrt(num_sq) / max(np.sqrt(den_sq), _TINY))
+
+
+def _floored_fields(grid: HalfLineSpec) -> tuple[float, float]:
+    """``min sigma(G)`` and the Hermiticity residual from a floored dense
+    ``eigh(G)``: once the floor binds, the residual is that of the floored
+    roots ``G^+-1/2``, which the factor ``L`` does not give."""
+    pair = build_pair(grid)
+    hmat, gmat = pair.H.matrix, pair.G_raw.matrix
+    w_g, v_g = np.linalg.eigh(herm_part(gmat))
+    w_floored = np.maximum(w_g, FLOOR_EPSILON * float(w_g[-1]))
+    g_half = (v_g * np.sqrt(w_floored)) @ v_g.conj().T
+    g_invhalf = (v_g / np.sqrt(w_floored)) @ v_g.conj().T
+    commutator = gmat @ hmat - hmat.conj().T @ gmat
+    # h - h* equals G^-1/2 (GH - H*G) G^-1/2, so measure the defect on
+    # the commutator: exact zeros stay exact instead of being polluted
+    # by the conditioning of G^1/2
+    h_transformed = g_half @ hmat @ g_invhalf
+    defect = fro(g_invhalf @ commutator @ g_invhalf)
+    return float(w_g[0]), defect / max(fro(h_transformed), _TINY)
+
+
 def _spectrum(hmat: np.ndarray) -> np.ndarray:
     # the real LAPACK driver keeps an exactly-real spectrum exactly real
     if np.all(hmat.imag == 0.0):
@@ -204,8 +383,92 @@ def _spectrum(hmat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(hmat)
 
 
+def _aberth(mu: np.ndarray, w: np.ndarray, rho: complex) -> np.ndarray | None:
+    """All roots of ``1 = rho sum_k w_k/(mu_k - lam)``, or None if a root
+    has not converged after ``_MAX_SWEEPS`` sweeps.
+
+    The roots are the zeros of ``p(lam) = prod_k (mu_k - lam) f(lam)``,
+    ``f = 1 - rho sum_k w_k/(mu_k - lam)``.  Each sweep takes the
+    Aberth-Ehrlich step ``z_i -= 1/(p'/p(z_i) - sum_{j != i} 1/(z_i - z_j))``
+    for every root not yet converged, in row blocks of at most
+    ``_BLOCK_ELEMENTS`` entries, so memory stays O(n).  The pole nearest
+    each root is factored out of ``p'/p`` analytically, so roots close to
+    a pole keep their accuracy.  A root has converged once its step is at
+    most four units in the last place of ``max(|z_i|, mu_0)``.
+    """
+    n = mu.size
+    z = (mu - rho * w).astype(np.complex128)
+    active = np.ones(n, dtype=bool)
+    block_rows = max(1, _BLOCK_ELEMENTS // n)
+    for _ in range(_MAX_SWEEPS):
+        todo = np.flatnonzero(active)
+        if todo.size == 0:
+            return z
+        for start in range(0, todo.size, block_rows):
+            block = todo[start : start + block_rows]
+            zb = z[block]
+            near = np.clip(np.searchsorted(mu, zb.real), 1, n - 1)
+            near = np.where(np.abs(mu[near - 1] - zb) < np.abs(mu[near] - zb), near - 1, near)
+            own = np.arange(block.size)
+            gap = mu[near] - zb
+            inv = mu[None, :] - zb[:, None]
+            inv[own, near] = 1.0
+            inv = 1.0 / inv
+            inv[own, near] = 0.0
+            weighted = inv * w
+            rest = 1.0 - rho * weighted.sum(axis=1)
+            # p = prod_{k != m} (mu_k - lam) g with g = (mu_m - lam) f
+            g = gap * rest - rho * w[near]
+            g_prime = -rest - gap * rho * (weighted * inv).sum(axis=1)
+            pair = zb[:, None] - z[None, :]
+            pair[own, block] = np.inf
+            # 1/(p'/p - sum_j 1/(z_i - z_j)) with g cleared from the
+            # denominator, so an exact root (g = 0) takes a zero step
+            step = g / (g_prime - g * (inv.sum(axis=1) + (1.0 / pair).sum(axis=1)))
+            z[block] = zb - step
+            tol = 4.0 * _EPS * np.maximum(np.abs(z[block]), mu[0])
+            active[block] = ~(np.abs(step) <= tol)
+    return z if not active.any() else None
+
+
+def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
+    """``max |Im lambda(H)|`` from the secular equation of ``H``.
+
+    ``H = T - (c/h) e0 e0^T`` where ``T = D^T D`` has eigenvalues
+    ``mu_k = (4/h^2) sin^2(theta_k/2)``, ``theta_k = (2k+1) pi/(2n+1)``,
+    with squared first components ``w_k = 4 cos^2(theta_k/2)/(2n+1)``
+    (Golub 1973).  The roots come from :func:`_aberth` and are certified
+    by ``sum lam = tr H`` and ``sum lam^2 = tr H^2`` to ``n`` units in the
+    last place of ``sum |lam|`` and ``sum |lam|^2``; otherwise dense
+    ``eigvals`` decides.  A real ``c`` makes ``H`` real symmetric.
+    """
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    if c.imag == 0.0:
+        return 0.0
+    half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
+    mu = (4.0 / (h * h)) * np.sin(half) ** 2
+    w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
+    roots = _aberth(mu, w, c / h)
+    if roots is not None:
+        moduli = np.abs(roots)
+        trace = np.sum(hb[:, 1])
+        trace_sq = np.sum(hb[:, 1] ** 2) + 2.0 * np.sum(hb[:-1, 2] * hb[1:, 0])
+        slack = n * _EPS
+        if (
+            abs(np.sum(roots) - trace) <= slack * np.sum(moduli)
+            and abs(np.sum(roots * roots) - trace_sq) <= slack * np.sum(moduli**2)
+        ):
+            return float(np.abs(roots.imag).max())
+    return float(np.abs(_spectrum(build_pair(grid).H.matrix).imag).max())
+
+
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
-    """Run the refinement study over ascending grid sizes ``schedule``."""
+    """Run the refinement study over ascending grid sizes ``schedule``.
+
+    Each grid costs O(n^2) time and O(n) memory: no n x n matrix is formed
+    unless ``L`` is near-singular (the floor on ``sigma(G)`` binds) or the
+    secular spectrum of ``H`` fails its certificate.
+    """
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(sizes) != sizes:
         raise InvalidSpec(f"schedule must be ascending grid sizes, got {schedule}")
@@ -216,33 +479,24 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     prev: SamsonovRow | None = None
     for grid in specs:
         n = grid.n
-        pair = build_pair(grid)
-        hmat, gmat = pair.H.matrix, pair.G_raw.matrix
+        hb, gb = _bands(grid)
+        min_eig, max_eig = _metric_extremes(grid)
+        if max_eig <= 0.0:
+            raise SingularMetric("discretized metric has no positive spectrum")
 
-        w_g, v_g = np.linalg.eigh(herm_part(gmat))
-        min_eig = float(w_g[0])
+        cb = _commutator_bands(gb, hb)
+        denom = np.sqrt(_sum_sq(gb)) * np.sqrt(_sum_sq(hb)) + _TINY
+        residual_full = np.sqrt(_sum_sq(cb)) / denom
+        interior = cb[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN]
+        residual_interior = np.sqrt(_sum_sq(interior)) / denom
+
+        if min_eig < FLOOR_EPSILON * max_eig:
+            min_eig, herm_res = _floored_fields(grid)
+        else:
+            herm_res = _factor_herm_residual(grid)
         gap = min_eig - d2
 
-        commutator = gmat @ hmat - hmat.conj().T @ gmat
-        denom = fro(gmat) * fro(hmat) + _TINY
-        residual_full = fro(commutator) / denom
-        interior = commutator[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN, :]
-        residual_interior = fro(interior) / denom
-
-        w_max = float(w_g[-1])
-        if w_max <= 0.0:
-            raise SingularMetric("discretized metric has no positive spectrum")
-        w_floored = np.maximum(w_g, FLOOR_EPSILON * w_max)
-        g_half = (v_g * np.sqrt(w_floored)) @ v_g.conj().T
-        g_invhalf = (v_g / np.sqrt(w_floored)) @ v_g.conj().T
-        # h - h* equals G^-1/2 (GH - H*G) G^-1/2, so measure the defect on
-        # the commutator: exact zeros stay exact instead of being polluted
-        # by the conditioning of G^1/2
-        h_transformed = g_half @ hmat @ g_invhalf
-        defect = fro(g_invhalf @ commutator @ g_invhalf)
-        herm_res = defect / max(fro(h_transformed), _TINY)
-
-        max_im = float(np.abs(_spectrum(hmat).imag).max())
+        max_im = _max_im_eigenvalue(grid, hb)
 
         if prev is None or residual_full <= 0.0 or prev.residual_full <= 0.0:
             order = float("nan")
@@ -252,11 +506,11 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
             )
         row = SamsonovRow(
             n,
-            pair.spacing,
+            grid.spacing,
             min_eig,
             gap,
-            residual_full,
-            residual_interior,
+            float(residual_full),
+            float(residual_interior),
             herm_res,
             max_im,
             order,

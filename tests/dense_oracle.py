@@ -1,9 +1,11 @@
-"""Dense metric-conjugation construction of the E and X step families.
+"""Dense references for the library's structured kernels.
 
-The library stores both families factored.  This module builds every
-cumulative projector as its own dense matrix, ``E(lam_k) = W_k W_k*`` and
-``X(lam_k) = G^-1/2 E(lam_k) G^1/2``, as the reference the tests compare
-the factored families against.
+The library stores the E and X step families factored.  This module
+builds every cumulative projector as its own dense matrix,
+``E(lam_k) = W_k W_k*`` and ``X(lam_k) = G^-1/2 E(lam_k) G^1/2``, as the
+reference the tests compare the factored families against.  It also
+keeps the dense per-grid computation of the half-line refinement study,
+the reference for its secular and banded kernels.
 """
 
 from __future__ import annotations
@@ -36,3 +38,83 @@ def dense_evaluate(thresholds: np.ndarray, members: list[np.ndarray], lam: float
         if lam >= t:
             out = m
     return out
+
+
+def dense_samsonov_rows(spec, schedule: list[int]) -> list:
+    """The refinement rows of ``samsonov_report`` from dense n x n kernels.
+
+    Each grid runs ``eigh(G)``, floors ``sigma(G)`` at ``FLOOR_EPSILON``
+    times its top, forms ``G^+-1/2`` and the commutator densely and takes
+    the spectrum of ``H`` from ``eigvals``: the reference the secular and
+    factor kernels of :mod:`qherm.halfline` are compared against.
+    """
+    from qherm.core import fro, herm_part
+    from qherm.errors import SingularMetric
+    from qherm.halfline import (
+        _BOUNDARY_MARGIN,
+        _TINY,
+        FLOOR_EPSILON,
+        SamsonovRow,
+        build_pair,
+    )
+
+    def _spectrum(hmat: np.ndarray) -> np.ndarray:
+        # the real LAPACK driver keeps an exactly-real spectrum exactly real
+        if np.all(hmat.imag == 0.0):
+            return np.linalg.eigvals(hmat.real).astype(np.complex128)
+        return np.linalg.eigvals(hmat)
+
+    specs = [spec.with_n(n) for n in schedule]
+    d2 = spec.d**2
+    rows = []
+    prev = None
+    for grid in specs:
+        n = grid.n
+        pair = build_pair(grid)
+        hmat, gmat = pair.H.matrix, pair.G_raw.matrix
+
+        w_g, v_g = np.linalg.eigh(herm_part(gmat))
+        min_eig = float(w_g[0])
+        gap = min_eig - d2
+
+        commutator = gmat @ hmat - hmat.conj().T @ gmat
+        denom = fro(gmat) * fro(hmat) + _TINY
+        residual_full = fro(commutator) / denom
+        interior = commutator[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN, :]
+        residual_interior = fro(interior) / denom
+
+        w_max = float(w_g[-1])
+        if w_max <= 0.0:
+            raise SingularMetric("discretized metric has no positive spectrum")
+        w_floored = np.maximum(w_g, FLOOR_EPSILON * w_max)
+        g_half = (v_g * np.sqrt(w_floored)) @ v_g.conj().T
+        g_invhalf = (v_g / np.sqrt(w_floored)) @ v_g.conj().T
+        # h - h* equals G^-1/2 (GH - H*G) G^-1/2, so measure the defect on
+        # the commutator: exact zeros stay exact instead of being polluted
+        # by the conditioning of G^1/2
+        h_transformed = g_half @ hmat @ g_invhalf
+        defect = fro(g_invhalf @ commutator @ g_invhalf)
+        herm_res = defect / max(fro(h_transformed), _TINY)
+
+        max_im = float(np.abs(_spectrum(hmat).imag).max())
+
+        if prev is None or residual_full <= 0.0 or prev.residual_full <= 0.0:
+            order = float("nan")
+        else:
+            order = float(
+                np.log(prev.residual_full / residual_full) / np.log(n / prev.n)
+            )
+        row = SamsonovRow(
+            n,
+            pair.spacing,
+            min_eig,
+            gap,
+            residual_full,
+            residual_interior,
+            herm_res,
+            max_im,
+            order,
+        )
+        rows.append(row)
+        prev = row
+    return rows

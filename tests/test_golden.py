@@ -5,17 +5,15 @@ its exit code, stdout, ``--json-out`` and ``--csv-out`` are compared with
 the files recorded under ``tests/golden``.  The recorded files come from
 numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64: floats are written with 17
 significant digits, so another BLAS/LAPACK build can differ in the last
-digits without any change in qherm.  So can the BLAS thread count: they
-were recorded with OpenBLAS's default threads on a 2-CPU machine, and
-``samsonov_robin`` fails under ``OPENBLAS_NUM_THREADS=1``, because the
-summation order of the dense complex matrix products changes the last
-digits.  After an intended change of output,
+digits without any change in qherm.  After an intended change of output,
 rewrite them with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -88,6 +86,32 @@ def test_cli_output_matches_golden(name, tmp_path):
     for suffix, data in run_case(name, str(tmp_path)).items():
         with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as handle:
             assert data == handle.read(), f"{name}.{suffix} differs from the recorded output"
+
+
+def test_samsonov_cases_match_golden_with_one_blas_thread():
+    # the half-line kernels reduce with numpy sums, not BLAS, so the
+    # recorded bytes do not depend on the BLAS thread count
+    import qherm
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(qherm.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([here, package_root])
+    script = (
+        "import os, sys, tempfile\n"
+        "from test_golden import GOLDEN, run_case\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    for name in ('samsonov_free', 'samsonov_robin'):\n"
+        "        for suffix, data in run_case(name, out).items():\n"
+        "            with open(os.path.join(GOLDEN, f'{name}.{suffix}'), 'rb') as handle:\n"
+        "                if data != handle.read():\n"
+        "                    print(f'{name}.{suffix}')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "", f"differ under one BLAS thread: {done.stdout.split()}"
 
 
 if __name__ == "__main__":

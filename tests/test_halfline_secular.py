@@ -1,0 +1,289 @@
+"""The O(n^2) half-line kernels against the dense path and mpmath.
+
+``samsonov_report`` takes ``sigma(H)`` from a secular equation, the
+extremes of ``sigma(G)`` by bisection and the residuals from bands and
+the factor ``L``.  The dense per-grid computation in
+``tests/dense_oracle.py`` is the reference; where the two differ by more
+than rounding, the mpmath oracles below show which one is right.
+"""
+
+from __future__ import annotations
+
+import math
+from unittest import mock
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dense_oracle import dense_samsonov_rows
+from qherm import HalfLineSpec, samsonov_report
+from qherm import halfline
+
+EPS = np.finfo(np.float64).eps
+
+
+def _close(new: float, ref: float, atol: float) -> bool:
+    if math.isnan(ref):
+        return math.isnan(new)
+    return abs(new - ref) <= 1e-10 * abs(ref) + atol
+
+
+def _agreement_problems(spec: HalfLineSpec, schedule: list[int]) -> list[str]:
+    """Fields of ``samsonov_report`` that differ from the dense rows.
+
+    Each field may differ by 1e-10 relative plus the dense kernel's own
+    rounding: ``eigh`` places ``min sigma(G)`` to a few ``eps ||G||``,
+    ``eigvals`` the imaginary parts to a few ``eps ||H||``, and the dense
+    ``G^-1/2`` carries ``eps kappa(G)`` into the Hermiticity residual.  The
+    normalized commutator residuals sit at machine level when they vanish.
+    """
+    rows = samsonov_report(spec, schedule).rows
+    problems = []
+    prev = None
+    for row, ref in zip(rows, dense_samsonov_rows(spec, schedule)):
+        g_min, g_max = halfline._metric_extremes(spec.with_n(row.n))
+        h_norm = 4.0 / row.spacing**2 + abs(spec.robin_coefficient) / row.spacing
+        r_atol = 64 * EPS
+        atol = {
+            "min_eig_G": 16 * EPS * g_max,
+            "gap_to_d2": 16 * EPS * g_max,
+            "residual_full": r_atol,
+            "residual_interior": r_atol,
+            "herm_residual_h": 16 * EPS * g_max / max(g_min, 16 * EPS * g_max),
+            "max_im_lambda_H": 64 * EPS * h_norm,
+            "order_estimate": 0.0,
+        }
+        if prev is not None and not math.isnan(ref.order_estimate):
+            # the order is a log-ratio of two full residuals
+            slack = sum(
+                1e-10 + r_atol / r.residual_full for r in (prev, ref)
+            )
+            atol["order_estimate"] = slack / math.log(row.n / prev.n)
+        for field, tol in atol.items():
+            new, old = getattr(row, field), getattr(ref, field)
+            if not _close(new, old, tol):
+                problems.append(f"n={row.n} {field}: {new!r} vs dense {old!r}")
+        prev = ref
+    return problems
+
+
+@pytest.mark.parametrize(
+    "d, b, box, schedule",
+    [
+        pytest.param(0.5, 1.0, 4.0, [16, 100, 400], id="bound-state"),
+        pytest.param(1.0, 0.0, 3.0, [16, 64], id="bound-state-real-c"),
+        pytest.param(3.0, -4.0, 2.0, [32, 100], id="bound-state-c5"),
+        pytest.param(-1.0, 0.0, 20.0, [50, 200], id="b0"),
+        pytest.param(-2.5, 0.0, 10.0, [16, 400], id="b0-steep"),
+        pytest.param(0.0, 1.0, 40.0, [64, 400], id="d0"),
+        pytest.param(0.0, -0.01, 40.0, [100, 200], id="d0-small-b"),
+        pytest.param(-3.0, 4.0, 5.0, [16, 128], id="c5"),
+        pytest.param(-5.0, 0.0, 8.0, [16, 300], id="c5-real"),
+        pytest.param(-1.0, 1.0, 20.0, [50, 100, 200], id="golden-robin"),
+        pytest.param(0.0, 0.0, 40.0, [64, 128], id="golden-free"),
+        pytest.param(-1.0, 1.0, 40.0, [100, 200, 400], id="benchmark-like"),
+    ],
+)
+def test_rows_agree_with_dense_oracle(d, b, box, schedule):
+    assert _agreement_problems(HalfLineSpec(d, b, box, schedule[0]), schedule) == []
+
+
+# --- mpmath oracles ---------------------------------------------------------
+
+
+def _mp_grid(d: float, b: float, box: float, n: int):
+    h = mpmath.mpf(box) / n
+    return h, mpmath.mpc(d, b)
+
+
+def mp_min_eig_g(d: float, b: float, box: float, n: int) -> mpmath.mpf:
+    """``min sigma(L* L)`` by Sturm-count bisection on the tridiagonal."""
+    with mpmath.workdps(40):
+        h, c = _mp_grid(d, b, box, n)
+        a = c - 1 / h
+        diag = [abs(a) ** 2] + [abs(a) ** 2 + 1 / h**2] * (n - 1)
+        off_sq = (abs(a) / h) ** 2
+
+        def below(lam):
+            count, pivot = 0, diag[0] - lam
+            for k in range(1, n):
+                count += pivot < 0
+                # an exactly zero pivot is perturbed, as in LAPACK's dstebz
+                pivot = diag[k] - lam - off_sq / (pivot or mpmath.mpf(10) ** -60)
+            return count + (pivot < 0)
+
+        lo, hi = mpmath.mpf(0), 4 * diag[1]
+        while hi - lo > mpmath.mpf(10) ** -34 * hi:
+            mid = (lo + hi) / 2
+            if below(mid) >= 1:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+
+def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
+    """``max |Im lambda(H)|``: Newton on the continuant ``det(H - z)``.
+
+    Starts from the three dense eigenvalues with the largest imaginary
+    parts and polishes each to 40 digits.
+    """
+    pair = halfline.build_pair(HalfLineSpec(d, b, box, n))
+    dense = np.linalg.eigvals(pair.H.matrix)
+    starts = dense[np.argsort(-np.abs(dense.imag))[:3]]
+    with mpmath.workdps(40):
+        h, c = _mp_grid(d, b, box, n)
+        s = 1 / h**2
+        diag = [s - c / h] + [2 * s] * (n - 1)
+        best = mpmath.mpf(0)
+        for start in starts:
+            z = mpmath.mpc(complex(start))
+            for _ in range(50):
+                p_prev, p = mpmath.mpc(1), diag[0] - z
+                dp_prev, dp = mpmath.mpc(0), mpmath.mpc(-1)
+                for k in range(1, n):
+                    p_prev, p, dp_prev, dp = (
+                        p,
+                        (diag[k] - z) * p - s * s * p_prev,
+                        dp,
+                        -p + (diag[k] - z) * dp - s * s * dp_prev,
+                    )
+                step = p / dp
+                z -= step
+                if abs(step) <= mpmath.mpf(10) ** -34 * abs(z):
+                    break
+            best = max(best, abs(z.imag))
+        return best
+
+
+@pytest.mark.parametrize(
+    "d, b, box, n",
+    [
+        (-1.0, 1.0, 20.0, 50),
+        (-1.0, 1.0, 20.0, 100),
+        (1.0, 1.0, 40.0, 100),
+        (0.0, -3.0, 1.0, 64),
+        (-0.5, 1.5, 40.0, 100),
+        (2.0, -3.0, 2.0, 16),
+    ],
+)
+def test_max_im_matches_mpmath(d, b, box, n):
+    ref = mp_max_im_h(d, b, box, n)
+    got = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0].max_im_lambda_H
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize(
+    "d, b, box, schedule",
+    [(-1.0, 1.0, 20.0, [50, 100, 200]), (0.0, 0.0, 40.0, [64, 128])],
+    ids=["samsonov_robin", "samsonov_free"],
+)
+def test_golden_fields_no_less_accurate_than_dense(d, b, box, schedule):
+    spec = HalfLineSpec(d, b, box, schedule[0])
+    rows = samsonov_report(spec, schedule).rows
+    dense = dense_samsonov_rows(spec, schedule)
+    for row, ref in zip(rows, dense):
+        exact = mp_min_eig_g(d, b, box, row.n)
+        assert abs(row.min_eig_G - exact) <= max(abs(ref.min_eig_G - exact), 2 * EPS * exact)
+        if b != 0.0:
+            exact = mp_max_im_h(d, b, box, row.n)
+            error = abs(row.max_im_lambda_H - exact)
+            assert error <= max(abs(ref.max_im_lambda_H - exact), 4 * EPS * exact)
+        else:
+            assert row.max_im_lambda_H == ref.max_im_lambda_H == 0.0
+
+
+# --- the two dense paths that stay ------------------------------------------
+
+
+def _record_calls(monkeypatch, name: str) -> list[tuple[int, ...]]:
+    """Shapes of the matrices passed to ``np.linalg.<name>`` from now on."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def recorded(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def test_failed_certificate_falls_back_to_dense_eigvals(monkeypatch):
+    spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
+    schedule = [50, 100]
+    monkeypatch.setattr(halfline, "_MAX_SWEEPS", 1)
+    calls = _record_calls(monkeypatch, "eigvals")
+    rows = samsonov_report(spec, schedule).rows
+    monkeypatch.undo()
+    assert calls == [(50, 50), (100, 100)]
+    dense = dense_samsonov_rows(spec, schedule)
+    assert [r.max_im_lambda_H for r in rows] == [r.max_im_lambda_H for r in dense]
+
+
+def test_certificate_rejects_a_lost_root(monkeypatch):
+    # every step converged, but one root is a copy of its neighbour: the
+    # trace checks must send the grid to the dense solver
+    original = halfline._aberth
+
+    def lose_one(mu, w, rho):
+        roots = original(mu, w, rho)
+        low = np.argsort(roots.real)
+        roots[low[0]] = roots[low[1]]
+        return roots
+
+    spec = HalfLineSpec(-1.0, 1.0, 20.0, 100)
+    monkeypatch.setattr(halfline, "_aberth", lose_one)
+    calls = _record_calls(monkeypatch, "eigvals")
+    row = samsonov_report(spec, [100]).rows[0]
+    monkeypatch.undo()
+    assert calls == [(100, 100)]
+    assert row.max_im_lambda_H == dense_samsonov_rows(spec, [100])[0].max_im_lambda_H
+
+
+def test_floor_binding_input_takes_the_floored_path(monkeypatch):
+    # d = +1 over L = 40: L is near-singular, min sigma(G) ~ e^{-2dL}
+    spec = HalfLineSpec(1.0, 0.5, 40.0, 64)
+    schedule = [64, 128]
+    for n in schedule:
+        g_min, g_max = halfline._metric_extremes(spec.with_n(n))
+        assert g_min < halfline.FLOOR_EPSILON * g_max
+    calls = _record_calls(monkeypatch, "eigh")
+    rows = samsonov_report(spec, schedule).rows
+    monkeypatch.undo()
+    assert calls == [(64, 64), (128, 128)]
+    dense = dense_samsonov_rows(spec, schedule)
+    for row, ref in zip(rows, dense):
+        # the floored fields come from the same dense computation
+        assert row.min_eig_G == ref.min_eig_G
+        assert row.gap_to_d2 == ref.gap_to_d2
+        assert row.herm_residual_h == ref.herm_residual_h
+    assert _agreement_problems(spec, schedule) == []
+
+
+# --- the certificate holds on every input -----------------------------------
+
+_parameter = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    d=_parameter,
+    b=_parameter,
+    box=st.floats(0.5, 100.0, allow_nan=False),
+    n=st.integers(16, 100),
+)
+def test_secular_spectrum_never_falls_back(d, b, box, n):
+    with mock.patch.object(halfline, "_spectrum", side_effect=AssertionError("fallback")):
+        row = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0]
+    # the interior rows of the commutator vanish identically
+    assert row.residual_interior == 0.0
+    if b == 0.0:
+        assert row.max_im_lambda_H == 0.0

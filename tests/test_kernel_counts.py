@@ -2,8 +2,8 @@
 
 ``qherm analyze`` diagonalizes its input once, whatever the class,
 ``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
-of ``T``, and condition numbers are computed only where a report or
-warning reads them.
+of ``T``, condition numbers are computed only where a report or warning
+reads them, and the half-line refinement study runs no dense eigensolver.
 """
 
 import os
@@ -13,10 +13,12 @@ import pytest
 
 from helpers import diagonalizable_real_spectrum, rng
 from qherm import (
+    HalfLineSpec,
     Operator,
     adjoint,
     eig_general,
     push_eigenvectors,
+    samsonov_report,
     solve_metric,
     solve_pseudo_metric,
     spectral_comparison,
@@ -84,3 +86,11 @@ def test_builders_reuse_a_passed_eigensystem(monkeypatch):
     spectral_comparison(es, es_star)
     assert push_eigenvectors(es, adjoint(A), G).passed
     assert eig_calls[0] == 0
+
+
+def test_samsonov_runs_no_dense_eigensolver(monkeypatch):
+    names = ("eig", "eigh", "eigvals", "eigvalsh")
+    counters = [_count_calls(monkeypatch, name) for name in names]
+    rep = samsonov_report(HalfLineSpec(-1.0, 1.0, 40.0, 100), [100, 200, 400])
+    assert rep.passed
+    assert {name: c[0] for name, c in zip(names, counters)} == dict.fromkeys(names, 0)
