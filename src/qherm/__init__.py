@@ -27,7 +27,6 @@ from .errors import (
     NotInvolution,
     NotPositiveDefinite,
     NotQuasiHermitian,
-    NotQuasiSelfAdjoint,
     ParseError,
     QhermError,
     SingularMetric,

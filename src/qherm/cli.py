@@ -429,8 +429,7 @@ def cmd_qsim(args) -> tuple[int, dict]:
 def cmd_spectral(args) -> tuple[int, dict]:
     A = _load_dense(args.path)
     tol = args.tol
-    sol = solve_metric(A, tol)
-    XF = x_family(A, sol.canonical, tol)
+    XF = x_family(eig_general(A, tol), tol)
     rng = np.random.default_rng(args.seed)
     dim = A.dim
     samples = []

@@ -49,10 +49,6 @@ class NotQuasiHermitian(QhermError):
     """The metric relation residual exceeds tolerance."""
 
 
-class NotQuasiSelfAdjoint(QhermError):
-    """The metric-transformed operator fails to be Hermitian at tolerance."""
-
-
 class NotInvolution(QhermError):
     """A candidate fundamental symmetry does not square to the identity."""
 

@@ -173,32 +173,24 @@ def _rg_norm(M: MetricOperator, xi: np.ndarray) -> float:
     return float(np.sqrt(max(inner(xi, xi).real + inner(M.G.matrix @ xi, xi).real, 0.0)))
 
 
-def _quad_norm(M: MetricOperator, values: np.ndarray, xi: np.ndarray) -> float:
-    # sqrt(<f(G) xi, xi>) by diagonal arithmetic in the eigenbasis
-    y = M.eigenvectors.conj().T @ xi
-    q = float(np.sum(values * np.abs(y) ** 2).real)
-    return float(np.sqrt(max(q, 0.0)))
-
-
 def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
     """Evaluate all seven lattice norms of ``xi``.
 
-    ``plain``, ``g`` and ``g_inv`` are computed from matrix products while
-    the four Riesz norms use quadratic forms, so the projective identity
-    ``rg**2 == plain**2 + g**2`` is a genuine floating-point check.
+    ``rg`` comes from one ``G`` matvec and ``plain`` from ``xi`` itself;
+    the other five are quadratic forms ``sqrt(sum f(w_k) |y_k|^2)`` in
+    the coordinates ``y = V* xi`` of the stored eigenbasis, so the
+    projective identity ``rg**2 == plain**2 + g**2`` compares two
+    different computations and is a genuine floating-point check.
     """
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (M.dim,):
         raise DimensionMismatch(f"vector of shape {xi.shape} against dim {M.dim}")
     w = M.eigenvalues
+    y2 = np.abs(M.eigenvectors.conj().T @ xi) ** 2
+    weights = np.array([w, 1.0 / w, 1.0 / (1.0 + w), 1.0 + 1.0 / w, w / (1.0 + w)])
+    g, g_inv, rg_inv, rginv, rginv_inv = map(float, np.sqrt(np.sum(weights * y2, axis=1)))
     plain = float(np.linalg.norm(xi))
-    g = float(np.linalg.norm(M.G_half.matrix @ xi))
-    g_inv = float(np.linalg.norm(M.G_invhalf.matrix @ xi))
-    rg = _rg_norm(M, xi)
-    rg_inv = _quad_norm(M, 1.0 / (1.0 + w), xi)
-    rginv = _quad_norm(M, 1.0 + 1.0 / w, xi)
-    rginv_inv = _quad_norm(M, w / (1.0 + w), xi)
-    return LatticeNorms(plain, g, g_inv, rg, rg_inv, rginv, rginv_inv)
+    return LatticeNorms(plain, g, g_inv, _rg_norm(M, xi), rg_inv, rginv, rginv_inv)
 
 
 @dataclass(frozen=True)

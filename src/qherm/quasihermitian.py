@@ -56,6 +56,8 @@ CONDITION_WARN_THRESHOLD = 1e6
 __all__ = [
     "MetricSolution",
     "KreinStructure",
+    "canonical_eigenbasis",
+    "basis_condition",
     "quasi_hermiticity_residual",
     "solve_metric",
     "quasi_sa_transform",
@@ -109,6 +111,42 @@ class MetricSolution:
     vector_condition: float
 
 
+def canonical_eigenbasis(
+    A: Operator | Eigensystem | np.ndarray, tol: float, caller: str
+) -> tuple[Eigensystem, np.ndarray]:
+    """The eigensystem of ``A`` and its canonically scaled eigenvector matrix ``S``.
+
+    Raises :class:`Defective` or :class:`ComplexSpectrum`, naming ``caller``,
+    unless ``A`` is diagonalizable with real spectrum at tolerance.
+    """
+    es = ensure_eigensystem(A, tol)
+    if es.defective:
+        raise Defective(f"{caller}: operator is numerically defective")
+    mask = real_eigenvalue_mask(es.eigenvalues, tol)
+    if not bool(mask.all()):
+        offending = es.eigenvalues[~mask]
+        raise ComplexSpectrum(
+            f"{caller}: spectrum has nonreal eigenvalues {offending}",
+            eigenvalues=offending,
+        )
+    return es, _canonical_eigvec_scaling(es.right_vectors)
+
+
+def basis_condition(sig: np.ndarray, consequence: str) -> float:
+    """2-norm condition from descending singular values; warns beyond the threshold.
+
+    The :class:`IllConditionedWarning` points at the caller's caller.
+    """
+    cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else float("inf")
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"eigenvector basis condition {cond:.3e}; {consequence}",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return cond
+
+
 def solve_metric(
     A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL
 ) -> MetricSolution:
@@ -125,25 +163,9 @@ def solve_metric(
     positive metric exists; warns :class:`IllConditionedWarning` when the
     eigenvector basis is badly conditioned.
     """
-    es = ensure_eigensystem(A, tol)
-    if es.defective:
-        raise Defective("solve_metric: operator is numerically defective")
-    mask = real_eigenvalue_mask(es.eigenvalues, tol)
-    if not bool(mask.all()):
-        offending = es.eigenvalues[~mask]
-        raise ComplexSpectrum(
-            f"solve_metric: spectrum has nonreal eigenvalues {offending}",
-            eigenvalues=offending,
-        )
-    s = _canonical_eigvec_scaling(es.right_vectors)
+    es, s = canonical_eigenbasis(A, tol, "solve_metric")
     u, sig, _ = np.linalg.svd(s)
-    cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else float("inf")
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"eigenvector basis condition {cond:.3e}; metric is nearly singular",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+    cond = basis_condition(sig, "metric is nearly singular")
     # (S S*)^-1 = U diag(sig^-2) U*, normalized to unit spectral norm;
     # sig is descending, so scale/sig^2 is already ascending
     scale = float(sig[-1] ** 2)

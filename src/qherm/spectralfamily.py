@@ -5,26 +5,28 @@ form the usual spectral family.  For a quasi-Hermitian ``A`` with metric
 ``G`` the conjugated family ``X(lam) = G^-1/2 E(lam) G^1/2`` of the
 transform ``K = G^1/2 A G^-1/2`` is an increasing family of oblique
 idempotents whose jumps decompose ``A`` as a spectral operator of scalar
-type.  Families are finite step functions: evaluation at ``lam`` returns
-the largest accumulated projector with threshold at most ``lam``, which
-makes right-continuity a representation invariant rather than a
-numerical claim.
+type.  At finite dimension ``X(lam)`` is the cumulative Riesz projector
+of ``A`` (Kato, *Perturbation Theory for Linear Operators*, I.5), the same
+for every admissible metric.  Families are finite step functions:
+evaluation at ``lam`` returns the largest accumulated projector with
+threshold at most ``lam``, which makes right-continuity a representation
+invariant rather than a numerical claim.
 
-Both families are stored factored.  With ``W`` the orthonormal
-eigenbasis of ``K`` and ``e_k`` the end of eigenvalue cluster ``k``,
-``E(lam_k) = W[:, :e_k] W[:, :e_k]*`` and
-``X(lam_k) = R[:, :e_k] L[:e_k, :]`` with ``R = G^-1/2 W`` and
-``L = W* G^1/2``, so a family holds its thresholds, the ends ``e_k`` and
-two n x n blocks: O(n^2) memory, built in O(n^3) time.  ``evaluate``
-costs one n x e_k x n product; ``jumps()`` and the ``projectors`` /
-``x_projectors`` tuples materialize O(#clusters * n^2) on each access.
-Sampled values ``<P_k xi, eta>`` for a stack of vector pairs come from
-``jump_values`` in O(n^2) per pair, without forming any projector.
+Both families are stored factored.  With ``e_k`` the end of eigenvalue
+cluster ``k``, ``E(lam_k) = W[:, :e_k] W[:, :e_k]*`` for the orthonormal
+eigenbasis ``W`` of ``K`` and ``X(lam_k) = S[:, :e_k] S^-1[:e_k, :]`` for
+the scaled eigenvector matrix ``S`` of ``A``: thresholds, ends ``e_k``
+and two n x n blocks ``R``, ``L`` with ``L R = I``, so O(n^2) memory,
+built in O(n^3) time by one eigensolver (and one inverse for ``X``).
+``evaluate`` costs one n x e_k x n product; ``jumps()`` and the
+``projectors`` / ``x_projectors`` tuples materialize
+O(#clusters * n^2) on each access.  Sampled values ``<P_k xi, eta>``
+for a stack of vector pairs come from ``jump_values`` in O(n^2) per
+pair, without forming any projector.
 
-At finite dimension the decomposition forces ``sigma(A) = sigma(K)`` (the
-returned thresholds are literally shared); for unbounded operators with an
-unbounded metric inverse that equality can fail, a caveat with no matrix
-counterpart.
+At finite dimension the decomposition forces ``sigma(A) = sigma(K)``; for
+unbounded operators with an unbounded metric inverse that equality can
+fail, a caveat with no matrix counterpart.
 """
 
 from __future__ import annotations
@@ -36,16 +38,14 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    Eigensystem,
     Operator,
     cluster_eigenvalues,
     eig_hermitian,
     ensure_operator,
-    herm_part,
-    herm_residual,
     spec_norm,
 )
-from .errors import DimensionMismatch, NotQuasiSelfAdjoint
-from .lattice import MetricOperator
+from .quasihermitian import basis_condition, canonical_eigenbasis
 
 __all__ = [
     "SpectralFamily",
@@ -101,6 +101,14 @@ class _FactoredFamily:
     def _members(self) -> tuple[Operator, ...]:
         return tuple(Operator(m) for m in accumulate(self.jumps()))
 
+    def _coordinates(self, xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (L xi_j, R* eta_j): the coefficients of xi_j in the columns of R and
+        # the inner products of eta_j with them
+        return self.left_vectors @ xis, self.right_vectors.conj().T @ etas
+
+    def _jump_sums(self, lx: np.ndarray, rh: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(rh.conj() * lx, self._starts(), axis=0)
+
     def jump_values(self, xis: np.ndarray, etas: np.ndarray) -> np.ndarray:
         """``<P_k xi_j, eta_j>`` for every jump ``P_k`` and sample column ``j``.
 
@@ -108,8 +116,7 @@ class _FactoredFamily:
         result has one row per threshold.  Its cumulative sum over rows is
         the path ``<F(lam_k) xi_j, eta_j>``.
         """
-        terms = (self.right_vectors.conj().T @ etas).conj() * (self.left_vectors @ xis)
-        return np.add.reduceat(terms, self._starts(), axis=0)
+        return self._jump_sums(*self._coordinates(xis, etas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,16 +143,23 @@ class XFamily(_FactoredFamily):
     """The conjugated family ``X(lam) = G^-1/2 E(lam) G^1/2``.
 
     Cumulative, idempotent, generally non-Hermitian; the top member is
-    the identity.  ``right_vectors = G^-1/2 W`` and
-    ``left_vectors = W* G^1/2`` for the eigenbasis ``W`` of the transform.
+    the identity.  ``right_vectors`` is the canonically scaled
+    eigenvector matrix ``S`` of the operator and ``left_vectors`` its
+    inverse.
     """
-
-    metric: MetricOperator
 
     @property
     def x_projectors(self) -> tuple[Operator, ...]:
         """The cumulative oblique projectors ``X(lam_k)``, built on each access."""
         return self._members()
+
+
+def _steps(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # thresholds (cluster means) and cumulative cluster ends of a real spectrum
+    clusters = cluster_eigenvalues(eigenvalues, tol)
+    thresholds = np.array([c.value.real for c in clusters])
+    ends = np.array([c.start + c.size for c in clusters])
+    return _readonly(thresholds), _readonly(ends)
 
 
 def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> SpectralFamily:
@@ -154,44 +168,26 @@ def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Spect
     Eigenvalues are clustered at ``tol*(1+|lam|)``; thresholds are the
     cluster means and projectors accumulate the eigenspaces.
     """
-    H = ensure_operator(H)
     es = eig_hermitian(H, tol)
-    clusters = cluster_eigenvalues(es.eigenvalues, tol)
-    thresholds = np.array([c.value.real for c in clusters])
-    ends = np.array([c.start + c.size for c in clusters])
     W = es.right_vectors
-    return SpectralFamily(
-        _readonly(thresholds), _readonly(ends), _readonly(W), _readonly(W.conj().T)
-    )
+    return SpectralFamily(*_steps(es.eigenvalues, tol), _readonly(W), _readonly(W.conj().T))
 
 
-def x_family(
-    A: Operator | np.ndarray,
-    M: MetricOperator,
-    tol: float = DEFAULT_TOL,
-) -> XFamily:
+def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -> XFamily:
     """Non-orthogonal resolution of identity for a quasi-Hermitian ``A``.
 
-    Raises :class:`NotQuasiSelfAdjoint` when the transform
-    ``K = G^1/2 A G^-1/2`` fails to be Hermitian at tolerance.
+    ``X(lam_k) = S[:, :e_k] S^-1[:e_k, :]`` for the canonically scaled
+    eigenvector matrix ``S`` of ``A``.  ``A`` may be given as its
+    :class:`Eigensystem`, which is then reused with its own ``defective``
+    verdict.
+
+    Raises :class:`ComplexSpectrum` or :class:`Defective` when no
+    positive metric exists; warns :class:`IllConditionedWarning` when the
+    eigenvector basis is badly conditioned.
     """
-    A = ensure_operator(A)
-    if A.dim != M.dim:
-        raise DimensionMismatch(f"A has dim {A.dim}, metric has dim {M.dim}")
-    K = M.G_half.matrix @ A.matrix @ M.G_invhalf.matrix
-    defect = herm_residual(K)
-    if defect > tol:
-        raise NotQuasiSelfAdjoint(
-            f"transform Hermiticity defect {defect:.3e} exceeds {tol:.3e}"
-        )
-    ef = spectral_family(Operator(herm_part(K)), tol)
-    return XFamily(
-        ef.thresholds,
-        ef.ends,
-        _readonly(M.G_invhalf.matrix @ ef.right_vectors),
-        _readonly(ef.left_vectors @ M.G_half.matrix),
-        M,
-    )
+    es, s = canonical_eigenbasis(A, tol, "x_family")
+    basis_condition(np.linalg.svd(s, compute_uv=False), "X family is ill-conditioned")
+    return XFamily(*_steps(es.eigenvalues, tol), _readonly(s), _readonly(np.linalg.inv(s)))
 
 
 @dataclass(frozen=True)
@@ -229,9 +225,10 @@ def x_properties(
 
     (i) the path vanishes below the spectrum and reaches ``<xi, eta>`` at
     the top; (ii) right-continuity, structural; (iii) total variation of
-    ``lam -> <X(lam) xi, eta>`` bounded by ``||G^1/2 xi|| ||G^-1/2 eta||``
-    up to a relative margin ``tol``;
-    (iv) ``<A xi, eta>`` equals the Stieltjes sum of the jumps.
+    ``lam -> <X(lam) xi, eta>`` bounded by ``||L xi|| ||R* eta||`` up to a
+    relative margin ``tol``, which is ``||G^1/2 xi|| ||G^-1/2 eta||`` for
+    the canonical metric ``G``, proportional to ``(S S*)^-1`` (its scale
+    cancels); (iv) ``<A xi, eta>`` equals the Stieltjes sum of the jumps.
     """
     if not samples:
         raise ValueError("x_properties needs a nonempty sample list")
@@ -242,15 +239,14 @@ def x_properties(
     nx = np.linalg.norm(xis, axis=0)
     ne = np.linalg.norm(etas, axis=0)
     scale = np.maximum(nx * ne, 1e-300)
-    values = XF.jump_values(xis, etas)
+    lx, rh = XF._coordinates(xis, etas)
+    values = XF._jump_sums(lx, rh)
     # the path <X(lam) xi, eta> is zero below the first threshold and
     # reaches the sum of the jump values at the top
     top = values.sum(axis=0)
     endpoint = np.abs(top - np.sum(etas.conj() * xis, axis=0)) / scale
     variation = np.abs(values).sum(axis=0)
-    bound = np.linalg.norm(XF.metric.G_half.matrix @ xis, axis=0) * np.linalg.norm(
-        XF.metric.G_invhalf.matrix @ etas, axis=0
-    )
+    bound = np.linalg.norm(lx, axis=0) * np.linalg.norm(rh, axis=0)
     stieltjes = XF.thresholds @ values
     a_values = np.sum(etas.conj() * (A.matrix @ xis), axis=0)
     recon = np.abs(a_values - stieltjes) / np.maximum(a2 * nx * ne, 1e-300)
@@ -267,17 +263,12 @@ def x_properties(
 
 
 def scalar_type_decomposition(
-    A: Operator | np.ndarray,
-    M: MetricOperator,
-    tol: float = DEFAULT_TOL,
+    A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL
 ) -> list[tuple[float, Operator]]:
     """Decompose ``A = sum lam_k P_k`` with mutually annihilating idempotents.
 
     The ``P_k`` are the jumps of the X family: oblique projectors, each
     similar to an orthogonal one (rank preserved by the conjugation).
     """
-    XF = x_family(A, M, tol)
-    return [
-        (float(t), Operator(p))
-        for t, p in zip(XF.thresholds, XF.jumps())
-    ]
+    XF = x_family(A, tol)
+    return [(float(t), Operator(p)) for t, p in zip(XF.thresholds, XF.jumps())]

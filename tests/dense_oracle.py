@@ -1,9 +1,10 @@
 """Dense references for the library's structured kernels.
 
-The library stores the E and X step families factored.  This module
-builds every cumulative projector as its own dense matrix,
-``E(lam_k) = W_k W_k*`` and ``X(lam_k) = G^-1/2 E(lam_k) G^1/2``, as the
-reference the tests compare the factored families against.  It also
+The library stores the E and X step families factored, and builds X
+from the eigenvectors of ``A`` alone.  This module builds every
+cumulative projector as its own dense matrix, ``E(lam_k) = W_k W_k*`` and
+``X(lam_k) = G^-1/2 E(lam_k) G^1/2`` through the metric conjugation, as
+the reference the tests compare the factored families against.  It also
 keeps the dense per-grid computation of the half-line refinement study,
 the reference for its secular and banded kernels.
 """

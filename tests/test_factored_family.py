@@ -1,4 +1,10 @@
-"""The factored E and X families against the dense oracle, and their cost."""
+"""The factored E and X families against the dense oracle, and their cost.
+
+The X family is built from the eigenvectors of ``A`` alone; the oracle
+conjugates the spectral family of ``K = G^1/2 A G^-1/2`` by a
+manufactured, non-canonical metric ``G``, so agreement also shows that
+``X`` does not depend on the metric.
+"""
 
 import tracemalloc
 
@@ -7,6 +13,7 @@ import pytest
 
 from qherm import (
     Operator,
+    eig_general,
     make_metric,
     solve_metric,
     spectral_family,
@@ -57,15 +64,18 @@ def _max_diff(x, y) -> float:
 @pytest.mark.parametrize("case", [_random_real_spectrum, _clustered_spectrum])
 def test_factored_families_match_dense_oracle(case):
     a, m = case()
-    xf = x_family(Operator(a), m)
+    xf = x_family(Operator(a))
     thresholds, members = dense_x_family(a, m.G_half.matrix, m.G_invhalf.matrix, TOL)
-    assert np.array_equal(xf.thresholds, thresholds)
+    # eig(A) and the oracle's eigh(K) round differently: each side is
+    # probed at its own thresholds, and between and beyond them
+    assert _max_diff(xf.thresholds, thresholds) <= TOL
     if case is _clustered_spectrum:
         assert len(thresholds) == 6
     mids = 0.5 * (thresholds[1:] + thresholds[:-1])
     probes = [thresholds[0] - 1.0, *thresholds, *mids, thresholds[-1] + 1.0]
-    for lam in probes:
-        assert _max_diff(xf.evaluate(float(lam)), dense_evaluate(thresholds, members, lam)) <= TOL
+    own = [thresholds[0] - 1.0, *xf.thresholds, *mids, thresholds[-1] + 1.0]
+    for mine, lam in zip(own, probes, strict=True):
+        assert _max_diff(xf.evaluate(float(mine)), dense_evaluate(thresholds, members, lam)) <= TOL
     assert not xf.evaluate(float(thresholds[0] - 1.0)).any()
     for got, want in zip(xf.x_projectors, members, strict=True):
         assert _max_diff(got.matrix, want) <= TOL
@@ -87,8 +97,9 @@ def test_factored_families_match_dense_oracle(case):
 
 @pytest.mark.parametrize("case", [_random_real_spectrum, _clustered_spectrum])
 def test_batched_x_properties_matches_per_sample_loop(case):
-    a, m = case()
-    xf = x_family(Operator(a), m)
+    a, _ = case()
+    xf = x_family(Operator(a))
+    g0 = solve_metric(Operator(a)).canonical
     samples = _samples(rng(63), N, 8)
     rep = x_properties(xf, Operator(a), samples, TOL)
     a2 = np.linalg.norm(a, 2)
@@ -98,7 +109,7 @@ def test_batched_x_properties_matches_per_sample_loop(case):
         scale = np.linalg.norm(xi) * np.linalg.norm(eta)
         endpoint = abs(sum(values) - np.vdot(eta, xi)) / scale
         variation = sum(abs(v) for v in values)
-        bound = np.linalg.norm(m.G_half.matrix @ xi) * np.linalg.norm(m.G_invhalf.matrix @ eta)
+        bound = np.linalg.norm(g0.G_half.matrix @ xi) * np.linalg.norm(g0.G_invhalf.matrix @ eta)
         stieltjes = sum(t * v for t, v in zip(xf.thresholds, values))
         recon = abs(np.vdot(eta, a @ xi) - stieltjes) / (a2 * scale)
         assert row.endpoint_residual == pytest.approx(endpoint, rel=1e-6, abs=1e-14)
@@ -111,14 +122,15 @@ def test_batched_x_properties_matches_per_sample_loop(case):
 
 
 def test_variation_verdict_is_scale_free():
-    # eta = G xi attains the Cauchy-Schwarz bound exactly: every jump value
-    # <P xi, G xi> is real and nonnegative because G P = P* G
+    # for the canonical metric G0, eta = G0 xi attains the bound exactly:
+    # every jump value <P xi, G0 xi> is real and nonnegative because
+    # G0 P = P* G0
     gen = rng(64)
-    a, g = manufactured_quasi_hermitian(gen, 24)
-    m = make_metric(Operator(g))
-    xf = x_family(Operator(a), m, 1e-8)
+    a, _ = manufactured_quasi_hermitian(gen, 24)
+    xf = x_family(Operator(a), 1e-8)
+    g0 = solve_metric(Operator(a), 1e-8).canonical.G.matrix
     xis = [gen.standard_normal(24) + 1j * gen.standard_normal(24) for _ in range(40)]
-    samples = [(xi, m.G.matrix @ xi) for xi in xis] + _samples(gen, 24, 4)
+    samples = [(xi, g0 @ xi) for xi in xis] + _samples(gen, 24, 4)
     reports = [
         x_properties(xf, Operator(a), [(s * xi, s * eta) for xi, eta in samples], 1e-8)
         for s in (1.0, 1e-8, 1e8)
@@ -127,15 +139,36 @@ def test_variation_verdict_is_scale_free():
     assert [r.passed for r in reports] == [True, True, True]
 
 
+@pytest.mark.parametrize("case", [_random_real_spectrum, _clustered_spectrum])
+def test_variation_bound_is_the_canonical_metric_bound(case):
+    # ||L xi|| ||R* eta|| = ||G0^1/2 xi|| ||G0^-1/2 eta|| for G0 = c (S S*)^-1
+    a, _ = case()
+    es = eig_general(Operator(a))
+    xf = x_family(es)
+    g0 = solve_metric(es).canonical
+    pairs = _samples(rng(66), N, 16)
+    xis = np.array([xi for xi, _ in pairs]).T
+    etas = np.array([eta for _, eta in pairs]).T
+    got = np.linalg.norm(xf.left_vectors @ xis, axis=0) * np.linalg.norm(
+        xf.right_vectors.conj().T @ etas, axis=0
+    )
+    want = np.linalg.norm(g0.G_half.matrix @ xis, axis=0) * np.linalg.norm(
+        g0.G_invhalf.matrix @ etas, axis=0
+    )
+    assert np.abs(got / want - 1.0).max() <= 1e-12
+    rows = x_properties(xf, Operator(a), pairs, TOL).samples
+    assert [row.variation_bound for row in rows] == pytest.approx(list(want), rel=1e-12)
+
+
 def test_x_family_memory_is_quadratic():
     gen = rng(65)
     n = 200
-    a, g = manufactured_quasi_hermitian(gen, n)
-    a_op, m = Operator(a), make_metric(Operator(g))
+    a, _ = manufactured_quasi_hermitian(gen, n)
+    a_op = Operator(a)
     samples = _samples(gen, n, 8)
     tracemalloc.start()
     try:
-        xf = x_family(a_op, m, 1e-8)
+        xf = x_family(a_op, 1e-8)
         rep = x_properties(xf, a_op, samples, 1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

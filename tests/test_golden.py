@@ -6,7 +6,9 @@ the files recorded under ``tests/golden``.  The recorded files come from
 numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64: floats are written with 17
 significant digits, so another BLAS/LAPACK build can differ in the last
 digits without any change in qherm.  After an intended change of output,
-rewrite them with ``PYTHONPATH=src python tests/test_golden.py``.
+rewrite the cases it moves with
+``PYTHONPATH=src python tests/test_golden.py NAME...`` (no names rewrites
+every case).
 """
 
 from __future__ import annotations
@@ -117,8 +119,11 @@ def test_samsonov_cases_match_golden_with_one_blas_thread():
 if __name__ == "__main__":
     import tempfile
 
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {' '.join(unknown)}; known: {' '.join(sorted(CASES))}")
     with tempfile.TemporaryDirectory() as scratch:
-        for case in sorted(CASES):
+        for case in sys.argv[1:] or sorted(CASES):
             for suffix, data in run_case(case, scratch).items():
                 with open(os.path.join(GOLDEN, f"{case}.{suffix}"), "wb") as handle:
                     handle.write(data)

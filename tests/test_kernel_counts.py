@@ -2,8 +2,11 @@
 
 ``qherm analyze`` diagonalizes its input once, whatever the class,
 ``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
-of ``T``, condition numbers are computed only where a report or warning
-reads them, and the half-line refinement study runs no dense eigensolver.
+of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
+``inv`` with no Hermitian eigensolver, no singular vectors and no metric
+root (nor does ``qherm lattice`` read a root), condition numbers are
+computed only where a report or warning reads them, and the half-line
+refinement study runs no dense eigensolver.
 """
 
 import os
@@ -14,6 +17,7 @@ import pytest
 from helpers import diagonalizable_real_spectrum, rng
 from qherm import (
     HalfLineSpec,
+    MetricOperator,
     Operator,
     adjoint,
     eig_general,
@@ -31,12 +35,14 @@ from test_golden import run_case
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
+def _count_calls(monkeypatch, name: str, **only) -> list[int]:
+    """Count calls of ``np.linalg.<name>``; with ``only``, those passing these keywords."""
     counter = [0]
     original = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
-        counter[0] += 1
+        if all(kwargs.get(key, True) == value for key, value in only.items()):
+            counter[0] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, counted)
@@ -60,6 +66,26 @@ def test_qsim_diagonalizes_each_operator_once(monkeypatch, tmp_path):
     assert (eig_calls[0], svd_calls[0]) == (2, 1)
 
 
+@pytest.mark.parametrize("name", ["spectral_worked", "spectral_quasi5"])
+def test_spectral_diagonalizes_once_with_no_metric(monkeypatch, tmp_path, name):
+    names = ("eig", "eigh", "inv")
+    counters = [_count_calls(monkeypatch, kernel) for kernel in names]
+    svd_uv = _count_calls(monkeypatch, "svd", compute_uv=True)
+    assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
+    assert {k: c[0] for k, c in zip(names, counters)} == {"eig": 1, "eigh": 0, "inv": 1}
+    assert svd_uv[0] == 0
+
+
+@pytest.mark.parametrize("name", ["spectral_quasi5", "lattice_metric"])
+def test_spectral_and_lattice_read_no_metric_root(monkeypatch, tmp_path, name):
+    def unread(self):
+        raise AssertionError("a metric root was read")
+
+    for root in ("G_half", "G_invhalf"):
+        monkeypatch.setattr(MetricOperator, root, property(unread))
+    assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
+
+
 def test_simple_spectrum_pipeline_computes_no_condition_number(monkeypatch):
     a, _ = diagonalizable_real_spectrum(rng(11), 12)
     gen = rng(12)
@@ -68,8 +94,8 @@ def test_simple_spectrum_pipeline_computes_no_condition_number(monkeypatch):
     ]
     cond_calls = _count_calls(monkeypatch, "cond")
     A = Operator(a)
-    sol = solve_metric(A)
-    props = x_properties(x_family(A, sol.canonical), A, samples)
+    solve_metric(A)
+    props = x_properties(x_family(A), A, samples)
     assert props.passed
     assert cond_calls[0] == 0
 
@@ -82,6 +108,7 @@ def test_builders_reuse_a_passed_eigensystem(monkeypatch):
     G = solve_metric(A).canonical.G
     eig_calls = _count_calls(monkeypatch, "eig")
     solve_metric(es)
+    x_family(es)
     solve_pseudo_metric(es)
     spectral_comparison(es, es_star)
     assert push_eigenvectors(es, adjoint(A), G).passed

@@ -83,8 +83,9 @@ def test_solve_metric_errors():
 def test_solve_metric_ill_conditioned_warns():
     # nearly parallel eigenvectors: solution returned, but flagged
     a = np.array([[1.0, 1.0], [0.0, 1.0 + 2e-7]])
-    with pytest.warns(IllConditionedWarning):
+    with pytest.warns(IllConditionedWarning) as record:
         sol = solve_metric(Operator(a))
+    assert record[0].filename == __file__
     assert sol.vector_condition > 1e6
     assert sol.canonical.eig_min > 0
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from qherm import (
-    MetricOperator,
+    ComplexSpectrum,
+    Defective,
+    IllConditionedWarning,
     NotHermitian,
-    NotQuasiSelfAdjoint,
     Operator,
     cluster_eigenvalues,
     eig_general,
-    make_metric,
     scalar_type_decomposition,
     spectral_family,
     x_family,
@@ -60,35 +60,43 @@ def test_spectral_family_structure():
 def test_x_family_hermitian_reduces_to_spectral():
     gen = rng(52)
     h = random_hermitian(gen, 6)
-    xf = x_family(Operator(h), MetricOperator.identity(6))
+    xf = x_family(Operator(h))
     ef = spectral_family(Operator(h))
     for xp, ep in zip(xf.x_projectors, ef.projectors):
         assert np.abs(xp.matrix - ep.matrix).max() <= 1e-12
 
 
 def test_x_family_worked_oracle():
-    m = make_metric(Operator(G_WORKED))
-    xf = x_family(Operator(A_WORKED), m)
+    xf = x_family(Operator(A_WORKED))
     assert np.allclose(xf.thresholds, [1.0, 2.0], atol=1e-12)
     assert np.abs(xf.x_projectors[0].matrix - X1_WORKED).max() <= 1e-12
     assert np.abs(xf.x_projectors[1].matrix - np.eye(2)).max() <= 1e-12
 
 
 def test_x_family_scalar_matrix():
-    m = make_metric(Operator(G_WORKED))
-    xf = x_family(Operator(2.5 * np.eye(2)), m)
+    xf = x_family(Operator(2.5 * np.eye(2)))
     assert len(xf.thresholds) == 1
     assert np.abs(xf.x_projectors[0].matrix - np.eye(2)).max() <= 1e-12
 
 
 def test_x_family_rejects_non_quasi_hermitian():
-    with pytest.raises(NotQuasiSelfAdjoint):
-        x_family(Operator(A_WORKED), MetricOperator.identity(2))
+    with pytest.raises(ComplexSpectrum):
+        x_family(Operator([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(Defective):
+        x_family(Operator([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_x_family_ill_conditioned_warns():
+    # nearly parallel eigenvectors: the family is returned, flagged at the caller
+    a = np.array([[1.0, 1.0], [0.0, 1.0 + 2e-7]])
+    with pytest.warns(IllConditionedWarning) as record:
+        xf = x_family(Operator(a))
+    assert record[0].filename == __file__
+    assert np.abs(xf.x_projectors[1].matrix - np.eye(2)).max() <= 1e-8
 
 
 def test_x_family_evaluation_convention():
-    m = make_metric(Operator(G_WORKED))
-    xf = x_family(Operator(A_WORKED), m)
+    xf = x_family(Operator(A_WORKED))
     assert np.all(xf.evaluate(0.0) == 0)
     assert np.abs(xf.evaluate(1.5) - X1_WORKED).max() <= 1e-12
     assert np.abs(xf.evaluate(2.0) - np.eye(2)).max() <= 1e-12
@@ -96,12 +104,12 @@ def test_x_family_evaluation_convention():
 
 
 def test_x_properties_worked_oracle():
-    m = make_metric(Operator(G_WORKED))
-    xf = x_family(Operator(A_WORKED), m)
+    xf = x_family(Operator(A_WORKED))
     e1 = np.array([1.0, 0.0])
     rep = x_properties(xf, Operator(A_WORKED), [(e1, e1)])
     row = rep.samples[0]
-    # V = 1 <= ||G^1/2 e1|| * ||G^-1/2 e1|| = 1 * sqrt(2)
+    # V = 1 <= ||G^1/2 e1|| * ||G^-1/2 e1|| = 1 * sqrt(2) for the canonical
+    # metric, proportional to G_WORKED (the scale cancels)
     assert row.total_variation == pytest.approx(1.0, abs=1e-12)
     assert row.variation_bound == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert rep.variation_violations == 0
@@ -114,7 +122,7 @@ def test_x_properties_worked_oracle():
 def test_x_properties_identity_metric():
     gen = rng(53)
     h = random_hermitian(gen, 8)
-    xf = x_family(Operator(h), MetricOperator.identity(8))
+    xf = x_family(Operator(h))
     samples = [
         (
             gen.standard_normal(8) + 1j * gen.standard_normal(8),
@@ -128,8 +136,7 @@ def test_x_properties_identity_metric():
 
 
 def test_scalar_type_decomposition_worked():
-    m = make_metric(Operator(G_WORKED))
-    dec = scalar_type_decomposition(Operator(A_WORKED), m)
+    dec = scalar_type_decomposition(Operator(A_WORKED))
     (lam1, p1), (lam2, p2) = dec
     assert lam1 == pytest.approx(1.0, abs=1e-12)
     assert lam2 == pytest.approx(2.0, abs=1e-12)
@@ -142,7 +149,7 @@ def test_scalar_type_decomposition_worked():
 
 
 def test_scalar_type_decomposition_scalar_input():
-    dec = scalar_type_decomposition(Operator(3.0 * np.eye(4)), MetricOperator.identity(4))
+    dec = scalar_type_decomposition(Operator(3.0 * np.eye(4)))
     assert len(dec) == 1
     lam, p = dec[0]
     assert lam == pytest.approx(3.0)
@@ -154,9 +161,8 @@ def test_random_pairs_properties_and_idempotence():
     for _ in range(8):
         n = int(gen.integers(2, 32))
         a, g = manufactured_quasi_hermitian(gen, n)
-        m = make_metric(Operator(g))
         a_op = Operator(a)
-        xf = x_family(a_op, m, 1e-8)
+        xf = x_family(a_op, 1e-8)
         jumps = xf.jumps()
         for i, p in enumerate(jumps):
             assert np.linalg.norm(p @ p - p, "fro") <= 1e-8 * max(np.linalg.norm(p, "fro"), 1)
@@ -176,13 +182,13 @@ def test_random_pairs_properties_and_idempotence():
 
 
 def test_x_family_matches_oblique_projectors():
-    # two independent constructions of the same object
+    # the dense Riesz projectors from the unscaled eigenvectors against the
+    # factored family, which scales them
     gen = rng(55)
     for _ in range(5):
         n = int(gen.integers(2, 16))
-        a, g = manufactured_quasi_hermitian(gen, n)
-        m = make_metric(Operator(g))
-        xf = x_family(Operator(a), m, 1e-8)
+        a, _ = manufactured_quasi_hermitian(gen, n)
+        xf = x_family(Operator(a), 1e-8)
         es = eig_general(Operator(a), 1e-8)
         s = es.right_vectors
         s_inv = np.linalg.inv(s)
@@ -198,18 +204,16 @@ def test_x_family_matches_oblique_projectors():
 
 def test_thresholds_shared_with_decomposition():
     gen = rng(56)
-    a, g = manufactured_quasi_hermitian(gen, 10)
-    m = make_metric(Operator(g))
-    xf = x_family(Operator(a), m, 1e-8)
-    dec = scalar_type_decomposition(Operator(a), m, 1e-8)
+    a, _ = manufactured_quasi_hermitian(gen, 10)
+    xf = x_family(Operator(a), 1e-8)
+    dec = scalar_type_decomposition(Operator(a), 1e-8)
     assert np.allclose([lam for lam, _ in dec], xf.thresholds, atol=0)
 
 
 def test_jump_projectors_preserve_rank():
     gen = rng(57)
-    a, g = manufactured_quasi_hermitian(gen, 9)
-    m = make_metric(Operator(g))
-    xf = x_family(Operator(a), m, 1e-8)
+    a, _ = manufactured_quasi_hermitian(gen, 9)
+    xf = x_family(Operator(a), 1e-8)
     prev_rank = 0
     for p, rank in zip(xf.jumps(), np.cumsum([1] * len(xf.thresholds))):
         # trace of an idempotent is its rank; conjugation preserves it
@@ -222,6 +226,6 @@ def test_jump_projectors_preserve_rank():
 
 
 def test_x_properties_needs_samples():
-    xf = x_family(Operator(np.eye(2)), MetricOperator.identity(2))
+    xf = x_family(Operator(np.eye(2)))
     with pytest.raises(ValueError):
         x_properties(xf, Operator(np.eye(2)), [])
