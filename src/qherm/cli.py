@@ -35,7 +35,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .core import DEFAULT_TOL, Operator, eig_general, herm_residual, real_eigenvalue_mask
+from .core import DEFAULT_TOL, Operator, eig_general, herm_residual
 from .errors import IntertwiningViolated, ParseError, QhermError, SpectrumNotConjugateClosed
 from .halfline import HalfLineSpec, default_box_length, samsonov_report
 from .lattice import make_metric, verify_lattice
@@ -284,10 +284,10 @@ def _digest(op: Operator) -> dict:
     return {"dim": op.dim, "label": op.label}
 
 
-def _spectral_summary(es, tol: float) -> dict:
+def _spectral_summary(es) -> dict:
     return {
         "eigenvalues": [complex(z) for z in es.eigenvalues],
-        "all_real": bool(real_eigenvalue_mask(es.eigenvalues, tol).all()),
+        "all_real": bool(es.real.all()),
         "defective": es.defective,
         "vector_condition": _finite_or_none(es.vector_condition),
     }
@@ -301,7 +301,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
     tol = args.tol
     # one diagonalization decides the class and feeds the metric builders
     es = eig_general(A, tol)
-    spectral = _spectral_summary(es, tol)
+    spectral = _spectral_summary(es)
     metric_summary = None
     transform_summary = None
     herm_res = herm_residual(A.matrix)
@@ -548,6 +548,19 @@ def cmd_samsonov(args) -> tuple[int, dict]:
 
 # ---------------------------------------------------------------------------
 
+def _at_least(kind: type, low):
+    """An argparse type: a finite ``kind`` no less than ``low`` (else exit 2)."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not value >= low or (kind is float and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"expected a finite value >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qherm",
@@ -558,12 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, csv_out=False, seed=False, tol=True):
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--tol", type=_at_least(float, 0.0), default=DEFAULT_TOL)
         p.add_argument("--json-out", metavar="PATH")
         if csv_out:
             p.add_argument("--csv-out", metavar="PATH")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_at_least(int, 0), default=0)
 
     p = sub.add_parser("analyze", help="classify an operator and build its metric")
     p.add_argument("path")
@@ -591,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="build X(lambda) and verify its properties")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_at_least(int, 1), default=8)
     common(p, csv_out=True, seed=True)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("lattice", help="verify the seven-norm lattice of a metric")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_at_least(int, 1), default=8)
     common(p, seed=True)
     p.set_defaults(func=cmd_lattice)
 

@@ -7,16 +7,21 @@ tolerance decisions are relative and scale-free; the package default
 headroom.  Eigenvalues are always reported ascending by real part, ties
 broken by imaginary part, so that reports are deterministic.
 
-One :class:`Eigensystem` carries the operator it diagonalizes, so the
-metric builders and spectral checks of the other modules accept it in
-place of the operator and reuse it (:func:`ensure_eigensystem`).  Costly
-quantities are computed where they are read: ``vector_condition`` (one
-SVD) on access, ``||A||_2`` only for a repeated eigenvalue.
+One :class:`Eigensystem` is the spectral record of the operator it
+diagonalizes: the eigenvalues and vectors, and every verdict about them
+(clusters, realness, defectiveness) made once, at the tolerance the
+record was computed at.  The metric builders and spectral checks of the
+other modules accept it in place of the operator and read those verdicts
+instead of deciding again (:func:`ensure_eigensystem`).  Costly
+quantities are computed where they are read: the canonically scaled
+eigenvector matrix and ``vector_condition`` (one SVD) on first read, then
+kept; ``||A||_2`` only for a repeated eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -109,26 +114,54 @@ def adjoint(A: Operator | np.ndarray) -> Operator:
     return Operator(A.matrix.conj().T, A.label + "*" if A.label else "")
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _canonical_eigvec_scaling(v: np.ndarray) -> np.ndarray:
+    """Scale each column so its largest-modulus entry becomes exactly 1.
+
+    Fixes both the length and the phase freedom of the eigenvectors, so
+    the canonical metric built from them is fully deterministic.
+    """
+    s = np.array(v, dtype=np.complex128)
+    pivots = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
+    return np.divide(s, pivots, out=s, where=pivots != 0)
+
+
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
     """Eigenvalues with unit-norm right eigenvector columns of ``operator``.
 
-    ``defective`` is set when some eigenvalue cluster has geometric
-    multiplicity below its algebraic one.  ``vector_condition``, the
-    2-norm condition number of the eigenvector matrix (1 for a normal
-    operator), is computed on access, one SVD per read.
+    The verdicts are made once, at ``tol``: ``clusters`` groups the
+    eigenvalues within ``tol*(1+|lam|)`` of each other, the read-only
+    mask ``real`` marks those with ``|Im lam| <= tol*(1+|lam|)``, and
+    ``defective`` is set when some cluster has geometric multiplicity
+    below its algebraic one.  ``scaled_vectors``, the eigenvector matrix
+    ``S`` with each column scaled to unit largest entry (read-only), and
+    ``vector_condition``, the 2-norm condition number of the eigenvector
+    matrix (1 for a normal operator, one SVD), are computed on first read
+    and kept.
     """
 
     operator: Operator
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
+    tol: float
+    clusters: tuple[EigenvalueCluster, ...]
+    real: np.ndarray
     defective: bool
 
     @property
     def dim(self) -> int:
         return self.right_vectors.shape[0]
 
-    @property
+    @cached_property
+    def scaled_vectors(self) -> np.ndarray:
+        return _readonly(_canonical_eigvec_scaling(self.right_vectors))
+
+    @cached_property
     def vector_condition(self) -> float:
         return float(np.linalg.cond(self.right_vectors, 2))
 
@@ -168,10 +201,10 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[E
     return tuple(clusters)
 
 
-def real_eigenvalue_mask(values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues deemed real when ``|Im lam| <= tol*(1+|lam|)``."""
-    values = np.asarray(values, dtype=np.complex128)
-    return np.abs(values.imag) <= tol * (1.0 + np.abs(values))
+def _record(A: Operator, w: np.ndarray, v: np.ndarray, tol: float, clusters, defective: bool) -> Eigensystem:
+    # the one realness rule: |Im lam| <= tol*(1+|lam|)
+    real = _readonly(np.abs(w.imag) <= tol * (1.0 + np.abs(w)))
+    return Eigensystem(A, w, v, tol, clusters, real, defective)
 
 
 def _sorted_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,17 +213,15 @@ def _sorted_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = v[:, order]
     norms = np.linalg.norm(v, axis=0)
     norms[norms == 0.0] = 1.0
-    v = v / norms
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+    return _readonly(w), _readonly(v / norms)
 
 
 def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
     """Eigendecomposition of a Hermitian operator.
 
-    Eigenvalues come out real and ascending, eigenvectors orthonormal.
-    Raises :class:`NotHermitian` when ``||H - H*||_F > tol*||H||_F``.
+    Eigenvalues come out real and ascending, eigenvectors orthonormal,
+    and the record is never defective.  Raises :class:`NotHermitian` when
+    ``||H - H*||_F > tol*||H||_F``.
     """
     H = ensure_operator(H)
     defect = herm_residual(H.matrix)
@@ -199,7 +230,8 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
             f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
         )
     w, v = np.linalg.eigh(herm_part(H.matrix))
-    return Eigensystem(H, w.astype(np.complex128), v, False)
+    w = w.astype(np.complex128)
+    return _record(H, w, v, tol, cluster_eigenvalues(w, tol), False)
 
 
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
@@ -208,7 +240,8 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
     Defectiveness is decided per eigenvalue cluster by comparing the
     algebraic multiplicity (cluster size) against the geometric one, the
     latter obtained from the numerical rank of ``A - lam*I`` at threshold
-    ``tol*||A||_2``.
+    ``tol*||A||_2``.  The clusters and the realness mask of the record
+    are decided at the same ``tol``.
     """
     A = ensure_operator(A)
     try:
@@ -216,9 +249,10 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
     w, v = _sorted_eig(w, v)
+    clusters = cluster_eigenvalues(w, tol)
     a2 = None
     defective = False
-    for cluster in cluster_eigenvalues(w, tol):
+    for cluster in clusters:
         if cluster.size == 1:
             continue
         if a2 is None:
@@ -229,14 +263,14 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
         if A.dim - rank < cluster.size:
             defective = True
             break
-    return Eigensystem(A, w, v, defective)
+    return _record(A, w, v, tol, clusters, defective)
 
 
 def ensure_eigensystem(value, tol: float = DEFAULT_TOL) -> Eigensystem:
     """Diagonalize ``value`` with :func:`eig_general` (no-op for an Eigensystem).
 
-    A passed :class:`Eigensystem` is returned as it is, so it keeps the
-    ``defective`` verdict of the tolerance it was computed at.
+    A passed :class:`Eigensystem` is returned as it is, so it keeps every
+    verdict of the tolerance it was computed at and ``tol`` is not read.
     """
     if isinstance(value, Eigensystem):
         return value

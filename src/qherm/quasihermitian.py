@@ -13,6 +13,12 @@ similar to a Hermitian matrix through ``G^1/2``; the subtleties that
 separate these notions for unbounded operators (domain inclusions, an
 unbounded ``G^-1``) have no matrix counterpart, so the equivalence-chain
 tests here assert full agreement.
+
+Both metric builders work from one :class:`~qherm.core.Eigensystem` of
+``A``, which may be passed in place of ``A``
+(:func:`~qherm.core.ensure_eigensystem`): its clusters, realness mask and
+defectiveness verdict decide, and its canonically scaled eigenvector
+matrix ``S`` builds.
 """
 
 from __future__ import annotations
@@ -28,13 +34,11 @@ from .core import (
     Eigensystem,
     Operator,
     adjoint,
-    cluster_eigenvalues,
     ensure_eigensystem,
     ensure_operator,
     fro,
     herm_part,
     herm_residual,
-    real_eigenvalue_mask,
 )
 from .errors import (
     ComplexSpectrum,
@@ -81,55 +85,40 @@ def quasi_hermiticity_residual(A: Operator | np.ndarray, G: Operator | np.ndarra
     return fro(ga - ga.conj().T) / (fro(G.matrix) * fro(A.matrix) + _TINY)
 
 
-def _canonical_eigvec_scaling(v: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-modulus entry becomes exactly 1.
-
-    Fixes both the length and the phase freedom of the eigenvectors, so
-    the canonical metric below is fully deterministic.
-    """
-    s = np.array(v, dtype=np.complex128)
-    pivots = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
-    return np.divide(s, pivots, out=s, where=pivots != 0)
-
-
 @dataclass(frozen=True, eq=False)
 class MetricSolution:
     """Canonical metric for a diagonalizable real-spectrum operator.
 
     ``canonical.G`` equals ``scale * (S S*)^-1`` for the scaled eigenvector
-    matrix ``S``; the ``scale`` makes ``||G||_2 = 1``.  ``freedom`` lists the
-    eigenvalue clusters: any Hermitian positive-definite block-diagonal
-    ``D`` conforming to them yields another admissible metric
-    ``S^-* D S^-1``.
+    matrix ``S`` (``Eigensystem.scaled_vectors``); the ``scale`` makes
+    ``||G||_2 = 1``.  ``freedom`` lists the eigenvalue clusters of the
+    eigensystem: any Hermitian positive-definite block-diagonal ``D``
+    conforming to them yields another admissible metric ``S^-* D S^-1``.
     """
 
     canonical: MetricOperator
-    eigvec_matrix: Operator
     freedom: tuple[EigenvalueCluster, ...]
     residual: float
     scale: float
     vector_condition: float
 
 
-def canonical_eigenbasis(
-    A: Operator | Eigensystem | np.ndarray, tol: float, caller: str
-) -> tuple[Eigensystem, np.ndarray]:
-    """The eigensystem of ``A`` and its canonically scaled eigenvector matrix ``S``.
+def canonical_eigenbasis(A: Operator | Eigensystem | np.ndarray, tol: float, caller: str) -> Eigensystem:
+    """The eigensystem of ``A``, checked to admit a positive metric.
 
     Raises :class:`Defective` or :class:`ComplexSpectrum`, naming ``caller``,
-    unless ``A`` is diagonalizable with real spectrum at tolerance.
+    unless the record is diagonalizable with real spectrum.
     """
     es = ensure_eigensystem(A, tol)
     if es.defective:
         raise Defective(f"{caller}: operator is numerically defective")
-    mask = real_eigenvalue_mask(es.eigenvalues, tol)
-    if not bool(mask.all()):
-        offending = es.eigenvalues[~mask]
+    if not es.real.all():
+        offending = es.eigenvalues[~es.real]
         raise ComplexSpectrum(
             f"{caller}: spectrum has nonreal eigenvalues {offending}",
             eigenvalues=offending,
         )
-    return es, _canonical_eigvec_scaling(es.right_vectors)
+    return es
 
 
 def basis_condition(sig: np.ndarray, consequence: str) -> float:
@@ -155,16 +144,14 @@ def solve_metric(
     Requires ``A`` diagonalizable with real spectrum at tolerance; the
     canonical choice fixes ``D = I`` on eigenvector columns scaled to unit
     largest entry, and the result is normalized to unit spectral norm
-    (factor recorded in ``scale``).  ``A`` may be given as its
-    :class:`Eigensystem`, which is then reused with its own ``defective``
-    verdict.
+    (factor recorded in ``scale``).
 
     Raises :class:`ComplexSpectrum` or :class:`Defective` when no
     positive metric exists; warns :class:`IllConditionedWarning` when the
     eigenvector basis is badly conditioned.
     """
-    es, s = canonical_eigenbasis(A, tol, "solve_metric")
-    u, sig, _ = np.linalg.svd(s)
+    es = canonical_eigenbasis(A, tol, "solve_metric")
+    u, sig, _ = np.linalg.svd(es.scaled_vectors)
     cond = basis_condition(sig, "metric is nearly singular")
     # (S S*)^-1 = U diag(sig^-2) U*, normalized to unit spectral norm;
     # sig is descending, so scale/sig^2 is already ascending
@@ -172,8 +159,7 @@ def solve_metric(
     w = scale / sig**2
     G = Operator(herm_part((u * w) @ u.conj().T), "canonical metric")
     residual = quasi_hermiticity_residual(es.operator, G)
-    freedom = cluster_eigenvalues(es.eigenvalues, tol)
-    return MetricSolution(MetricOperator(G, w, u), Operator(s), freedom, residual, scale, cond)
+    return MetricSolution(MetricOperator(G, w, u), es.clusters, residual, scale, cond)
 
 
 def quasi_sa_transform(
@@ -276,11 +262,11 @@ def krein_check(
     return holds, structure
 
 
-def _conjugate_pairing(w: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Greedy nearest-conjugate matching; real eigenvalues pair with themselves."""
-    mask = real_eigenvalue_mask(w, tol)
+def _conjugate_pairing(es: Eigensystem) -> list[tuple[int, int]]:
+    """Greedy nearest-conjugate matching at ``es.tol``; real eigenvalues pair with themselves."""
+    w, tol = es.eigenvalues, es.tol
     pairs: list[tuple[int, int]] = []
-    unpaired = [k for k in range(len(w)) if not mask[k]]
+    unpaired = np.flatnonzero(~es.real).tolist()
     while unpaired:
         i = unpaired.pop(0)
         target = np.conj(w[i])
@@ -307,25 +293,19 @@ def solve_pseudo_metric(
     ``T = S^-* M S^-1`` where ``M`` is the identity on real-eigenvalue
     positions and swaps each conjugate pair; the result is normalized to
     unit spectral norm.  Reduces to the canonical positive metric when
-    the spectrum is real.  ``A`` may be given as its :class:`Eigensystem`,
-    which is then reused with its own ``defective`` verdict.
+    the spectrum is real.  Warns :class:`IllConditionedWarning` when the
+    eigenvector basis is badly conditioned.
     """
     es = ensure_eigensystem(A, tol)
     if es.defective:
         raise Defective("solve_pseudo_metric: operator is numerically defective")
-    pairs = _conjugate_pairing(es.eigenvalues, tol)
+    pairs = _conjugate_pairing(es)
     m = np.eye(es.dim, dtype=np.complex128)
     for i, j in pairs:
         m[i, i] = m[j, j] = 0.0
         m[i, j] = m[j, i] = 1.0
-    s = _canonical_eigvec_scaling(es.right_vectors)
-    cond = es.vector_condition
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"eigenvector basis condition {cond:.3e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
+    s = es.scaled_vectors
+    basis_condition(np.linalg.svd(s, compute_uv=False), "pseudo metric is nearly singular")
     s_inv = np.linalg.inv(s)
     t = herm_part(s_inv.conj().T @ m @ s_inv)
     wt = np.linalg.eigvalsh(t)

@@ -40,7 +40,6 @@ from .core import (
     DEFAULT_TOL,
     Eigensystem,
     Operator,
-    cluster_eigenvalues,
     eig_hermitian,
     ensure_operator,
     spec_norm,
@@ -154,40 +153,39 @@ class XFamily(_FactoredFamily):
         return self._members()
 
 
-def _steps(eigenvalues: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _steps(es: Eigensystem) -> tuple[np.ndarray, np.ndarray]:
     # thresholds (cluster means) and cumulative cluster ends of a real spectrum
-    clusters = cluster_eigenvalues(eigenvalues, tol)
-    thresholds = np.array([c.value.real for c in clusters])
-    ends = np.array([c.start + c.size for c in clusters])
+    thresholds = np.array([c.value.real for c in es.clusters])
+    ends = np.array([c.start + c.size for c in es.clusters])
     return _readonly(thresholds), _readonly(ends)
 
 
 def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> SpectralFamily:
     """Self-adjoint spectral family of a Hermitian operator.
 
-    Eigenvalues are clustered at ``tol*(1+|lam|)``; thresholds are the
-    cluster means and projectors accumulate the eigenspaces.
+    Thresholds are the means of the clusters of ``eig_hermitian(H, tol)``
+    and projectors accumulate the eigenspaces.
     """
     es = eig_hermitian(H, tol)
     W = es.right_vectors
-    return SpectralFamily(*_steps(es.eigenvalues, tol), _readonly(W), _readonly(W.conj().T))
+    return SpectralFamily(*_steps(es), _readonly(W), _readonly(W.conj().T))
 
 
 def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -> XFamily:
     """Non-orthogonal resolution of identity for a quasi-Hermitian ``A``.
 
     ``X(lam_k) = S[:, :e_k] S^-1[:e_k, :]`` for the canonically scaled
-    eigenvector matrix ``S`` of ``A``.  ``A`` may be given as its
-    :class:`Eigensystem`, which is then reused with its own ``defective``
-    verdict.
+    eigenvector matrix ``S`` of ``A``; thresholds and ends ``e_k`` come
+    from the clusters of its :class:`Eigensystem`.
 
     Raises :class:`ComplexSpectrum` or :class:`Defective` when no
     positive metric exists; warns :class:`IllConditionedWarning` when the
     eigenvector basis is badly conditioned.
     """
-    es, s = canonical_eigenbasis(A, tol, "x_family")
+    es = canonical_eigenbasis(A, tol, "x_family")
+    s = es.scaled_vectors
     basis_condition(np.linalg.svd(s, compute_uv=False), "X family is ill-conditioned")
-    return XFamily(*_steps(es.eigenvalues, tol), _readonly(s), _readonly(np.linalg.inv(s)))
+    return XFamily(*_steps(es), s, _readonly(np.linalg.inv(s)))
 
 
 @dataclass(frozen=True)

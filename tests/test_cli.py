@@ -401,3 +401,31 @@ def test_samsonov_spec_beyond_dense_limit_exit_two(tmp_path, monkeypatch, capsys
     path.write_text('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 8193}')
     assert main(["samsonov", str(path)]) == 2
     assert "exceeds the dense limit 8192" in capsys.readouterr().err
+
+
+def _usage_error(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize("command,payload", [("spectral", WORKED), ("lattice", G_FILE)])
+def test_samples_below_one_exit_two(tmp_path, capsys, command, payload):
+    path = _write(tmp_path, "input.json", payload)
+    assert _usage_error([command, path, "--samples", "0"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,payload", [("spectral", WORKED), ("lattice", G_FILE)])
+def test_negative_seed_exit_two(tmp_path, capsys, command, payload):
+    path = _write(tmp_path, "input.json", payload)
+    assert _usage_error([command, path, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1", "-1e-300"])
+def test_negative_or_nonfinite_tol_exit_two(tmp_path, capsys, value):
+    # at --tol inf the worked matrix would pass as hermitian, at -1 as not pseudo-Hermitian
+    path = _write(tmp_path, "worked.json", WORKED)
+    assert _usage_error(["analyze", path, f"--tol={value}"]) == 2
+    assert "--tol" in capsys.readouterr().err

@@ -1,20 +1,23 @@
-"""How many LAPACK-backed kernels the pipelines run.
+"""How many LAPACK-backed kernels and clustering passes the pipelines run.
 
 ``qherm analyze`` diagonalizes its input once, whatever the class,
 ``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
 of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 ``inv`` with no Hermitian eigensolver, no singular vectors and no metric
 root (nor does ``qherm lattice`` read a root), condition numbers are
-computed only where a report or warning reads them, and the half-line
-refinement study runs no dense eigensolver.
+computed only where a report or warning reads them and at most once per
+eigensystem, the eigensolver's clustering pass is the only one, and the
+half-line refinement study runs no dense eigensolver.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import diagonalizable_real_spectrum, rng
+import qherm
 from qherm import (
     HalfLineSpec,
     MetricOperator,
@@ -49,6 +52,23 @@ def _count_calls(monkeypatch, name: str, **only) -> list[int]:
     return counter
 
 
+def _count_qherm_calls(monkeypatch, name: str) -> list[int]:
+    """Count calls of ``qherm.<name>`` through every ``qherm.*`` namespace that binds it."""
+    counter = [0]
+    original = getattr(qherm, name)
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    for key, module in sorted(sys.modules.items()):
+        if key == "qherm" or key.startswith("qherm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counter
+
+
 @pytest.mark.parametrize(
     "name", ["hermitian", "worked", "rotation", "jordan", "unpaired", "quasi5", "pseudo4"]
 )
@@ -56,6 +76,21 @@ def test_analyze_diagonalizes_once(monkeypatch, capsys, name):
     eig_calls = _count_calls(monkeypatch, "eig")
     assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
     assert eig_calls[0] == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["analyze_quasi5", "metric_quasi5", "spectral_quasi5"])
+def test_pipelines_cluster_the_spectrum_once(monkeypatch, tmp_path, name):
+    passes = _count_qherm_calls(monkeypatch, "cluster_eigenvalues")
+    assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
+    assert passes[0] == 1
+
+
+@pytest.mark.parametrize("name", ["pseudo4", "rotation"])
+def test_analyze_computes_one_condition_number(monkeypatch, capsys, name):
+    cond_calls = _count_calls(monkeypatch, "cond")
+    assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
+    assert cond_calls[0] == 1
     capsys.readouterr()
 
 

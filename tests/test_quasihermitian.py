@@ -21,6 +21,7 @@ from qherm import (
     sharp_adjoint,
     solve_metric,
     solve_pseudo_metric,
+    x_family,
 )
 from helpers import (
     diagonalizable_real_spectrum,
@@ -49,7 +50,8 @@ def test_residual_examples():
 
 
 def test_solve_metric_worked_oracle():
-    sol = solve_metric(Operator(A_WORKED))
+    es = eig_general(Operator(A_WORKED))
+    sol = solve_metric(es)
     assert sol.scale == pytest.approx((3 - np.sqrt(5)) / 2, abs=1e-14)
     g_unscaled = sol.canonical.G.matrix / sol.scale
     assert np.abs(g_unscaled - G_WORKED).max() <= 1e-12
@@ -57,7 +59,7 @@ def test_solve_metric_worked_oracle():
     assert sol.canonical.eig_min > 0
     assert sol.canonical.eig_max == pytest.approx(1.0, abs=1e-14)
     # invariant: canonical G = scale * (S S*)^-1
-    s = sol.eigvec_matrix.matrix
+    s = es.scaled_vectors
     rebuilt = sol.scale * np.linalg.inv(s @ s.conj().T)
     assert np.abs(rebuilt - sol.canonical.G.matrix).max() <= 1e-12
     assert [(c.start, c.size) for c in sol.freedom] == [(0, 1), (1, 1)]
@@ -88,6 +90,31 @@ def test_solve_metric_ill_conditioned_warns():
     assert record[0].filename == __file__
     assert sol.vector_condition > 1e6
     assert sol.canonical.eig_min > 0
+
+
+def test_a_passed_eigensystem_keeps_its_verdicts():
+    # eigenvalues 1 +- 1e-9 i: one real cluster at 1e-6, a conjugate pair at 1e-12
+    a = Operator([[1.0, 1e-9], [-1e-9, 1.0]])
+    es = eig_general(a, 1e-6)
+    assert es.tol == 1e-6
+    assert es.real.all() and not es.real.flags.writeable
+    assert len(es.clusters) == 1 and not es.defective
+    assert solve_metric(es, 1e-12).freedom == es.clusters
+    assert len(x_family(es, 1e-12).thresholds) == 1
+    assert solve_pseudo_metric(es, 1e-12)[1] == (2, 0)
+    with pytest.raises(ComplexSpectrum):
+        solve_metric(a, 1e-12)
+    assert solve_pseudo_metric(a, 1e-12)[1] == (1, 1)
+
+
+def test_solve_pseudo_metric_ill_conditioned_warns():
+    # eigenvalues +-1e-7 i with nearly parallel eigenvectors (1, +-1e-7 i)
+    a = Operator([[0.0, 1.0], [-1e-14, 0.0]])
+    with pytest.warns(IllConditionedWarning) as record:
+        T, signature = solve_pseudo_metric(a)
+    assert record[0].filename == __file__
+    assert signature == (1, 1)
+    assert quasi_hermiticity_residual(a, T) <= 1e-8
 
 
 def test_quasi_sa_transform_examples():
@@ -247,10 +274,11 @@ def test_metric_freedom_blocks():
     lam = np.array([1.0, 1.0, 1.0, 4.0, 4.0, 9.0])
     v = well_conditioned(gen, 6)
     a = Operator(v @ np.diag(lam) @ np.linalg.inv(v))
-    sol = solve_metric(a)
+    es = eig_general(a)
+    sol = solve_metric(es)
     sizes = [c.size for c in sol.freedom]
     assert sizes == [3, 2, 1]
-    s = sol.eigvec_matrix.matrix
+    s = es.scaled_vectors
     s_inv = np.linalg.inv(s)
     for _ in range(10):
         blocks = []
@@ -328,7 +356,7 @@ def _loop_eigvec_scaling(v):
 
 
 def test_canonical_eigvec_scaling_matches_the_column_loop():
-    from qherm.quasihermitian import _canonical_eigvec_scaling
+    from qherm.core import _canonical_eigvec_scaling
 
     gen = rng(41)
     v = gen.standard_normal((7, 7)) + 1j * gen.standard_normal((7, 7))
@@ -339,3 +367,9 @@ def test_canonical_eigvec_scaling_matches_the_column_loop():
         got = _canonical_eigvec_scaling(case)
         want = _loop_eigvec_scaling(case)
         assert got.tobytes() == want.tobytes()
+    # the record keeps its S read-only and computes it once
+    es = eig_general(Operator(A_WORKED))
+    s = es.scaled_vectors
+    assert not s.flags.writeable
+    assert es.scaled_vectors is s
+    assert s.tobytes() == _loop_eigvec_scaling(es.right_vectors).tobytes()
