@@ -230,8 +230,8 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
             f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
         )
     w, v = np.linalg.eigh(herm_part(H.matrix))
-    w = w.astype(np.complex128)
-    return _record(H, w, v, tol, cluster_eigenvalues(w, tol), False)
+    w = _readonly(w.astype(np.complex128))
+    return _record(H, w, _readonly(v), tol, cluster_eigenvalues(w, tol), False)
 
 
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:

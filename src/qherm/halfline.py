@@ -22,18 +22,21 @@ The continuum facts to track under grid refinement: ``min sigma(G)`` is
 real, so the discrete ``max |Im lambda(H)|`` must shrink with ``n``.
 
 The refinement study works on the three diagonals of ``H``, ``G`` and
-``L`` and costs O(n^2) time and O(n) memory per grid.  ``H`` and ``G``
-are rank-one corner updates of Toeplitz tridiagonals with closed-form
-eigenpairs, so their spectra are the roots of secular equations (Golub
-1973): all of ``sigma(H)`` by simultaneous Aberth-Ehrlich sweeps
-(Bini-Robol 2014), certified by ``tr H`` and ``tr H^2``, and the extremes
-of ``sigma(G)`` by bisection.  The commutator ``GH - H*G`` comes from its
-five bands, and the Hermiticity residual of ``G^1/2 H G^-1/2`` from
-``L H L^-1`` in closed form.  Two dense paths stay, each for the inputs it
-alone serves: a floored ``eigh(G)`` when ``L`` is near-singular, and
-``eigvals(H)`` when the secular roots fail their certificate.  None of
-the kernels reduces through BLAS, so the report does not depend on the
-BLAS thread count.
+``L`` and costs O(n) time and memory per grid unless ``H`` has a bound
+state.  ``H`` and ``G`` are rank-one corner updates of Toeplitz tridiagonals
+with closed-form eigenpairs (Golub 1973).  All of ``sigma(H)`` comes root
+by root from Newton's method on the closed-form characteristic equation
+of ``H``, certified by every step converging and by ``tr H`` and
+``tr H^2``; a grid whose Newton roots fail that certificate, as every
+grid with a bound state does, takes simultaneous Aberth-Ehrlich sweeps on the secular equation of ``H``
+(Bini-Robol 2014, O(n^2)), under the same certificate.  The extremes of
+``sigma(G)`` come by bisection on its secular equation.  The commutator
+``GH - H*G`` comes from its five bands, and the Hermiticity residual of
+``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed form.  Two dense paths
+stay, each for the inputs it alone serves: a floored ``eigh(G)`` when
+``L`` is near-singular, and ``eigvals(H)`` when the Aberth roots fail the
+certificate too.  None of the kernels reduces through BLAS, so the report
+does not depend on the BLAS thread count.
 
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
@@ -64,6 +67,9 @@ MAX_GRID_SIZE = 8192
 # floor on sigma(G), relative to its top, below which G^{+-1/2} are formed
 # from a floored dense eigendecomposition
 FLOOR_EPSILON = 1e-12
+
+# Newton steps per root before the Aberth sweeps take over the spectrum of H
+_MAX_NEWTON_STEPS = 10
 
 # Aberth sweeps before the dense eigensolver takes over the spectrum of H
 _MAX_SWEEPS = 60
@@ -383,6 +389,69 @@ def _spectrum(hmat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(hmat)
 
 
+def _newton(n: int, h: float, c: complex) -> np.ndarray | None:
+    """``sigma(H)`` root by root from its closed-form characteristic
+    equation, or None if a root has not converged after
+    ``_MAX_NEWTON_STEPS`` steps.
+
+    Write ``h^2 lam = 2 - q - 1/q`` and ``beta = 1 + hc``.  The rows of
+    ``h^2 (H - lam)`` below the corner and the Dirichlet wall leave
+    ``x_j = q^j - q^(2n-j)``, and the corner row (the ghost value
+    ``x_-1 = beta x_0``) then asks ``q^2n (beta - q) = beta - 1/q``, which
+    the spurious ``q = +-1`` satisfy too.  With ``q = e^(i phi)`` each root
+    is a zero of ``F(phi) = 2n i phi - Log((beta - 1/q)/(beta - q)) -
+    2 pi i m``, ``F' = i (2n - 1/(beta q - 1) - q/(beta - q))``, with ``m``
+    the nearest integer at every step.  Root ``k`` starts from the ``c = 0``
+    root ``phi_k = (2k+1) pi/(2n+1)``, where ``lam`` is the pole ``mu_k``
+    of the secular equation, and has converged once its step is at most
+    four units in the last place of ``|phi|``.  Nothing keeps two starts
+    from reaching one root, or one from reaching ``q = 1``, and no start
+    reaches the bound state (``|q| < 1``) that ``H`` has once
+    ``|beta| > 1``; the certificate of :func:`_certified` rejects all
+    three.
+
+    Everything is formed without cancellation, since ``|Im lam|`` is what
+    the study reads: ``beta - q`` as ``hc - 2i sin(phi/2) q^1/2`` (and
+    ``beta - 1/q`` alike), the real part of the logarithm from
+    ``|beta - 1/q|^2 - |beta - q|^2``, which is proportional to ``Im c``
+    for real ``phi``, and ``lam`` as ``(4/h^2) sin^2(phi/2)``.  For
+    ``Im c < 0`` the roots are those of ``conj c``, conjugated, since
+    ``H(conj c) = conj H(c)``.
+    """
+    flip = c.imag < 0.0
+    hc = h * (c.conjugate() if flip else c)
+    phi = ((2 * np.arange(n) + 1) * (np.pi / (2 * n + 1))).astype(np.complex128)
+    active = np.ones(n, dtype=bool)
+    for _ in range(_MAX_NEWTON_STEPS):
+        todo = np.flatnonzero(active)
+        if todo.size == 0:
+            break
+        p = phi[todo]
+        x, y = p.real, p.imag
+        root_q = np.exp(0.5j * p)
+        chord = 2j * np.sin(0.5 * p)  # q^1/2 - q^-1/2
+        minus = hc - chord * root_q  # beta - q
+        plus = hc + chord / root_q  # beta - 1/q
+        q = root_q * root_q
+        # |beta - 1/q|^2 - |beta - q|^2 as a sum that keeps its relative
+        # accuracy; for real phi it is 4 Im(hc) sin(phi)
+        excess = 4.0 * hc.imag * np.sin(x) * np.cosh(y) + 4.0 * np.sinh(y) * (
+            2.0 * np.sinh(0.5 * y) ** 2 + 2.0 * np.sin(0.5 * x) ** 2 - hc.real * np.cos(x)
+        )
+        log_modulus = 0.5 * np.log1p(excess / (minus.real**2 + minus.imag**2))
+        angle = np.angle(plus / minus)
+        m = np.round((2 * n * x - angle) / (2.0 * np.pi))
+        f = 2j * n * p - log_modulus - 1j * (angle + 2.0 * np.pi * m)
+        f_prime = 1j * (2 * n - 1.0 / (q * plus) - q / minus)
+        step = f / f_prime
+        phi[todo] = p - step
+        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * np.abs(phi[todo]))
+    if active.any():
+        return None
+    roots = (4.0 / (h * h)) * np.sin(0.5 * phi) ** 2
+    return roots.conjugate() if flip else roots
+
+
 def _aberth(mu: np.ndarray, w: np.ndarray, rho: complex) -> np.ndarray | None:
     """All roots of ``1 = rho sum_k w_k/(mu_k - lam)``, or None if a root
     has not converged after ``_MAX_SWEEPS`` sweeps.
@@ -431,43 +500,55 @@ def _aberth(mu: np.ndarray, w: np.ndarray, rho: complex) -> np.ndarray | None:
     return z if not active.any() else None
 
 
-def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
-    """``max |Im lambda(H)|`` from the secular equation of ``H``.
+def _certified(roots: np.ndarray | None, hb: np.ndarray) -> bool:
+    """Whether ``roots`` (None for a solver that did not converge) pass for
+    ``sigma(H)``: ``sum lam = tr H`` and ``sum lam^2 = tr H^2`` to ``n``
+    units in the last place of ``sum |lam|`` and ``sum |lam|^2``."""
+    if roots is None:
+        return False
+    moduli = np.abs(roots)
+    trace = np.sum(hb[:, 1])
+    trace_sq = np.sum(hb[:, 1] ** 2) + 2.0 * np.sum(hb[:-1, 2] * hb[1:, 0])
+    slack = roots.size * _EPS
+    return bool(
+        abs(np.sum(roots) - trace) <= slack * np.sum(moduli)
+        and abs(np.sum(roots * roots) - trace_sq) <= slack * np.sum(moduli**2)
+    )
 
-    ``H = T - (c/h) e0 e0^T`` where ``T = D^T D`` has eigenvalues
-    ``mu_k = (4/h^2) sin^2(theta_k/2)``, ``theta_k = (2k+1) pi/(2n+1)``,
-    with squared first components ``w_k = 4 cos^2(theta_k/2)/(2n+1)``
-    (Golub 1973).  The roots come from :func:`_aberth` and are certified
-    by ``sum lam = tr H`` and ``sum lam^2 = tr H^2`` to ``n`` units in the
-    last place of ``sum |lam|`` and ``sum |lam|^2``; otherwise dense
-    ``eigvals`` decides.  A real ``c`` makes ``H`` real symmetric.
+
+def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
+    """``max |Im lambda(H)|``, each solver taking over when the one before
+    it fails the certificate of :func:`_certified`.
+
+    First :func:`_newton`, O(n) per step.  Then :func:`_aberth` on the
+    secular equation: ``H = T - (c/h) e0 e0^T`` where ``T = D^T D`` has
+    eigenvalues ``mu_k = (4/h^2) sin^2(theta_k/2)``,
+    ``theta_k = (2k+1) pi/(2n+1)``, with squared first components
+    ``w_k = 4 cos^2(theta_k/2)/(2n+1)`` (Golub 1973), O(n^2) per sweep.
+    Last, dense ``eigvals``.  A real ``c`` makes ``H`` real symmetric.
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     if c.imag == 0.0:
         return 0.0
-    half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
-    mu = (4.0 / (h * h)) * np.sin(half) ** 2
-    w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
-    roots = _aberth(mu, w, c / h)
-    if roots is not None:
-        moduli = np.abs(roots)
-        trace = np.sum(hb[:, 1])
-        trace_sq = np.sum(hb[:, 1] ** 2) + 2.0 * np.sum(hb[:-1, 2] * hb[1:, 0])
-        slack = n * _EPS
-        if (
-            abs(np.sum(roots) - trace) <= slack * np.sum(moduli)
-            and abs(np.sum(roots * roots) - trace_sq) <= slack * np.sum(moduli**2)
-        ):
-            return float(np.abs(roots.imag).max())
-    return float(np.abs(_spectrum(build_pair(grid).H.matrix).imag).max())
+    roots = _newton(n, h, c)
+    if not _certified(roots, hb):
+        half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
+        mu = (4.0 / (h * h)) * np.sin(half) ** 2
+        w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
+        roots = _aberth(mu, w, c / h)
+        if not _certified(roots, hb):
+            roots = _spectrum(build_pair(grid).H.matrix)
+    return float(np.abs(roots.imag).max())
 
 
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     """Run the refinement study over ascending grid sizes ``schedule``.
 
-    Each grid costs O(n^2) time and O(n) memory: no n x n matrix is formed
-    unless ``L`` is near-singular (the floor on ``sigma(G)`` binds) or the
-    secular spectrum of ``H`` fails its certificate.
+    Each grid costs O(n) time and memory while the Newton roots of ``H``
+    pass their certificate, and O(n^2) time when the Aberth sweeps take
+    over.  No n x n matrix is formed unless ``L`` is near-singular (the
+    floor on ``sigma(G)`` binds) or the Aberth roots fail the certificate
+    too.
     """
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(sizes) != sizes:

@@ -62,6 +62,16 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(Operator([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("solver", [eig_hermitian, eig_general])
+def test_eigensystem_arrays_are_read_only(solver):
+    # the record keeps verdicts (clusters, real) about these very arrays
+    es = solver(np.diag([1.0, 2.0]))
+    for values in (es.eigenvalues, es.right_vectors, es.real):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+
 def test_eig_general_examples():
     es = eig_general(Operator([[1, 1], [0, 2]]))
     assert np.allclose(es.eigenvalues, [1.0, 2.0], atol=0)

@@ -168,12 +168,26 @@ def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
         (0.0, -3.0, 1.0, 64),
         (-0.5, 1.5, 40.0, 100),
         (2.0, -3.0, 2.0, 16),
+        (-1.2, 0.8, 40.0, 200),
     ],
 )
 def test_max_im_matches_mpmath(d, b, box, n):
     ref = mp_max_im_h(d, b, box, n)
     got = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0].max_im_lambda_H
     assert abs(got - ref) <= 1e-13 * ref
+
+
+def _newton_certifies(spec: HalfLineSpec) -> bool:
+    hb, _ = halfline._bands(spec)
+    roots = halfline._newton(spec.n, spec.spacing, spec.robin_coefficient)
+    return halfline._certified(roots, hb)
+
+
+def test_mpmath_cases_cover_both_solvers():
+    # the benchmark-range case is solved by Newton's method; at d = -0.5,
+    # b = 1.5, n = 100 the grid has |1 + hc| = 1 and falls back to Aberth
+    assert _newton_certifies(HalfLineSpec(-1.2, 0.8, 40.0, 200))
+    assert not _newton_certifies(HalfLineSpec(-0.5, 1.5, 40.0, 100))
 
 
 @pytest.mark.parametrize(
@@ -215,6 +229,7 @@ def _record_calls(monkeypatch, name: str) -> list[tuple[int, ...]]:
 def test_failed_certificate_falls_back_to_dense_eigvals(monkeypatch):
     spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
     schedule = [50, 100]
+    monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
     monkeypatch.setattr(halfline, "_MAX_SWEEPS", 1)
     calls = _record_calls(monkeypatch, "eigvals")
     rows = samsonov_report(spec, schedule).rows
@@ -225,8 +240,9 @@ def test_failed_certificate_falls_back_to_dense_eigvals(monkeypatch):
 
 
 def test_certificate_rejects_a_lost_root(monkeypatch):
-    # every step converged, but one root is a copy of its neighbour: the
-    # trace checks must send the grid to the dense solver
+    # Newton's method fails; every Aberth step converged, but one root is a
+    # copy of its neighbour: the trace checks must send the grid to the
+    # dense solver
     original = halfline._aberth
 
     def lose_one(mu, w, rho):
@@ -236,12 +252,47 @@ def test_certificate_rejects_a_lost_root(monkeypatch):
         return roots
 
     spec = HalfLineSpec(-1.0, 1.0, 20.0, 100)
+    monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
     monkeypatch.setattr(halfline, "_aberth", lose_one)
     calls = _record_calls(monkeypatch, "eigvals")
     row = samsonov_report(spec, [100]).rows[0]
     monkeypatch.undo()
     assert calls == [(100, 100)]
     assert row.max_im_lambda_H == dense_samsonov_rows(spec, [100])[0].max_im_lambda_H
+
+
+def test_certificate_sends_a_lost_newton_root_to_aberth(monkeypatch):
+    # every Newton step converged, but one root is a copy of its neighbour:
+    # the trace checks must send the grid to the Aberth sweeps, and the
+    # rows are then those of Aberth alone
+    spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
+    schedule = [50, 100]
+    monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
+    aberth_rows = samsonov_report(spec, schedule).rows
+    monkeypatch.undo()
+
+    newton, aberth = halfline._newton, halfline._aberth
+    sweeps = []
+
+    def lose_one(n, h, c):
+        roots = newton(n, h, c)
+        low = np.argsort(roots.real)
+        roots[low[0]] = roots[low[1]]
+        return roots
+
+    def counted(mu, w, rho):
+        sweeps.append(mu.size)
+        return aberth(mu, w, rho)
+
+    monkeypatch.setattr(halfline, "_newton", lose_one)
+    monkeypatch.setattr(halfline, "_aberth", counted)
+    calls = _record_calls(monkeypatch, "eigvals")
+    rows = samsonov_report(spec, schedule).rows
+    monkeypatch.undo()
+    assert calls == []
+    assert sweeps == schedule
+    # repr, because the first row's order estimate is nan
+    assert [repr(r) for r in rows] == [repr(r) for r in aberth_rows]
 
 
 def test_floor_binding_input_takes_the_floored_path(monkeypatch):
@@ -287,3 +338,29 @@ def test_secular_spectrum_never_falls_back(d, b, box, n):
     assert row.residual_interior == 0.0
     if b == 0.0:
         assert row.max_im_lambda_H == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.floats(-3.0, 3.0, allow_nan=False),
+    b=st.floats(1e-3, 3.0, allow_nan=False),
+    b_sign=st.sampled_from([-1.0, 1.0]),
+    h=st.floats(0.01, 0.15, allow_nan=False),
+    n=st.integers(16, 200),
+)
+def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
+    # h <= 0.15 keeps |hc| <= 0.64; at larger |hc| the Aberth roots
+    # themselves miss the mpmath max |Im lam| by up to ~6e-14 relative
+    spec = HalfLineSpec(d, b_sign * b, h * n, n)
+    hb, _ = halfline._bands(spec)
+    h, c = spec.spacing, spec.robin_coefficient
+    roots = halfline._newton(n, h, c)
+    if not halfline._certified(roots, hb):
+        return
+    half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
+    mu = (4.0 / (h * h)) * np.sin(half) ** 2
+    w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
+    reference = halfline._aberth(mu, w, c / h)
+    assert halfline._certified(reference, hb)
+    new, ref = np.abs(roots.imag).max(), np.abs(reference.imag).max()
+    assert abs(new - ref) <= 1e-13 * ref

@@ -7,7 +7,8 @@ of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 root (nor does ``qherm lattice`` read a root), condition numbers are
 computed only where a report or warning reads them and at most once per
 eigensystem, the eigensolver's clustering pass is the only one, and the
-half-line refinement study runs no dense eigensolver.
+half-line refinement study runs no dense eigensolver and, on the
+benchmark's inputs, no Aberth sweep.
 """
 
 import os
@@ -32,6 +33,7 @@ from qherm import (
     x_family,
     x_properties,
 )
+from qherm import halfline
 from qherm.cli import main
 from test_golden import run_case
 
@@ -155,4 +157,26 @@ def test_samsonov_runs_no_dense_eigensolver(monkeypatch):
     counters = [_count_calls(monkeypatch, name) for name in names]
     rep = samsonov_report(HalfLineSpec(-1.0, 1.0, 40.0, 100), [100, 200, 400])
     assert rep.passed
+    assert {name: c[0] for name, c in zip(names, counters)} == dict.fromkeys(names, 0)
+
+
+# three draws from the halfline_refine workload's range, d in [-1.5, -0.5]
+# and b in [0.5, 1.5], rounded as the workload rounds them
+_REFINE_DRAWS = np.round(rng(10).uniform([-1.5, 0.5], [-0.5, 1.5], (3, 2)), 6).tolist()
+
+
+@pytest.mark.parametrize("d, b", [(-1.0, 1.0), *_REFINE_DRAWS])
+def test_samsonov_solves_the_spectrum_by_newton_alone(monkeypatch, d, b):
+    names = ("eig", "eigh", "eigvals", "eigvalsh")
+    counters = [_count_calls(monkeypatch, name) for name in names]
+    sweeps = [0]
+    aberth = halfline._aberth
+
+    def counted(*args):
+        sweeps[0] += 1
+        return aberth(*args)
+
+    monkeypatch.setattr(halfline, "_aberth", counted)
+    samsonov_report(HalfLineSpec(d, b, 40.0, 100), [100, 200, 400])
+    assert sweeps[0] == 0
     assert {name: c[0] for name, c in zip(names, counters)} == dict.fromkeys(names, 0)
