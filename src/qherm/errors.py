@@ -73,7 +73,7 @@ class InvalidSpec(QhermError):
 
 
 class SingularMetric(QhermError):
-    """The discretized metric stays numerically singular after flooring."""
+    """The discretized metric has no positive spectrum."""
 
 
 class ParseError(QhermError):

@@ -22,21 +22,20 @@ The continuum facts to track under grid refinement: ``min sigma(G)`` is
 real, so the discrete ``max |Im lambda(H)|`` must shrink with ``n``.
 
 The refinement study works on the three diagonals of ``H``, ``G`` and
-``L`` and costs O(n) time and memory per grid unless ``H`` has a bound
-state.  ``H`` and ``G`` are rank-one corner updates of Toeplitz tridiagonals
-with closed-form eigenpairs (Golub 1973).  All of ``sigma(H)`` comes root
-by root from Newton's method on the closed-form characteristic equation
-of ``H``, certified by every step converging and by ``tr H`` and
-``tr H^2``; a grid whose Newton roots fail that certificate, as every
-grid with a bound state does, takes simultaneous Aberth-Ehrlich sweeps on the secular equation of ``H``
-(Bini-Robol 2014, O(n^2)), under the same certificate.  The extremes of
-``sigma(G)`` come by bisection on its secular equation.  The commutator
-``GH - H*G`` comes from its five bands, and the Hermiticity residual of
-``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed form.  Two dense paths
-stay, each for the inputs it alone serves: a floored ``eigh(G)`` when
-``L`` is near-singular, and ``eigvals(H)`` when the Aberth roots fail the
-certificate too.  None of the kernels reduces through BLAS, so the report
-does not depend on the BLAS thread count.
+``L``, forms no n x n matrix and costs O(n) time and memory per grid
+unless ``H`` has a bound state.  ``H`` and ``G`` are rank-one corner
+updates of Toeplitz tridiagonals with closed-form eigenpairs (Golub 1973).
+Newton's method finds each root of the characteristic equation of ``H``,
+certified by every step converging and by ``tr H`` and ``tr H^2``; a grid
+that fails, as every grid with a bound state does, takes Aberth-Ehrlich
+sweeps on the secular equation of ``H`` (Bini-Robol 2014, O(n^2)) and
+raises :class:`ConvergenceFailure` if those fail too.  Bisection on the
+secular equation of ``G`` gives the extremes of ``sigma(G)``, but
+``min sigma(G)`` is ``sigma_min(L)^2`` by inverse iteration where
+:data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` comes from its
+five bands and the Hermiticity residual of ``G^1/2 H G^-1/2`` from
+``L H L^-1`` in closed form.  Only :func:`build_pair` calls BLAS or
+LAPACK, so the report does not depend on the BLAS thread count.
 
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
@@ -48,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator, fro, herm_part
-from .errors import InvalidSpec, SingularMetric
+from .core import Operator
+from .errors import ConvergenceFailure, InvalidSpec, SingularMetric
 
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
@@ -59,19 +58,17 @@ _EPS = np.finfo(np.float64).eps
 # perturbed entry, so three is one row of slack
 _BOUNDARY_MARGIN = 3
 
-# largest grid size: build_pair and the floored path of samsonov_report
-# form dense n x n matrices, and one complex128 matrix at n = 8192 already
-# takes 16 * 8192**2 bytes = 1 GiB
+# largest grid size: build_pair forms dense n x n matrices (16 * 8192**2
+# bytes = 1 GiB each at n = 8192), and the Aberth sweeps take O(n^2) time
 MAX_GRID_SIZE = 8192
 
-# floor on sigma(G), relative to its top, below which G^{+-1/2} are formed
-# from a floored dense eigendecomposition
+# min sigma(G) / max sigma(G) below which min sigma(G) is sigma_min(L)^2
 FLOOR_EPSILON = 1e-12
 
 # Newton steps per root before the Aberth sweeps take over the spectrum of H
 _MAX_NEWTON_STEPS = 10
 
-# Aberth sweeps before the dense eigensolver takes over the spectrum of H
+# Aberth sweeps before the spectrum of H is given up as unconverged
 _MAX_SWEEPS = 60
 
 # elements of one row block of an Aberth sweep: each (block x n) temporary
@@ -181,7 +178,7 @@ class SamsonovRow:
     gap_to_d2: float
     residual_full: float
     residual_interior: float
-    herm_residual_h: float
+    herm_residual_h: float  # nan where L is singular (1 - hc = 0)
     max_im_lambda_H: float
     order_estimate: float  # of residual_full against the previous row; nan first
 
@@ -229,8 +226,7 @@ def _nonincreasing(values: list[float], floor: float) -> bool:
 
 # The kernels below work on tridiagonal matrices stored as (n, 3) band
 # arrays, column s + 1 holding the entries [i, i + s]; entries that fall
-# outside the matrix are zero.  They reduce with numpy sums only (no BLAS
-# call), so every number is the same under any BLAS thread count.
+# outside the matrix are zero.
 
 
 def _bands(grid: HalfLineSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +317,32 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     return lowest, highest
 
 
+def _min_singular_squared(grid: HalfLineSpec) -> float:
+    """``min sigma(G) = sigma_min(L)^2`` by inverse iteration, to high
+    relative accuracy.  ``h L`` is unitarily similar to a unimodular multiple
+    of the real ``N = m I - S``, ``m = |1 - hc|``, and ``N^-1[i, j] =
+    m^-(j-i+1)`` for ``j >= i``: ``N^-1`` and ``N^-T`` are cumulative sums
+    of positive terms.  The floor binds only for ``m < 1``, where ``y_j =
+    m^(n-1-j) u_j`` keeps every entry in range and ``m^2n`` is taken by
+    logarithms, so a minimum below the float range, or a singular ``L``,
+    gives 0.0.  Four steps from ``u = 1``, the dominant direction, converge.
+    """
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    m2 = abs(1.0 - h * c) ** 2
+    if m2 == 0.0:
+        return 0.0
+    # near m = 1, log m^2 from m^2 - 1 = h (h |c|^2 - 2d), which keeps it relative
+    log_m2 = np.log1p(h * (h * abs(c) ** 2 - 2.0 * c.real)) if m2 > 0.5 else np.log(m2)
+    weights = np.exp(np.arange(n) * log_m2)  # m^2k; underflow is harmless
+    u = np.ones(n)
+    for _ in range(4):
+        w = np.cumsum(weights * (u / u[-1])[::-1])[::-1]
+        u = np.cumsum(weights * w)
+    # ||x||^2 / ||N^-T x||^2 at x = N^-1 y, times m^2n and the 1/h^2 of L
+    ratio = np.sum(weights * w * w) / np.sum(weights * u[::-1] ** 2)
+    return float(np.exp(n * log_m2 + np.log(ratio) - 2.0 * np.log(h)))
+
+
 def _factor_herm_residual(grid: HalfLineSpec) -> float:
     """``||Z - Z*||_F / ||Z||_F`` with ``Z = L H L^-1``, in closed form.
 
@@ -335,58 +357,39 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
         w_0 = s q,  w_j = c^2 q^(j+1) for j >= 1.
 
     ``Z - Z*`` is then row and column 0 and the last diagonal entry.  Its
-    entries are written without cancellation, ``|q|^2 = 1/|1 - hc|^2``.
+    entries are written without cancellation, ``|q|^2 = 1/|1 - hc|^2``, and
+    for ``|q| > 1`` both sums are over their largest term ``|q|^2n``.  It is
+    the exact transform's residual also where the floor binds (floored roots
+    of ``G`` give 0.94, not ``sqrt 2``, at ``d, b, L, n = 1, 0.5, 40, 1600``).
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     d, b = c.real, c.imag
     s = 1.0 / (h * h)
     one_minus = 1.0 - h * c  # -h times the diagonal of L
     m2 = one_minus.real**2 + one_minus.imag**2
+    if m2 == 0.0:
+        return float("nan")
     q = 1.0 / one_minus
     c2 = c * c
     c4 = c2.real**2 + c2.imag**2
-    # |q|^(2k) for k = 2..n: |w_j|^2 = |c|^4 |q|^(2(j+1))
-    tail = np.exp(np.arange(2, n + 1) * -np.log(m2))
+    # |q|^(2k) for k = 2..n, over |q|^2n if |q| > 1: |w_j|^2 = |c|^4 |q|^(2(j+1))
+    top = n if m2 < 1.0 else 0
+    tail = np.exp((top - np.arange(2, n + 1)) * np.log(m2))
+    scale = m2**top
     # Im Z[0,0] = s Im q - b/h and Im Z[n-1,n-1] = -s Im q
     im_corner = b * (2.0 * d - h * abs(c) ** 2) / m2
     im_last = b / (h * m2)
-    num_sq = 4.0 * im_corner**2 + 2.0 * c4 * np.sum(tail) + 4.0 * im_last**2
+    num_sq = 4.0 * im_corner**2 * scale + 2.0 * c4 * np.sum(tail) + 4.0 * im_last**2 * scale
     z00 = s * (1.0 + q) - c / h
     z01 = c2 * q * q - s
     den_sq = (
-        abs(z00) ** 2
-        + abs(z01) ** 2
+        abs(z00) ** 2 * scale
+        + abs(z01) ** 2 * scale
         + c4 * np.sum(tail[1:])
         # rows 1..n-2 of H, then row n-1 with its corrected diagonal
-        + s * s * (6.0 * (n - 2) + 1.0 + abs(2.0 - q) ** 2)
+        + s * s * (6.0 * (n - 2) + 1.0 + abs(2.0 - q) ** 2) * scale
     )
     return float(np.sqrt(num_sq) / max(np.sqrt(den_sq), _TINY))
-
-
-def _floored_fields(grid: HalfLineSpec) -> tuple[float, float]:
-    """``min sigma(G)`` and the Hermiticity residual from a floored dense
-    ``eigh(G)``: once the floor binds, the residual is that of the floored
-    roots ``G^+-1/2``, which the factor ``L`` does not give."""
-    pair = build_pair(grid)
-    hmat, gmat = pair.H.matrix, pair.G_raw.matrix
-    w_g, v_g = np.linalg.eigh(herm_part(gmat))
-    w_floored = np.maximum(w_g, FLOOR_EPSILON * float(w_g[-1]))
-    g_half = (v_g * np.sqrt(w_floored)) @ v_g.conj().T
-    g_invhalf = (v_g / np.sqrt(w_floored)) @ v_g.conj().T
-    commutator = gmat @ hmat - hmat.conj().T @ gmat
-    # h - h* equals G^-1/2 (GH - H*G) G^-1/2, so measure the defect on
-    # the commutator: exact zeros stay exact instead of being polluted
-    # by the conditioning of G^1/2
-    h_transformed = g_half @ hmat @ g_invhalf
-    defect = fro(g_invhalf @ commutator @ g_invhalf)
-    return float(w_g[0]), defect / max(fro(h_transformed), _TINY)
-
-
-def _spectrum(hmat: np.ndarray) -> np.ndarray:
-    # the real LAPACK driver keeps an exactly-real spectrum exactly real
-    if np.all(hmat.imag == 0.0):
-        return np.linalg.eigvals(hmat.real).astype(np.complex128)
-    return np.linalg.eigvals(hmat)
 
 
 def _newton(n: int, h: float, c: complex) -> np.ndarray | None:
@@ -525,7 +528,7 @@ def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
     eigenvalues ``mu_k = (4/h^2) sin^2(theta_k/2)``,
     ``theta_k = (2k+1) pi/(2n+1)``, with squared first components
     ``w_k = 4 cos^2(theta_k/2)/(2n+1)`` (Golub 1973), O(n^2) per sweep.
-    Last, dense ``eigvals``.  A real ``c`` makes ``H`` real symmetric.
+    Last, :class:`ConvergenceFailure`.  A real ``c`` makes ``H`` real symmetric.
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     if c.imag == 0.0:
@@ -537,18 +540,16 @@ def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
         w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
         roots = _aberth(mu, w, c / h)
         if not _certified(roots, hb):
-            roots = _spectrum(build_pair(grid).H.matrix)
+            raise ConvergenceFailure(f"no certified spectrum of H at n = {n}")
     return float(np.abs(roots.imag).max())
 
 
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     """Run the refinement study over ascending grid sizes ``schedule``.
 
-    Each grid costs O(n) time and memory while the Newton roots of ``H``
-    pass their certificate, and O(n^2) time when the Aberth sweeps take
-    over.  No n x n matrix is formed unless ``L`` is near-singular (the
-    floor on ``sigma(G)`` binds) or the Aberth roots fail the certificate
-    too.
+    Each grid costs O(n) time and memory, or O(n^2) time when the Aberth
+    sweeps take over, and forms no n x n matrix.  Raises
+    :class:`ConvergenceFailure` when the Aberth roots fail their certificate.
     """
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(sizes) != sizes:
@@ -572,9 +573,7 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
         residual_interior = np.sqrt(_sum_sq(interior)) / denom
 
         if min_eig < FLOOR_EPSILON * max_eig:
-            min_eig, herm_res = _floored_fields(grid)
-        else:
-            herm_res = _factor_herm_residual(grid)
+            min_eig = _min_singular_squared(grid)
         gap = min_eig - d2
 
         max_im = _max_im_eigenvalue(grid, hb)
@@ -592,7 +591,7 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
             gap,
             float(residual_full),
             float(residual_interior),
-            herm_res,
+            _factor_herm_residual(grid),
             max_im,
             order,
         )

@@ -47,7 +47,10 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     Each grid runs ``eigh(G)``, floors ``sigma(G)`` at ``FLOOR_EPSILON``
     times its top, forms ``G^+-1/2`` and the commutator densely and takes
     the spectrum of ``H`` from ``eigvals``: the reference the secular and
-    factor kernels of :mod:`qherm.halfline` are compared against.
+    factor kernels of :mod:`qherm.halfline` are compared against.  Where
+    the floor binds, its ``min sigma(G)`` is rounding noise and its
+    Hermiticity residual that of the floored roots, so there it is the
+    reference for the other fields only.
     """
     from qherm.core import fro, herm_part
     from qherm.errors import SingularMetric

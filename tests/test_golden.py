@@ -65,6 +65,11 @@ CASES = {
         "samsonov", "--d", "-1", "--b", "1", "--L", "20", "--n", "50,100,200",
         "--csv-out", "{csv}", "--json-out", "{json}",
     ],
+    # the floor on sigma(G) binds: min_eig_G is sigma_min(L)^2, ~1e-40
+    "samsonov_floor": [
+        "samsonov", "--d", "1", "--b", "0.5", "--L", "40", "--n", "64,128",
+        "--csv-out", "{csv}", "--json-out", "{json}",
+    ],
 }
 
 
@@ -103,7 +108,7 @@ def test_samsonov_cases_match_golden_with_one_blas_thread():
         "import os, sys, tempfile\n"
         "from test_golden import GOLDEN, run_case\n"
         "with tempfile.TemporaryDirectory() as out:\n"
-        "    for name in ('samsonov_free', 'samsonov_robin'):\n"
+        "    for name in ('samsonov_free', 'samsonov_robin', 'samsonov_floor'):\n"
         "        for suffix, data in run_case(name, out).items():\n"
         "            with open(os.path.join(GOLDEN, f'{name}.{suffix}'), 'rb') as handle:\n"
         "                if data != handle.read():\n"

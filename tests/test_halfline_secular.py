@@ -1,14 +1,16 @@
-"""The O(n^2) half-line kernels against the dense path and mpmath.
+"""The half-line kernels against the dense path and mpmath.
 
-``samsonov_report`` takes ``sigma(H)`` from a secular equation, the
-extremes of ``sigma(G)`` by bisection and the residuals from bands and
-the factor ``L``.  The dense per-grid computation in
+``samsonov_report`` takes ``sigma(H)`` from its characteristic or secular
+equation, the extremes of ``sigma(G)`` by bisection (``min sigma(G)`` as
+``sigma_min(L)^2`` where the floor binds) and the residuals from bands
+and the factor ``L``.  The dense per-grid computation in
 ``tests/dense_oracle.py`` is the reference; where the two differ by more
 than rounding, the mpmath oracles below show which one is right.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from unittest import mock
 
@@ -19,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import dense_samsonov_rows
-from qherm import HalfLineSpec, samsonov_report
+from qherm import ConvergenceFailure, HalfLineSpec, samsonov_report
 from qherm import halfline
+from qherm.cli import main
 
 EPS = np.finfo(np.float64).eps
 
@@ -31,8 +34,11 @@ def _close(new: float, ref: float, atol: float) -> bool:
     return abs(new - ref) <= 1e-10 * abs(ref) + atol
 
 
-def _agreement_problems(spec: HalfLineSpec, schedule: list[int]) -> list[str]:
-    """Fields of ``samsonov_report`` that differ from the dense rows.
+def _agreement_problems(
+    spec: HalfLineSpec, schedule: list[int], skip: tuple[str, ...] = ()
+) -> list[str]:
+    """Fields of ``samsonov_report``, other than ``skip``, that differ from
+    the dense rows.
 
     Each field may differ by 1e-10 relative plus the dense kernel's own
     rounding: ``eigh`` places ``min sigma(G)`` to a few ``eps ||G||``,
@@ -63,6 +69,8 @@ def _agreement_problems(spec: HalfLineSpec, schedule: list[int]) -> list[str]:
             )
             atol["order_estimate"] = slack / math.log(row.n / prev.n)
         for field, tol in atol.items():
+            if field in skip:
+                continue
             new, old = getattr(row, field), getattr(ref, field)
             if not _close(new, old, tol):
                 problems.append(f"n={row.n} {field}: {new!r} vs dense {old!r}")
@@ -99,9 +107,11 @@ def _mp_grid(d: float, b: float, box: float, n: int):
     return h, mpmath.mpc(d, b)
 
 
-def mp_min_eig_g(d: float, b: float, box: float, n: int) -> mpmath.mpf:
-    """``min sigma(L* L)`` by Sturm-count bisection on the tridiagonal."""
-    with mpmath.workdps(40):
+def mp_min_eig_g(d: float, b: float, box: float, n: int, dps: int = 40) -> mpmath.mpf:
+    """``min sigma(L* L)`` by Sturm-count bisection on the tridiagonal, at
+    ``dps`` digits: a minimum ``10^-k`` below ``||G||`` keeps about
+    ``dps - k`` of them."""
+    with mpmath.workdps(dps):
         h, c = _mp_grid(d, b, box, n)
         a = c - 1 / h
         diag = [abs(a) ** 2] + [abs(a) ** 2 + 1 / h**2] * (n - 1)
@@ -112,11 +122,11 @@ def mp_min_eig_g(d: float, b: float, box: float, n: int) -> mpmath.mpf:
             for k in range(1, n):
                 count += pivot < 0
                 # an exactly zero pivot is perturbed, as in LAPACK's dstebz
-                pivot = diag[k] - lam - off_sq / (pivot or mpmath.mpf(10) ** -60)
+                pivot = diag[k] - lam - off_sq / (pivot or mpmath.mpf(10) ** -(dps + 20))
             return count + (pivot < 0)
 
         lo, hi = mpmath.mpf(0), 4 * diag[1]
-        while hi - lo > mpmath.mpf(10) ** -34 * hi:
+        while hi - lo > mpmath.mpf(10) ** -(dps - 6) * hi:
             mid = (lo + hi) / 2
             if below(mid) >= 1:
                 hi = mid
@@ -210,7 +220,7 @@ def test_golden_fields_no_less_accurate_than_dense(d, b, box, schedule):
             assert row.max_im_lambda_H == ref.max_im_lambda_H == 0.0
 
 
-# --- the two dense paths that stay ------------------------------------------
+# --- a spectrum that no solver certifies ------------------------------------
 
 
 def _record_calls(monkeypatch, name: str) -> list[tuple[int, ...]]:
@@ -226,23 +236,19 @@ def _record_calls(monkeypatch, name: str) -> list[tuple[int, ...]]:
     return calls
 
 
-def test_failed_certificate_falls_back_to_dense_eigvals(monkeypatch):
+def test_failed_certificate_raises_convergence_failure(monkeypatch):
     spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
-    schedule = [50, 100]
     monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
     monkeypatch.setattr(halfline, "_MAX_SWEEPS", 1)
     calls = _record_calls(monkeypatch, "eigvals")
-    rows = samsonov_report(spec, schedule).rows
-    monkeypatch.undo()
-    assert calls == [(50, 50), (100, 100)]
-    dense = dense_samsonov_rows(spec, schedule)
-    assert [r.max_im_lambda_H for r in rows] == [r.max_im_lambda_H for r in dense]
+    with pytest.raises(ConvergenceFailure, match="n = 50"):
+        samsonov_report(spec, [50, 100])
+    assert calls == []
 
 
 def test_certificate_rejects_a_lost_root(monkeypatch):
     # Newton's method fails; every Aberth step converged, but one root is a
-    # copy of its neighbour: the trace checks must send the grid to the
-    # dense solver
+    # copy of its neighbour: the trace checks must reject the grid
     original = halfline._aberth
 
     def lose_one(mu, w, rho):
@@ -255,10 +261,12 @@ def test_certificate_rejects_a_lost_root(monkeypatch):
     monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
     monkeypatch.setattr(halfline, "_aberth", lose_one)
     calls = _record_calls(monkeypatch, "eigvals")
-    row = samsonov_report(spec, [100]).rows[0]
-    monkeypatch.undo()
-    assert calls == [(100, 100)]
-    assert row.max_im_lambda_H == dense_samsonov_rows(spec, [100])[0].max_im_lambda_H
+    with pytest.raises(ConvergenceFailure):
+        samsonov_report(spec, [100])
+    assert calls == []
+    # the same grid passes with the copy undone
+    monkeypatch.setattr(halfline, "_aberth", original)
+    assert samsonov_report(spec, [100]).rows[0].max_im_lambda_H > 0.0
 
 
 def test_certificate_sends_a_lost_newton_root_to_aberth(monkeypatch):
@@ -295,8 +303,9 @@ def test_certificate_sends_a_lost_newton_root_to_aberth(monkeypatch):
     assert [repr(r) for r in rows] == [repr(r) for r in aberth_rows]
 
 
-def test_floor_binding_input_takes_the_floored_path(monkeypatch):
-    # d = +1 over L = 40: L is near-singular, min sigma(G) ~ e^{-2dL}
+def test_floor_binding_min_eig_matches_mpmath(monkeypatch):
+    # d = +1 over L = 40: L is near-singular, min sigma(G) ~ e^{-2dL}, far
+    # below what bisection or a dense eigh of G can resolve
     spec = HalfLineSpec(1.0, 0.5, 40.0, 64)
     schedule = [64, 128]
     for n in schedule:
@@ -305,14 +314,46 @@ def test_floor_binding_input_takes_the_floored_path(monkeypatch):
     calls = _record_calls(monkeypatch, "eigh")
     rows = samsonov_report(spec, schedule).rows
     monkeypatch.undo()
-    assert calls == [(64, 64), (128, 128)]
-    dense = dense_samsonov_rows(spec, schedule)
-    for row, ref in zip(rows, dense):
-        # the floored fields come from the same dense computation
-        assert row.min_eig_G == ref.min_eig_G
-        assert row.gap_to_d2 == ref.gap_to_d2
-        assert row.herm_residual_h == ref.herm_residual_h
-    assert _agreement_problems(spec, schedule) == []
+    assert calls == []
+    for row in rows:
+        exact = mp_min_eig_g(1.0, 0.5, 40.0, row.n, dps=90)
+        assert 0.0 < row.min_eig_G
+        assert abs(row.min_eig_G - exact) <= 1e-12 * exact
+        # the residual of the exact transform, not of floored roots of G:
+        # row 0 of L H L^-1 dominates it, and Z - Z* is that row and column
+        assert row.herm_residual_h == halfline._factor_herm_residual(spec.with_n(row.n))
+        assert row.herm_residual_h == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    floored = ("min_eig_G", "gap_to_d2", "herm_residual_h")
+    assert _agreement_problems(spec, schedule, skip=floored) == []
+
+
+@pytest.mark.parametrize(
+    "d, b, box, n, singular",
+    [
+        # |1 - hc|^-2n ~ e^1080 would overflow the closed form's tail, and
+        # sigma_min(L)^2 ~ e^-1000 lies below the float range
+        pytest.param(5.0, 3.0, 100.0, 1000, False, id="underflow"),
+        # 1 - hc = 0 exactly: L is singular and has no transform
+        pytest.param(1.6, 0.0, 10.0, 16, True, id="singular-L"),
+    ],
+)
+def test_edge_inputs_of_the_closed_forms(tmp_path, capsys, d, b, box, n, singular):
+    row = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0]
+    assert row.min_eig_G == 0.0
+    assert math.isnan(row.herm_residual_h) if singular else row.herm_residual_h > 0.0
+
+    json_out, csv_out = tmp_path / "s.json", tmp_path / "s.csv"
+    argv = ["samsonov", f"--d={d}", f"--b={b}", f"--L={box}", f"--n={n}"]
+    assert main(argv + ["--json-out", str(json_out), "--csv-out", str(csv_out)]) == 0
+    capsys.readouterr()
+    reported = json.loads(json_out.read_text())["rows"][0]
+    header, values = csv_out.read_text().splitlines()
+    field = dict(zip(header.split(","), values.split(",")))
+    assert reported["min_eig_G"] == 0.0
+    if singular:
+        assert reported["herm_residual_h"] is None and field["herm_residual_h"] == ""
+    else:
+        assert reported["herm_residual_h"] == row.herm_residual_h
 
 
 # --- the certificate holds on every input -----------------------------------
@@ -332,7 +373,8 @@ _parameter = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
     n=st.integers(16, 100),
 )
 def test_secular_spectrum_never_falls_back(d, b, box, n):
-    with mock.patch.object(halfline, "_spectrum", side_effect=AssertionError("fallback")):
+    # a grid that neither solver certifies would raise ConvergenceFailure
+    with mock.patch.object(halfline, "build_pair", side_effect=AssertionError("dense")):
         row = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0]
     # the interior rows of the commutator vanish identically
     assert row.residual_interior == 0.0

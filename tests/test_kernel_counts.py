@@ -7,8 +7,8 @@ of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 root (nor does ``qherm lattice`` read a root), condition numbers are
 computed only where a report or warning reads them and at most once per
 eigensystem, the eigensolver's clustering pass is the only one, and the
-half-line refinement study runs no dense eigensolver and, on the
-benchmark's inputs, no Aberth sweep.
+half-line refinement study calls no ``numpy.linalg`` kernel, forms no
+dense matrix and, on the benchmark's inputs, runs no Aberth sweep.
 """
 
 import os
@@ -152,12 +152,32 @@ def test_builders_reuse_a_passed_eigensystem(monkeypatch):
     assert eig_calls[0] == 0
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the half-line study formed a dense matrix")
+
+
+# (d, b, box, schedule, verdict): the benchmark-like and golden inputs, two
+# where the floor on sigma(G) binds and H has a bound state (the second with
+# sigma_min(L)^2 below the float range), and one with a bound state alone
+_HALFLINE_INPUTS = [
+    (-1.0, 1.0, 40.0, [100, 200, 400], True),
+    (-1.0, 1.0, 20.0, [50, 100, 200], True),
+    (0.0, 0.0, 40.0, [64, 128], True),
+    (1.0, 0.5, 40.0, [64, 128, 2048], False),
+    (5.0, 3.0, 100.0, [1000], True),
+    (1.0, 1.0, 4.0, [400, 1600], False),
+]
+
+
 def test_samsonov_runs_no_dense_eigensolver(monkeypatch):
-    names = ("eig", "eigh", "eigvals", "eigvalsh")
-    counters = [_count_calls(monkeypatch, name) for name in names]
-    rep = samsonov_report(HalfLineSpec(-1.0, 1.0, 40.0, 100), [100, 200, 400])
-    assert rep.passed
-    assert {name: c[0] for name, c in zip(names, counters)} == dict.fromkeys(names, 0)
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not name[0].isupper():
+            monkeypatch.setattr(np.linalg, name, _refuse)
+    monkeypatch.setattr(halfline, "build_pair", _refuse)
+    for d, b, box, schedule, passed in _HALFLINE_INPUTS:
+        rep = samsonov_report(HalfLineSpec(d, b, box, schedule[0]), schedule)
+        assert [row.n for row in rep.rows] == schedule
+        assert rep.passed is passed, (d, b, box)
 
 
 # three draws from the halfline_refine workload's range, d in [-1.5, -0.5]

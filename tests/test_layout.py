@@ -26,3 +26,27 @@ def _private_imports(path: pathlib.Path) -> list[str]:
 def test_no_private_name_crosses_a_module_boundary():
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_imports(path)]
     assert found == []
+
+
+def _blas_uses(tree: ast.AST, skip: str) -> list[str]:
+    """``linalg``, ``dot``, ``vdot`` and ``@`` in ``tree``, outside function ``skip``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            continue
+        # attributes, names, imported modules and imported names
+        fields = ("attr", "id", "module", "name")
+        name = next((getattr(node, f) for f in fields if getattr(node, f, None)), None)
+        if isinstance(name, str) and name.split(".")[-1] in ("linalg", "dot", "vdot"):
+            found.append(f"line {node.lineno}: {name}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        found += _blas_uses(node, skip)
+    return found
+
+
+def test_halfline_report_reduces_without_blas():
+    # the half-line report's numbers do not depend on the BLAS thread count
+    # because nothing but the dense build_pair calls a BLAS or LAPACK kernel
+    path = PACKAGE / "halfline.py"
+    assert _blas_uses(ast.parse(path.read_text(), str(path)), "build_pair") == []
