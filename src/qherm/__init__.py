@@ -29,7 +29,6 @@ from .errors import (
     NotQuasiHermitian,
     ParseError,
     QhermError,
-    SingularMetric,
     SpectrumNotConjugateClosed,
 )
 from .halfline import (

@@ -72,10 +72,6 @@ class InvalidSpec(QhermError):
     """Discretization parameters violate their invariants."""
 
 
-class SingularMetric(QhermError):
-    """The discretized metric has no positive spectrum."""
-
-
 class ParseError(QhermError):
     """An input file does not conform to the operator-file schema."""
 

@@ -22,14 +22,16 @@ The continuum facts to track under grid refinement: ``min sigma(G)`` is
 real, so the discrete ``max |Im lambda(H)|`` must shrink with ``n``.
 
 The refinement study works on the three diagonals of ``H``, ``G`` and
-``L``, forms no n x n matrix and costs O(n) time and memory per grid
-unless ``H`` has a bound state.  ``H`` and ``G`` are rank-one corner
-updates of Toeplitz tridiagonals with closed-form eigenpairs (Golub 1973).
-Newton's method finds each root of the characteristic equation of ``H``,
-certified by every step converging and by ``tr H`` and ``tr H^2``; a grid
-that fails, as every grid with a bound state does, takes Aberth-Ehrlich
-sweeps on the secular equation of ``H`` (Bini-Robol 2014, O(n^2)) and
-raises :class:`ConvergenceFailure` if those fail too.  Bisection on the
+``L``, forms no n x n matrix and costs O(n) time and memory per grid.
+``H`` and ``G`` are rank-one corner updates of Toeplitz tridiagonals with
+closed-form eigenpairs (Golub 1973).  Newton's method finds each root of
+the characteristic equation of ``H`` from up to three sets of starts: the
+roots at ``c = 0``; the bound state that ``H`` has once ``|1 + hc| > 1``,
+by scalar Newton on ``det(H - lam)``, with the rest of the circle; and
+starts that follow the change of layout of the roots near ``|1 + hc| = 1``.
+The first set whose steps all converge and whose roots match ``tr H`` and
+``tr H^2`` gives ``sigma(H)``; if none does, the report raises
+:class:`ConvergenceFailure`.  Bisection on the
 secular equation of ``G`` gives the extremes of ``sigma(G)``, but
 ``min sigma(G)`` is ``sigma_min(L)^2`` by inverse iteration where
 :data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` comes from its
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator
-from .errors import ConvergenceFailure, InvalidSpec, SingularMetric
+from .errors import ConvergenceFailure, InvalidSpec
 
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
@@ -59,21 +61,21 @@ _EPS = np.finfo(np.float64).eps
 _BOUNDARY_MARGIN = 3
 
 # largest grid size: build_pair forms dense n x n matrices (16 * 8192**2
-# bytes = 1 GiB each at n = 8192), and the Aberth sweeps take O(n^2) time
+# bytes = 1 GiB each at n = 8192); the report itself is O(n)
 MAX_GRID_SIZE = 8192
+
+# bound on the scale max(|d|, |b|, 1/h) and its inverse (see HalfLineSpec)
+_SCALE_LIMIT = 1e37
 
 # min sigma(G) / max sigma(G) below which min sigma(G) is sigma_min(L)^2
 FLOOR_EPSILON = 1e-12
 
-# Newton steps per root before the Aberth sweeps take over the spectrum of H
+# Newton steps per root before a start set is given up as unconverged
 _MAX_NEWTON_STEPS = 10
 
-# Aberth sweeps before the spectrum of H is given up as unconverged
-_MAX_SWEEPS = 60
-
-# elements of one row block of an Aberth sweep: each (block x n) temporary
-# stays at 1 MiB whatever n is
-_BLOCK_ELEMENTS = 1 << 16
+# scalar Newton steps on the bound state, each O(1): near the threshold
+# where the state binds, it wanders for a dozen steps before it converges
+_MAX_BOUND_STATE_STEPS = 50
 
 # slack for the non-increasing trend tests, absorbing rounding noise on
 # quantities that sit at machine level (the interior residual in particular)
@@ -124,6 +126,18 @@ class HalfLineSpec:
             )
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
+        # the report forms up to the eighth power of r = max(|d|, |b|, 1/h):
+        # the squared entries of the commutator GH - H*G, each below
+        # 150 r^4, summed over five bands of n <= 8192 rows, stay below
+        # 1e9 r^8, which r <= 1e37 keeps under 1e305, short of overflow;
+        # r >= 1e-37 keeps r^8 a normal float, and the metric nonzero
+        scale = max(abs(self.d), abs(self.b), self.n / self.box_length)
+        if not 1.0 / _SCALE_LIMIT <= scale <= _SCALE_LIMIT:
+            raise InvalidSpec(
+                f"max(|d|, |b|, n / box_length) = {scale:g} lies outside "
+                f"[{1.0 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]: the report's "
+                "numbers would overflow or underflow"
+            )
 
     @property
     def spacing(self) -> float:
@@ -202,22 +216,12 @@ class SamsonovReport:
     passed: bool
 
     def csv_rows(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            out.append(
-                {
-                    "n": r.n,
-                    "h": r.spacing,
-                    "min_eig_G": r.min_eig_G,
-                    "gap_to_d2": r.gap_to_d2,
-                    "residual_full": r.residual_full,
-                    "residual_interior": r.residual_interior,
-                    "herm_residual_h": r.herm_residual_h,
-                    "max_im_lambda_H": r.max_im_lambda_H,
-                    "order_estimates": r.order_estimate,
-                }
-            )
-        return out
+        """The rows as CSV records, one column per field of :class:`SamsonovRow`."""
+        return [{_CSV_NAMES.get(k, k): v for k, v in vars(r).items()} for r in self.rows]
+
+
+# CSV columns whose name is not the SamsonovRow field's
+_CSV_NAMES = {"spacing": "h", "order_estimate": "order_estimates"}
 
 
 def _nonincreasing(values: list[float], floor: float) -> bool:
@@ -392,39 +396,36 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
     return float(np.sqrt(num_sq) / max(np.sqrt(den_sq), _TINY))
 
 
-def _newton(n: int, h: float, c: complex) -> np.ndarray | None:
-    """``sigma(H)`` root by root from its closed-form characteristic
-    equation, or None if a root has not converged after
+def _newton(phi: np.ndarray, n: int, hc: complex, floor: bool = False) -> np.ndarray | None:
+    """Roots ``phi`` of the characteristic equation of ``H`` by Newton's
+    method from the starts ``phi``, or None if one has not converged after
     ``_MAX_NEWTON_STEPS`` steps.
 
-    Write ``h^2 lam = 2 - q - 1/q`` and ``beta = 1 + hc``.  The rows of
-    ``h^2 (H - lam)`` below the corner and the Dirichlet wall leave
-    ``x_j = q^j - q^(2n-j)``, and the corner row (the ghost value
+    Write ``h^2 lam = 2 - q - 1/q`` and ``beta = 1 + hc`` with ``Im c >= 0``.
+    The rows of ``h^2 (H - lam)`` below the corner and the Dirichlet wall
+    leave ``x_j = q^j - q^(2n-j)``, and the corner row (the ghost value
     ``x_-1 = beta x_0``) then asks ``q^2n (beta - q) = beta - 1/q``, which
     the spurious ``q = +-1`` satisfy too.  With ``q = e^(i phi)`` each root
     is a zero of ``F(phi) = 2n i phi - Log((beta - 1/q)/(beta - q)) -
     2 pi i m``, ``F' = i (2n - 1/(beta q - 1) - q/(beta - q))``, with ``m``
-    the nearest integer at every step.  Root ``k`` starts from the ``c = 0``
-    root ``phi_k = (2k+1) pi/(2n+1)``, where ``lam`` is the pole ``mu_k``
-    of the secular equation, and has converged once its step is at most
-    four units in the last place of ``|phi|``.  Nothing keeps two starts
-    from reaching one root, or one from reaching ``q = 1``, and no start
-    reaches the bound state (``|q| < 1``) that ``H`` has once
-    ``|beta| > 1``; the certificate of :func:`_certified` rejects all
-    three.
+    the nearest integer at every step.  A root has converged once its step
+    is at most four units in the last place of ``|phi|``.  Nothing keeps
+    two starts from reaching one root, or one from reaching ``q = 1``; the
+    certificate of :func:`_certified` rejects both.  With ``floor`` a root
+    has also converged once its step is at most four units in the last
+    place of ``4n |phi|/|F'|``: ``F`` is a difference of terms of size
+    ``2n |phi|``, and near the threshold where a bound state forms ``|F'|``
+    falls below ``4n`` and the step stalls above four units of ``|phi|``.
+    Start set 1 keeps the plain test, so its roots do not move by a bit.
 
     Everything is formed without cancellation, since ``|Im lam|`` is what
     the study reads: ``beta - q`` as ``hc - 2i sin(phi/2) q^1/2`` (and
-    ``beta - 1/q`` alike), the real part of the logarithm from
+    ``beta - 1/q`` alike), and the real part of the logarithm from
     ``|beta - 1/q|^2 - |beta - q|^2``, which is proportional to ``Im c``
-    for real ``phi``, and ``lam`` as ``(4/h^2) sin^2(phi/2)``.  For
-    ``Im c < 0`` the roots are those of ``conj c``, conjugated, since
-    ``H(conj c) = conj H(c)``.
+    for real ``phi``.
     """
-    flip = c.imag < 0.0
-    hc = h * (c.conjugate() if flip else c)
-    phi = ((2 * np.arange(n) + 1) * (np.pi / (2 * n + 1))).astype(np.complex128)
-    active = np.ones(n, dtype=bool)
+    phi = phi.copy()
+    active = np.ones(phi.size, dtype=bool)
     for _ in range(_MAX_NEWTON_STEPS):
         todo = np.flatnonzero(active)
         if todo.size == 0:
@@ -448,67 +449,101 @@ def _newton(n: int, h: float, c: complex) -> np.ndarray | None:
         f_prime = 1j * (2 * n - 1.0 / (q * plus) - q / minus)
         step = f / f_prime
         phi[todo] = p - step
-        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * np.abs(phi[todo]))
-    if active.any():
-        return None
-    roots = (4.0 / (h * h)) * np.sin(0.5 * phi) ** 2
-    return roots.conjugate() if flip else roots
+        size = np.abs(phi[todo])
+        if floor:
+            size = size * np.maximum(1.0, 4 * n / np.abs(f_prime))
+        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * size)
+    return None if active.any() else phi
 
 
-def _aberth(mu: np.ndarray, w: np.ndarray, rho: complex) -> np.ndarray | None:
-    """All roots of ``1 = rho sum_k w_k/(mu_k - lam)``, or None if a root
-    has not converged after ``_MAX_SWEEPS`` sweeps.
+def _bound_state(n: int, hc: complex) -> complex | None:
+    """``h^2 lam`` of the bound state that ``H`` has once ``|1 + hc| > 1``
+    and the box is long enough, or None if it is not found.
 
-    The roots are the zeros of ``p(lam) = prod_k (mu_k - lam) f(lam)``,
-    ``f = 1 - rho sum_k w_k/(mu_k - lam)``.  Each sweep takes the
-    Aberth-Ehrlich step ``z_i -= 1/(p'/p(z_i) - sum_{j != i} 1/(z_i - z_j))``
-    for every root not yet converged, in row blocks of at most
-    ``_BLOCK_ELEMENTS`` entries, so memory stays O(n).  The pole nearest
-    each root is factored out of ``p'/p`` analytically, so roots close to
-    a pole keep their accuracy.  A root has converged once its step is at
-    most four units in the last place of ``max(|z_i|, mu_0)``.
+    Newton's method in ``x = h^2 lam`` on ``det(h^2 H - x) = U_n -
+    beta U_(n-1)``, the Chebyshev polynomials at ``1 - x/2 = cosh t``: a
+    polynomial whose roots are ``sigma(h^2 H)`` alone, without the
+    spurious ``q = +-1`` or the pairs ``q, 1/q`` of :func:`_newton`, so
+    that a state near the threshold ``t = 0``, where it binds, is not lost.
+    With ``x = -4 sinh^2(t/2)``, ``Re t >= 0``, the determinant is
+    ``e^nt N/(2 sinh t)``, ``N = expm1(t) - hc + e^-2nt (hc - expm1(-t))``,
+    whose terms neither overflow nor exceed ``|hc|`` much, and
+    ``d log det/dx = (N'/N - coth t + n)/(-2 sinh t)``.  The start is the
+    bound state at ``n = inf``, ``x = -(hc)^2/beta``; the root has
+    converged once ``N`` is at the rounding level of its terms, ``exp``
+    included.
+
+    ``x`` carries ``Im x`` only to rounding of ``|x|``, which is much more
+    than ``Im x`` when ``b`` is small.  A deep state is taken from ``hc``
+    and ``e^-2nt`` instead; near the unit circle, where ``|q|^4n =
+    |e^-4nt| >= 1/10`` and :func:`_newton` loses at most four bits to
+    ``log |q|^4n``, the root is refined there.  Both keep ``Im x``
+    relative: on 500 random bound-state grids the choice was within 5e-14
+    of a 60-digit root, ``x`` alone within 4e-12.
     """
-    n = mu.size
-    z = (mu - rho * w).astype(np.complex128)
-    active = np.ones(n, dtype=bool)
-    block_rows = max(1, _BLOCK_ELEMENTS // n)
-    for _ in range(_MAX_SWEEPS):
-        todo = np.flatnonzero(active)
-        if todo.size == 0:
-            return z
-        for start in range(0, todo.size, block_rows):
-            block = todo[start : start + block_rows]
-            zb = z[block]
-            near = np.clip(np.searchsorted(mu, zb.real), 1, n - 1)
-            near = np.where(np.abs(mu[near - 1] - zb) < np.abs(mu[near] - zb), near - 1, near)
-            own = np.arange(block.size)
-            gap = mu[near] - zb
-            inv = mu[None, :] - zb[:, None]
-            inv[own, near] = 1.0
-            inv = 1.0 / inv
-            inv[own, near] = 0.0
-            weighted = inv * w
-            rest = 1.0 - rho * weighted.sum(axis=1)
-            # p = prod_{k != m} (mu_k - lam) g with g = (mu_m - lam) f
-            g = gap * rest - rho * w[near]
-            g_prime = -rest - gap * rho * (weighted * inv).sum(axis=1)
-            pair = zb[:, None] - z[None, :]
-            pair[own, block] = np.inf
-            # 1/(p'/p - sum_j 1/(z_i - z_j)) with g cleared from the
-            # denominator, so an exact root (g = 0) takes a zero step
-            step = g / (g_prime - g * (inv.sum(axis=1) + (1.0 / pair).sum(axis=1)))
-            z[block] = zb - step
-            tol = 4.0 * _EPS * np.maximum(np.abs(z[block]), mu[0])
-            active[block] = ~(np.abs(step) <= tol)
-    return z if not active.any() else None
+    beta = 1.0 + hc
+    x = np.complex128(-hc * hc / beta)
+    with np.errstate(all="ignore"):  # a diverging x ends as nan
+        for _ in range(_MAX_BOUND_STATE_STEPS):
+            t = 2.0 * np.arcsinh(0.5 * np.sqrt(-x))
+            decay = np.exp(-2 * n * t)
+            terms = np.array([np.expm1(t), -hc, decay * (hc - np.expm1(-t))])
+            total = terms.sum()
+            # exp carries the rounding of t, relative to |t|, into N
+            if abs(total) <= 4.0 * _EPS * (1.0 + abs(t)) * np.abs(terms).sum():
+                break
+            slope = np.exp(t) - decay * (2 * n * (hc - np.expm1(-t)) - np.exp(-t))
+            x += 2.0 * np.sinh(t) / (slope / total - 1.0 / np.tanh(t) + n)
+        else:
+            return None
+        if abs(decay) ** 2 < 0.1:
+            # 1/q = beta - e with e = q^2n (beta - q), so x = -(1 - q)^2/q is
+            # -(hc - e)^2/(beta - e): exact in hc, wrong by about 2n |t e| eps
+            # through e = e^-2nt (...), where x itself is wrong by |x| eps
+            e = decay * (beta - np.exp(-t))
+            return complex(-((hc - e) ** 2) / (beta - e) if 2 * n * abs(t * e) < abs(x) else x)
+    phi = _newton(np.array([1j * t]), n, hc, floor=True)
+    return None if phi is None else complex(4.0 * np.sin(0.5 * phi[0]) ** 2)
 
 
-def _certified(roots: np.ndarray | None, hb: np.ndarray) -> bool:
-    """Whether ``roots`` (None for a solver that did not converge) pass for
-    ``sigma(H)``: ``sum lam = tr H`` and ``sum lam^2 = tr H^2`` to ``n``
-    units in the last place of ``sum |lam|`` and ``sum |lam|^2``."""
-    if roots is None:
-        return False
+def _start_sets(n: int, hc: complex):
+    """``(bound, phi)`` pairs in the order :func:`_max_im_eigenvalue` tries
+    them: ``h^2 lam`` of the roots already known, and the starts of
+    :func:`_newton` for the rest.
+
+    With ``beta = 1 + hc`` and ``u = pi/(2n+1)``:
+
+    1. ``phi_k = (2k+1) u``, the roots at ``c = 0``.
+    2. Only when ``|beta| > 1`` and :func:`_bound_state` finds the bound
+       state: ``phi_k = k pi/n`` for ``k = 1 .. n-1``.
+    3. Near ``|beta| = 1`` the roots change layout at ``phi = arg beta``:
+       below it they sit near even multiples of ``u``, above it near odd
+       ones.  So the multiples ``m u``, ``m = 1 .. 2n-1``, with ``m`` even
+       below ``a = arg beta/u`` and odd above it; the starts within ``2u``
+       of ``a u`` move to ``m u - i u``, and one at ``(a - i) u`` makes up
+       the count if it is ``n - 1``.
+    """
+    u = np.pi / (2 * n + 1)
+    none = np.empty(0, dtype=np.complex128)
+    yield none, ((2 * np.arange(n) + 1) * u).astype(np.complex128)
+    beta = 1.0 + hc
+    bound = _bound_state(n, hc) if abs(beta) > 1.0 else None
+    if bound is not None:
+        yield np.array([bound]), (np.arange(1, n) * (np.pi / n)).astype(np.complex128)
+    a = np.angle(beta) / u
+    m = np.arange(1, 2 * n)
+    m = m[np.where(m % 2 == 0, m < a, m > a)]
+    starts = (m * u).astype(np.complex128)
+    starts[np.abs(m - a) < 2.0] -= 1j * u
+    if starts.size == n - 1:
+        starts = np.append(starts, (a - 1j) * u)
+    yield none, starts
+
+
+def _certified(roots: np.ndarray, hb: np.ndarray) -> bool:
+    """Whether ``roots`` pass for ``sigma(H)``: ``sum lam = tr H`` and
+    ``sum lam^2 = tr H^2`` to ``n`` units in the last place of
+    ``sum |lam|`` and ``sum |lam|^2``."""
     moduli = np.abs(roots)
     trace = np.sum(hb[:, 1])
     trace_sq = np.sum(hb[:, 1] ** 2) + 2.0 * np.sum(hb[:-1, 2] * hb[1:, 0])
@@ -520,36 +555,35 @@ def _certified(roots: np.ndarray | None, hb: np.ndarray) -> bool:
 
 
 def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
-    """``max |Im lambda(H)|``, each solver taking over when the one before
-    it fails the certificate of :func:`_certified`.
+    """``max |Im lambda(H)|`` from the first start set of :func:`_start_sets`
+    whose roots, by :func:`_newton`, pass the certificate of
+    :func:`_certified`; :class:`ConvergenceFailure` if none does.
 
-    First :func:`_newton`, O(n) per step.  Then :func:`_aberth` on the
-    secular equation: ``H = T - (c/h) e0 e0^T`` where ``T = D^T D`` has
-    eigenvalues ``mu_k = (4/h^2) sin^2(theta_k/2)``,
-    ``theta_k = (2k+1) pi/(2n+1)``, with squared first components
-    ``w_k = 4 cos^2(theta_k/2)/(2n+1)`` (Golub 1973), O(n^2) per sweep.
-    Last, :class:`ConvergenceFailure`.  A real ``c`` makes ``H`` real symmetric.
+    ``lam = (4/h^2) sin^2(phi/2)``, O(n) time and memory per set.  For
+    ``Im c < 0`` the roots are those of ``conj c``, conjugated, since
+    ``H(conj c) = conj H(c)``; a real ``c`` makes ``H`` real symmetric.
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     if c.imag == 0.0:
         return 0.0
-    roots = _newton(n, h, c)
-    if not _certified(roots, hb):
-        half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
-        mu = (4.0 / (h * h)) * np.sin(half) ** 2
-        w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
-        roots = _aberth(mu, w, c / h)
-        if not _certified(roots, hb):
-            raise ConvergenceFailure(f"no certified spectrum of H at n = {n}")
-    return float(np.abs(roots.imag).max())
+    flip = c.imag < 0.0
+    hc = h * (c.conjugate() if flip else c)
+    for k, (bound, starts) in enumerate(_start_sets(n, hc)):
+        phi = _newton(starts, n, hc, floor=k > 0)
+        if phi is None:
+            continue
+        roots = np.append(bound / (h * h), (4.0 / (h * h)) * np.sin(0.5 * phi) ** 2)
+        if _certified(roots.conjugate() if flip else roots, hb):
+            return float(np.abs(roots.imag).max())
+    raise ConvergenceFailure(f"no certified spectrum of H at n = {n}")
 
 
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     """Run the refinement study over ascending grid sizes ``schedule``.
 
-    Each grid costs O(n) time and memory, or O(n^2) time when the Aberth
-    sweeps take over, and forms no n x n matrix.  Raises
-    :class:`ConvergenceFailure` when the Aberth roots fail their certificate.
+    Each grid costs O(n) time and memory and forms no n x n matrix.
+    Raises :class:`ConvergenceFailure` when no start set of
+    :func:`_start_sets` gives a certified spectrum of ``H``.
     """
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(sizes) != sizes:
@@ -563,8 +597,6 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
         n = grid.n
         hb, gb = _bands(grid)
         min_eig, max_eig = _metric_extremes(grid)
-        if max_eig <= 0.0:
-            raise SingularMetric("discretized metric has no positive spectrum")
 
         cb = _commutator_bands(gb, hb)
         denom = np.sqrt(_sum_sq(gb)) * np.sqrt(_sum_sq(hb)) + _TINY

@@ -6,7 +6,9 @@ cumulative projector as its own dense matrix, ``E(lam_k) = W_k W_k*`` and
 ``X(lam_k) = G^-1/2 E(lam_k) G^1/2`` through the metric conjugation, as
 the reference the tests compare the factored families against.  It also
 keeps the dense per-grid computation of the half-line refinement study,
-the reference for its secular and banded kernels.
+the reference for its secular and banded kernels, and the Aberth-Ehrlich
+sweeps on the secular equation of the half-line ``H``, an independent
+O(n^2) reference for the roots that Newton's method finds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ from __future__ import annotations
 import numpy as np
 
 from qherm import cluster_eigenvalues
+
+_EPS = np.finfo(np.float64).eps
+
+# Aberth sweeps before the spectrum of H is given up as unconverged
+_MAX_SWEEPS = 60
+
+# elements of one row block of an Aberth sweep: each (block x n) temporary
+# stays at 1 MiB whatever n is
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def dense_spectral_family(h: np.ndarray, tol: float):
@@ -53,7 +64,6 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     reference for the other fields only.
     """
     from qherm.core import fro, herm_part
-    from qherm.errors import SingularMetric
     from qherm.halfline import (
         _BOUNDARY_MARGIN,
         _TINY,
@@ -87,10 +97,7 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
         interior = commutator[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN, :]
         residual_interior = fro(interior) / denom
 
-        w_max = float(w_g[-1])
-        if w_max <= 0.0:
-            raise SingularMetric("discretized metric has no positive spectrum")
-        w_floored = np.maximum(w_g, FLOOR_EPSILON * w_max)
+        w_floored = np.maximum(w_g, FLOOR_EPSILON * float(w_g[-1]))
         g_half = (v_g * np.sqrt(w_floored)) @ v_g.conj().T
         g_invhalf = (v_g / np.sqrt(w_floored)) @ v_g.conj().T
         # h - h* equals G^-1/2 (GH - H*G) G^-1/2, so measure the defect on
@@ -122,3 +129,51 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
         rows.append(row)
         prev = row
     return rows
+
+
+def aberth(mu: np.ndarray, w: np.ndarray, rho: complex) -> np.ndarray | None:
+    """All roots of ``1 = rho sum_k w_k/(mu_k - lam)``, or None if a root
+    has not converged after ``_MAX_SWEEPS`` sweeps.
+
+    The roots are the zeros of ``p(lam) = prod_k (mu_k - lam) f(lam)``,
+    ``f = 1 - rho sum_k w_k/(mu_k - lam)``.  Each sweep takes the
+    Aberth-Ehrlich step ``z_i -= 1/(p'/p(z_i) - sum_{j != i} 1/(z_i - z_j))``
+    for every root not yet converged, in row blocks of at most
+    ``_BLOCK_ELEMENTS`` entries, so memory stays O(n).  The pole nearest
+    each root is factored out of ``p'/p`` analytically, so roots close to
+    a pole keep their accuracy.  A root has converged once its step is at
+    most four units in the last place of ``max(|z_i|, mu_0)``.
+    """
+    n = mu.size
+    z = (mu - rho * w).astype(np.complex128)
+    active = np.ones(n, dtype=bool)
+    block_rows = max(1, _BLOCK_ELEMENTS // n)
+    for _ in range(_MAX_SWEEPS):
+        todo = np.flatnonzero(active)
+        if todo.size == 0:
+            return z
+        for start in range(0, todo.size, block_rows):
+            block = todo[start : start + block_rows]
+            zb = z[block]
+            near = np.clip(np.searchsorted(mu, zb.real), 1, n - 1)
+            near = np.where(np.abs(mu[near - 1] - zb) < np.abs(mu[near] - zb), near - 1, near)
+            own = np.arange(block.size)
+            gap = mu[near] - zb
+            inv = mu[None, :] - zb[:, None]
+            inv[own, near] = 1.0
+            inv = 1.0 / inv
+            inv[own, near] = 0.0
+            weighted = inv * w
+            rest = 1.0 - rho * weighted.sum(axis=1)
+            # p = prod_{k != m} (mu_k - lam) g with g = (mu_m - lam) f
+            g = gap * rest - rho * w[near]
+            g_prime = -rest - gap * rho * (weighted * inv).sum(axis=1)
+            pair = zb[:, None] - z[None, :]
+            pair[own, block] = np.inf
+            # 1/(p'/p - sum_j 1/(z_i - z_j)) with g cleared from the
+            # denominator, so an exact root (g = 0) takes a zero step
+            step = g / (g_prime - g * (inv.sum(axis=1) + (1.0 / pair).sum(axis=1)))
+            z[block] = zb - step
+            tol = 4.0 * _EPS * np.maximum(np.abs(z[block]), mu[0])
+            active[block] = ~(np.abs(step) <= tol)
+    return z if not active.any() else None

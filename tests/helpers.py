@@ -1,8 +1,14 @@
-"""Seeded random matrix constructors shared by the test modules."""
+"""Seeded random matrix constructors and half-line probes shared by the
+test modules."""
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
+
+from qherm import halfline, samsonov_report
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -69,3 +75,31 @@ def jordan_case(gen: np.random.Generator, n: int) -> np.ndarray:
     a = np.diag(np.arange(n, dtype=np.complex128) * 2.0 + 5.0)
     a[:block, :block] = lam * np.eye(block) + np.diag(np.ones(block - 1), 1)
     return a
+
+
+def start_sets_taken(spec, schedule: list[int]) -> list[int]:
+    """For each grid of ``samsonov_report(spec, schedule)`` with a complex
+    Robin coefficient, the start set (1, 2 or 3, numbered as in
+    ``halfline._start_sets``) whose roots gave ``max_im_lambda_H``."""
+    taken = []
+    start_sets = halfline._start_sets
+
+    def labelled(n, hc):
+        taken.append(None)
+        for k, (bound, starts) in enumerate(start_sets(n, hc)):
+            taken[-1] = 1 if k == 0 else 2 if bound.size else 3
+            yield bound, starts
+
+    with mock.patch.object(halfline, "_start_sets", labelled):
+        samsonov_report(spec, schedule)
+    return taken
+
+
+def near_unit_beta(h: float, delta: float, t: float) -> tuple[float, float]:
+    """``(d, b)`` with ``|1 + h (d + ib)| = 1 + delta`` and ``|b| <= 5``.
+
+    ``1 + hc = (1 + delta) e^(i psi)`` with ``psi = t asin(min(1, 5h/(1 + delta)))``
+    for ``t`` in ``[-1, 1]``; ``|d|`` may still exceed 5.
+    """
+    psi = t * math.asin(min(1.0, 5.0 * h / (1.0 + delta)))
+    return ((1.0 + delta) * math.cos(psi) - 1.0) / h, (1.0 + delta) * math.sin(psi) / h

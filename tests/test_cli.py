@@ -325,9 +325,38 @@ def test_samsonov_takes_no_tol(capsys):
 
 
 def test_samsonov_underflowing_metric_exit_two(capsys):
-    # at h = 1e300/16 every entry of G = L* L underflows to zero
+    # at h = 1e300/16 every entry of G = L* L would underflow to zero
     assert main(["samsonov", "--d", "0", "--b", "0", "--L", "1e300", "--n", "16,32"]) == 2
-    assert "discretized metric has no positive spectrum" in capsys.readouterr().err
+    assert "= 1.6e-299 lies outside [1e-37, 1e+37]" in capsys.readouterr().err
+
+
+# each overflowed a float square of |c| or 1/h in the report
+_OVERFLOWING = [
+    pytest.param({"d": 1e200, "b": 0.0, "box_length": 1.0}, "1e+200", id="d"),
+    pytest.param({"d": 1.0, "b": 1e200, "box_length": 1.0}, "1e+200", id="b"),
+    pytest.param({"d": 1e155, "b": 1.0, "box_length": 1.0}, "1e+155", id="c-squared"),
+    pytest.param({"d": 1.0, "b": 0.0, "box_length": 1e-200}, "1.6e+201", id="inverse-h"),
+]
+
+
+@pytest.mark.parametrize("spec, scale", _OVERFLOWING)
+def test_samsonov_flags_beyond_float_range_exit_two(capsys, spec, scale):
+    argv = ["--d", str(spec["d"]), "--b", str(spec["b"]), "--L", str(spec["box_length"])]
+    assert main(["samsonov", *argv, "--n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: max(|d|, |b|, n / box_length) = {scale} lies outside [1e-37, 1e+37]: "
+        "the report's numbers would overflow or underflow"
+    ]
+
+
+@pytest.mark.parametrize("spec, scale", _OVERFLOWING)
+def test_samsonov_spec_beyond_float_range_exit_two(tmp_path, capsys, spec, scale):
+    path = _write(tmp_path, "spec.json", {"format": 1, "kind": "samsonov", **spec, "n": 16})
+    assert main(["samsonov", path]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: max(|d|, |b|, n / box_length) = {scale} lies outside")
 
 
 def _dense_with(entry, index):

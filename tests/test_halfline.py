@@ -23,6 +23,33 @@ def test_spec_validation():
     assert default_box_length(0.0) == pytest.approx(40.0)
 
 
+@pytest.mark.parametrize(
+    "d, b, box, valid",
+    [
+        (1e37, 1e37, 16e-37, True),
+        (-1e37, 1e37, 16.0, True),
+        (1.0, -1.0, 16e-37, True),
+        (-1e-37, 1e-37, 16e37, True),
+        (2e37, 0.0, 16.0, False),
+        (0.0, -2e37, 16.0, False),
+        (1.0, 0.0, 8e-37, False),
+        (0.0, 0.0, 32e37, False),
+    ],
+)
+def test_scale_bound_keeps_the_report_finite(d, b, box, valid):
+    # max(|d|, |b|, 1/h) in [1e-37, 1e37]: inside, no number the report
+    # forms overflows; outside, the spec is refused before any grid
+    if not valid:
+        with pytest.raises(InvalidSpec, match="lies outside"):
+            HalfLineSpec(d, b, box, 16)
+        return
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        row = samsonov_report(HalfLineSpec(d, b, box, 16), [16]).rows[0]
+    fields = [f for f in row.__dataclass_fields__ if f != "order_estimate"]
+    assert all(np.isfinite(getattr(row, f)) for f in fields)
+    assert row.min_eig_G > 0.0
+
+
 def test_interior_stencil():
     spec = HalfLineSpec(-1.0, 1.0, 32.0, 32)
     h = spec.spacing

@@ -1,11 +1,13 @@
 """The half-line kernels against the dense path and mpmath.
 
-``samsonov_report`` takes ``sigma(H)`` from its characteristic or secular
-equation, the extremes of ``sigma(G)`` by bisection (``min sigma(G)`` as
-``sigma_min(L)^2`` where the floor binds) and the residuals from bands
-and the factor ``L``.  The dense per-grid computation in
-``tests/dense_oracle.py`` is the reference; where the two differ by more
-than rounding, the mpmath oracles below show which one is right.
+``samsonov_report`` takes ``sigma(H)`` by Newton's method on its
+characteristic equation from up to three start sets, the extremes of
+``sigma(G)`` by bisection (``min sigma(G)`` as ``sigma_min(L)^2`` where the
+floor binds) and the residuals from bands and the factor ``L``.  The dense
+per-grid computation in ``tests/dense_oracle.py`` is the reference, with
+its Aberth sweeps on the secular equation of ``H`` for the roots; where
+they differ by more than rounding, the mpmath oracles below show which one
+is right.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_samsonov_rows
+from dense_oracle import aberth, dense_samsonov_rows
+from helpers import near_unit_beta, start_sets_taken
 from qherm import ConvergenceFailure, HalfLineSpec, samsonov_report
 from qherm import halfline
 from qherm.cli import main
@@ -179,6 +182,14 @@ def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
         (-0.5, 1.5, 40.0, 100),
         (2.0, -3.0, 2.0, 16),
         (-1.2, 0.8, 40.0, 200),
+        # |1 + hc| within 1% of 1, where the roots change layout
+        (0.4673410036306187, -1.8935259798395876, 2.1752210690293268, 130),
+        (0.013570796443578281, -0.16333475154431643, 47.15161271271455, 546),
+        # d L = 1.013, where the bound state has just formed and sets max |Im|
+        (1.9622286705733536, 0.010566999720754361, 0.5164495664009346, 182),
+        # d L = 0.99 with b/d = 1e-10: the state is about to bind, and its
+        # Im lam must stay relative to b
+        (0.9921875, 1e-10, 1.0, 16),
     ],
 )
 def test_max_im_matches_mpmath(d, b, box, n):
@@ -187,17 +198,112 @@ def test_max_im_matches_mpmath(d, b, box, n):
     assert abs(got - ref) <= 1e-13 * ref
 
 
-def _newton_certifies(spec: HalfLineSpec) -> bool:
-    hb, _ = halfline._bands(spec)
-    roots = halfline._newton(spec.n, spec.spacing, spec.robin_coefficient)
-    return halfline._certified(roots, hb)
+def test_deep_bound_state_keeps_im_relative():
+    # |q|^4n = 7e-18: x from Newton on det(h^2 H - x) holds Im x only to
+    # rounding of |x| (9.9e-14 relative here); -(hc - e)^2/(beta - e) holds
+    # it to 5e-16
+    d, b, box, n = -3.320888004450201, 3.3316266914012687, 68.10967628777163, 217
+    ref = mp_max_im_h(d, b, box, n)
+    got = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0].max_im_lambda_H
+    assert abs(got - ref) <= 1e-14 * ref
 
 
-def test_mpmath_cases_cover_both_solvers():
-    # the benchmark-range case is solved by Newton's method; at d = -0.5,
-    # b = 1.5, n = 100 the grid has |1 + hc| = 1 and falls back to Aberth
-    assert _newton_certifies(HalfLineSpec(-1.2, 0.8, 40.0, 200))
-    assert not _newton_certifies(HalfLineSpec(-0.5, 1.5, 40.0, 100))
+@pytest.mark.parametrize(
+    "d, b, box, n, start_set",
+    [
+        (-1.2, 0.8, 40.0, 200, 1),
+        (1.0, 1.0, 4.0, 1600, 2),
+        (1.0, 1.0, 40.0, 100, 2),
+        # |1 + hc| = 1 exactly
+        (-0.5, 1.5, 40.0, 100, 3),
+    ],
+)
+def test_named_grids_take_each_start_set(d, b, box, n, start_set):
+    assert start_sets_taken(HalfLineSpec(d, b, box, n), [n]) == [start_set]
+
+
+# grids that the c = 0 starts and a bound state by Newton in q alone miss:
+# |1 + hc| within 1% of 1, where the roots change layout at arg(1 + hc), and
+# d L near 1, where the bound state forms next to the spurious root q = 1
+_HARD_GRIDS = [
+    (-0.07063837810045914, 1.373601174260564, 53.47856105991169, 693),
+    (-0.17797728189149176, -4.5454059251544, 20.371586906262447, 997),
+    (0.4673410036306187, -1.8935259798395876, 2.1752210690293268, 130),
+    (0.013570796443578281, -0.16333475154431643, 47.15161271271455, 546),
+    (0.984375, 0.03125, 1.0, 16),
+    (0.9921875, 4.6363331894926065e-272, 1.0, 16),
+    (1.284527833453456, -0.00011810506276760486, 0.6965010227375406, 274),
+    (1.8030185549783544, 0.01496412607376542, 0.5072913204298293, 234),
+]
+
+
+@pytest.mark.parametrize("d, b, box, n", _HARD_GRIDS)
+def test_hard_grids_certify(d, b, box, n):
+    assert start_sets_taken(HalfLineSpec(d, b, box, n), [n]) in ([1], [2], [3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.floats(0.01, 5.0, allow_nan=False),
+    binding=st.floats(0.5, 1.5, allow_nan=False),
+    b=st.floats(1e-4, 5.0, allow_nan=False),
+    b_sign=st.sampled_from([-1.0, 1.0]),
+    n=st.integers(16, 400),
+)
+def test_grids_near_the_binding_threshold_certify(d, binding, b, b_sign, n):
+    # d L = binding: the bound state of H forms near d L = 1
+    box = binding / d
+    assume(0.5 <= box <= 100.0)
+    assert start_sets_taken(HalfLineSpec(d, b_sign * b, box, n), [n]) in ([1], [2], [3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b_fraction=st.floats(-1.0, 1.0, allow_nan=False),
+    box=st.floats(0.5, 100.0, allow_nan=False),
+    n=st.integers(16, 200),
+    exponent=st.floats(-12.0, -1.0, allow_nan=False),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_grids_near_unit_beta_certify(b_fraction, box, n, exponent, side):
+    # |1 + hc| = 1 + side 10^exponent, where the roots change layout at
+    # phi = arg(1 + hc); ConvergenceFailure would fail the test
+    h = box / n
+    d, b = near_unit_beta(h, side * 10.0**exponent, b_fraction)
+    assume(abs(d) <= 5.0 and b != 0.0)
+    spec = HalfLineSpec(d, b, box, n)
+    assert abs(abs(1.0 + spec.spacing * spec.robin_coefficient) - 1.0) <= 1.01 * 10.0**exponent
+    assert start_sets_taken(spec, [n]) in ([1], [2], [3])
+
+
+# benchmark-range grids with max_im_lambda_H as Newton's method from the
+# c = 0 roots gives it under the plain four-ulp step test; the rounding-level
+# test of start sets 2 and 3 would stop each one step earlier
+@pytest.mark.parametrize(
+    "d, b, n, max_im",
+    [
+        (-0.838524, 1.192279, 200, 0.06396795306878769),
+        (-0.88902, 0.731663, 100, 0.03814558567749543),
+        (-1.488668, 1.092423, 100, 0.05873915189522446),
+    ],
+)
+def test_first_start_set_keeps_its_bits(d, b, n, max_im):
+    assert samsonov_report(HalfLineSpec(d, b, 40.0, n), [n]).rows[0].max_im_lambda_H == max_im
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.floats(-1.5, -0.5, allow_nan=False),
+    b=st.floats(0.5, 1.5, allow_nan=False),
+)
+def test_benchmark_grids_take_the_first_start_set(d, b):
+    # the halfline_refine workload's range, rounded as it rounds: set 1
+    # keeps its rows bit for bit those of Newton from the c = 0 roots.  The
+    # corner (-0.5, 1.5) has |1 + hc| = 1 at n = 100 and takes set 3; a
+    # scan finds no other miss farther than 0.003 from it
+    d, b = round(d, 6), round(b, 6)
+    assume(math.hypot(d + 0.5, b - 1.5) > 0.01)
+    assert start_sets_taken(HalfLineSpec(d, b, 40.0, 100), [100, 200, 400]) == [1, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -236,71 +342,84 @@ def _record_calls(monkeypatch, name: str) -> list[tuple[int, ...]]:
     return calls
 
 
+def _record_linalg_calls(monkeypatch) -> list[str]:
+    """Names of the ``np.linalg`` functions called from now on."""
+    calls = []
+    for name in dir(np.linalg):
+        original = getattr(np.linalg, name)
+        if callable(original) and not name[0].isupper():
+
+            def recorded(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 def test_failed_certificate_raises_convergence_failure(monkeypatch):
     spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
     monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
-    monkeypatch.setattr(halfline, "_MAX_SWEEPS", 1)
-    calls = _record_calls(monkeypatch, "eigvals")
+    calls = _record_linalg_calls(monkeypatch)
     with pytest.raises(ConvergenceFailure, match="n = 50"):
         samsonov_report(spec, [50, 100])
     assert calls == []
 
 
-def test_certificate_rejects_a_lost_root(monkeypatch):
-    # Newton's method fails; every Aberth step converged, but one root is a
-    # copy of its neighbour: the trace checks must reject the grid
-    original = halfline._aberth
+def _losing_a_root(newton, lost: list[int]):
+    """``newton`` with one converged root replaced by a copy of its
+    neighbour on the calls whose (0-based) index is in ``lost``."""
+    calls = []
 
-    def lose_one(mu, w, rho):
-        roots = original(mu, w, rho)
-        low = np.argsort(roots.real)
-        roots[low[0]] = roots[low[1]]
+    def lose_one(phi, n, hc, floor=False):
+        roots = newton(phi, n, hc, floor)
+        if roots is not None and len(calls) in lost:
+            low = np.argsort(roots.real)
+            roots[low[0]] = roots[low[1]]
+        calls.append(phi.size)
         return roots
 
-    spec = HalfLineSpec(-1.0, 1.0, 20.0, 100)
-    monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
-    monkeypatch.setattr(halfline, "_aberth", lose_one)
-    calls = _record_calls(monkeypatch, "eigvals")
+    return lose_one, calls
+
+
+def test_certificate_rejects_a_lost_root(monkeypatch):
+    # a bound-state grid, which start set 2 alone certifies (set 1 does not
+    # converge): with one root of each set a copy of its neighbour, every
+    # set must fail
+    spec = HalfLineSpec(1.0, 1.0, 40.0, 100)
+    lose_one, calls = _losing_a_root(halfline._newton, lost=[0, 1, 2])
+    monkeypatch.setattr(halfline, "_newton", lose_one)
+    linalg = _record_linalg_calls(monkeypatch)
     with pytest.raises(ConvergenceFailure):
         samsonov_report(spec, [100])
-    assert calls == []
-    # the same grid passes with the copy undone
-    monkeypatch.setattr(halfline, "_aberth", original)
+    monkeypatch.undo()
+    assert linalg == []
+    # sets 1 and 3 with n starts, set 2 with the bound state and n - 1
+    assert calls == [100, 99, 100]
+    # the same grid passes with the copies undone
     assert samsonov_report(spec, [100]).rows[0].max_im_lambda_H > 0.0
 
 
-def test_certificate_sends_a_lost_newton_root_to_aberth(monkeypatch):
-    # every Newton step converged, but one root is a copy of its neighbour:
-    # the trace checks must send the grid to the Aberth sweeps, and the
-    # rows are then those of Aberth alone
+def test_certificate_sends_a_lost_root_to_the_next_start_set(monkeypatch):
+    # every Newton step of start set 1 converged, but one root is a copy of
+    # its neighbour: the trace checks must send each grid to the next set,
+    # here set 3 (|1 + hc| < 1, so set 2 does not apply)
     spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
     schedule = [50, 100]
-    monkeypatch.setattr(halfline, "_MAX_NEWTON_STEPS", 1)
-    aberth_rows = samsonov_report(spec, schedule).rows
-    monkeypatch.undo()
+    assert start_sets_taken(spec, schedule) == [1, 1]
+    reference = samsonov_report(spec, schedule).rows
 
-    newton, aberth = halfline._newton, halfline._aberth
-    sweeps = []
-
-    def lose_one(n, h, c):
-        roots = newton(n, h, c)
-        low = np.argsort(roots.real)
-        roots[low[0]] = roots[low[1]]
-        return roots
-
-    def counted(mu, w, rho):
-        sweeps.append(mu.size)
-        return aberth(mu, w, rho)
-
+    lose_one, calls = _losing_a_root(halfline._newton, lost=[0, 2])
     monkeypatch.setattr(halfline, "_newton", lose_one)
-    monkeypatch.setattr(halfline, "_aberth", counted)
-    calls = _record_calls(monkeypatch, "eigvals")
+    linalg = _record_linalg_calls(monkeypatch)
     rows = samsonov_report(spec, schedule).rows
     monkeypatch.undo()
-    assert calls == []
-    assert sweeps == schedule
-    # repr, because the first row's order estimate is nan
-    assert [repr(r) for r in rows] == [repr(r) for r in aberth_rows]
+    assert linalg == []
+    # two sets of n starts per grid: 1, then 3
+    assert calls == [50, 50, 100, 100]
+    for row, ref in zip(rows, reference):
+        assert row.max_im_lambda_H == pytest.approx(ref.max_im_lambda_H, rel=1e-13, abs=0.0)
+        assert row.min_eig_G == ref.min_eig_G and row.herm_residual_h == ref.herm_residual_h
 
 
 def test_floor_binding_min_eig_matches_mpmath(monkeypatch):
@@ -391,18 +510,27 @@ def test_secular_spectrum_never_falls_back(d, b, box, n):
     n=st.integers(16, 200),
 )
 def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
-    # h <= 0.15 keeps |hc| <= 0.64; at larger |hc| the Aberth roots
-    # themselves miss the mpmath max |Im lam| by up to ~6e-14 relative
+    # the roots of whichever start set passed the certificate; h <= 0.15
+    # keeps |hc| <= 0.64, and at larger |hc| the Aberth roots themselves
+    # miss the mpmath max |Im lam| by up to ~6e-14 relative
     spec = HalfLineSpec(d, b_sign * b, h * n, n)
     hb, _ = halfline._bands(spec)
+    certify, certified = halfline._certified, []
+
+    def recorded(roots, bands):
+        passed = certify(roots, bands)
+        certified.extend([roots] if passed else [])
+        return passed
+
+    with mock.patch.object(halfline, "_certified", recorded):
+        new = samsonov_report(spec, [n]).rows[0].max_im_lambda_H
+    (roots,) = certified
+    assert new == np.abs(roots.imag).max()
     h, c = spec.spacing, spec.robin_coefficient
-    roots = halfline._newton(n, h, c)
-    if not halfline._certified(roots, hb):
-        return
     half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
     mu = (4.0 / (h * h)) * np.sin(half) ** 2
     w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
-    reference = halfline._aberth(mu, w, c / h)
-    assert halfline._certified(reference, hb)
-    new, ref = np.abs(roots.imag).max(), np.abs(reference.imag).max()
+    reference = aberth(mu, w, c / h)
+    assert certify(reference, hb)
+    ref = np.abs(reference.imag).max()
     assert abs(new - ref) <= 1e-13 * ref

@@ -8,7 +8,8 @@ root (nor does ``qherm lattice`` read a root), condition numbers are
 computed only where a report or warning reads them and at most once per
 eigensystem, the eigensolver's clustering pass is the only one, and the
 half-line refinement study calls no ``numpy.linalg`` kernel, forms no
-dense matrix and, on the benchmark's inputs, runs no Aberth sweep.
+dense matrix and, on the benchmark's inputs, certifies the spectrum of
+``H`` from its first set of Newton starts.
 """
 
 import os
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import diagonalizable_real_spectrum, rng
+from helpers import diagonalizable_real_spectrum, rng, start_sets_taken
 import qherm
 from qherm import (
     HalfLineSpec,
@@ -189,14 +190,6 @@ _REFINE_DRAWS = np.round(rng(10).uniform([-1.5, 0.5], [-0.5, 1.5], (3, 2)), 6).t
 def test_samsonov_solves_the_spectrum_by_newton_alone(monkeypatch, d, b):
     names = ("eig", "eigh", "eigvals", "eigvalsh")
     counters = [_count_calls(monkeypatch, name) for name in names]
-    sweeps = [0]
-    aberth = halfline._aberth
-
-    def counted(*args):
-        sweeps[0] += 1
-        return aberth(*args)
-
-    monkeypatch.setattr(halfline, "_aberth", counted)
-    samsonov_report(HalfLineSpec(d, b, 40.0, 100), [100, 200, 400])
-    assert sweeps[0] == 0
+    taken = start_sets_taken(HalfLineSpec(d, b, 40.0, 100), [100, 200, 400])
+    assert taken == [1, 1, 1]
     assert {name: c[0] for name, c in zip(names, counters)} == dict.fromkeys(names, 0)
