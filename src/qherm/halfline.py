@@ -27,11 +27,12 @@ The refinement study works on the three diagonals of ``H``, ``G`` and
 closed-form eigenpairs (Golub 1973).  Newton's method finds each root of
 the characteristic equation of ``H`` from up to three sets of starts: the
 roots at ``c = 0``; the bound state that ``H`` has once ``|1 + hc| > 1``,
-by scalar Newton on ``det(H - lam)``, with the rest of the circle; and
-starts that follow the change of layout of the roots near ``|1 + hc| = 1``.
-The first set whose steps all converge and whose roots match ``tr H`` and
-``tr H^2`` gives ``sigma(H)``; if none does, the report raises
-:class:`ConvergenceFailure`.  Bisection on the
+by Newton's method on ``det(H - lam)`` in secular form, with the rest of
+the circle; and starts that follow the change of layout of the roots near
+``|1 + hc| = 1``.  The first set whose steps all converge and whose roots
+match ``tr H`` and ``tr H^2`` gives ``sigma(H)``; if none does, the report
+raises :class:`ConvergenceFailure`.  Each root keeps ``Im lambda``
+relative to ``b``, however small ``b`` is.  Bisection on the
 secular equation of ``G`` gives the extremes of ``sigma(G)``, but
 ``min sigma(G)`` is ``sigma_min(L)^2`` by inverse iteration where
 :data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` comes from its
@@ -73,8 +74,8 @@ FLOOR_EPSILON = 1e-12
 # Newton steps per root before a start set is given up as unconverged
 _MAX_NEWTON_STEPS = 10
 
-# scalar Newton steps on the bound state, each O(1): near the threshold
-# where the state binds, it wanders for a dozen steps before it converges
+# Newton steps on the bound state, each O(n): near the threshold where the
+# state binds, or near |1 + hc| = 1, it takes up to about 25
 _MAX_BOUND_STATE_STEPS = 50
 
 # slack for the non-increasing trend tests, absorbing rounding noise on
@@ -216,12 +217,22 @@ class SamsonovReport:
     passed: bool
 
     def csv_rows(self) -> list[dict]:
-        """The rows as CSV records, one column per field of :class:`SamsonovRow`."""
-        return [{_CSV_NAMES.get(k, k): v for k, v in vars(r).items()} for r in self.rows]
-
-
-# CSV columns whose name is not the SamsonovRow field's
-_CSV_NAMES = {"spacing": "h", "order_estimate": "order_estimates"}
+        out = []
+        for r in self.rows:
+            out.append(
+                {
+                    "n": r.n,
+                    "h": r.spacing,
+                    "min_eig_G": r.min_eig_G,
+                    "gap_to_d2": r.gap_to_d2,
+                    "residual_full": r.residual_full,
+                    "residual_interior": r.residual_interior,
+                    "herm_residual_h": r.herm_residual_h,
+                    "max_im_lambda_H": r.max_im_lambda_H,
+                    "order_estimates": r.order_estimate,
+                }
+            )
+        return out
 
 
 def _nonincreasing(values: list[float], floor: float) -> bool:
@@ -396,7 +407,27 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
     return float(np.sqrt(num_sq) / max(np.sqrt(den_sq), _TINY))
 
 
-def _newton(phi: np.ndarray, n: int, hc: complex, floor: bool = False) -> np.ndarray | None:
+def _characteristic(p: np.ndarray, n: int, hc: complex) -> tuple[np.ndarray, np.ndarray]:
+    """``F`` and ``F'`` of :func:`_newton` at ``phi = p``."""
+    x, y = p.real, p.imag
+    root_q = np.exp(0.5j * p)
+    chord = 2j * np.sin(0.5 * p)  # q^1/2 - q^-1/2
+    minus = hc - chord * root_q  # beta - q
+    plus = hc + chord / root_q  # beta - 1/q
+    q = root_q * root_q
+    # |beta - 1/q|^2 - |beta - q|^2 as a sum that keeps its relative
+    # accuracy; for real phi it is 4 Im(hc) sin(phi)
+    excess = 4.0 * hc.imag * np.sin(x) * np.cosh(y) + 4.0 * np.sinh(y) * (
+        2.0 * np.sinh(0.5 * y) ** 2 + 2.0 * np.sin(0.5 * x) ** 2 - hc.real * np.cos(x)
+    )
+    log_modulus = 0.5 * np.log1p(excess / (minus.real**2 + minus.imag**2))
+    angle = np.angle(plus / minus)
+    m = np.round((2 * n * x - angle) / (2.0 * np.pi))
+    f = 2j * n * p - log_modulus - 1j * (angle + 2.0 * np.pi * m)
+    return f, 1j * (2 * n - 1.0 / (q * plus) - q / minus)
+
+
+def _newton(phi: np.ndarray, n: int, hc: complex) -> np.ndarray | None:
     """Roots ``phi`` of the characteristic equation of ``H`` by Newton's
     method from the starts ``phi``, or None if one has not converged after
     ``_MAX_NEWTON_STEPS`` steps.
@@ -411,18 +442,21 @@ def _newton(phi: np.ndarray, n: int, hc: complex, floor: bool = False) -> np.nda
     the nearest integer at every step.  A root has converged once its step
     is at most four units in the last place of ``|phi|``.  Nothing keeps
     two starts from reaching one root, or one from reaching ``q = 1``; the
-    certificate of :func:`_certified` rejects both.  With ``floor`` a root
-    has also converged once its step is at most four units in the last
-    place of ``4n |phi|/|F'|``: ``F`` is a difference of terms of size
-    ``2n |phi|``, and near the threshold where a bound state forms ``|F'|``
-    falls below ``4n`` and the step stalls above four units of ``|phi|``.
-    Start set 1 keeps the plain test, so its roots do not move by a bit.
+    certificate of :func:`_certified` rejects both.
 
     Everything is formed without cancellation, since ``|Im lam|`` is what
     the study reads: ``beta - q`` as ``hc - 2i sin(phi/2) q^1/2`` (and
     ``beta - 1/q`` alike), and the real part of the logarithm from
     ``|beta - 1/q|^2 - |beta - q|^2``, which is proportional to ``Im c``
-    for real ``phi``.
+    for real ``phi``.  ``Re F'`` is not: it is a difference of terms of
+    size 1, so the complex steps leave ``Im phi`` with noise of about
+    ``eps^2 |phi|``, which can swamp an ``Im phi`` below the rounding of
+    ``|phi|``.  A root with ``|Im phi| <= eps |phi|`` (which takes ``|b|``
+    far below ``|d|``) therefore takes its ``Im phi`` from one Newton step
+    on ``Re F`` in ``Im phi`` alone, from the real axis: ``Im phi =
+    Re F/Im F'`` at ``Re phi``, where ``Re F`` is proportional to ``Im c``
+    and the step is exact to first order in ``Im phi``.  Every other root
+    is left as the complex steps give it.
     """
     phi = phi.copy()
     active = np.ones(phi.size, dtype=bool)
@@ -430,80 +464,55 @@ def _newton(phi: np.ndarray, n: int, hc: complex, floor: bool = False) -> np.nda
         todo = np.flatnonzero(active)
         if todo.size == 0:
             break
-        p = phi[todo]
-        x, y = p.real, p.imag
-        root_q = np.exp(0.5j * p)
-        chord = 2j * np.sin(0.5 * p)  # q^1/2 - q^-1/2
-        minus = hc - chord * root_q  # beta - q
-        plus = hc + chord / root_q  # beta - 1/q
-        q = root_q * root_q
-        # |beta - 1/q|^2 - |beta - q|^2 as a sum that keeps its relative
-        # accuracy; for real phi it is 4 Im(hc) sin(phi)
-        excess = 4.0 * hc.imag * np.sin(x) * np.cosh(y) + 4.0 * np.sinh(y) * (
-            2.0 * np.sinh(0.5 * y) ** 2 + 2.0 * np.sin(0.5 * x) ** 2 - hc.real * np.cos(x)
-        )
-        log_modulus = 0.5 * np.log1p(excess / (minus.real**2 + minus.imag**2))
-        angle = np.angle(plus / minus)
-        m = np.round((2 * n * x - angle) / (2.0 * np.pi))
-        f = 2j * n * p - log_modulus - 1j * (angle + 2.0 * np.pi * m)
-        f_prime = 1j * (2 * n - 1.0 / (q * plus) - q / minus)
+        f, f_prime = _characteristic(phi[todo], n, hc)
         step = f / f_prime
-        phi[todo] = p - step
-        size = np.abs(phi[todo])
-        if floor:
-            size = size * np.maximum(1.0, 4 * n / np.abs(f_prime))
-        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * size)
-    return None if active.any() else phi
+        phi[todo] -= step
+        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * np.abs(phi[todo]))
+    if active.any():
+        return None
+    low = np.abs(phi.imag) <= _EPS * np.abs(phi)
+    if low.any():
+        f, f_prime = _characteristic(phi.real[low].astype(np.complex128), n, hc)
+        phi.imag[low] = f.real / f_prime.imag
+    return phi
 
 
 def _bound_state(n: int, hc: complex) -> complex | None:
     """``h^2 lam`` of the bound state that ``H`` has once ``|1 + hc| > 1``
     and the box is long enough, or None if it is not found.
 
-    Newton's method in ``x = h^2 lam`` on ``det(h^2 H - x) = U_n -
-    beta U_(n-1)``, the Chebyshev polynomials at ``1 - x/2 = cosh t``: a
-    polynomial whose roots are ``sigma(h^2 H)`` alone, without the
-    spurious ``q = +-1`` or the pairs ``q, 1/q`` of :func:`_newton`, so
-    that a state near the threshold ``t = 0``, where it binds, is not lost.
-    With ``x = -4 sinh^2(t/2)``, ``Re t >= 0``, the determinant is
-    ``e^nt N/(2 sinh t)``, ``N = expm1(t) - hc + e^-2nt (hc - expm1(-t))``,
-    whose terms neither overflow nor exceed ``|hc|`` much, and
-    ``d log det/dx = (N'/N - coth t + n)/(-2 sinh t)``.  The start is the
-    bound state at ``n = inf``, ``x = -(hc)^2/beta``; the root has
-    converged once ``N`` is at the rounding level of its terms, ``exp``
-    included.
+    Newton's method in ``x = h^2 lam`` on ``det(h^2 H - x)``: a polynomial
+    whose roots are ``sigma(h^2 H)`` alone, without the spurious ``q = +-1``
+    or the pairs ``q, 1/q`` of :func:`_newton`, so that a state near the
+    threshold where it binds is not lost.  ``h^2 H = T - hc e0 e0^T``, where
+    ``T`` has eigenvalues ``nu_k = 4 sin^2(theta_k/2)``, ``theta_k =
+    (2k+1) pi/(2n+1)``, with squared first components ``w_k = 4
+    cos^2(theta_k/2)/(2n+1)`` (Golub 1973).  So ``det(h^2 H - x) = prod_k
+    (nu_k - x) f(x)`` with ``f = 1 - hc sum_k w_k/(nu_k - x)``, and
+    ``d log det/dx = f'/f - sum_k 1/(nu_k - x)``, O(n) per step.  The start
+    is the bound state at ``n = inf``, ``x = -(hc)^2/beta``; the root has
+    converged once its step is at most four units in the last place of
+    ``max(|x|, nu_0)``.
 
-    ``x`` carries ``Im x`` only to rounding of ``|x|``, which is much more
-    than ``Im x`` when ``b`` is small.  A deep state is taken from ``hc``
-    and ``e^-2nt`` instead; near the unit circle, where ``|q|^4n =
-    |e^-4nt| >= 1/10`` and :func:`_newton` loses at most four bits to
-    ``log |q|^4n``, the root is refined there.  Both keep ``Im x``
-    relative: on 500 random bound-state grids the choice was within 5e-14
-    of a 60-digit root, ``x`` alone within 4e-12.
+    The sums run over real weights and poles, and the bound state lies
+    below ``nu_0`` (above ``nu_(n-1)`` when ``Re hc < -2``), so the real
+    and the imaginary parts of their terms are each of one sign: for small
+    ``b`` the imaginary parts are formed without cancellation and ``Im x``
+    stays relative to ``b``.
     """
-    beta = 1.0 + hc
-    x = np.complex128(-hc * hc / beta)
+    half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
+    nu = 4.0 * np.sin(half) ** 2
+    w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
+    x = -hc * hc / (1.0 + hc)
     with np.errstate(all="ignore"):  # a diverging x ends as nan
         for _ in range(_MAX_BOUND_STATE_STEPS):
-            t = 2.0 * np.arcsinh(0.5 * np.sqrt(-x))
-            decay = np.exp(-2 * n * t)
-            terms = np.array([np.expm1(t), -hc, decay * (hc - np.expm1(-t))])
-            total = terms.sum()
-            # exp carries the rounding of t, relative to |t|, into N
-            if abs(total) <= 4.0 * _EPS * (1.0 + abs(t)) * np.abs(terms).sum():
-                break
-            slope = np.exp(t) - decay * (2 * n * (hc - np.expm1(-t)) - np.exp(-t))
-            x += 2.0 * np.sinh(t) / (slope / total - 1.0 / np.tanh(t) + n)
-        else:
-            return None
-        if abs(decay) ** 2 < 0.1:
-            # 1/q = beta - e with e = q^2n (beta - q), so x = -(1 - q)^2/q is
-            # -(hc - e)^2/(beta - e): exact in hc, wrong by about 2n |t e| eps
-            # through e = e^-2nt (...), where x itself is wrong by |x| eps
-            e = decay * (beta - np.exp(-t))
-            return complex(-((hc - e) ** 2) / (beta - e) if 2 * n * abs(t * e) < abs(x) else x)
-    phi = _newton(np.array([1j * t]), n, hc, floor=True)
-    return None if phi is None else complex(4.0 * np.sin(0.5 * phi[0]) ** 2)
+            r = 1.0 / (nu - x)
+            f = 1.0 - hc * np.sum(w * r)
+            step = f / (-hc * np.sum(w * r * r) - f * np.sum(r))
+            x -= step
+            if abs(step) <= 4.0 * _EPS * max(abs(x), nu[0]):
+                return complex(x)
+    return None
 
 
 def _start_sets(n: int, hc: complex):
@@ -568,8 +577,8 @@ def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
         return 0.0
     flip = c.imag < 0.0
     hc = h * (c.conjugate() if flip else c)
-    for k, (bound, starts) in enumerate(_start_sets(n, hc)):
-        phi = _newton(starts, n, hc, floor=k > 0)
+    for bound, starts in _start_sets(n, hc):
+        phi = _newton(starts, n, hc)
         if phi is None:
             continue
         roots = np.append(bound / (h * h), (4.0 / (h * h)) * np.sin(0.5 * phi) ** 2)

@@ -13,7 +13,9 @@ families:
   ``|d|, |b| <= 5``;
 * ``threshold``: ``d L`` in [0.5, 1.5], where the bound state binds, with
   ``|b|`` from 1e-4 to 5 and ``n`` in [16, 400];
-* ``large``: as ``random`` with ``n`` in [2000, 8192].
+* ``large``: as ``random`` with ``n`` in [2000, 8192];
+* ``tiny-b``: as ``random`` with ``|b|`` from 1e-300 to 1e-6, where
+  ``Im lambda`` lies far below the rounding of ``|lambda|``.
 """
 
 from __future__ import annotations
@@ -48,11 +50,17 @@ def _threshold(gen):
     return (d, b, box, int(gen.integers(16, 401))) if 0.5 <= box <= 100.0 else None
 
 
+def _tiny_b(gen):
+    d, _, box, n = _random(gen)
+    return d, 10.0 ** gen.uniform(-300.0, -6.0) * gen.choice([-1.0, 1.0]), box, n
+
+
 FAMILIES = [
     ("random", 2026, 2500, _random),
     ("near-unit", 2027, 1000, _near_unit),
     ("threshold", 2028, 1000, _threshold),
     ("large", 2029, 60, lambda gen: _random(gen, 2000, 8192)),
+    ("tiny-b", 2030, 500, _tiny_b),
 ]
 
 

@@ -141,12 +141,22 @@ def mp_min_eig_g(d: float, b: float, box: float, n: int, dps: int = 40) -> mpmat
 def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
     """``max |Im lambda(H)|``: Newton on the continuant ``det(H - z)``.
 
-    Starts from the three dense eigenvalues with the largest imaginary
-    parts and polishes each to 40 digits.
+    Starts from the three eigenvalues with the largest imaginary parts and
+    polishes each to 40 digits, real and imaginary part alike.  For
+    ``|b| <= 1e-6`` the dense ``Im lambda`` are rounding noise of ``||H||``,
+    so the starts come from first order in ``b`` instead: the real
+    symmetric ``H(d)`` perturbed by ``-i (b/h) e0 e0^T`` has
+    ``Im lambda_k = -(b/h) v_k(0)^2``.
     """
-    pair = halfline.build_pair(HalfLineSpec(d, b, box, n))
-    dense = np.linalg.eigvals(pair.H.matrix)
-    starts = dense[np.argsort(-np.abs(dense.imag))[:3]]
+    if abs(b) > 1e-6:
+        dense = np.linalg.eigvals(halfline.build_pair(HalfLineSpec(d, b, box, n)).H.matrix)
+        starts = dense[np.argsort(-np.abs(dense.imag))[:3]]
+    else:
+        real = halfline.build_pair(HalfLineSpec(d, 0.0, box, n)).H.matrix.real
+        lam, vec = np.linalg.eigh(real)
+        first_order = -(b * n / box) * vec[0] ** 2
+        top = np.argsort(-np.abs(first_order))[:3]
+        starts = lam[top] + 1j * first_order[top]
     with mpmath.workdps(40):
         h, c = _mp_grid(d, b, box, n)
         s = 1 / h**2
@@ -166,7 +176,8 @@ def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
                     )
                 step = p / dp
                 z -= step
-                if abs(step) <= mpmath.mpf(10) ** -34 * abs(z):
+                tol = mpmath.mpf(10) ** -34
+                if abs(step) <= tol * abs(z) and abs(step.imag) <= tol * abs(z.imag):
                     break
             best = max(best, abs(z.imag))
         return best
@@ -190,6 +201,15 @@ def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
         # d L = 0.99 with b/d = 1e-10: the state is about to bind, and its
         # Im lam must stay relative to b
         (0.9921875, 1e-10, 1.0, 16),
+        (0.9921875, 4.6363331894926065e-272, 1.0, 16),
+        # Im lam ~ b far below the rounding of |lam|: start sets 2 (bound
+        # states below and, for Re(hc) < -2, above the band) and 1
+        (1.0, 1e-20, 40.0, 100),
+        (1.0, 1e-40, 40.0, 100),
+        (2.0, 1e-20, 4.0, 200),
+        (2.0, 1e-40, 4.0, 200),
+        (-2.4, -1e-140, 70.0, 73),
+        (0.5, 1e-40, 1.9, 300),
     ],
 )
 def test_max_im_matches_mpmath(d, b, box, n):
@@ -199,13 +219,33 @@ def test_max_im_matches_mpmath(d, b, box, n):
 
 
 def test_deep_bound_state_keeps_im_relative():
-    # |q|^4n = 7e-18: x from Newton on det(h^2 H - x) holds Im x only to
-    # rounding of |x| (9.9e-14 relative here); -(hc - e)^2/(beta - e) holds
-    # it to 5e-16
+    # |q|^4n = 7e-18, with h^2 lam = 2.08 - 0.09i inside the band: Newton
+    # on the Chebyshev closed form of det(h^2 H - x) held Im x only to the
+    # rounding of |x| here (9.9e-14 relative); the secular form of the
+    # determinant gets 4.4e-15, close to the Aberth sweeps' 3.6e-15
     d, b, box, n = -3.320888004450201, 3.3316266914012687, 68.10967628777163, 217
     ref = mp_max_im_h(d, b, box, n)
     got = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0].max_im_lambda_H
     assert abs(got - ref) <= 1e-14 * ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.floats(-5.0, 5.0, allow_nan=False),
+    box=st.floats(0.5, 100.0, allow_nan=False),
+    n=st.integers(16, 200),
+    exponent=st.floats(-250.0, -25.0, allow_nan=False),
+)
+def test_im_lambda_stays_relative_to_tiny_b(d, box, n, exponent):
+    # Im lam_k = b s_k + O(b^2) for the real symmetric H(d) perturbed by
+    # -i (b/h) e0 e0^T, so below b = 1e-20 max |Im lam|/b must not move
+    # with b; an absolute noise floor would make it grow as b falls
+    assume(abs(d) >= 1e-3)
+    rows = [
+        samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0].max_im_lambda_H / b
+        for b in (1e-20, 10.0**exponent)
+    ]
+    assert rows[1] == pytest.approx(rows[0], rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -277,8 +317,7 @@ def test_grids_near_unit_beta_certify(b_fraction, box, n, exponent, side):
 
 
 # benchmark-range grids with max_im_lambda_H as Newton's method from the
-# c = 0 roots gives it under the plain four-ulp step test; the rounding-level
-# test of start sets 2 and 3 would stop each one step earlier
+# c = 0 roots gave it before start sets 2 and 3 existed, bit for bit
 @pytest.mark.parametrize(
     "d, b, n, max_im",
     [
@@ -371,8 +410,8 @@ def _losing_a_root(newton, lost: list[int]):
     neighbour on the calls whose (0-based) index is in ``lost``."""
     calls = []
 
-    def lose_one(phi, n, hc, floor=False):
-        roots = newton(phi, n, hc, floor)
+    def lose_one(phi, n, hc):
+        roots = newton(phi, n, hc)
         if roots is not None and len(calls) in lost:
             low = np.argsort(roots.real)
             roots[low[0]] = roots[low[1]]
