@@ -32,13 +32,14 @@ the circle; and starts that follow the change of layout of the roots near
 ``|1 + hc| = 1``.  The first set whose steps all converge and whose roots
 match ``tr H`` and ``tr H^2`` gives ``sigma(H)``; if none does, the report
 raises :class:`ConvergenceFailure`.  Each root keeps ``Im lambda``
-relative to ``b``, however small ``b`` is.  Bisection on the
-secular equation of ``G`` gives the extremes of ``sigma(G)``, but
-``min sigma(G)`` is ``sigma_min(L)^2`` by inverse iteration where
-:data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` comes from its
-five bands and the Hermiticity residual of ``G^1/2 H G^-1/2`` from
-``L H L^-1`` in closed form.  Only :func:`build_pair` calls BLAS or
-LAPACK, so the report does not depend on the BLAS thread count.
+relative to ``b``, however small ``b`` is.  Safeguarded Newton steps
+on the secular equation of ``G`` give the extremes of ``sigma(G)``, the
+same floats as bisection to the last bit, but ``min sigma(G)`` is
+``sigma_min(L)^2`` by inverse iteration where :data:`FLOOR_EPSILON`
+binds.  The commutator ``GH - H*G`` comes from its five bands and the
+Hermiticity residual of ``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed
+form.  Only :func:`build_pair` calls BLAS or LAPACK, so the report does
+not depend on the BLAS thread count.
 
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
@@ -46,6 +47,7 @@ metric; it has no closed form, so this module does not represent it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,16 +284,58 @@ def _commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
     return m[2:-2] - adj.conj()
 
 
-def _bisect_decreasing(f, lo: float, hi: float) -> float:
-    """The root of a decreasing ``f`` in ``[lo, hi]``, to the last bit."""
+def _secular(
+    x: float, nu: np.ndarray, z2: np.ndarray, rho: float
+) -> tuple[float, float, np.ndarray]:
+    """``f(x) = 1 - rho sum_k z2_k/(nu_k - x)``, ``-f'(x)`` and ``nu - x``;
+    ``f`` is ``1.0 - rho * np.sum(z2 / (nu - x))``, operation for operation,
+    which the argument of :func:`_metric_extremes` rests on."""
+    gap = nu - x
+    terms = z2 / gap
+    f = 1.0 - rho * float(np.sum(terms))
+    return f, rho * float(np.sum(terms / gap)), gap
+
+
+def _secular_root(
+    nu: np.ndarray, z2: np.ndarray, rho: float, lo: float, hi: float, pole: int
+) -> float:
+    """The root of ``f`` of :func:`_secular` in ``(lo, hi)`` next to the
+    pole ``nu[pole]``, to the last bit: ``0.5 (lo + hi)`` once no float lies
+    between ``lo`` and ``hi``.
+
+    Every ``x`` evaluated lies inside the bracket and replaces ``lo`` where
+    ``f(x) > 0``, ``hi`` otherwise.  The next ``x`` is the root of the
+    rational model ``A + B/(nu[pole] - lam)`` that matches ``sum_k
+    z2_k/(nu_k - lam)`` and its slope at ``x`` (Bunch, Nielsen and Sorensen
+    1978), Newton's step where that leaves the bracket, and the bisection
+    point where both do.  The first ``x``, ``nu[pole] - rho z2[pole]``,
+    bounds the root, since the pole's own term alone reaches ``1/rho``
+    there.  A step that rounds to ``x`` probes toward the other side
+    instead: 1 ulp at first, twice as far on each further such stall and
+    never less than ``eps (hi - lo)``, so where the computed ``f`` is flat
+    over many floats, as at a floor-binding ``min sigma(G)``, at most about
+    53 probes come before they give way to bisection.
+    """
+    x = float(nu[pole] - rho * z2[pole])
+    probe = 0.0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return mid
-        if f(mid) > 0.0:
-            lo = mid
+        if not lo < x < hi:
+            x = mid
+        f, slope, gap = _secular(x, nu, z2, rho)
+        if f > 0.0:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        step = x + f / (slope + f / float(gap[pole]))
+        if not lo < step < hi:
+            step = x + f / slope
+        if step == x:
+            probe = max(2.0 * probe, math.ulp(x), _EPS * (hi - lo))
+            step = x + probe if f > 0.0 else x - probe
+        x = step
 
 
 def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
@@ -305,9 +349,20 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     ``theta_k = k pi/(n+1)``, and squared first components
     ``2 sin^2(theta_k)/(n+1)``, so ``sigma(G)`` are the roots of
     ``1 = h^-2 sum_k z_k^2/(nu_k - lam)``: one below ``nu_1`` and one in
-    each gap above it.  The two outer roots are found by bisection, in
-    O(n) per step.  ``nu_k`` is a sum of two nonnegative terms, so the
-    lowest root carries rounding of the size of ``nu_1``, not of ``||G||``.
+    each gap above it.  :func:`_secular_root` finds the two outer roots, in
+    O(n) per step and about 9 steps for both on the benchmark's grids.
+    ``nu_k`` is a sum of two nonnegative terms, so the lowest root carries
+    rounding of the size of ``nu_1``, not of ``||G||``.
+
+    The result is, bit for bit, the float that bisection of the brackets
+    ``(nu_1 - h^-2, nu_1)`` and ``(nu_(n-1), nu_n)`` to the last bit
+    returns.  Inside either bracket each ``nu_k - lam`` keeps one sign,
+    every operation of ``f`` is correctly rounded and monotone in its
+    operands, and ``np.sum`` adds in a fixed order, so the computed ``f``
+    is nonincreasing in ``lam`` and changes sign between exactly one pair
+    of adjacent floats.  Any method that moves ``lo`` only to floats where
+    the computed ``f > 0``, ``hi`` only to floats where it is not, and stops
+    on adjacent floats, ends on that pair.
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     inv_h = 1.0 / h
@@ -323,12 +378,8 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     theta = np.arange(1, n + 1) * (np.pi / (n + 1))
     nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
     z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
-
-    def secular(lam: float) -> float:
-        return 1.0 - rho * float(np.sum(z2 / (nu - lam)))
-
-    lowest = _bisect_decreasing(secular, float(nu[0] - rho), float(nu[0]))
-    highest = _bisect_decreasing(secular, float(nu[-2]), float(nu[-1]))
+    lowest = _secular_root(nu, z2, rho, float(nu[0] - rho), float(nu[0]), 0)
+    highest = _secular_root(nu, z2, rho, float(nu[-2]), float(nu[-1]), -1)
     return lowest, highest
 
 
@@ -373,9 +424,13 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
 
     ``Z - Z*`` is then row and column 0 and the last diagonal entry.  Its
     entries are written without cancellation, ``|q|^2 = 1/|1 - hc|^2``, and
-    for ``|q| > 1`` both sums are over their largest term ``|q|^2n``.  It is
-    the exact transform's residual also where the floor binds (floored roots
-    of ``G`` give 0.94, not ``sqrt 2``, at ``d, b, L, n = 1, 0.5, 40, 1600``).
+    for ``|q| > 1`` both sums are over their largest term ``|q|^2n``: every
+    entry, at most of size ``|q|^2``, is formed times ``w = |q|^-2`` (so
+    ``q w = conj(1 - hc)``) and its square times ``|q|^(4-2n)``, so nothing
+    overflows however close ``hc`` is to 1.  For ``|q| <= 1``, ``w = 1``.
+    It is the exact transform's residual also where the floor binds
+    (floored roots of ``G`` give 0.94, not ``sqrt 2``, at ``d, b, L, n = 1,
+    0.5, 40, 1600``).
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     d, b = c.real, c.imag
@@ -387,22 +442,25 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
     q = 1.0 / one_minus
     c2 = c * c
     c4 = c2.real**2 + c2.imag**2
+    big = m2 < 1.0  # |q| > 1
+    w = m2 if big else 1.0
+    qw = one_minus.conjugate() if big else q
+    scale = m2 ** (n - 2) if big else 1.0
     # |q|^(2k) for k = 2..n, over |q|^2n if |q| > 1: |w_j|^2 = |c|^4 |q|^(2(j+1))
-    top = n if m2 < 1.0 else 0
+    top = n if big else 0
     tail = np.exp((top - np.arange(2, n + 1)) * np.log(m2))
-    scale = m2**top
-    # Im Z[0,0] = s Im q - b/h and Im Z[n-1,n-1] = -s Im q
-    im_corner = b * (2.0 * d - h * abs(c) ** 2) / m2
-    im_last = b / (h * m2)
+    # Im Z[0,0] = s Im q - b/h and Im Z[n-1,n-1] = -s Im q, times w
+    im_corner = b * (2.0 * d - h * abs(c) ** 2) / (m2 / w)
+    im_last = b / (h * (m2 / w))
     num_sq = 4.0 * im_corner**2 * scale + 2.0 * c4 * np.sum(tail) + 4.0 * im_last**2 * scale
-    z00 = s * (1.0 + q) - c / h
-    z01 = c2 * q * q - s
+    z00 = s * (w + qw) - c * w / h
+    z01 = c2 * q * qw - s * w
     den_sq = (
         abs(z00) ** 2 * scale
         + abs(z01) ** 2 * scale
         + c4 * np.sum(tail[1:])
         # rows 1..n-2 of H, then row n-1 with its corrected diagonal
-        + s * s * (6.0 * (n - 2) + 1.0 + abs(2.0 - q) ** 2) * scale
+        + s * s * ((6.0 * (n - 2) + 1.0) * w * w + abs(2.0 * w - qw) ** 2) * scale
     )
     return float(np.sqrt(num_sq) / max(np.sqrt(den_sq), _TINY))
 

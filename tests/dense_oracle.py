@@ -6,9 +6,11 @@ cumulative projector as its own dense matrix, ``E(lam_k) = W_k W_k*`` and
 ``X(lam_k) = G^-1/2 E(lam_k) G^1/2`` through the metric conjugation, as
 the reference the tests compare the factored families against.  It also
 keeps the dense per-grid computation of the half-line refinement study,
-the reference for its secular and banded kernels, and the Aberth-Ehrlich
+the reference for its secular and banded kernels, the Aberth-Ehrlich
 sweeps on the secular equation of the half-line ``H``, an independent
-O(n^2) reference for the roots that Newton's method finds.
+O(n^2) reference for the roots that Newton's method finds, and the
+bisection of the secular equation of the half-line ``G``, the float for
+float reference for the extremes of its spectrum.
 """
 
 from __future__ import annotations
@@ -177,3 +179,43 @@ def aberth(mu: np.ndarray, w: np.ndarray, rho: complex) -> np.ndarray | None:
             tol = 4.0 * _EPS * np.maximum(np.abs(z[block]), mu[0])
             active[block] = ~(np.abs(step) <= tol)
     return z if not active.any() else None
+
+
+def _bisect_decreasing(f, lo: float, hi: float) -> float:
+    """The root of a decreasing ``f`` in ``[lo, hi]``, to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def bisected_metric_extremes(grid) -> tuple[float, float]:
+    """``min sigma(G)`` and ``max sigma(G)`` of a half-line grid by bisection
+    of the secular equation of ``G`` to the last bit, about 97 O(n) steps on
+    the benchmark's grids: the float for float reference for
+    ``halfline._metric_extremes``.  The equation, its poles ``nu_k`` and
+    weights ``z2_k`` are those that function documents.
+    """
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    inv_h = 1.0 / h
+    rho = inv_h * inv_h
+    diag = c - inv_h
+    mod = abs(diag)
+    coupling = mod * inv_h
+    if coupling == 0.0:
+        return mod * mod, mod * mod + rho
+    shift = (abs(c) ** 2 - 2.0 * c.real * inv_h) / (mod + inv_h)
+    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+    nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
+    z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
+
+    def secular(lam: float) -> float:
+        return 1.0 - rho * float(np.sum(z2 / (nu - lam)))
+
+    lowest = _bisect_decreasing(secular, float(nu[0] - rho), float(nu[0]))
+    highest = _bisect_decreasing(secular, float(nu[-2]), float(nu[-1]))
+    return lowest, highest

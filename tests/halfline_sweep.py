@@ -1,12 +1,16 @@
-"""Sweep of random half-line grids: which start set certifies ``sigma(H)``.
+"""Sweep of random half-line grids: which start set certifies ``sigma(H)``,
+and whether the extremes of ``sigma(G)`` are the bisection's.
 
 Run with ``PYTHONPATH=src python tests/halfline_sweep.py`` (no arguments;
 the seeds are fixed).  Every grid runs through ``samsonov_report`` with
 ``build_pair`` refused, and the script prints, per family of grids, how
 many took start set 1, 2 or 3 of ``halfline._start_sets``, how many have a
 real Robin coefficient (no start set), and every grid that raised
-``ConvergenceFailure`` or gave a non-finite ``max_im_lambda_H``.  The
-families:
+``ConvergenceFailure`` or gave a non-finite ``max_im_lambda_H``.  It also
+compares ``halfline._metric_extremes`` with the bisection of
+``dense_oracle.bisected_metric_extremes`` bit for bit, and prints the
+mismatches (each grid, and their count) and the median and largest number
+of O(n) secular evaluations per grid.  The families:
 
 * ``random``: ``d, b`` in [-5, 5], ``L`` in [0.5, 100], ``n`` in [16, 1600];
 * ``near-unit``: ``|1 + hc|`` within 1e-12 to 1e-1 of 1, either side, with
@@ -27,7 +31,8 @@ from unittest import mock
 
 import numpy as np
 
-from helpers import near_unit_beta, start_sets_taken
+from dense_oracle import bisected_metric_extremes
+from helpers import metric_extremes_counted, near_unit_beta, start_sets_taken
 from qherm import ConvergenceFailure, HalfLineSpec, halfline, samsonov_report
 
 
@@ -64,14 +69,18 @@ FAMILIES = [
 ]
 
 
-def sweep(seed: int, count: int, draw) -> tuple[Counter, list]:
+def sweep(seed: int, count: int, draw) -> tuple[Counter, list, list, list]:
     gen = np.random.default_rng(seed)
-    taken, bad = Counter(), []
-    while sum(taken.values()) + len(bad) < count:
+    taken, bad, mismatched, evaluations = Counter(), [], [], []
+    while len(evaluations) < count:
         grid = draw(gen)
         if grid is None:
             continue
         spec = HalfLineSpec(*(float(v) for v in grid[:3]), grid[3])
+        extremes, calls = metric_extremes_counted(spec)
+        evaluations.append(calls)
+        if [v.hex() for v in extremes] != [v.hex() for v in bisected_metric_extremes(spec)]:
+            mismatched.append(grid)
         try:
             (start_set,) = start_sets_taken(spec, [spec.n]) or ["real c"]
             max_im = samsonov_report(spec, [spec.n]).rows[0].max_im_lambda_H
@@ -81,7 +90,7 @@ def sweep(seed: int, count: int, draw) -> tuple[Counter, list]:
         if not math.isfinite(max_im):
             bad.append((grid, f"max_im_lambda_H = {max_im}"))
         taken[start_set] += 1
-    return taken, bad
+    return taken, bad, mismatched, evaluations
 
 
 def main() -> None:
@@ -89,12 +98,17 @@ def main() -> None:
     with refuse:
         for name, seed, count, draw in FAMILIES:
             start = time.perf_counter()
-            taken, bad = sweep(seed, count, draw)
+            taken, bad, mismatched, evaluations = sweep(seed, count, draw)
             counts = ", ".join(f"set {k}: {v}" for k, v in sorted(taken.items(), key=str))
             print(f"{name} (seed {seed}): {count} grids; {counts}; failed: {len(bad)}; "
                   f"{time.perf_counter() - start:.1f} s")
             for grid, reason in bad:
                 print(f"  {grid}: {reason}")
+            print(f"  extremes of sigma(G): {len(mismatched)} differ from bisection; "
+                  f"secular evaluations per grid: median {np.median(evaluations):g}, "
+                  f"max {max(evaluations)}")
+            for grid in mismatched:
+                print(f"  {grid}: extremes of sigma(G) differ from bisection")
 
 
 if __name__ == "__main__":

@@ -95,6 +95,21 @@ def start_sets_taken(spec, schedule: list[int]) -> list[int]:
     return taken
 
 
+def metric_extremes_counted(grid) -> tuple[tuple[float, float], int]:
+    """``halfline._metric_extremes(grid)`` and the number of O(n)
+    evaluations of the secular equation of ``G`` it took."""
+    calls = []
+    secular = halfline._secular
+
+    def counted(*args):
+        calls.append(None)
+        return secular(*args)
+
+    with mock.patch.object(halfline, "_secular", counted):
+        extremes = halfline._metric_extremes(grid)
+    return extremes, len(calls)
+
+
 def near_unit_beta(h: float, delta: float, t: float) -> tuple[float, float]:
     """``(d, b)`` with ``|1 + h (d + ib)| = 1 + delta`` and ``|b| <= 5``.
 

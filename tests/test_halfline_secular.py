@@ -2,12 +2,14 @@
 
 ``samsonov_report`` takes ``sigma(H)`` by Newton's method on its
 characteristic equation from up to three start sets, the extremes of
-``sigma(G)`` by bisection (``min sigma(G)`` as ``sigma_min(L)^2`` where the
-floor binds) and the residuals from bands and the factor ``L``.  The dense
-per-grid computation in ``tests/dense_oracle.py`` is the reference, with
-its Aberth sweeps on the secular equation of ``H`` for the roots; where
-they differ by more than rounding, the mpmath oracles below show which one
-is right.
+``sigma(G)`` by safeguarded Newton steps on its secular equation
+(``min sigma(G)`` as ``sigma_min(L)^2`` where the floor binds) and the
+residuals from bands and the factor ``L``.  The dense per-grid computation
+in ``tests/dense_oracle.py`` is the reference, with its Aberth sweeps on
+the secular equation of ``H`` for the roots and its bisection of the
+secular equation of ``G`` for the extremes, float for float; where they
+differ by more than rounding, the mpmath oracles below show which one is
+right.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import aberth, dense_samsonov_rows
+from dense_oracle import aberth, bisected_metric_extremes, dense_samsonov_rows
 from helpers import near_unit_beta, start_sets_taken
 from qherm import ConvergenceFailure, HalfLineSpec, samsonov_report
 from qherm import halfline
@@ -136,6 +138,26 @@ def mp_min_eig_g(d: float, b: float, box: float, n: int, dps: int = 40) -> mpmat
             else:
                 lo = mid
         return (lo + hi) / 2
+
+
+def mp_herm_residual(d: float, b: float, box: float, n: int) -> mpmath.mpf:
+    """``||Z - Z*||_F / ||Z||_F`` with ``Z = L H L^-1`` from the n x n
+    matrices at 60 digits, ``L^-1`` the Toeplitz inverse of the bidiagonal
+    ``L = a I + S/h``, ``a = c - 1/h``: ``L^-1[i, j] = (-1/(h a))^(j-i)/a``."""
+    with mpmath.workdps(60):
+        h, c = _mp_grid(d, b, box, n)
+        a = c - 1 / h
+        lmat, hmat, inv = (mpmath.zeros(n, n) for _ in range(3))
+        for i in range(n):
+            lmat[i, i], hmat[i, i] = a, 2 / h**2
+            if i + 1 < n:
+                lmat[i, i + 1] = 1 / h
+                hmat[i, i + 1] = hmat[i + 1, i] = -1 / h**2
+            for j in range(i, n):
+                inv[i, j] = (-1 / (h * a)) ** (j - i) / a
+        hmat[0, 0] = 1 / h**2 - c / h
+        z = lmat * hmat * inv
+        return mpmath.mnorm(z - z.transpose_conj(), "f") / mpmath.mnorm(z, "f")
 
 
 def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
@@ -463,7 +485,7 @@ def test_certificate_sends_a_lost_root_to_the_next_start_set(monkeypatch):
 
 def test_floor_binding_min_eig_matches_mpmath(monkeypatch):
     # d = +1 over L = 40: L is near-singular, min sigma(G) ~ e^{-2dL}, far
-    # below what bisection or a dense eigh of G can resolve
+    # below what the secular equation or a dense eigh of G can resolve
     spec = HalfLineSpec(1.0, 0.5, 40.0, 64)
     schedule = [64, 128]
     for n in schedule:
@@ -512,6 +534,60 @@ def test_edge_inputs_of_the_closed_forms(tmp_path, capsys, d, b, box, n, singula
         assert reported["herm_residual_h"] is None and field["herm_residual_h"] == ""
     else:
         assert reported["herm_residual_h"] == row.herm_residual_h
+
+
+@pytest.mark.parametrize(
+    "d, b, box, n",
+    [
+        # 1 - hc = -6.25e-152 i: |q| = 1/|1 - hc| = 1.6e151, so |c^2 q^2|^2
+        # overflowed before the |1 - hc|^2n that brings it back
+        pytest.param(16.0, 1e-150, 1.0, 16, id="hc-next-to-1"),
+        pytest.param(0.5, 1.0, 4.0, 16, id="q-above-1"),
+    ],
+)
+def test_herm_residual_does_not_overflow(tmp_path, capsys, d, b, box, n):
+    json_out = tmp_path / "s.json"
+    argv = ["samsonov", f"--d={d}", f"--b={b}", f"--L={box}", f"--n={n}"]
+    assert main(argv + ["--json-out", str(json_out)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    got = json.loads(json_out.read_text())["rows"][0]["herm_residual_h"]
+    assert math.isfinite(got)
+    ref = mp_herm_residual(d, b, box, n)
+    assert abs(got - ref) <= 1e-14 * ref
+
+
+# --- the extremes of sigma(G) are the bisection's, float for float ----------
+
+
+@st.composite
+def _metric_grids(draw) -> HalfLineSpec:
+    """Grids with ``d`` of either sign; ``d > 0`` with ``d L`` from 15 to
+    100, where ``min sigma(G)`` falls below the floor; tiny ``|b|``; and
+    ``|1 + hc|`` within 1e-12 to 1e-1 of 1; ``n`` from 16 to 8192."""
+    n = draw(st.integers(16, 8192))
+    family = draw(st.sampled_from(["signed", "floor", "tiny-b", "near-unit"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    box = draw(st.floats(0.5, 100.0, allow_nan=False))
+    d = draw(st.floats(-5.0, 5.0, allow_nan=False))
+    b = draw(st.floats(-5.0, 5.0, allow_nan=False))
+    if family == "floor":
+        d = draw(st.floats(0.5, 5.0, allow_nan=False))
+        b, box = b * d / 5.0, draw(st.floats(15.0, 100.0, allow_nan=False)) / d
+    elif family == "tiny-b":
+        b = sign * 10.0 ** draw(st.floats(-300.0, -6.0, allow_nan=False))
+    elif family == "near-unit":
+        exponent = draw(st.floats(-12.0, -1.0, allow_nan=False))
+        d, b = near_unit_beta(box / n, sign * 10.0**exponent, b / 5.0)
+    return HalfLineSpec(d, b, box, n)
+
+
+@settings(max_examples=250, deadline=None)
+@given(grid=_metric_grids())
+def test_metric_extremes_are_the_bisections(grid):
+    # the computed secular function is monotone in each bracket, so every
+    # bracketing method that stops on adjacent floats returns the same float
+    got = halfline._metric_extremes(grid)
+    assert [v.hex() for v in got] == [v.hex() for v in bisected_metric_extremes(grid)]
 
 
 # --- the certificate holds on every input -----------------------------------

@@ -9,7 +9,8 @@ computed only where a report or warning reads them and at most once per
 eigensystem, the eigensolver's clustering pass is the only one, and the
 half-line refinement study calls no ``numpy.linalg`` kernel, forms no
 dense matrix and, on the benchmark's inputs, certifies the spectrum of
-``H`` from its first set of Newton starts.
+``H`` from its first set of Newton starts and finds the extremes of the
+spectrum of ``G`` in a few O(n) evaluations of its secular equation.
 """
 
 import os
@@ -18,7 +19,12 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import diagonalizable_real_spectrum, rng, start_sets_taken
+from helpers import (
+    diagonalizable_real_spectrum,
+    metric_extremes_counted,
+    rng,
+    start_sets_taken,
+)
 import qherm
 from qherm import (
     HalfLineSpec,
@@ -193,3 +199,16 @@ def test_samsonov_solves_the_spectrum_by_newton_alone(monkeypatch, d, b):
     taken = start_sets_taken(HalfLineSpec(d, b, 40.0, 100), [100, 200, 400])
     assert taken == [1, 1, 1]
     assert {name: c[0] for name, c in zip(names, counters)} == dict.fromkeys(names, 0)
+
+
+_REFINE_CORNERS = [(-1.5, 0.5), (-1.5, 1.5), (-0.5, 0.5), (-0.5, 1.5)]
+
+
+@pytest.mark.parametrize("d, b", [*_REFINE_CORNERS, *_REFINE_DRAWS])
+def test_metric_extremes_take_few_secular_evaluations(d, b):
+    # 9 per grid at the corners of the halfline_refine range and on each of
+    # 600 grids drawn from it; bisection to the last bit takes about 97,
+    # plain Newton steps about 19
+    for n in (100, 200, 400):
+        _, calls = metric_extremes_counted(HalfLineSpec(d, b, 40.0, n))
+        assert calls <= 12, n
