@@ -15,11 +15,14 @@ other modules accept it in place of the operator and read those verdicts
 instead of deciding again (:func:`ensure_eigensystem`).  Costly
 quantities are computed where they are read: the canonically scaled
 eigenvector matrix and ``vector_condition`` (one SVD) on first read, then
-kept; ``||A||_2`` only for a repeated eigenvalue.
+kept.  The defectiveness verdict adds nothing to ``eig`` for a simple
+spectrum, and for repeated eigenvalues one product certifying their
+eigenvectors and one SVD of each cluster's n x m block of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +31,8 @@ import numpy as np
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
 DEFAULT_TOL = 1e-10
+
+_EPS = np.finfo(np.float64).eps
 
 __all__ = [
     "DEFAULT_TOL",
@@ -138,11 +143,12 @@ class Eigensystem:
     eigenvalues within ``tol*(1+|lam|)`` of each other, the read-only
     mask ``real`` marks those with ``|Im lam| <= tol*(1+|lam|)``, and
     ``defective`` is set when some cluster has geometric multiplicity
-    below its algebraic one.  ``scaled_vectors``, the eigenvector matrix
-    ``S`` with each column scaled to unit largest entry (read-only), and
-    ``vector_condition``, the 2-norm condition number of the eigenvector
-    matrix (1 for a normal operator, one SVD), are computed on first read
-    and kept.
+    below its algebraic one: when the smallest singular value of the
+    cluster's block of unit eigenvectors is at most ``sqrt(tol)``.
+    ``scaled_vectors``, the eigenvector matrix ``S`` with each column
+    scaled to unit largest entry (read-only), and ``vector_condition``, the
+    2-norm condition number of the eigenvector matrix (1 for a normal
+    operator, one SVD), are computed on first read and kept.
     """
 
     operator: Operator
@@ -234,14 +240,57 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
     return _record(H, w, _readonly(v), tol, cluster_eigenvalues(w, tol), False)
 
 
+def _defective(a: np.ndarray, w: np.ndarray, v: np.ndarray, clusters, tol: float) -> bool:
+    """Whether some cluster's block of unit eigenvectors is numerically
+    rank deficient: ``sigma_min(V_c) <= sqrt(tol)``.
+
+    A cluster of ``m`` eigenvalues is diagonalizable at tolerance when its
+    ``n x m`` block ``V_c`` of computed eigenvectors has ``m`` independent
+    columns; at a Jordan block the computed eigenvectors come out nearly
+    parallel (Golub and Wilkinson 1976).  Where ``eig`` splits a Jordan
+    block into eigenvalues within ``tol`` of each other, ``sigma_min(V_c)``
+    is of order ``tol^(m-1)``; ``sqrt(tol)`` lies halfway, in logarithm,
+    between that and the ``O(1)`` of a well-conditioned eigenbasis.  The
+    threshold was checked against the rank test of ``A - lam I`` it
+    replaces (``tests/defect_sweep.py``).  Before its singular values are
+    read, every block is certified as eigenvectors, ``||A V_c - V_c
+    Lambda_c||_F <= max(tol, n eps) ||A||_F`` (one product for all blocks),
+    else :class:`ConvergenceFailure`.  The threshold never falls below
+    ``sqrt(eps)``, so ``tol = 0`` still finds a Jordan block of exactly
+    equal eigenvalues.
+    """
+    repeated = [c for c in clusters if c.size > 1]
+    if not repeated:
+        return False
+    cols = np.concatenate([np.arange(c.start, c.start + c.size) for c in repeated])
+    block = v[:, cols]
+    residual = a @ block - block * w[cols]
+    col_sq = np.sum(residual.real**2 + residual.imag**2, axis=0)
+    starts = np.cumsum([0] + [c.size for c in repeated[:-1]])
+    defects = np.sqrt(np.add.reduceat(col_sq, starts))
+    bound = max(tol, a.shape[0] * _EPS) * fro(a)
+    worst = int(np.argmax(defects))
+    if defects[worst] > bound:
+        raise ConvergenceFailure(
+            f"eigenvectors of the cluster at {repeated[worst].value:.6g} have "
+            f"residual {defects[worst]:.3e} above {bound:.3e}"
+        )
+    threshold = math.sqrt(max(tol, _EPS))
+    return any(
+        np.linalg.svd(v[:, c.start : c.start + c.size], compute_uv=False)[-1] <= threshold
+        for c in repeated
+    )
+
+
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
     """General eigendecomposition with a numerical defectiveness verdict.
 
-    Defectiveness is decided per eigenvalue cluster by comparing the
-    algebraic multiplicity (cluster size) against the geometric one, the
-    latter obtained from the numerical rank of ``A - lam*I`` at threshold
-    ``tol*||A||_2``.  The clusters and the realness mask of the record
-    are decided at the same ``tol``.
+    Defectiveness is decided per eigenvalue cluster from the cluster's own
+    block of unit eigenvectors: the record is defective when some block's
+    smallest singular value is at most ``sqrt(tol)`` (:func:`_defective`),
+    O(n m^2) per cluster of size ``m`` after one certifying product.  The
+    clusters and the realness mask of the record are decided at the same
+    ``tol``.
     """
     A = ensure_operator(A)
     try:
@@ -250,20 +299,7 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
         raise ConvergenceFailure(str(exc)) from exc
     w, v = _sorted_eig(w, v)
     clusters = cluster_eigenvalues(w, tol)
-    a2 = None
-    defective = False
-    for cluster in clusters:
-        if cluster.size == 1:
-            continue
-        if a2 is None:
-            a2 = spec_norm(A.matrix)
-        shifted = A.matrix - cluster.value * np.eye(A.dim)
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        rank = int(np.count_nonzero(sv > tol * a2))
-        if A.dim - rank < cluster.size:
-            defective = True
-            break
-    return _record(A, w, v, tol, clusters, defective)
+    return _record(A, w, v, tol, clusters, _defective(A.matrix, w, v, clusters, tol))
 
 
 def ensure_eigensystem(value, tol: float = DEFAULT_TOL) -> Eigensystem:

@@ -363,6 +363,17 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     of adjacent floats.  Any method that moves ``lo`` only to floats where
     the computed ``f > 0``, ``hi`` only to floats where it is not, and stops
     on adjacent floats, ends on that pair.
+
+    Where the floor binds, ``min sigma(G) < FLOOR_EPSILON max sigma(G)``,
+    the lowest root is rounding noise and :func:`_min_singular_squared`
+    replaces it.  The floor can bind only for ``|1 - hc| < 1``, and there
+    one evaluation decides it before the root is sought: ``f <= 0`` at the
+    float just below ``FLOOR_EPSILON max sigma(G)`` puts the root's upper
+    float, and so the root, below the threshold, and the up to ~130
+    evaluations that place a root inside a flat stretch of the computed
+    ``f`` are skipped.  Where ``f > 0`` there, the root is solved and
+    compared as everywhere else, so the pair returned is that of the
+    bisection with the floor applied.
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     inv_h = 1.0 / h
@@ -372,15 +383,29 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     coupling = mod * inv_h
     if coupling == 0.0:
         # G is diagonal: |a|^2 in the corner, |a|^2 + h^-2 below it
-        return mod * mod, mod * mod + rho
-    # |a| - 1/h without cancellation: |a|^2 - h^-2 = |c|^2 - 2 d/h
-    shift = (abs(c) ** 2 - 2.0 * c.real * inv_h) / (mod + inv_h)
-    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
-    nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
-    z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
-    lowest = _secular_root(nu, z2, rho, float(nu[0] - rho), float(nu[0]), 0)
-    highest = _secular_root(nu, z2, rho, float(nu[-2]), float(nu[-1]), -1)
+        lowest, highest = mod * mod, mod * mod + rho
+    else:
+        # |a| - 1/h without cancellation: |a|^2 - h^-2 = |c|^2 - 2 d/h
+        shift = (abs(c) ** 2 - 2.0 * c.real * inv_h) / (mod + inv_h)
+        theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+        nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
+        z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
+        highest = _secular_root(nu, z2, rho, float(nu[-2]), float(nu[-1]), -1)
+        lo, hi = float(nu[0] - rho), float(nu[0])
+        if abs(1.0 - h * c) < 1.0:
+            below = math.nextafter(FLOOR_EPSILON * highest, -math.inf)
+            if lo < below < hi and _secular(below, nu, z2, rho)[0] <= 0.0:
+                return _min_singular_squared(grid), highest
+        lowest = _secular_root(nu, z2, rho, lo, hi, 0)
+    if lowest < FLOOR_EPSILON * highest:
+        lowest = _min_singular_squared(grid)
     return lowest, highest
+
+
+def _log_square(m2: float, m: float) -> float:
+    """``log m^2`` from ``m2 = m^2``, or from ``m`` where ``m2`` has fallen
+    below the normal range (to 0 for ``m`` below about 1e-162)."""
+    return np.log(m2) if m2 >= _TINY else 2.0 * np.log(m)
 
 
 def _min_singular_squared(grid: HalfLineSpec) -> float:
@@ -394,11 +419,15 @@ def _min_singular_squared(grid: HalfLineSpec) -> float:
     gives 0.0.  Four steps from ``u = 1``, the dominant direction, converge.
     """
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
-    m2 = abs(1.0 - h * c) ** 2
-    if m2 == 0.0:
+    one_minus = 1.0 - h * c
+    if one_minus == 0.0:
         return 0.0
-    # near m = 1, log m^2 from m^2 - 1 = h (h |c|^2 - 2d), which keeps it relative
-    log_m2 = np.log1p(h * (h * abs(c) ** 2 - 2.0 * c.real)) if m2 > 0.5 else np.log(m2)
+    m2 = abs(one_minus) ** 2
+    if m2 > 0.5:
+        # near m = 1, log m^2 from m^2 - 1 = h (h |c|^2 - 2d), which keeps it relative
+        log_m2 = np.log1p(h * (h * abs(c) ** 2 - 2.0 * c.real))
+    else:
+        log_m2 = _log_square(m2, abs(one_minus))
     weights = np.exp(np.arange(n) * log_m2)  # m^2k; underflow is harmless
     u = np.ones(n)
     for _ in range(4):
@@ -428,6 +457,8 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
     entry, at most of size ``|q|^2``, is formed times ``w = |q|^-2`` (so
     ``q w = conj(1 - hc)``) and its square times ``|q|^(4-2n)``, so nothing
     overflows however close ``hc`` is to 1.  For ``|q| <= 1``, ``w = 1``.
+    ``log |1 - hc|^2`` comes from ``|1 - hc|`` where the square underflows,
+    so only an exactly singular ``L`` (``hc = 1``) gives NaN.
     It is the exact transform's residual also where the floor binds
     (floored roots of ``G`` give 0.94, not ``sqrt 2``, at ``d, b, L, n = 1,
     0.5, 40, 1600``).
@@ -436,22 +467,24 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
     d, b = c.real, c.imag
     s = 1.0 / (h * h)
     one_minus = 1.0 - h * c  # -h times the diagonal of L
-    m2 = one_minus.real**2 + one_minus.imag**2
-    if m2 == 0.0:
+    if one_minus == 0.0:
         return float("nan")
+    m2 = one_minus.real**2 + one_minus.imag**2
+    log_m2 = _log_square(m2, abs(one_minus))
     q = 1.0 / one_minus
     c2 = c * c
     c4 = c2.real**2 + c2.imag**2
     big = m2 < 1.0  # |q| > 1
     w = m2 if big else 1.0
+    m2_w = 1.0 if big else m2  # m2 / w, also where m2 underflows to 0
     qw = one_minus.conjugate() if big else q
     scale = m2 ** (n - 2) if big else 1.0
     # |q|^(2k) for k = 2..n, over |q|^2n if |q| > 1: |w_j|^2 = |c|^4 |q|^(2(j+1))
     top = n if big else 0
-    tail = np.exp((top - np.arange(2, n + 1)) * np.log(m2))
+    tail = np.exp((top - np.arange(2, n + 1)) * log_m2)
     # Im Z[0,0] = s Im q - b/h and Im Z[n-1,n-1] = -s Im q, times w
-    im_corner = b * (2.0 * d - h * abs(c) ** 2) / (m2 / w)
-    im_last = b / (h * (m2 / w))
+    im_corner = b * (2.0 * d - h * abs(c) ** 2) / m2_w
+    im_last = b / (h * m2_w)
     num_sq = 4.0 * im_corner**2 * scale + 2.0 * c4 * np.sum(tail) + 4.0 * im_last**2 * scale
     z00 = s * (w + qw) - c * w / h
     z01 = c2 * q * qw - s * w
@@ -663,7 +696,7 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     for grid in specs:
         n = grid.n
         hb, gb = _bands(grid)
-        min_eig, max_eig = _metric_extremes(grid)
+        min_eig, _ = _metric_extremes(grid)
 
         cb = _commutator_bands(gb, hb)
         denom = np.sqrt(_sum_sq(gb)) * np.sqrt(_sum_sq(hb)) + _TINY
@@ -671,8 +704,6 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
         interior = cb[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN]
         residual_interior = np.sqrt(_sum_sq(interior)) / denom
 
-        if min_eig < FLOOR_EPSILON * max_eig:
-            min_eig = _min_singular_squared(grid)
         gap = min_eig - d2
 
         max_im = _max_im_eigenvalue(grid, hb)

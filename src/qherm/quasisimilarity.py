@@ -138,21 +138,20 @@ def spectral_comparison(
     """
     ca = cluster_eigenvalues(ensure_eigensystem(A, tol).eigenvalues, tol)
     cb = cluster_eigenvalues(ensure_eigensystem(B, tol).eigenvalues, tol)
-    used = [False] * len(cb)
+    values_b = np.array([c.value for c in cb], dtype=np.complex128)
+    used = np.zeros(len(cb), dtype=bool)
     pairs: list[MatchedPair] = []
     unmatched_a: list[tuple[complex, int]] = []
     for cl in ca:
-        best, best_dist = -1, np.inf
-        for j, other in enumerate(cb):
-            if used[j]:
-                continue
-            dist = abs(cl.value - other.value)
-            if dist < best_dist:
-                best, best_dist = j, dist
-        if best >= 0 and best_dist <= tol * (1.0 + abs(cl.value)):
+        # the first nearest partner not yet used; hypot is Python's abs of
+        # a complex, which np.abs differs from in the last bit
+        diff = cl.value - values_b
+        dist = np.where(used, np.inf, np.hypot(diff.real, diff.imag))
+        best = int(np.argmin(dist)) if dist.size else -1
+        if best >= 0 and dist[best] <= tol * (1.0 + abs(cl.value)):
             used[best] = True
             pairs.append(
-                MatchedPair(cl.value, cb[best].value, float(best_dist), cl.size, cb[best].size)
+                MatchedPair(cl.value, cb[best].value, float(dist[best]), cl.size, cb[best].size)
             )
         else:
             unmatched_a.append((cl.value, cl.size))

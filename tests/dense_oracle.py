@@ -10,7 +10,10 @@ the reference for its secular and banded kernels, the Aberth-Ehrlich
 sweeps on the secular equation of the half-line ``H``, an independent
 O(n^2) reference for the roots that Newton's method finds, and the
 bisection of the secular equation of the half-line ``G``, the float for
-float reference for the extremes of its spectrum.
+float reference for the extremes of its spectrum.  Last, it keeps the
+rank test that decided defectiveness before the eigenvector-block test
+of ``core.eig_general``: one SVD of ``A - lam I`` per repeated
+eigenvalue, the reference that test is calibrated against.
 """
 
 from __future__ import annotations
@@ -198,8 +201,14 @@ def bisected_metric_extremes(grid) -> tuple[float, float]:
     of the secular equation of ``G`` to the last bit, about 97 O(n) steps on
     the benchmark's grids: the float for float reference for
     ``halfline._metric_extremes``.  The equation, its poles ``nu_k`` and
-    weights ``z2_k`` are those that function documents.
+    weights ``z2_k`` are those that function documents.  Where the bisected
+    minimum falls below ``FLOOR_EPSILON`` times the maximum, it is replaced
+    by ``sigma_min(L)^2`` (``halfline._min_singular_squared``), as the
+    half-line report replaces it, so this reference also checks that
+    function's cheaper decision of where the floor binds.
     """
+    from qherm.halfline import FLOOR_EPSILON, _min_singular_squared
+
     n, h, c = grid.n, grid.spacing, grid.robin_coefficient
     inv_h = 1.0 / h
     rho = inv_h * inv_h
@@ -207,15 +216,70 @@ def bisected_metric_extremes(grid) -> tuple[float, float]:
     mod = abs(diag)
     coupling = mod * inv_h
     if coupling == 0.0:
-        return mod * mod, mod * mod + rho
-    shift = (abs(c) ** 2 - 2.0 * c.real * inv_h) / (mod + inv_h)
-    theta = np.arange(1, n + 1) * (np.pi / (n + 1))
-    nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
-    z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
+        lowest, highest = mod * mod, mod * mod + rho
+    else:
+        shift = (abs(c) ** 2 - 2.0 * c.real * inv_h) / (mod + inv_h)
+        theta = np.arange(1, n + 1) * (np.pi / (n + 1))
+        nu = shift * shift + 4.0 * coupling * np.sin(0.5 * theta) ** 2
+        z2 = (2.0 / (n + 1)) * np.sin(theta) ** 2
 
-    def secular(lam: float) -> float:
-        return 1.0 - rho * float(np.sum(z2 / (nu - lam)))
+        def secular(lam: float) -> float:
+            return 1.0 - rho * float(np.sum(z2 / (nu - lam)))
 
-    lowest = _bisect_decreasing(secular, float(nu[0] - rho), float(nu[0]))
-    highest = _bisect_decreasing(secular, float(nu[-2]), float(nu[-1]))
+        lowest = _bisect_decreasing(secular, float(nu[0] - rho), float(nu[0]))
+        highest = _bisect_decreasing(secular, float(nu[-2]), float(nu[-1]))
+    if lowest < FLOOR_EPSILON * highest:
+        lowest = _min_singular_squared(grid)
     return lowest, highest
+
+
+def rank_defective(es) -> bool:
+    """The rank test on the clusters of an ``Eigensystem``: defective when
+    some cluster's size exceeds the nullity of ``A - lam I``, counted as the
+    singular values at most ``tol ||A||_2``; O(n^3) per cluster."""
+    a = es.operator.matrix
+    a2 = float(np.linalg.norm(a, 2))
+    for cluster in es.clusters:
+        if cluster.size == 1:
+            continue
+        sv = np.linalg.svd(a - cluster.value * np.eye(es.dim), compute_uv=False)
+        if np.count_nonzero(sv <= es.tol * a2) < cluster.size:
+            return True
+    return False
+
+
+def mp_jordan_nullities(a: np.ndarray, value: complex, size: int, tol: float, dps: int = 50) -> list[int]:
+    """The nullities of ``(A - value I)^k`` for ``k = 1..size`` in ``dps``
+    digits: for each power, the number of its singular values at most
+    ``tol ||A||_F^k``.  An eigenvalue of algebraic multiplicity ``size`` at
+    that tolerance reaches nullity ``size`` by ``k = size``; its geometric
+    multiplicity is the first nullity, and its Jordan blocks number
+    ``nullity_1``, those longer than ``k`` ``nullity_(k+1) - nullity_k``."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        base = mpmath.matrix(np.asarray(a).tolist())
+        m = base - mpmath.mpc(value) * mpmath.eye(base.rows)
+        scale = mpmath.mnorm(base, "f")
+        power, nullities = m, []
+        for k in range(1, size + 1):
+            sv = mpmath.svd_c(power, compute_uv=False)
+            nullities.append(sum(1 for s in sv if s <= tol * scale**k))
+            power = power * m
+    return nullities
+
+
+def mp_defective(es, dps: int = 50) -> bool:
+    """The Jordan-structure verdict on the clusters of an ``Eigensystem``
+    from :func:`mp_jordan_nullities`: defective when some cluster's first
+    nullity falls short of its size.  Raises ``ValueError`` for a cluster
+    that is no ``size``-fold eigenvalue at the record's tolerance."""
+    for cluster in es.clusters:
+        if cluster.size == 1:
+            continue
+        nullities = mp_jordan_nullities(es.operator.matrix, cluster.value, cluster.size, es.tol, dps)
+        if nullities[-1] < cluster.size:
+            raise ValueError(f"cluster at {cluster.value} has nullities {nullities}")
+        if nullities[0] < cluster.size:
+            return True
+    return False

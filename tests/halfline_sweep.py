@@ -8,7 +8,8 @@ many took start set 1, 2 or 3 of ``halfline._start_sets``, how many have a
 real Robin coefficient (no start set), and every grid that raised
 ``ConvergenceFailure`` or gave a non-finite ``max_im_lambda_H``.  It also
 compares ``halfline._metric_extremes`` with the bisection of
-``dense_oracle.bisected_metric_extremes`` bit for bit, and prints the
+``dense_oracle.bisected_metric_extremes`` (the report's floor applied to
+both) bit for bit, and prints the
 mismatches (each grid, and their count) and the median and largest number
 of O(n) secular evaluations per grid.  The families:
 

@@ -118,3 +118,14 @@ def near_unit_beta(h: float, delta: float, t: float) -> tuple[float, float]:
     """
     psi = t * math.asin(min(1.0, 5.0 * h / (1.0 + delta)))
     return ((1.0 + delta) * math.cos(psi) - 1.0) / h, (1.0 + delta) * math.sin(psi) / h
+
+
+def block_sigma_mins(es) -> list[float]:
+    """``sigma_min(V_c)`` of each cluster of size > 1 of an ``Eigensystem``:
+    the smallest singular value of the cluster's block of unit eigenvectors,
+    the number ``core.eig_general`` compares with ``sqrt(tol)``."""
+    return [
+        float(np.linalg.svd(es.right_vectors[:, c.start : c.start + c.size], compute_uv=False)[-1])
+        for c in es.clusters
+        if c.size > 1
+    ]

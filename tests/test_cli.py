@@ -330,6 +330,17 @@ def test_samsonov_underflowing_metric_exit_two(capsys):
     assert "= 1.6e-299 lies outside [1e-37, 1e+37]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", ["1e-150", "1e-170", "-1e-300"])
+def test_samsonov_herm_residual_where_the_square_underflows(tmp_path, capsys, b):
+    # |1 - hc| is 6e-172 at b = 1e-170, so |1 - hc|^2 underflows to 0 while
+    # L is not singular: the residual is the sqrt 2 of its neighbours, not null
+    json_out = tmp_path / "s.json"
+    argv = ["samsonov", "--d=16", f"--b={b}", "--L=1", "--n=16", "--json-out", str(json_out)]
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert json.loads(json_out.read_text())["rows"][0]["herm_residual_h"] == 1.4142135623730951
+
+
 # each overflowed a float square of |c| or 1/h in the report
 _OVERFLOWING = [
     pytest.param({"d": 1e200, "b": 0.0, "box_length": 1.0}, "1e+200", id="d"),

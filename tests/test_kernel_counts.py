@@ -6,11 +6,14 @@ of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 ``inv`` with no Hermitian eigensolver, no singular vectors and no metric
 root (nor does ``qherm lattice`` read a root), condition numbers are
 computed only where a report or warning reads them and at most once per
-eigensystem, the eigensolver's clustering pass is the only one, and the
+eigensystem, the eigensolver's clustering pass is the only one,
+``eig_general`` decides defectiveness from one n x m SVD per cluster of
+m > 1 eigenvalues, with no n x n SVD and no ``||A||_2``, and the
 half-line refinement study calls no ``numpy.linalg`` kernel, forms no
 dense matrix and, on the benchmark's inputs, certifies the spectrum of
 ``H`` from its first set of Newton starts and finds the extremes of the
-spectrum of ``G`` in a few O(n) evaluations of its secular equation.
+spectrum of ``G`` in a few O(n) evaluations of its secular equation, also
+where ``min sigma(G)`` is below the floor.
 """
 
 import os
@@ -21,9 +24,11 @@ import pytest
 
 from helpers import (
     diagonalizable_real_spectrum,
+    jordan_case,
     metric_extremes_counted,
     rng,
     start_sets_taken,
+    well_conditioned,
 )
 import qherm
 from qherm import (
@@ -159,6 +164,36 @@ def test_builders_reuse_a_passed_eigensystem(monkeypatch):
     assert eig_calls[0] == 0
 
 
+def _clusters_of_four(n: int) -> np.ndarray:
+    v = well_conditioned(rng(n), n)
+    return (v * np.repeat(np.linspace(-3.0, 3.0, n // 4), 4)) @ np.linalg.inv(v)
+
+
+@pytest.mark.parametrize(
+    "a", [_clusters_of_four(120), jordan_case(rng(15), 40)], ids=["clusters-of-4", "jordan"]
+)
+def test_eig_general_takes_one_thin_svd_per_cluster(monkeypatch, a):
+    svd_shapes, norm_orders = [], []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def recorded_svd(m, *args, **kwargs):
+        svd_shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    def recorded_norm(x, ord=None, *args, **kwargs):
+        norm_orders.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "norm", recorded_norm)
+    es = eig_general(a)
+    monkeypatch.undo()
+    repeated = [c.size for c in es.clusters if c.size > 1]
+    assert len(repeated) == (1 if es.defective else 30)
+    assert svd_shapes == [(a.shape[0], m) for m in repeated]
+    assert 2 not in norm_orders
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the half-line study formed a dense matrix")
 
@@ -212,3 +247,11 @@ def test_metric_extremes_take_few_secular_evaluations(d, b):
     for n in (100, 200, 400):
         _, calls = metric_extremes_counted(HalfLineSpec(d, b, 40.0, n))
         assert calls <= 12, n
+
+
+def test_floor_binding_extremes_skip_the_lowest_root():
+    # one evaluation at the floor replaces the ~130 that place a lowest root
+    # of rounding size; the maximum still takes its few Newton steps
+    (lowest, highest), calls = metric_extremes_counted(HalfLineSpec(1.0, 0.5, 40.0, 1600))
+    assert lowest < halfline.FLOOR_EPSILON * highest
+    assert calls <= 15

@@ -1,10 +1,14 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from qherm import (
     IntertwiningViolated,
+    MatchedPair,
     Operator,
     adjoint,
+    cluster_eigenvalues,
     eig_general,
     mutual_qs_check,
     push_eigenvectors,
@@ -71,6 +75,63 @@ def test_spectral_comparison_examples():
 
     match = spectral_comparison(a, adjoint(a))
     assert match.total_with_equal_multiplicities
+
+
+def _loop_match(A, B, tol):
+    """The O(n^2) pairwise loop ``spectral_comparison`` used to run: the
+    first nearest unused partner of each cluster of ``A``, in order."""
+    ca = cluster_eigenvalues(eig_general(A, tol).eigenvalues, tol)
+    cb = cluster_eigenvalues(eig_general(B, tol).eigenvalues, tol)
+    used = [False] * len(cb)
+    pairs, unmatched_a = [], []
+    for cl in ca:
+        best, best_dist = -1, np.inf
+        for j, other in enumerate(cb):
+            if used[j]:
+                continue
+            dist = abs(cl.value - other.value)
+            if dist < best_dist:
+                best, best_dist = j, dist
+        if best >= 0 and best_dist <= tol * (1.0 + abs(cl.value)):
+            used[best] = True
+            pairs.append(
+                MatchedPair(cl.value, cb[best].value, float(best_dist), cl.size, cb[best].size)
+            )
+        else:
+            unmatched_a.append((cl.value, cl.size))
+    unmatched_b = [(c.value, c.size) for j, c in enumerate(cb) if not used[j]]
+    return tuple(pairs), tuple(unmatched_a), tuple(unmatched_b)
+
+
+def _hex(items):
+    """Every number of matched pairs or ``(value, multiplicity)`` tuples, in hex."""
+    rows = [astuple(i) if isinstance(i, MatchedPair) else i for i in items]
+    return [[(complex(x).real.hex(), complex(x).imag.hex()) for x in row] for row in rows]
+
+
+def _match_cases(seed):
+    if seed is None:
+        # at tol 0.6, 0 lies 0.5 from -0.5 and 0.5, and the first of the tie wins
+        return np.array([0.0, 3.0]), np.array([-0.5, 0.5, 3.2])
+    gen = rng(40 + seed)
+    base = np.round(gen.uniform(-2.0, 2.0, 12), 1) + 1j * gen.integers(0, 2, 12)
+    shift = np.where(gen.random(12) < 0.3, 0.1, 0.0) + gen.choice([0.0, 1e-9], 12)
+    return np.repeat(base, gen.integers(1, 3, 12)), (base + shift)[gen.permutation(12)]
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_spectral_match_is_the_pairwise_loops(seed):
+    # clusters, ties at equal distance, partners lost to an earlier cluster,
+    # and unmatched values on both sides
+    a, b = _match_cases(seed)
+    for lam_a, lam_b in ((a, b), (b, a)):
+        A, B = Operator(np.diag(lam_a)), Operator(np.diag(lam_b))
+        for tol in (1e-7, 0.15, 0.6):
+            got = spectral_comparison(A, B, tol)
+            ref = _loop_match(A, B, tol)
+            assert _hex(got.pairs) == _hex(ref[0])
+            assert _hex(got.unmatched_a) == _hex(ref[1])
+            assert _hex(got.unmatched_b) == _hex(ref[2])
 
 
 def test_push_eigenvectors_worked():
