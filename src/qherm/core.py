@@ -8,16 +8,19 @@ headroom.  Eigenvalues are always reported ascending by real part, ties
 broken by imaginary part, so that reports are deterministic.
 
 One :class:`Eigensystem` is the spectral record of the operator it
-diagonalizes: the eigenvalues and vectors, and every verdict about them
-(clusters, realness, defectiveness) made once, at the tolerance the
-record was computed at.  The metric builders and spectral checks of the
-other modules accept it in place of the operator and read those verdicts
-instead of deciding again (:func:`ensure_eigensystem`).  Costly
-quantities are computed where they are read: the canonically scaled
-eigenvector matrix and ``vector_condition`` (one SVD) on first read, then
-kept.  The defectiveness verdict adds nothing to ``eig`` for a simple
-spectrum, and for repeated eigenvalues one product certifying their
-eigenvectors and one SVD of each cluster's n x m block of them.
+diagonalizes: the operator, its eigenvalues and unit eigenvectors, and
+the tolerance.  Every verdict about the spectrum (clusters, realness,
+defectiveness, conjugate pairing) is derived from those four on first
+read, at the record's tolerance, and then kept, so no verdict can
+contradict the eigenvalues it is about and none is made that nobody
+reads.  The metric builders and spectral checks of the other modules
+accept the record in place of the operator and read its verdicts instead
+of deciding again (:func:`ensure_eigensystem`).  The other costly
+quantities are computed the same way: the canonically scaled
+eigenvector matrix and ``vector_condition`` (one SVD).  The
+defectiveness verdict adds nothing to ``eig`` for a simple spectrum, and
+for repeated eigenvalues one product certifying their eigenvectors and
+one SVD of each cluster's n x m block of them.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, SpectrumNotConjugateClosed
 
 DEFAULT_TOL = 1e-10
 
@@ -89,7 +92,19 @@ def ensure_operator(value, label: str = "") -> Operator:
 
 
 def fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm, also where squaring the entries under- or overflows.
+
+    Only a plain norm of 0 with a nonzero entry, or of ``inf`` with finite
+    entries, is recomputed on ``a / max|a|``; every other result is the
+    plain one, bit for bit.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(a, "fro"))
+    if norm == 0.0 or norm == math.inf:
+        peak = float(np.abs(a).max(initial=0.0))
+        if 0.0 < peak < math.inf:
+            return peak * float(np.linalg.norm(a / peak, "fro"))
+    return norm
 
 
 def spec_norm(a: np.ndarray) -> float:
@@ -106,7 +121,10 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 
 
 def herm_residual(a: np.ndarray) -> float:
-    """Relative Hermiticity defect ``||A - A*||_F / ||A||_F`` (0 for A = 0)."""
+    """Relative Hermiticity defect ``||A - A*||_F / ||A||_F``, at any scale of ``A``.
+
+    Zero for a Hermitian ``A``, including ``A = 0``.
+    """
     denom = fro(a)
     if denom == 0.0:
         return 0.0
@@ -139,29 +157,108 @@ def _canonical_eigvec_scaling(v: np.ndarray) -> np.ndarray:
 class Eigensystem:
     """Eigenvalues with unit-norm right eigenvector columns of ``operator``.
 
-    The verdicts are made once, at ``tol``: ``clusters`` groups the
-    eigenvalues within ``tol*(1+|lam|)`` of each other, the read-only
-    mask ``real`` marks those with ``|Im lam| <= tol*(1+|lam|)``, and
-    ``defective`` is set when some cluster has geometric multiplicity
-    below its algebraic one: when the smallest singular value of the
-    cluster's block of unit eigenvectors is at most ``sqrt(tol)``.
+    The four fields are the whole record.  Every verdict is derived from
+    them at ``tol`` on first read and then kept: ``clusters`` groups the
+    eigenvalues within ``tol*(1+|lam|)`` of each other, the read-only mask
+    ``real`` marks those with ``|Im lam| <= tol*(1+|lam|)``, ``defective``
+    tells whether some cluster has geometric multiplicity below its
+    algebraic one, and ``conjugate_pairs`` matches every nonreal
+    eigenvalue with a conjugate partner.  Reading ``defective`` raises
+    :class:`ConvergenceFailure` when the eigenvectors fail their
+    certificate (:func:`eig_general` reads it before it returns), reading
+    ``conjugate_pairs`` :class:`SpectrumNotConjugateClosed` when the
+    spectrum is not closed under conjugation.
     ``scaled_vectors``, the eigenvector matrix ``S`` with each column
     scaled to unit largest entry (read-only), and ``vector_condition``, the
     2-norm condition number of the eigenvector matrix (1 for a normal
-    operator, one SVD), are computed on first read and kept.
+    operator, one SVD), are computed the same way.
     """
 
     operator: Operator
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     tol: float
-    clusters: tuple[EigenvalueCluster, ...]
-    real: np.ndarray
-    defective: bool
 
     @property
     def dim(self) -> int:
         return self.right_vectors.shape[0]
+
+    @cached_property
+    def clusters(self) -> tuple[EigenvalueCluster, ...]:
+        return cluster_eigenvalues(self.eigenvalues, self.tol)
+
+    @cached_property
+    def real(self) -> np.ndarray:
+        w = self.eigenvalues
+        return _readonly(np.abs(w.imag) <= self.tol * (1.0 + np.abs(w)))
+
+    @cached_property
+    def defective(self) -> bool:
+        """Whether some cluster's block of unit eigenvectors is numerically
+        rank deficient: ``sigma_min(V_c) <= sqrt(tol)``.
+
+        A cluster of ``m`` eigenvalues is diagonalizable at tolerance when its
+        ``n x m`` block ``V_c`` of computed eigenvectors has ``m`` independent
+        columns; at a Jordan block the computed eigenvectors come out nearly
+        parallel (Golub and Wilkinson 1976).  Where ``eig`` splits a Jordan
+        block into eigenvalues within ``tol`` of each other, ``sigma_min(V_c)``
+        is of order ``tol^(m-1)``; ``sqrt(tol)`` lies halfway, in logarithm,
+        between that and the ``O(1)`` of a well-conditioned eigenbasis.  The
+        threshold was checked against the rank test of ``A - lam I`` it
+        replaces (``tests/defect_sweep.py``).  Before its singular values are
+        read, every block is certified as eigenvectors, ``||A V_c - V_c
+        Lambda_c||_F <= max(tol, n eps) ||A||_F`` (one product for all blocks),
+        else :class:`ConvergenceFailure`.  The threshold never falls below
+        ``sqrt(eps)``, so ``tol = 0`` still finds a Jordan block of exactly
+        equal eigenvalues.
+        """
+        a, w, v, tol = self.operator.matrix, self.eigenvalues, self.right_vectors, self.tol
+        repeated = [c for c in self.clusters if c.size > 1]
+        if not repeated:
+            return False
+        cols = np.concatenate([np.arange(c.start, c.start + c.size) for c in repeated])
+        block = v[:, cols]
+        residual = a @ block - block * w[cols]
+        col_sq = np.sum(residual.real**2 + residual.imag**2, axis=0)
+        starts = np.cumsum([0] + [c.size for c in repeated[:-1]])
+        defects = np.sqrt(np.add.reduceat(col_sq, starts))
+        bound = max(tol, a.shape[0] * _EPS) * fro(a)
+        worst = int(np.argmax(defects))
+        if defects[worst] > bound:
+            raise ConvergenceFailure(
+                f"eigenvectors of the cluster at {repeated[worst].value:.6g} have "
+                f"residual {defects[worst]:.3e} above {bound:.3e}"
+            )
+        threshold = math.sqrt(max(tol, _EPS))
+        return any(
+            np.linalg.svd(v[:, c.start : c.start + c.size], compute_uv=False)[-1] <= threshold
+            for c in repeated
+        )
+
+    @cached_property
+    def conjugate_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Greedy nearest-conjugate matching of the nonreal eigenvalues.
+
+        In ascending index order each unmatched nonreal ``lam_i`` takes the
+        first unmatched nonreal ``lam_j`` nearest to ``conj(lam_i)``, if it
+        lies within ``tol*(1+|lam_i|)``; else
+        :class:`SpectrumNotConjugateClosed`.  Real eigenvalues pair with
+        themselves and are not listed.
+        """
+        w, free, pairs = self.eigenvalues, ~self.real, []
+        while free.any():
+            i = int(np.argmax(free))
+            free[i] = False
+            diff = w - np.conj(w[i])
+            dist = np.where(free, np.hypot(diff.real, diff.imag), np.inf)
+            best = int(np.argmin(dist))
+            if dist[best] == np.inf or dist[best] > self.tol * (1.0 + abs(w[i])):
+                raise SpectrumNotConjugateClosed(
+                    f"eigenvalue {w[i]} has no conjugate partner within tolerance"
+                )
+            free[best] = False
+            pairs.append((i, best))
+        return tuple(pairs)
 
     @cached_property
     def scaled_vectors(self) -> np.ndarray:
@@ -207,12 +304,6 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[E
     return tuple(clusters)
 
 
-def _record(A: Operator, w: np.ndarray, v: np.ndarray, tol: float, clusters, defective: bool) -> Eigensystem:
-    # the one realness rule: |Im lam| <= tol*(1+|lam|)
-    real = _readonly(np.abs(w.imag) <= tol * (1.0 + np.abs(w)))
-    return Eigensystem(A, w, v, tol, clusters, real, defective)
-
-
 def _sorted_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((w.imag, w.real))
     w = np.ascontiguousarray(w[order])
@@ -225,9 +316,9 @@ def _sorted_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
     """Eigendecomposition of a Hermitian operator.
 
-    Eigenvalues come out real and ascending, eigenvectors orthonormal,
-    and the record is never defective.  Raises :class:`NotHermitian` when
-    ``||H - H*||_F > tol*||H||_F``.
+    Eigenvalues come out real and ascending and eigenvectors orthonormal,
+    so ``defective`` reads False at every ``tol < 1``.  Raises
+    :class:`NotHermitian` when ``||H - H*||_F > tol*||H||_F``.
     """
     H = ensure_operator(H)
     defect = herm_residual(H.matrix)
@@ -237,49 +328,7 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
         )
     w, v = np.linalg.eigh(herm_part(H.matrix))
     w = _readonly(w.astype(np.complex128))
-    return _record(H, w, _readonly(v), tol, cluster_eigenvalues(w, tol), False)
-
-
-def _defective(a: np.ndarray, w: np.ndarray, v: np.ndarray, clusters, tol: float) -> bool:
-    """Whether some cluster's block of unit eigenvectors is numerically
-    rank deficient: ``sigma_min(V_c) <= sqrt(tol)``.
-
-    A cluster of ``m`` eigenvalues is diagonalizable at tolerance when its
-    ``n x m`` block ``V_c`` of computed eigenvectors has ``m`` independent
-    columns; at a Jordan block the computed eigenvectors come out nearly
-    parallel (Golub and Wilkinson 1976).  Where ``eig`` splits a Jordan
-    block into eigenvalues within ``tol`` of each other, ``sigma_min(V_c)``
-    is of order ``tol^(m-1)``; ``sqrt(tol)`` lies halfway, in logarithm,
-    between that and the ``O(1)`` of a well-conditioned eigenbasis.  The
-    threshold was checked against the rank test of ``A - lam I`` it
-    replaces (``tests/defect_sweep.py``).  Before its singular values are
-    read, every block is certified as eigenvectors, ``||A V_c - V_c
-    Lambda_c||_F <= max(tol, n eps) ||A||_F`` (one product for all blocks),
-    else :class:`ConvergenceFailure`.  The threshold never falls below
-    ``sqrt(eps)``, so ``tol = 0`` still finds a Jordan block of exactly
-    equal eigenvalues.
-    """
-    repeated = [c for c in clusters if c.size > 1]
-    if not repeated:
-        return False
-    cols = np.concatenate([np.arange(c.start, c.start + c.size) for c in repeated])
-    block = v[:, cols]
-    residual = a @ block - block * w[cols]
-    col_sq = np.sum(residual.real**2 + residual.imag**2, axis=0)
-    starts = np.cumsum([0] + [c.size for c in repeated[:-1]])
-    defects = np.sqrt(np.add.reduceat(col_sq, starts))
-    bound = max(tol, a.shape[0] * _EPS) * fro(a)
-    worst = int(np.argmax(defects))
-    if defects[worst] > bound:
-        raise ConvergenceFailure(
-            f"eigenvectors of the cluster at {repeated[worst].value:.6g} have "
-            f"residual {defects[worst]:.3e} above {bound:.3e}"
-        )
-    threshold = math.sqrt(max(tol, _EPS))
-    return any(
-        np.linalg.svd(v[:, c.start : c.start + c.size], compute_uv=False)[-1] <= threshold
-        for c in repeated
-    )
+    return Eigensystem(H, w, _readonly(v), tol)
 
 
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:
@@ -287,10 +336,11 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
 
     Defectiveness is decided per eigenvalue cluster from the cluster's own
     block of unit eigenvectors: the record is defective when some block's
-    smallest singular value is at most ``sqrt(tol)`` (:func:`_defective`),
+    smallest singular value is at most ``sqrt(tol)`` (``Eigensystem.defective``),
     O(n m^2) per cluster of size ``m`` after one certifying product.  The
-    clusters and the realness mask of the record are decided at the same
-    ``tol``.
+    verdict is read here, so eigenvectors that fail the certificate raise
+    :class:`ConvergenceFailure` from this call; the record's other
+    verdicts are decided at the same ``tol`` when first read.
     """
     A = ensure_operator(A)
     try:
@@ -298,8 +348,9 @@ def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensyst
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceFailure(str(exc)) from exc
     w, v = _sorted_eig(w, v)
-    clusters = cluster_eigenvalues(w, tol)
-    return _record(A, w, v, tol, clusters, _defective(A.matrix, w, v, clusters, tol))
+    es = Eigensystem(A, w, v, tol)
+    es.defective  # certifies the eigenvectors here, not at a later read
+    return es
 
 
 def ensure_eigensystem(value, tol: float = DEFAULT_TOL) -> Eigensystem:

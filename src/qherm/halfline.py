@@ -583,7 +583,11 @@ def _bound_state(n: int, hc: complex) -> complex | None:
     ``d log det/dx = f'/f - sum_k 1/(nu_k - x)``, O(n) per step.  The start
     is the bound state at ``n = inf``, ``x = -(hc)^2/beta``; the root has
     converged once its step is at most four units in the last place of
-    ``max(|x|, nu_0)``.
+    ``max(|x|, nu_0)``, or once the iterates repeat with period two: Newton
+    at the rounding of ``x``, where the rounding of the sums can exceed
+    those four units (``(d, b, L, n) = (1.988, 0.01, 1.36, 136)`` alternates
+    between two values 6.5 units apart).  Where an iterate repeats, no
+    later step would pass the first test.
 
     The sums run over real weights and poles, and the bound state lies
     below ``nu_0`` (above ``nu_(n-1)`` when ``Re hc < -2``), so the real
@@ -595,14 +599,16 @@ def _bound_state(n: int, hc: complex) -> complex | None:
     nu = 4.0 * np.sin(half) ** 2
     w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
     x = -hc * hc / (1.0 + hc)
+    two_back = one_back = None
     with np.errstate(all="ignore"):  # a diverging x ends as nan
         for _ in range(_MAX_BOUND_STATE_STEPS):
             r = 1.0 / (nu - x)
             f = 1.0 - hc * np.sum(w * r)
             step = f / (-hc * np.sum(w * r * r) - f * np.sum(r))
             x -= step
-            if abs(step) <= 4.0 * _EPS * max(abs(x), nu[0]):
+            if abs(step) <= 4.0 * _EPS * max(abs(x), nu[0]) or x == two_back:
                 return complex(x)
+            two_back, one_back = one_back, x
     return None
 
 
@@ -679,14 +685,14 @@ def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
 
 
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
-    """Run the refinement study over ascending grid sizes ``schedule``.
+    """Run the refinement study over strictly ascending grid sizes ``schedule``.
 
     Each grid costs O(n) time and memory and forms no n x n matrix.
     Raises :class:`ConvergenceFailure` when no start set of
     :func:`_start_sets` gives a certified spectrum of ``H``.
     """
     sizes = [int(n) for n in schedule]
-    if not sizes or sorted(sizes) != sizes:
+    if not sizes or sorted(set(sizes)) != sizes:
         raise InvalidSpec(f"schedule must be ascending grid sizes, got {schedule}")
     # every grid size is validated before the first grid is built
     specs = [spec.with_n(n) for n in sizes]

@@ -16,9 +16,12 @@ tests here assert full agreement.
 
 Both metric builders work from one :class:`~qherm.core.Eigensystem` of
 ``A``, which may be passed in place of ``A``
-(:func:`~qherm.core.ensure_eigensystem`): its clusters, realness mask and
-defectiveness verdict decide, and its canonically scaled eigenvector
-matrix ``S`` builds.
+(:func:`~qherm.core.ensure_eigensystem`).  Its verdicts decide and this
+module makes none of its own: defectiveness and the realness mask for
+the positive metric, defectiveness and the conjugate pairing
+(``Eigensystem.conjugate_pairs``, which raises
+:class:`~qherm.errors.SpectrumNotConjugateClosed`) for the pseudo-metric.
+Its canonically scaled eigenvector matrix ``S`` builds both.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .errors import (
     NotHermitian,
     NotInvolution,
     NotQuasiHermitian,
-    SpectrumNotConjugateClosed,
 )
 from .lattice import MetricOperator
 
@@ -262,28 +264,6 @@ def krein_check(
     return holds, structure
 
 
-def _conjugate_pairing(es: Eigensystem) -> list[tuple[int, int]]:
-    """Greedy nearest-conjugate matching at ``es.tol``; real eigenvalues pair with themselves."""
-    w, tol = es.eigenvalues, es.tol
-    pairs: list[tuple[int, int]] = []
-    unpaired = np.flatnonzero(~es.real).tolist()
-    while unpaired:
-        i = unpaired.pop(0)
-        target = np.conj(w[i])
-        best, best_dist = -1, np.inf
-        for j in unpaired:
-            dist = abs(w[j] - target)
-            if dist < best_dist:
-                best, best_dist = j, dist
-        if best < 0 or best_dist > tol * (1.0 + abs(w[i])):
-            raise SpectrumNotConjugateClosed(
-                f"eigenvalue {w[i]} has no conjugate partner within tolerance"
-            )
-        unpaired.remove(best)
-        pairs.append((i, best))
-    return pairs
-
-
 def solve_pseudo_metric(
     A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[Operator, tuple[int, int]]:
@@ -299,9 +279,8 @@ def solve_pseudo_metric(
     es = ensure_eigensystem(A, tol)
     if es.defective:
         raise Defective("solve_pseudo_metric: operator is numerically defective")
-    pairs = _conjugate_pairing(es)
     m = np.eye(es.dim, dtype=np.complex128)
-    for i, j in pairs:
+    for i, j in es.conjugate_pairs:
         m[i, i] = m[j, j] = 0.0
         m[i, j] = m[j, i] = 1.0
     s = es.scaled_vectors

@@ -13,14 +13,16 @@ bisection of the secular equation of the half-line ``G``, the float for
 float reference for the extremes of its spectrum.  Last, it keeps the
 rank test that decided defectiveness before the eigenvector-block test
 of ``core.eig_general``: one SVD of ``A - lam I`` per repeated
-eigenvalue, the reference that test is calibrated against.
+eigenvalue, the reference that test is calibrated against, and the
+Python loop of the greedy conjugate pairing, the element for element
+reference for ``Eigensystem.conjugate_pairs``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qherm import cluster_eigenvalues
+from qherm import SpectrumNotConjugateClosed, cluster_eigenvalues
 
 _EPS = np.finfo(np.float64).eps
 
@@ -283,3 +285,25 @@ def mp_defective(es, dps: int = 50) -> bool:
         if nullities[0] < cluster.size:
             return True
     return False
+
+
+def conjugate_pairing(es) -> list[tuple[int, int]]:
+    """Greedy nearest-conjugate matching at ``es.tol``; real eigenvalues pair with themselves."""
+    w, tol = es.eigenvalues, es.tol
+    pairs: list[tuple[int, int]] = []
+    unpaired = np.flatnonzero(~es.real).tolist()
+    while unpaired:
+        i = unpaired.pop(0)
+        target = np.conj(w[i])
+        best, best_dist = -1, np.inf
+        for j in unpaired:
+            dist = abs(w[j] - target)
+            if dist < best_dist:
+                best, best_dist = j, dist
+        if best < 0 or best_dist > tol * (1.0 + abs(w[i])):
+            raise SpectrumNotConjugateClosed(
+                f"eigenvalue {w[i]} has no conjugate partner within tolerance"
+            )
+        unpaired.remove(best)
+        pairs.append((i, best))
+    return pairs

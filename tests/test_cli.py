@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_analyze_classifications(tmp_path, capsys):
         report = json.loads(open(out).read())
         assert report["classification"] == expected, expected
         assert report["tool"] == "qherm"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1.0, 1e160, 1e200])
+def test_badly_scaled_non_hermitian_input(tmp_path, capsys, s):
+    # s * [[1, 1], [0, 2]]: squaring its entries under- or overflows at the ends
+    scaled = dict(WORKED, entries=[[s, 0], [s, 0], [0, 0], [2 * s, 0]])
+    path = _write(tmp_path, "scaled.json", scaled)
+    assert main(["lattice", path]) == 2
+    assert "error: Hermiticity defect 5.774e-01 exceeds tolerance 1.000e-10" in capsys.readouterr().err
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", path, "--json-out", out]) == 0
+    assert json.loads(open(out).read())["classification"] == "quasi_hermitian_pd"
     capsys.readouterr()
 
 
@@ -315,6 +329,11 @@ def test_qsim_dimension_mismatch_exit_two(tmp_path, capsys):
 def test_samsonov_bad_schedule_exit_two(capsys):
     assert main(["samsonov", "--d", "0", "--b", "0", "--n", "64,abc"]) == 2
     capsys.readouterr()
+    # a repeated size would run one grid twice and divide by log(n/n) = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["samsonov", "--d", "-1", "--b", "1", "--n", "100,100"]) == 2
+    assert "schedule must be ascending grid sizes, got [100, 100]" in capsys.readouterr().err
 
 
 def test_samsonov_takes_no_tol(capsys):

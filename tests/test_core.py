@@ -1,18 +1,27 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qherm import (
     DimensionMismatch,
+    Eigensystem,
     NotHermitian,
     NotPositiveDefinite,
     Operator,
+    SpectrumNotConjugateClosed,
     adjoint,
     cluster_eigenvalues,
     eig_general,
     eig_hermitian,
     sqrt_pd,
 )
-from helpers import random_hermitian, random_pd, rng
+from qherm.core import fro, herm_residual
+from dense_oracle import conjugate_pairing
+from helpers import random_hermitian, random_pd, random_unitary, rng
 
 SQRT5 = np.sqrt(5.0)
 
@@ -55,6 +64,29 @@ def test_eig_hermitian_examples():
     assert np.allclose(es.eigenvalues, expected, atol=1e-14)
     assert abs(es.vector_condition - 1.0) <= 1e-12
     assert not es.defective
+
+
+def test_eig_hermitian_repeated_eigenvalue_is_not_defective():
+    u = random_unitary(rng(3), 4)
+    es = eig_hermitian((u * np.array([1.0, 1.0, 1.0, 2.0])) @ u.conj().T)
+    assert [c.size for c in es.clusters] == [3, 1]
+    assert es.defective is False
+
+
+def test_eigensystem_fields_and_verdicts_on_first_read():
+    assert [f.name for f in dataclasses.fields(Eigensystem)] == [
+        "operator", "eigenvalues", "right_vectors", "tol",
+    ]
+    w = np.array([-1j, 1j, 3.0])
+    es = Eigensystem(Operator(np.diag(w)), w, np.eye(3, dtype=np.complex128), 1e-10)
+    verdicts = ("clusters", "real", "defective", "conjugate_pairs")
+    assert not set(verdicts) & set(vars(es))
+    assert es.real.tolist() == [False, False, True]
+    assert es.conjugate_pairs == ((0, 1),)
+    assert [c.size for c in es.clusters] == [1, 1, 1] and es.defective is False
+    # each verdict is computed once and then kept
+    assert all(getattr(es, name) is getattr(es, name) for name in verdicts)
+    assert set(verdicts) <= set(vars(es))
 
 
 def test_eig_hermitian_rejects_non_hermitian():
@@ -179,3 +211,71 @@ def test_tolerance_override():
         eig_hermitian(almost)
     es = eig_hermitian(almost, tol=1e-3)
     assert np.allclose(es.eigenvalues, [1.0, 2.0], atol=1e-5)
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1.0, 1e160, 1e200])
+def test_herm_residual_at_any_scale(s):
+    # squaring the entries underflows below ~1e-162 and overflows above ~1e154
+    a = np.array([[1.0, 1.0], [0.0, 2.0]])
+    assert herm_residual(s * a) == pytest.approx(herm_residual(a), rel=1e-15, abs=0)
+    assert fro(s * a) == pytest.approx(s * fro(a), rel=1e-15, abs=0)
+
+
+def test_herm_residual_is_zero_only_for_hermitian():
+    assert herm_residual(np.zeros((2, 2))) == 0.0
+    assert herm_residual(np.array([[1e-200, 2e-200j], [-2e-200j, 0.0]])) == 0.0
+    assert herm_residual(np.array([[0.0, 1e-300], [0.0, 0.0]])) == pytest.approx(np.sqrt(2.0))
+
+
+@st.composite
+def _conjugation_spectra(draw) -> Eigensystem:
+    """A diagonal record built from blocks: exact conjugate pairs,
+    near-conjugates just inside, exactly at or just outside ``tol``, a
+    conjugate with two partners at equal distance, real values, and real
+    values next to a partnerless value just above the realness threshold;
+    sorted as the eigensolvers sort, or in any order."""
+    tol = draw(st.sampled_from([1e-10, 1e-6, 2.0**-10, 2.0**-30]))
+    kinds = st.sampled_from(["pair", "near", "edge", "tie", "real", "lone"])
+    values: list[complex] = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        x, y = draw(st.integers(-16, 16)) / 8, draw(st.integers(1, 16)) / 8
+        z = complex(x, y)
+        if kind == "pair":
+            values += [z, z.conjugate()]
+        elif kind == "near":
+            factor = draw(st.sampled_from([0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0]))
+            turn = draw(st.sampled_from([1, -1, 1j, -1j, None]))
+            if turn is None:
+                turn = cmath.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+            values += [z, z.conjugate() + factor * tol * (1.0 + abs(z)) * turn]
+        elif kind == "edge":  # |z| = 5y exactly, so a dyadic tol puts dist on the bound
+            z = complex(3 * y, 4 * y)
+            values += [z, z.conjugate() + tol * (1.0 + abs(z))]
+        elif kind == "tie":
+            step = 2.0 ** draw(st.integers(-40, -4)) * draw(st.sampled_from([1, 1j]))
+            values += [z.conjugate(), z + step, z - step]
+        elif kind == "real":
+            values.append(complex(x))
+        else:
+            above = draw(st.sampled_from([1.01, 1.5, 3.0])) * tol * (1.0 + abs(x))
+            values += [complex(x), complex(x, above)]
+    w = np.array(values, dtype=np.complex128)
+    if draw(st.booleans()):
+        w = w[np.lexsort((w.imag, w.real))]
+    else:
+        w = w[draw(st.permutations(range(w.size)))]
+    return Eigensystem(Operator(np.diag(w)), w, np.eye(w.size, dtype=np.complex128), tol)
+
+
+@settings(max_examples=250, deadline=None)
+@given(es=_conjugation_spectra())
+def test_conjugate_pairs_match_the_python_loop(es):
+    try:
+        expected = conjugate_pairing(es)
+    except SpectrumNotConjugateClosed as exc:
+        with pytest.raises(SpectrumNotConjugateClosed) as info:
+            es.conjugate_pairs
+        assert str(info.value) == str(exc)
+    else:
+        assert list(es.conjugate_pairs) == expected
+

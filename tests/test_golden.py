@@ -95,9 +95,9 @@ def test_cli_output_matches_golden(name, tmp_path):
             assert data == handle.read(), f"{name}.{suffix} differs from the recorded output"
 
 
-def test_samsonov_cases_match_golden_with_one_blas_thread():
-    # the half-line kernels reduce with numpy sums, not BLAS, so the
-    # recorded bytes do not depend on the BLAS thread count
+def test_every_case_matches_golden_with_one_blas_thread():
+    # the benchmark runs qherm with one BLAS thread (benchmark/run.py), so
+    # every recorded case must come out the same under that setting too
     import qherm
 
     here = os.path.dirname(os.path.abspath(__file__))
@@ -106,9 +106,9 @@ def test_samsonov_cases_match_golden_with_one_blas_thread():
     env["PYTHONPATH"] = os.pathsep.join([here, package_root])
     script = (
         "import os, sys, tempfile\n"
-        "from test_golden import GOLDEN, run_case\n"
+        "from test_golden import CASES, GOLDEN, run_case\n"
         "with tempfile.TemporaryDirectory() as out:\n"
-        "    for name in ('samsonov_free', 'samsonov_robin', 'samsonov_floor'):\n"
+        "    for name in sorted(CASES):\n"
         "        for suffix, data in run_case(name, out).items():\n"
         "            with open(os.path.join(GOLDEN, f'{name}.{suffix}'), 'rb') as handle:\n"
         "                if data != handle.read():\n"

@@ -162,8 +162,9 @@ def test_control_run_all_residuals_zero():
 
 def test_schedule_must_be_ascending():
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 64)
-    with pytest.raises(InvalidSpec):
-        samsonov_report(spec, [128, 64])
+    for schedule in ([128, 64], [64, 64]):
+        with pytest.raises(InvalidSpec, match="schedule must be ascending grid sizes"):
+            samsonov_report(spec, schedule)
 
 
 def test_bound_state_for_positive_d():

@@ -21,7 +21,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import aberth, bisected_metric_extremes, dense_samsonov_rows
@@ -624,6 +624,8 @@ def test_secular_spectrum_never_falls_back(d, b, box, n):
     h=st.floats(0.01, 0.15, allow_nan=False),
     n=st.integers(16, 200),
 )
+# the bound-state Newton iterates end in a 2-cycle 6.5 ulps wide here
+@example(d=1.988152583682858, b=0.01, b_sign=-1.0, h=0.01, n=136)
 def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
     # the roots of whichever start set passed the certificate; h <= 0.15
     # keeps |hc| <= 0.64, and at larger |hc| the Aberth roots themselves

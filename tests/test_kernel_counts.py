@@ -6,7 +6,8 @@ of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 ``inv`` with no Hermitian eigensolver, no singular vectors and no metric
 root (nor does ``qherm lattice`` read a root), condition numbers are
 computed only where a report or warning reads them and at most once per
-eigensystem, the eigensolver's clustering pass is the only one,
+eigensystem, a spectrum is clustered at most once, when a verdict of its
+eigensystem is first read, and a metric read from a file not at all,
 ``eig_general`` decides defectiveness from one n x m SVD per cluster of
 m > 1 eigenvalues, with no n x n SVD and no ``||A||_2``, and the
 half-line refinement study calls no ``numpy.linalg`` kernel, forms no
@@ -98,6 +99,14 @@ def test_pipelines_cluster_the_spectrum_once(monkeypatch, tmp_path, name):
     passes = _count_qherm_calls(monkeypatch, "cluster_eigenvalues")
     assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
     assert passes[0] == 1
+
+
+@pytest.mark.parametrize("name", ["transform_worked_metric", "lattice_metric"])
+def test_metric_file_pipelines_cluster_nothing(monkeypatch, tmp_path, name):
+    # make_metric reads the eigenvalues of G, never their clusters
+    passes = _count_qherm_calls(monkeypatch, "cluster_eigenvalues")
+    assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
+    assert passes[0] == 0
 
 
 @pytest.mark.parametrize("name", ["pseudo4", "rotation"])
