@@ -445,13 +445,7 @@ def cmd_spectral(args) -> tuple[int, dict]:
     )
     if args.csv_out:
         # column k is the path <X(t) xi_k, eta_k> over the thresholds t
-        paths = np.cumsum(
-            XF.jump_values(
-                np.array([xi for xi, _ in samples]).T,
-                np.array([eta for _, eta in samples]).T,
-            ),
-            axis=0,
-        )
+        paths = np.cumsum(props.jump_values, axis=0)
         steps, count = paths.shape
         flat = paths.T.reshape(-1)  # sample-major: all thresholds of sample 0 first
         table = np.column_stack(

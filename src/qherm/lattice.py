@@ -8,7 +8,9 @@ four built from the Riesz operators ``I + G`` and ``I + G^-1`` and their
 inverses.  At finite dimension the underlying spaces coincide as sets, so
 this module materializes the lattice purely as computable norms, together
 with verification of the projective-norm identity, the duality relation
-and the embedding chain.
+and the embedding chain.  The verification runs on the whole sample block
+at once, in the stored eigenbasis: functions of ``G`` act on the
+eigen-coordinates of the samples and are never formed as n x n matrices.
 """
 
 from __future__ import annotations
@@ -94,11 +96,6 @@ class MetricOperator:
         """Dense ``G^-1`` from the stored eigendecomposition."""
         v, w = self.eigenvectors, self.eigenvalues
         return herm_part((v / w) @ v.conj().T)
-
-    def function_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Dense ``f(G)`` for eigenvalue-wise ``values = f(eigenvalues)``."""
-        v = self.eigenvectors
-        return (v * values) @ v.conj().T
 
 
 def make_metric(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricOperator:
@@ -186,7 +183,9 @@ def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
     if xi.shape != (M.dim,):
         raise DimensionMismatch(f"vector of shape {xi.shape} against dim {M.dim}")
     w = M.eigenvalues
-    y2 = np.abs(M.eigenvectors.conj().T @ xi) ** 2
+    # |V* xi|^2 as |xi* V|^2: the same products up to sign, and no conjugated
+    # copy of V
+    y2 = np.abs(xi.conj() @ M.eigenvectors) ** 2
     weights = np.array([w, 1.0 / w, 1.0 / (1.0 + w), 1.0 + 1.0 / w, w / (1.0 + w)])
     g, g_inv, rg_inv, rginv, rginv_inv = map(float, np.sqrt(np.sum(weights * y2, axis=1)))
     plain = float(np.linalg.norm(xi))
@@ -232,39 +231,41 @@ def verify_lattice(
     exactly at finite dimension, (c) unitarity of ``R_G^1/2`` from the
     ``R_G``-norm to the plain one, and (d) the embedding chain
     ``g <= plain <= g_inv`` after rescaling ``G`` to unit top eigenvalue.
+
+    Once :func:`lattice_norms` has validated every sample, the samples
+    are stacked as the columns of ``X`` and taken to the eigenbasis once,
+    ``Y = V* X``.  For (c) and the candidates of (b), ``R_G^1/2`` and
+    ``R_G^-1`` act as ``V (f(w) Y)`` with ``f(w) = sqrt(1+w)`` and
+    ``1/(1+w)``, so no n x n function of ``G`` is formed.  The ratios
+    ``|<xi_j, xi_k>| / ||xi_k||_rg`` of (b) come from one s x s Gram block
+    ``X* X``, and a candidate with zero ``R_G``-norm is skipped.
     """
     if not samples:
         raise ValueError("verify_lattice needs a nonempty sample list")
-    w = M.eigenvalues
-    riesz_half = M.function_matrix(np.sqrt(1.0 + w))
-    riesz_inv = M.function_matrix(1.0 / (1.0 + w))
+    sample_norms = [lattice_norms(M, xi) for xi in samples]
+    X = np.array(samples, dtype=np.complex128).T
+    v, w = M.eigenvectors, M.eigenvalues
+    # Y = V* X, taken as (X* V)* so that V is not copied conjugated
+    Y = (X.T.conj() @ v).conj().T
+    eta = v @ (Y / (1.0 + w)[:, None])
+    unit = np.linalg.norm(v @ (Y * np.sqrt(1.0 + w)[:, None]), axis=0)
+    # row k < s: <xi_j, xi_k> over ||xi_k||_rg; last row: <xi_j, eta_j> over ||eta_j||_rg
+    dots = np.vstack([X.conj().T @ X, np.sum(eta.conj() * X, axis=0)])
+    eta_rg2 = np.sum(eta.conj() * (eta + M.G.matrix @ eta), axis=0).real
+    rg = np.array([[norms.rg] for norms in sample_norms])
+    denoms = np.vstack([np.repeat(rg, len(samples), axis=1), np.sqrt(np.maximum(eta_rg2, 0.0))])
+    live = denoms > _TINY
+    ratios = np.where(live, np.hypot(dots.real, dots.imag) / np.where(live, denoms, 1.0), 0.0)
+    sup_samples, sup_all = ratios[:-1].max(axis=0), ratios.max(axis=0)
     rescale = 1.0 / M.eig_max
     scale_root = float(np.sqrt(rescale))
-    candidates = [np.asarray(s, dtype=np.complex128) for s in samples]
-    sample_norms = [lattice_norms(M, xi) for xi in candidates]
-    denoms = [norms.rg for norms in sample_norms]
     rows = []
-    for xi, norms in zip(candidates, sample_norms):
+    for norms, sup_s, sup_a, u in zip(sample_norms, sup_samples, sup_all, unit):
         rg2 = norms.rg**2
         proj = abs(rg2 - norms.plain**2 - norms.g**2) / max(rg2, _TINY)
-
-        eta_star = riesz_inv @ xi
-        sup_samples = 0.0
-        sup_all = 0.0
-        for k, (eta, denom) in enumerate(
-            zip(candidates + [eta_star], denoms + [_rg_norm(M, eta_star)])
-        ):
-            if denom <= _TINY:
-                continue
-            ratio = abs(inner(xi, eta)) / denom
-            sup_all = max(sup_all, ratio)
-            if k < len(samples):
-                sup_samples = max(sup_samples, ratio)
-        dual_exact = abs(sup_all - norms.rg_inv) / max(norms.rg_inv, _TINY)
-        slack = norms.rg_inv / sup_samples if sup_samples > _TINY else float("inf")
-
-        unit = float(np.linalg.norm(riesz_half @ xi))
-        unit_res = abs(unit - norms.rg) / max(norms.rg, _TINY)
+        dual_exact = abs(float(sup_a) - norms.rg_inv) / max(norms.rg_inv, _TINY)
+        slack = norms.rg_inv / float(sup_s) if sup_s > _TINY else float("inf")
+        unit_res = abs(float(u) - norms.rg) / max(norms.rg, _TINY)
 
         g_scaled = norms.g * scale_root
         ginv_scaled = norms.g_inv / scale_root

@@ -59,7 +59,6 @@ class IntertwinerReport:
     min_sv: float
     numerical_rank: int
     quasi_affinity: bool
-    bounded_inverse_proxy: float
     tol: float
 
 
@@ -86,9 +85,7 @@ def verify_intertwining(
     max_sv = float(sv[0]) if len(sv) else 0.0
     rank = int(np.count_nonzero(sv > tol * max_sv)) if max_sv > 0 else 0
     min_sv = float(sv[-1]) if len(sv) else 0.0
-    return IntertwinerReport(
-        residual, sv, min_sv, rank, rank == T.dim, min_sv, tol
-    )
+    return IntertwinerReport(residual, sv, min_sv, rank, rank == T.dim, tol)
 
 
 @dataclass(frozen=True)
@@ -195,8 +192,10 @@ def push_eigenvectors(
     Requires the intertwining residual to be below ``tol`` (else
     :class:`IntertwiningViolated`, carrying the report on ``T``); per
     surviving eigenpair the report records
-    ``||B(T xi) - lam (T xi)|| / ||T xi||``.  ``A`` may be given as its
-    :class:`Eigensystem`, which is then reused.
+    ``||B(T xi) - lam (T xi)|| / ||T xi||``.  All images come from one
+    product ``T V`` with the eigenvector matrix ``V`` of ``A``, and the
+    residuals from one product with ``B``, column by column.  ``A`` may be
+    given as its :class:`Eigensystem`, which is then reused.
     """
     B, T = ensure_operator(B), ensure_operator(T)
     rep = verify_intertwining(A.operator if isinstance(A, Eigensystem) else A, B, T, tol)
@@ -206,21 +205,15 @@ def push_eigenvectors(
         )
     es = ensure_eigensystem(A, tol)
     t2 = float(rep.singular_values[0]) if len(rep.singular_values) else 0.0
-    rows: list[PushedEigenvector] = []
-    annihilated: list[tuple[complex, float]] = []
-    for k in range(es.dim):
-        lam = es.eigenvalues[k]
-        image = T.matrix @ es.right_vectors[:, k]
-        norm = float(np.linalg.norm(image))
-        if norm <= tol * max(t2, 1.0):
-            annihilated.append((complex(lam), norm))
-            continue
-        res = float(np.linalg.norm(B.matrix @ image - lam * image)) / norm
-        rows.append(PushedEigenvector(complex(lam), norm, res))
-    max_res = max((r.residual for r in rows), default=0.0)
-    return PushReport(
-        tuple(rows), tuple(annihilated), max_res, rep, max_res <= tol
-    )
+    images = T.matrix @ es.right_vectors
+    norms = np.linalg.norm(images, axis=0)
+    gone = norms <= tol * max(t2, 1.0)
+    lam, kept = es.eigenvalues[~gone], images[:, ~gone]
+    res = np.linalg.norm(B.matrix @ kept - lam * kept, axis=0) / norms[~gone]
+    rows = tuple(map(PushedEigenvector, lam.tolist(), norms[~gone].tolist(), res.tolist()))
+    annihilated = tuple(zip(es.eigenvalues[gone].tolist(), norms[gone].tolist()))
+    max_res = float(res.max(initial=0.0))
+    return PushReport(rows, annihilated, max_res, rep, max_res <= tol)
 
 
 @dataclass(frozen=True, eq=False)

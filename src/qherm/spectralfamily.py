@@ -44,6 +44,7 @@ from .core import (
     ensure_operator,
     spec_norm,
 )
+from .errors import DimensionMismatch
 from .quasihermitian import basis_condition, canonical_eigenbasis
 
 __all__ = [
@@ -202,7 +203,11 @@ class XPropertiesReport:
 
     Right-continuity is structural for step functions evaluated by the
     "largest threshold <= lam" convention, so it is reported as a
-    representation fact, not measured.
+    representation fact, not measured.  ``jump_values`` is the read-only
+    array of the ``<P_k xi_j, eta_j>`` the checks were computed from, one
+    row per threshold and one column per sample, as
+    :meth:`XFamily.jump_values` returns it; its cumulative sum over rows
+    is the path ``<X(lam_k) xi_j, eta_j>`` of each sample.
     """
 
     samples: tuple[XPropertySample, ...]
@@ -211,6 +216,7 @@ class XPropertiesReport:
     max_reconstruction_residual: float
     right_continuous: bool
     passed: bool
+    jump_values: np.ndarray = field(repr=False)
 
 
 def x_properties(
@@ -227,10 +233,16 @@ def x_properties(
     relative margin ``tol``, which is ``||G^1/2 xi|| ||G^-1/2 eta||`` for
     the canonical metric ``G``, proportional to ``(S S*)^-1`` (its scale
     cancels); (iv) ``<A xi, eta>`` equals the Stieltjes sum of the jumps.
+
+    Raises :class:`DimensionMismatch` when ``A`` or a sample vector does
+    not match the dimension of ``XF``.
     """
     if not samples:
         raise ValueError("x_properties needs a nonempty sample list")
     A = ensure_operator(A)
+    n = XF.right_vectors.shape[0]
+    if A.dim != n or any(np.shape(v) != (n,) for pair in samples for v in pair):
+        raise DimensionMismatch(f"operator or sample vector against a family of dim {n}")
     a2 = spec_norm(A.matrix)
     xis = np.array([xi for xi, _ in samples], dtype=np.complex128).T
     etas = np.array([eta for _, eta in samples], dtype=np.complex128).T
@@ -238,7 +250,7 @@ def x_properties(
     ne = np.linalg.norm(etas, axis=0)
     scale = np.maximum(nx * ne, 1e-300)
     lx, rh = XF._coordinates(xis, etas)
-    values = XF._jump_sums(lx, rh)
+    values = _readonly(XF._jump_sums(lx, rh))
     # the path <X(lam) xi, eta> is zero below the first threshold and
     # reaches the sum of the jump values at the top
     top = values.sum(axis=0)
@@ -257,7 +269,7 @@ def x_properties(
     violations = int(np.count_nonzero(variation > bound * (1.0 + tol)))
     max_recon = float(recon.max())
     passed = max_endpoint <= tol and violations == 0 and max_recon <= tol
-    return XPropertiesReport(rows, max_endpoint, violations, max_recon, True, passed)
+    return XPropertiesReport(rows, max_endpoint, violations, max_recon, True, passed, values)
 
 
 def scalar_type_decomposition(

@@ -15,16 +15,32 @@ rank test that decided defectiveness before the eigenvector-block test
 of ``core.eig_general``: one SVD of ``A - lam I`` per repeated
 eigenvalue, the reference that test is calibrated against, and the
 Python loop of the greedy conjugate pairing, the element for element
-reference for ``Eigensystem.conjugate_pairs``.
+reference for ``Eigensystem.conjugate_pairs``, and the sample-by-sample
+loops of ``verify_lattice`` (dense ``R_G^-1`` and ``R_G^1/2``, one inner
+product per sample pair) and ``push_eigenvectors`` (one image per
+eigenvector), the references for their one-block forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qherm import SpectrumNotConjugateClosed, cluster_eigenvalues
+from qherm import (
+    Eigensystem,
+    IntertwiningViolated,
+    SpectrumNotConjugateClosed,
+    cluster_eigenvalues,
+    ensure_eigensystem,
+    ensure_operator,
+    lattice_norms,
+    verify_intertwining,
+)
+from qherm.core import inner
+from qherm.lattice import LatticeReport, LatticeSampleChecks
+from qherm.quasisimilarity import PushedEigenvector, PushReport
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 
 # Aberth sweeps before the spectrum of H is given up as unconverged
 _MAX_SWEEPS = 60
@@ -307,3 +323,80 @@ def conjugate_pairing(es) -> list[tuple[int, int]]:
         unpaired.remove(best)
         pairs.append((i, best))
     return pairs
+
+
+def _rg_norm(M, xi: np.ndarray) -> float:
+    return float(np.sqrt(max(inner(xi, xi).real + inner(M.G.matrix @ xi, xi).real, 0.0)))
+
+
+def loop_verify_lattice(M, samples, tol: float) -> LatticeReport:
+    """``verify_lattice`` one sample at a time, with dense ``R_G^-1`` and ``R_G^1/2``."""
+    v, w = M.eigenvectors, M.eigenvalues
+    riesz_half = (v * np.sqrt(1.0 + w)) @ v.conj().T
+    riesz_inv = (v * (1.0 / (1.0 + w))) @ v.conj().T
+    rescale = 1.0 / M.eig_max
+    scale_root = float(np.sqrt(rescale))
+    candidates = [np.asarray(s, dtype=np.complex128) for s in samples]
+    sample_norms = [lattice_norms(M, xi) for xi in candidates]
+    denoms = [norms.rg for norms in sample_norms]
+    rows = []
+    for xi, norms in zip(candidates, sample_norms):
+        rg2 = norms.rg**2
+        proj = abs(rg2 - norms.plain**2 - norms.g**2) / max(rg2, _TINY)
+
+        eta_star = riesz_inv @ xi
+        sup_samples = 0.0
+        sup_all = 0.0
+        for k, (eta, denom) in enumerate(
+            zip(candidates + [eta_star], denoms + [_rg_norm(M, eta_star)])
+        ):
+            if denom <= _TINY:
+                continue
+            ratio = abs(inner(xi, eta)) / denom
+            sup_all = max(sup_all, ratio)
+            if k < len(samples):
+                sup_samples = max(sup_samples, ratio)
+        dual_exact = abs(sup_all - norms.rg_inv) / max(norms.rg_inv, _TINY)
+        slack = norms.rg_inv / sup_samples if sup_samples > _TINY else float("inf")
+
+        unit = float(np.linalg.norm(riesz_half @ xi))
+        unit_res = abs(unit - norms.rg) / max(norms.rg, _TINY)
+
+        g_scaled = norms.g * scale_root
+        ginv_scaled = norms.g_inv / scale_root
+        slack_chain = tol * max(norms.plain, 1.0)
+        chain = (
+            g_scaled <= norms.plain + slack_chain
+            and norms.plain <= ginv_scaled + slack_chain
+        )
+        rows.append(LatticeSampleChecks(norms, proj, dual_exact, slack, unit_res, chain))
+    max_proj = max(r.projective_residual for r in rows)
+    max_dual = max(r.duality_exact_residual for r in rows)
+    max_unit = max(r.unitarity_residual for r in rows)
+    chain_all = all(r.chain_holds for r in rows)
+    passed = max_proj <= tol and max_dual <= tol and max_unit <= tol and chain_all
+    return LatticeReport(tol, rescale, tuple(rows), max_proj, max_dual, max_unit, chain_all, passed)
+
+
+def loop_push_eigenvectors(A, B, T, tol: float) -> PushReport:
+    """``push_eigenvectors`` one eigenvector image at a time."""
+    B, T = ensure_operator(B), ensure_operator(T)
+    rep = verify_intertwining(A.operator if isinstance(A, Eigensystem) else A, B, T, tol)
+    if rep.residual > tol:
+        raise IntertwiningViolated(
+            f"intertwining residual {rep.residual:.3e} exceeds {tol:.3e}", report=rep
+        )
+    es = ensure_eigensystem(A, tol)
+    t2 = float(rep.singular_values[0]) if len(rep.singular_values) else 0.0
+    rows, annihilated = [], []
+    for k in range(es.dim):
+        lam = es.eigenvalues[k]
+        image = T.matrix @ es.right_vectors[:, k]
+        norm = float(np.linalg.norm(image))
+        if norm <= tol * max(t2, 1.0):
+            annihilated.append((complex(lam), norm))
+            continue
+        res = float(np.linalg.norm(B.matrix @ image - lam * image)) / norm
+        rows.append(PushedEigenvector(complex(lam), norm, res))
+    max_res = max((r.residual for r in rows), default=0.0)
+    return PushReport(tuple(rows), tuple(annihilated), max_res, rep, max_res <= tol)

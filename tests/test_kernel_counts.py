@@ -4,9 +4,10 @@
 ``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
 of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 ``inv`` with no Hermitian eigensolver, no singular vectors and no metric
-root (nor does ``qherm lattice`` read a root), condition numbers are
-computed only where a report or warning reads them and at most once per
-eigensystem, a spectrum is clustered at most once, when a verdict of its
+root (nor does ``qherm lattice`` read a root) and takes the coordinates
+of its samples once, ``verify_lattice`` holds no n x n temporary,
+condition numbers are computed only where a report or warning reads them
+and at most once per eigensystem, a spectrum is clustered at most once, when a verdict of its
 eigensystem is first read, and a metric read from a file not at all,
 ``eig_general`` decides defectiveness from one n x m SVD per cluster of
 m > 1 eigenvalues, with no n x n SVD and no ``||A||_2``, and the
@@ -19,6 +20,7 @@ where ``min sigma(G)`` is below the floor.
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from helpers import (
     diagonalizable_real_spectrum,
     jordan_case,
     metric_extremes_counted,
+    random_pd,
     rng,
     start_sets_taken,
     well_conditioned,
@@ -38,15 +41,18 @@ from qherm import (
     Operator,
     adjoint,
     eig_general,
+    make_metric,
     push_eigenvectors,
     samsonov_report,
     solve_metric,
     solve_pseudo_metric,
     spectral_comparison,
+    verify_lattice,
     x_family,
     x_properties,
 )
 from qherm import halfline
+from qherm.spectralfamily import _FactoredFamily
 from qherm.cli import main
 from test_golden import run_case
 
@@ -132,6 +138,35 @@ def test_spectral_diagonalizes_once_with_no_metric(monkeypatch, tmp_path, name):
     assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
     assert {k: c[0] for k, c in zip(names, counters)} == {"eig": 1, "eigh": 0, "inv": 1}
     assert svd_uv[0] == 0
+
+
+@pytest.mark.parametrize("name", ["spectral_worked", "spectral_quasi5"])
+def test_spectral_takes_the_sample_coordinates_once(monkeypatch, tmp_path, name):
+    # the CSV paths are the cumulative sums of the jump values x_properties keeps
+    calls = [0]
+    original = _FactoredFamily._coordinates
+
+    def counted(self, xis, etas):
+        calls[0] += 1
+        return original(self, xis, etas)
+
+    monkeypatch.setattr(_FactoredFamily, "_coordinates", counted)
+    assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
+    assert calls[0] == 1
+
+
+def test_verify_lattice_forms_no_dense_matrix():
+    n = 400
+    gen = rng(14)
+    M = make_metric(random_pd(gen, n))
+    samples = [gen.standard_normal(n) + 1j * gen.standard_normal(n) for _ in range(8)]
+    tracemalloc.start()
+    try:
+        verify_lattice(M, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.complex128).itemsize
 
 
 @pytest.mark.parametrize("name", ["spectral_quasi5", "lattice_metric"])

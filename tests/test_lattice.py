@@ -12,6 +12,7 @@ from qherm import (
     riesz_operator,
     verify_lattice,
 )
+from dense_oracle import loop_verify_lattice
 from helpers import random_pd, rng
 
 G_WORKED = np.array([[1.0, -1.0], [-1.0, 2.0]])
@@ -163,3 +164,46 @@ def test_verify_lattice_duality_random():
 def test_verify_lattice_needs_samples():
     with pytest.raises(ValueError):
         verify_lattice(MetricOperator.identity(2), [])
+
+
+def test_verify_lattice_rejects_a_wrong_length_sample():
+    # the bad sample comes second, after a good one has been read
+    with pytest.raises(DimensionMismatch):
+        verify_lattice(MetricOperator.identity(3), [np.ones(3), np.ones(2)])
+
+
+def _exact_fields(rep):
+    """The report fields computed by the same arithmetic as the sample loop, in hex."""
+    rows = [
+        [v.hex() for v in r.norms.as_tuple()]
+        + [r.projective_residual.hex(), r.chain_holds]
+        + [r.duality_sample_slack == np.inf]
+        for r in rep.samples
+    ]
+    return rows, rep.rescale_factor.hex(), rep.max_projective_residual.hex(), rep.chain_holds
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 40])
+def test_verify_lattice_is_the_sample_loop(n):
+    # one zero sample among random ones; the duality and unitarity residuals
+    # and the sample slack are sums taken in another order, so they agree
+    # with the loop to a few eps
+    eps = np.finfo(np.float64).eps
+    gen = rng(60 + n)
+    for _ in range(12):
+        m = make_metric(Operator(random_pd(gen, n)))
+        count = int(gen.integers(1, 6))
+        samples = [gen.standard_normal(n) + 1j * gen.standard_normal(n) for _ in range(count)]
+        samples.insert(int(gen.integers(0, count + 1)), np.zeros(n))
+        got, ref = verify_lattice(m, samples), loop_verify_lattice(m, samples, 1e-10)
+        assert _exact_fields(got) == _exact_fields(ref)
+        assert got.passed == ref.passed
+        for a, b in zip(got.samples, ref.samples):
+            if a.norms.plain == 0.0:
+                assert a.duality_exact_residual == a.unitarity_residual == 0.0
+            assert abs(a.duality_exact_residual - b.duality_exact_residual) <= 8 * eps
+            assert abs(a.unitarity_residual - b.unitarity_residual) <= 8 * eps
+            if np.isfinite(b.duality_sample_slack):
+                assert a.duality_sample_slack == pytest.approx(b.duality_sample_slack, rel=8 * eps)
+        assert abs(got.max_duality_residual - ref.max_duality_residual) <= 8 * eps
+        assert abs(got.max_unitarity_residual - ref.max_unitarity_residual) <= 8 * eps

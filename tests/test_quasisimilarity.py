@@ -16,6 +16,7 @@ from qherm import (
     spectral_comparison,
     verify_intertwining,
 )
+from dense_oracle import loop_push_eigenvectors
 from helpers import (
     diagonalizable_real_spectrum,
     random_unitary,
@@ -32,7 +33,7 @@ def test_verify_intertwining_examples():
     rep = verify_intertwining(a, a, Operator.identity(2))
     assert rep.residual == 0.0
     assert rep.quasi_affinity
-    assert rep.bounded_inverse_proxy == pytest.approx(1.0)
+    assert rep.min_sv == pytest.approx(1.0)
 
     rep = verify_intertwining(a, adjoint(a), Operator(G_WORKED))
     assert rep.residual <= 1e-15
@@ -161,6 +162,42 @@ def test_push_eigenvectors_annihilation():
     assert lam == pytest.approx(2.0)
     assert norm <= 1e-15
     assert not rep.intertwiner.quasi_affinity
+
+
+def _pushed_values(rep):
+    """The eigenvalues of the kept and of the annihilated eigenvectors, in order, in hex."""
+    return _hex([[r.eigenvalue for r in rep.rows], [lam for lam, _ in rep.annihilated]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 40])
+def test_push_eigenvectors_is_the_eigenvector_loop(n):
+    # every other case T annihilates one eigenvector of A; images and
+    # residuals are sums taken in another order, so they agree with the
+    # loop to a few eps of their scale
+    eps = np.finfo(np.float64).eps
+    gen = rng(70 + n)
+    for case in range(8):
+        a, _ = diagonalizable_real_spectrum(gen, n)
+        t = well_conditioned(gen, n)
+        if case % 2:
+            v = eig_general(Operator(a)).right_vectors
+            t = (v * (np.arange(n) != gen.integers(n))) @ np.linalg.inv(v)
+            b = a
+        else:
+            b = t @ a @ np.linalg.inv(t)
+        A, B, T = Operator(a), Operator(b), Operator(t)
+        got, ref = push_eigenvectors(A, B, T, 1e-8), loop_push_eigenvectors(A, B, T, 1e-8)
+        assert len(ref.annihilated) == case % 2
+        assert _pushed_values(got) == _pushed_values(ref)
+        assert got.passed == ref.passed
+        assert _hex([got.intertwiner.singular_values]) == _hex([ref.intertwiner.singular_values])
+        t_norm, b_norm = np.linalg.norm(t), np.linalg.norm(b)
+        for x, y in zip(got.rows, ref.rows):
+            assert abs(x.image_norm - y.image_norm) <= 4 * eps * t_norm
+            scale = (b_norm + abs(y.eigenvalue)) * t_norm / y.image_norm
+            assert abs(x.residual - y.residual) <= 4 * eps * scale
+        for (_, x), (_, y) in zip(got.annihilated, ref.annihilated):
+            assert abs(x - y) <= 4 * eps * t_norm
 
 
 def test_mutual_qs_worked():

@@ -4,6 +4,7 @@ import pytest
 from qherm import (
     ComplexSpectrum,
     Defective,
+    DimensionMismatch,
     IllConditionedWarning,
     NotHermitian,
     Operator,
@@ -229,3 +230,26 @@ def test_x_properties_needs_samples():
     xf = x_family(Operator(np.eye(2)))
     with pytest.raises(ValueError):
         x_properties(xf, Operator(np.eye(2)), [])
+
+
+@pytest.mark.parametrize(
+    "a_dim, xi_dims, eta_dims",
+    [(2, (3, 3), (3, 3)), (3, (2, 2), (3, 3)), (3, (3, 3), (3, 2))],
+)
+def test_x_properties_rejects_dimension_mismatch(a_dim, xi_dims, eta_dims):
+    # an operator, every xi, or one eta that does not match the family
+    xf = x_family(Operator(np.diag([1.0, 2.0, 3.0])))
+    samples = [(np.ones(p), np.ones(q)) for p, q in zip(xi_dims, eta_dims)]
+    with pytest.raises(DimensionMismatch):
+        x_properties(xf, Operator(np.eye(a_dim)), samples)
+
+
+def test_x_properties_keeps_its_jump_values():
+    gen = rng(54)
+    a, _ = manufactured_quasi_hermitian(gen, 6)
+    xf = x_family(Operator(a))
+    xis = gen.standard_normal((6, 3)) + 1j * gen.standard_normal((6, 3))
+    etas = gen.standard_normal((6, 3)) + 1j * gen.standard_normal((6, 3))
+    rep = x_properties(xf, Operator(a), list(zip(xis.T, etas.T)))
+    assert np.array_equal(rep.jump_values, xf.jump_values(xis, etas))
+    assert not rep.jump_values.flags.writeable
