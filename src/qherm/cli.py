@@ -19,6 +19,11 @@ are all pairs of JSON numbers becomes one float64 array in a single
 check alone writes the error naming the first bad entry.  A matrix in a
 report is its ``(n*n, 2)`` float64 view, and it and every CSV table are
 formatted by one ``%``-template over all their rows.
+
+:func:`main` may be called any number of times in one process: the
+argument parser is built once, at import, and each call parses into a
+fresh namespace.  Report files are written atomically and get the mode
+``open(path, "w")`` would give them under the process umask.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -145,9 +149,18 @@ def operator_payload(op: Operator) -> dict:
 
 
 def _write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a new file in ``path``'s directory, then rename it
+    over ``path``; the file gets the mode ``open(path, "w")`` would give:
+    that of the file it replaces, else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    # exclusive like mkstemp, but 0o666 so that the umask decides the mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        try:
+            os.fchmod(fd, os.stat(path).st_mode & 0o777)
+        except FileNotFoundError:
+            pass
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -621,9 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import, and shared by every call of :func:`main`.  Parsing
+# fills a fresh Namespace and leaves the tree as it was, as long as no
+# action appends to a default: no ``append`` actions, no mutable defaults.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         code, body = args.func(args)
         if args.json_out:

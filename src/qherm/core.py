@@ -36,6 +36,7 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian, Spectru
 DEFAULT_TOL = 1e-10
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_normal
 
 __all__ = [
     "DEFAULT_TOL",
@@ -96,12 +97,16 @@ def fro(a: np.ndarray) -> float:
 
     Only a plain norm of 0 with a nonzero entry, or of ``inf`` with finite
     entries, is recomputed on ``a / max|a|``; every other result is the
-    plain one, bit for bit.
+    plain one, bit for bit.  A subnormal ``max|a|`` is first scaled up,
+    with ``a``, by the exact factor ``2**600``: numpy divides a complex
+    array by a real through its reciprocal, which overflows there.
     """
     with np.errstate(over="ignore", under="ignore"):
         norm = float(np.linalg.norm(a, "fro"))
     if norm == 0.0 or norm == math.inf:
         peak = float(np.abs(a).max(initial=0.0))
+        if 0.0 < peak < _TINY:
+            return peak * float(np.linalg.norm((a * 2.0**600) / (peak * 2.0**600), "fro"))
         if 0.0 < peak < math.inf:
             return peak * float(np.linalg.norm(a / peak, "fro"))
     return norm

@@ -44,10 +44,16 @@ def well_conditioned(gen: np.random.Generator, n: int, spread: float = 4.0) -> n
 def diagonalizable_real_spectrum(
     gen: np.random.Generator, n: int, lo: float = -3.0, hi: float = 3.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A = V diag(lam) V^-1 with real well-separated lam; returns (A, lam)."""
-    lam = np.sort(gen.uniform(lo, hi, n))
-    while n > 1 and np.min(np.diff(lam)) < 1e-3:
-        lam = np.sort(gen.uniform(lo, hi, n))
+    """A = V diag(lam) V^-1 with real well-separated lam; returns (A, lam).
+
+    ``lam`` ascends on a jittered grid of ``[lo, hi)``, as in the
+    benchmark's inputs, so neighbours are at least ``(hi - lo) / (2n)``
+    apart; a grid whose gaps could fall below 1e-3 raises ``ValueError``.
+    """
+    step = (hi - lo) / n
+    if step / 2 < 1e-3:
+        raise ValueError(f"{n} eigenvalues in [{lo}, {hi}) cannot all be 1e-3 apart")
+    lam = lo + step * (np.arange(n) + gen.uniform(0.0, 0.5, n))
     v = well_conditioned(gen, n)
     return v @ np.diag(lam) @ np.linalg.inv(v), lam
 

@@ -1,9 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import qherm
 from qherm.cli import main
 
 WORKED = {
@@ -488,3 +493,109 @@ def test_negative_or_nonfinite_tol_exit_two(tmp_path, capsys, value):
     path = _write(tmp_path, "worked.json", WORKED)
     assert _usage_error(["analyze", path, f"--tol={value}"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def _fresh_process(script: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's qherm."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(qherm.__file__)))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+
+
+def test_main_constructs_no_argument_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = _write(tmp_path, "worked.json", WORKED)
+    assert main(["analyze", path]) == 0
+    assert main(["samsonov", "--d", "-1", "--b", "1", "--L", "40", "--n", "100,200"]) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+def test_option_values_do_not_leak_into_later_calls(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "worked.json", WORKED)
+    first = ["--json-out", "a.json", "--csv-out", "a.csv"]
+    later = ["--json-out", "b.json", "--csv-out", "b.csv"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectral", path, "--samples", "3", *first]) == 0
+    assert main(["spectral", path, *later]) == 0
+    fresh = _fresh_process(
+        "from qherm.cli import main\n"
+        f"raise SystemExit(main(['spectral', {path!r}, '--json-out', 'c.json', "
+        "'--csv-out', 'c.csv']))\n",
+        tmp_path,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    for suffix in ("json", "csv"):
+        assert (tmp_path / f"b.{suffix}").read_bytes() == (tmp_path / f"c.{suffix}").read_bytes()
+    # the first call's 3 samples are in its table, so the comparison can see a leak
+    assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+    assert main(["analyze", path, "--tol", "1e-6", "--json-out", "t.json"]) == 0
+    assert json.loads((tmp_path / "t.json").read_text())["tolerances"]["tol"] == 1e-6
+    assert main(["samsonov", "--d", "-1", "--b", "1", "--n", "100,200", "--json-out", "s.json"]) == 0
+    assert json.loads((tmp_path / "s.json").read_text())["tolerances"]["tol"] == 1e-10
+    capsys.readouterr()
+
+
+def test_main_works_after_a_usage_error_and_after_version(tmp_path, capsys):
+    path = _write(tmp_path, "worked.json", WORKED)
+    out = str(tmp_path / "r.json")
+    assert main(["analyze", path, "--json-out", out]) == 0
+    expected = open(out, "rb").read()
+    assert _usage_error(["spectral", path, "--samples", "0"]) == 2
+    assert main(["analyze", path, "--json-out", out]) == 0
+    assert open(out, "rb").read() == expected
+    assert _usage_error(["--version"]) == 0
+    assert capsys.readouterr().out.strip().endswith(qherm.__version__)
+    assert main(["analyze", path, "--json-out", out]) == 0
+    assert open(out, "rb").read() == expected
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_report_files_get_the_mode_of_open(tmp_path, umask):
+    script = (
+        "import os, stat\n"
+        "from qherm.cli import main\n"
+        f"os.umask({umask})\n"
+        "open('plain.txt', 'w').close()\n"
+        "code = main(['samsonov', '--d', '-1', '--b', '1', '--n', '100,200',\n"
+        "             '--json-out', 'r.json', '--csv-out', 'r.csv'])\n"
+        "modes = [oct(stat.S_IMODE(os.stat(p).st_mode)) for p in ('plain.txt', 'r.json', 'r.csv')]\n"
+        "# like open(path, 'w'), a report written over a file keeps that file's mode\n"
+        "os.chmod('r.json', 0o640)\n"
+        "main(['samsonov', '--d', '-1', '--b', '1', '--n', '100,200', '--json-out', 'r.json'])\n"
+        "print(code, *modes, oct(stat.S_IMODE(os.stat('r.json').st_mode)))\n"
+    )
+    done = _fresh_process(script, tmp_path)
+    assert done.returncode == 0, done.stderr
+    code, plain, report, table, rewritten = done.stdout.splitlines()[-1].split()
+    assert (code, plain) == ("0", oct(0o666 & ~umask))
+    assert report == table == plain
+    assert rewritten == oct(0o640)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "r.csv", "r.json"]
+
+
+@pytest.mark.parametrize(
+    "command,residual",
+    [("analyze", lambda r: r["transform"]["herm_residual"]), ("transform", lambda r: r["herm_residual"])],
+    ids=["analyze", "transform"],
+)
+def test_subnormal_scale_writes_finite_reports(tmp_path, capsys, command, residual):
+    # 1e-300 * [[1, 2], [0, 3]]: the Hermiticity residual of K is taken where
+    # squaring its entries underflows and max|K - K*| is subnormal
+    tiny = dict(WORKED, entries=[[1e-300, 0], [2e-300, 0], [0, 0], [3e-300, 0]])
+    path = _write(tmp_path, "tiny.json", tiny)
+    out = str(tmp_path / "r.json")
+    assert main([command, path, "--json-out", out]) == 0
+    assert 0.0 <= residual(json.loads(open(out).read())) <= 1e-14
+    capsys.readouterr()

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -219,6 +220,40 @@ def test_herm_residual_at_any_scale(s):
     a = np.array([[1.0, 1.0], [0.0, 2.0]])
     assert herm_residual(s * a) == pytest.approx(herm_residual(a), rel=1e-15, abs=0)
     assert fro(s * a) == pytest.approx(s * fro(a), rel=1e-15, abs=0)
+
+
+def _fro_without_subnormal_scaling(a: np.ndarray) -> float:
+    # fro less its subnormal-peak branch: the bits fro keeps wherever the peak is normal
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(a, "fro"))
+    if norm == 0.0 or norm == np.inf:
+        peak = float(np.abs(a).max(initial=0.0))
+        if 0.0 < peak < np.inf:
+            return peak * float(np.linalg.norm(a / peak, "fro"))
+    return norm
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fro_is_unchanged_where_the_peak_is_normal(seed):
+    gen = rng(seed)
+    for scale in [1e-307, 1e-300, 1e-200, 1e-170, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300]:
+        for shape in [(1, 1), (3, 5), (17, 17)]:
+            a = scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+            for x in (a, a.real):
+                if np.abs(x).max() >= np.finfo(np.float64).smallest_normal:
+                    assert fro(x) == _fro_without_subnormal_scaling(x)
+
+
+@pytest.mark.parametrize("peak", [5e-317, 3e-309])
+def test_fro_of_a_complex_array_with_a_subnormal_peak(peak):
+    # numpy's complex / real goes through 1/peak, which overflows here
+    real = np.array([[peak, -peak / 3], [peak / 7, 0.0]])
+    assert fro(real + 0j) == pytest.approx(fro(real), rel=0, abs=4 * math.ulp(fro(real)))
+    gen = rng(3)
+    z = peak * np.exp(2j * np.pi * gen.uniform(size=(4, 4))) * gen.uniform(0.5, 1.0, (4, 4))
+    parts = z.view(np.float64)  # the same Frobenius norm over real numbers
+    assert math.isfinite(fro(z))
+    assert fro(z) == pytest.approx(fro(parts), rel=0, abs=4 * math.ulp(fro(parts)))
 
 
 def test_herm_residual_is_zero_only_for_hermitian():
