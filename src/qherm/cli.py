@@ -268,12 +268,17 @@ def _checked_entries(path: str, entries: list) -> np.ndarray:
 
 
 def _parse_samsonov(path: str, doc: dict) -> HalfLineSpec:
+    # JSON numbers only: bool is its own type here, so true is not taken for 1
+    for field in ("d", "b", "box_length"):
+        value = doc.get(field, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"{path}: {field} must be a number")
     try:
         d = float(doc["d"])
         b = float(doc["b"])
         n = doc["n"]
         box = float(doc.get("box_length", default_box_length(d)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, OverflowError) as exc:
         raise ParseError(f"{path}: bad half-line parameters: {exc}") from exc
     if not isinstance(n, int) or isinstance(n, bool):
         raise ParseError(f"{path}: n must be an integer")

@@ -10,19 +10,20 @@ the Dirichlet wall, everything is built from one factor:
 * ``L = D + c I`` discretizes ``d/dx + c``; its first row is exactly the
   forward-difference Robin functional, so the boundary condition is the
   kernel condition of that row.
-* ``G_raw = L* L`` is Hermitian positive semidefinite by construction and
+* ``G = L* L`` is Hermitian positive semidefinite by construction and
   reproduces ``(-d/dx + c̄)(d/dx + c) = -d^2/dx^2 - 2ib d/dx + d^2 + b^2``.
 * ``H = D* D - (c/h) e0 e0*`` is the ghost-point elimination of the Robin
   condition in flux (half-cell) form: its quadratic form is the discrete
   ``int |xi'|^2 - c |xi(0)|^2``, and the ``d = b = 0`` limit is exactly
-  Hermitian (it then coincides with ``G_raw``).
+  Hermitian (it then coincides with ``G``).
 
 The continuum facts to track under grid refinement: ``min sigma(G)`` is
 ``d^2``, and for ``d < 0`` the spectrum of ``H`` is purely continuous and
 real, so the discrete ``max |Im lambda(H)|`` must shrink with ``n``.
 
-The refinement study works on the three diagonals of ``H``, ``G`` and
-``L``, forms no n x n matrix and costs O(n) time and memory per grid.
+:func:`build_pair` writes the three diagonals of ``H`` and ``G`` in
+closed form; the refinement study works on them and on ``L``, forms no
+n x n matrix and costs O(n) time and memory per grid.
 ``H`` and ``G`` are rank-one corner updates of Toeplitz tridiagonals with
 closed-form eigenpairs (Golub 1973).  Newton's method finds each root of
 the characteristic equation of ``H`` from up to three sets of starts: the
@@ -38,8 +39,8 @@ same floats as bisection to the last bit, but ``min sigma(G)`` is
 ``sigma_min(L)^2`` by inverse iteration where :data:`FLOOR_EPSILON`
 binds.  The commutator ``GH - H*G`` comes from its five bands and the
 Hermiticity residual of ``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed
-form.  Only :func:`build_pair` calls BLAS or LAPACK, so the report does
-not depend on the BLAS thread count.
+form.  No function here calls BLAS or LAPACK, so the report does not
+depend on the BLAS thread count.
 
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
@@ -52,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator
 from .errors import ConvergenceFailure, InvalidSpec
 
 _TINY = np.finfo(np.float64).tiny
@@ -63,9 +63,9 @@ _EPS = np.finfo(np.float64).eps
 # perturbed entry, so three is one row of slack
 _BOUNDARY_MARGIN = 3
 
-# largest grid size: build_pair forms dense n x n matrices (16 * 8192**2
-# bytes = 1 GiB each at n = 8192); the report itself is O(n)
-MAX_GRID_SIZE = 8192
+# largest grid size: the report's peak traced memory is about 465 bytes
+# per grid point, 487 MB at n = 2**20
+MAX_GRID_SIZE = 2**20
 
 # bound on the scale max(|d|, |b|, 1/h) and its inverse (see HalfLineSpec)
 _SCALE_LIMIT = 1e37
@@ -125,15 +125,16 @@ class HalfLineSpec:
             raise InvalidSpec("grid size n is too large for a float") from None
         if self.n > MAX_GRID_SIZE:
             raise InvalidSpec(
-                f"grid size n = {self.n} exceeds the dense limit {MAX_GRID_SIZE}"
+                f"grid size n = {self.n} exceeds the largest grid {MAX_GRID_SIZE}"
             )
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
         # the report forms up to the eighth power of r = max(|d|, |b|, 1/h):
         # the squared entries of the commutator GH - H*G, each below
-        # 150 r^4, summed over five bands of n <= 8192 rows, stay below
-        # 1e9 r^8, which r <= 1e37 keeps under 1e305, short of overflow;
-        # r >= 1e-37 keeps r^8 a normal float, and the metric nonzero
+        # 150 r^4, summed over five bands of n rows, stay below
+        # 1.125e5 n r^8, which n <= 2**20 and r <= 1e37 keep under
+        # 1.2e307, short of overflow; r >= 1e-37 keeps r^8 a normal
+        # float, and the metric nonzero
         scale = max(abs(self.d), abs(self.b), self.n / self.box_length)
         if not 1.0 / _SCALE_LIMIT <= scale <= _SCALE_LIMIT:
             raise InvalidSpec(
@@ -156,33 +157,36 @@ class HalfLineSpec:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedPair:
-    """The discretized operator, metric, and the factor generating both."""
+    """The three diagonals of ``H`` and of ``G = L* L`` on one grid.
 
-    H: Operator
-    G_raw: Operator
-    L_factor: Operator
+    ``h_bands`` and ``g_bands`` are read-only ``(n, 3)`` complex arrays,
+    column ``s + 1`` holding the entries ``[i, i + s]``; entries that fall
+    outside the matrix are zero.
+    """
+
+    h_bands: np.ndarray
+    g_bands: np.ndarray
     spacing: float
 
 
 def build_pair(spec: HalfLineSpec) -> DiscretizedPair:
-    """Assemble ``H``, ``L`` and ``G_raw = L* L`` for one grid."""
+    """The bands of ``H`` and ``G = L* L`` for one grid, in closed form."""
     n, h, c = spec.n, spec.spacing, spec.robin_coefficient
-    dmat = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    dmat[idx, idx] = -1.0 / h
-    dmat[idx[:-1], idx[:-1] + 1] = 1.0 / h
-
-    lmat = dmat + c * np.eye(n)
-    gmat = lmat.conj().T @ lmat
-
-    hmat = (dmat.conj().T @ dmat).astype(np.complex128)
-    hmat[0, 0] -= c / h
-    return DiscretizedPair(
-        Operator(hmat, "half-line H"),
-        Operator(gmat, "half-line G"),
-        Operator(lmat, "first-order factor"),
-        h,
-    )
+    inv_h = 1.0 / h
+    s = inv_h * inv_h
+    diag = c - inv_h  # the diagonal of L
+    hb = np.zeros((n, 3), dtype=np.complex128)
+    hb[:, 1] = 2.0 * s
+    hb[0, 1] = s - c / h
+    hb[1:, 0] = -s
+    hb[:-1, 2] = -s
+    gb = np.zeros((n, 3), dtype=np.complex128)
+    gb[:, 1] = diag.real**2 + diag.imag**2 + s
+    gb[0, 1] = diag.real**2 + diag.imag**2
+    gb[1:, 0] = inv_h * diag
+    gb[:-1, 2] = diag.conjugate() * inv_h
+    hb.flags.writeable = gb.flags.writeable = False
+    return DiscretizedPair(hb, gb, h)
 
 
 @dataclass(frozen=True)
@@ -239,30 +243,6 @@ class SamsonovReport:
 
 def _nonincreasing(values: list[float], floor: float) -> bool:
     return all(b <= a + floor for a, b in zip(values, values[1:]))
-
-
-# The kernels below work on tridiagonal matrices stored as (n, 3) band
-# arrays, column s + 1 holding the entries [i, i + s]; entries that fall
-# outside the matrix are zero.
-
-
-def _bands(grid: HalfLineSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of ``H`` and ``G = L* L``, entry for entry as :func:`build_pair`."""
-    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
-    inv_h = 1.0 / h
-    s = inv_h * inv_h
-    diag = c - inv_h  # the diagonal of L
-    hb = np.zeros((n, 3), dtype=np.complex128)
-    hb[:, 1] = 2.0 * s
-    hb[0, 1] = s - c / h
-    hb[1:, 0] = -s
-    hb[:-1, 2] = -s
-    gb = np.zeros((n, 3), dtype=np.complex128)
-    gb[:, 1] = diag.real**2 + diag.imag**2 + s
-    gb[0, 1] = diag.real**2 + diag.imag**2
-    gb[1:, 0] = inv_h * diag
-    gb[:-1, 2] = diag.conjugate() * inv_h
-    return hb, gb
 
 
 def _sum_sq(a: np.ndarray) -> float:
@@ -701,7 +681,8 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     prev: SamsonovRow | None = None
     for grid in specs:
         n = grid.n
-        hb, gb = _bands(grid)
+        pair = build_pair(grid)
+        hb, gb = pair.h_bands, pair.g_bands
         min_eig, _ = _metric_extremes(grid)
 
         cb = _commutator_bands(gb, hb)

@@ -50,6 +50,7 @@ from .errors import (
     IllConditionedWarning,
     NotHermitian,
     NotInvolution,
+    NotPositiveDefinite,
     NotQuasiHermitian,
 )
 from .lattice import MetricOperator
@@ -149,8 +150,10 @@ def solve_metric(
     (factor recorded in ``scale``).
 
     Raises :class:`ComplexSpectrum` or :class:`Defective` when no
-    positive metric exists; warns :class:`IllConditionedWarning` when the
-    eigenvector basis is badly conditioned.
+    positive metric exists, and :class:`NotPositiveDefinite` when the
+    normalized metric's smallest eigenvalue falls below the normal float
+    range; warns :class:`IllConditionedWarning` when the eigenvector basis
+    is badly conditioned.
     """
     es = canonical_eigenbasis(A, tol, "solve_metric")
     u, sig, _ = np.linalg.svd(es.scaled_vectors)
@@ -158,6 +161,15 @@ def solve_metric(
     # (S S*)^-1 = U diag(sig^-2) U*, normalized to unit spectral norm;
     # sig is descending, so scale/sig^2 is already ascending
     scale = float(sig[-1] ** 2)
+    # w[0] below, the smallest eigenvalue of G: below the normal range (the
+    # scale underflowing with it) the metric is not positive definite in floats
+    eig_min = scale / float(sig[0] ** 2)
+    if not eig_min >= _TINY:
+        raise NotPositiveDefinite(
+            f"solve_metric: metric eigenvalue {eig_min:.3e} underflows "
+            f"(eigenvector basis condition {cond:.3e})",
+            min_eigenvalue=eig_min,
+        )
     w = scale / sig**2
     G = Operator(herm_part((u * w) @ u.conj().T), "canonical metric")
     residual = quasi_hermiticity_residual(es.operator, G)

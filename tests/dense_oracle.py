@@ -5,15 +5,18 @@ from the eigenvectors of ``A`` alone.  This module builds every
 cumulative projector as its own dense matrix, ``E(lam_k) = W_k W_k*`` and
 ``X(lam_k) = G^-1/2 E(lam_k) G^1/2`` through the metric conjugation, as
 the reference the tests compare the factored families against.  It also
-keeps the dense per-grid computation of the half-line refinement study,
-the reference for its secular and banded kernels, the Aberth-Ehrlich
-sweeps on the secular equation of the half-line ``H``, an independent
-O(n^2) reference for the roots that Newton's method finds, and the
-bisection of the secular equation of the half-line ``G``, the float for
-float reference for the extremes of its spectrum.  Last, it keeps the
-rank test that decided defectiveness before the eigenvector-block test
-of ``core.eig_general``: one SVD of ``A - lam I`` per repeated
-eigenvalue, the reference that test is calibrated against, and the
+keeps the dense half-line pair, ``H``, ``G = L* L`` and ``L`` by matrix
+products, the reference for the bands that ``halfline.build_pair`` writes
+in closed form; the dense per-grid computation of the half-line
+refinement study, the reference for its secular and banded kernels; the
+Aberth-Ehrlich sweeps on the secular equation of the half-line ``H``, an
+independent O(n^2) reference for the roots that Newton's method finds;
+and the bisection of the secular equation of the half-line ``G``, the
+float for float reference for the extremes of its spectrum.  Last, it
+keeps the rank test that decided defectiveness before the
+eigenvector-block test of ``core.eig_general``: one SVD of
+``A - lam I`` per repeated eigenvalue, the reference that test is
+calibrated against, and the
 Python loop of the greedy conjugate pairing, the element for element
 reference for ``Eigensystem.conjugate_pairs``, and the sample-by-sample
 loops of ``verify_lattice`` (dense ``R_G^-1`` and ``R_G^1/2``, one inner
@@ -75,6 +78,24 @@ def dense_evaluate(thresholds: np.ndarray, members: list[np.ndarray], lam: float
     return out
 
 
+def dense_pair(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ``H``, ``G = L* L`` and ``L`` of one half-line grid, by matrix
+    products from the forward-difference matrix ``D`` as the
+    :mod:`qherm.halfline` docstring defines them."""
+    n, h, c = spec.n, spec.spacing, spec.robin_coefficient
+    dmat = np.zeros((n, n), dtype=np.complex128)
+    idx = np.arange(n)
+    dmat[idx, idx] = -1.0 / h
+    dmat[idx[:-1], idx[:-1] + 1] = 1.0 / h
+
+    lmat = dmat + c * np.eye(n)
+    gmat = lmat.conj().T @ lmat
+
+    hmat = (dmat.conj().T @ dmat).astype(np.complex128)
+    hmat[0, 0] -= c / h
+    return hmat, gmat, lmat
+
+
 def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     """The refinement rows of ``samsonov_report`` from dense n x n kernels.
 
@@ -92,7 +113,6 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
         _TINY,
         FLOOR_EPSILON,
         SamsonovRow,
-        build_pair,
     )
 
     def _spectrum(hmat: np.ndarray) -> np.ndarray:
@@ -107,8 +127,7 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     prev = None
     for grid in specs:
         n = grid.n
-        pair = build_pair(grid)
-        hmat, gmat = pair.H.matrix, pair.G_raw.matrix
+        hmat, gmat, _ = dense_pair(grid)
 
         w_g, v_g = np.linalg.eigh(herm_part(gmat))
         min_eig = float(w_g[0])
@@ -140,7 +159,7 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
             )
         row = SamsonovRow(
             n,
-            pair.spacing,
+            grid.spacing,
             min_eig,
             gap,
             residual_full,

@@ -2,10 +2,10 @@
 and whether the extremes of ``sigma(G)`` are the bisection's.
 
 Run with ``PYTHONPATH=src python tests/halfline_sweep.py`` (no arguments;
-the seeds are fixed).  Every grid runs through ``samsonov_report`` with
-``build_pair`` refused, and the script prints, per family of grids, how
-many took start set 1, 2 or 3 of ``halfline._start_sets``, how many have a
-real Robin coefficient (no start set), and every grid that raised
+the seeds are fixed).  Every grid runs through ``samsonov_report``, and
+the script prints, per family of grids, how many took start set 1, 2 or 3
+of ``halfline._start_sets``, how many have a real Robin coefficient (no
+start set), and every grid that raised
 ``ConvergenceFailure`` or gave a non-finite ``max_im_lambda_H``.  It also
 compares ``halfline._metric_extremes`` with the bisection of
 ``dense_oracle.bisected_metric_extremes`` (the report's floor applied to
@@ -19,6 +19,7 @@ of O(n) secular evaluations per grid.  The families:
 * ``threshold``: ``d L`` in [0.5, 1.5], where the bound state binds, with
   ``|b|`` from 1e-4 to 5 and ``n`` in [16, 400];
 * ``large``: as ``random`` with ``n`` in [2000, 8192];
+* ``huge``: as ``random`` with ``n`` in [8193, 262144];
 * ``tiny-b``: as ``random`` with ``|b|`` from 1e-300 to 1e-6, where
   ``Im lambda`` lies far below the rounding of ``|lambda|``.
 """
@@ -28,13 +29,12 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 
 from dense_oracle import bisected_metric_extremes
 from helpers import metric_extremes_counted, near_unit_beta, start_sets_taken
-from qherm import ConvergenceFailure, HalfLineSpec, halfline, samsonov_report
+from qherm import ConvergenceFailure, HalfLineSpec, samsonov_report
 
 
 def _random(gen, n_low=16, n_high=1600):
@@ -66,6 +66,7 @@ FAMILIES = [
     ("near-unit", 2027, 1000, _near_unit),
     ("threshold", 2028, 1000, _threshold),
     ("large", 2029, 60, lambda gen: _random(gen, 2000, 8192)),
+    ("huge", 2031, 30, lambda gen: _random(gen, 8193, 262144)),
     ("tiny-b", 2030, 500, _tiny_b),
 ]
 
@@ -95,21 +96,19 @@ def sweep(seed: int, count: int, draw) -> tuple[Counter, list, list, list]:
 
 
 def main() -> None:
-    refuse = mock.patch.object(halfline, "build_pair", side_effect=AssertionError("dense"))
-    with refuse:
-        for name, seed, count, draw in FAMILIES:
-            start = time.perf_counter()
-            taken, bad, mismatched, evaluations = sweep(seed, count, draw)
-            counts = ", ".join(f"set {k}: {v}" for k, v in sorted(taken.items(), key=str))
-            print(f"{name} (seed {seed}): {count} grids; {counts}; failed: {len(bad)}; "
-                  f"{time.perf_counter() - start:.1f} s")
-            for grid, reason in bad:
-                print(f"  {grid}: {reason}")
-            print(f"  extremes of sigma(G): {len(mismatched)} differ from bisection; "
-                  f"secular evaluations per grid: median {np.median(evaluations):g}, "
-                  f"max {max(evaluations)}")
-            for grid in mismatched:
-                print(f"  {grid}: extremes of sigma(G) differ from bisection")
+    for name, seed, count, draw in FAMILIES:
+        start = time.perf_counter()
+        taken, bad, mismatched, evaluations = sweep(seed, count, draw)
+        counts = ", ".join(f"set {k}: {v}" for k, v in sorted(taken.items(), key=str))
+        print(f"{name} (seed {seed}): {count} grids; {counts}; failed: {len(bad)}; "
+              f"{time.perf_counter() - start:.1f} s")
+        for grid, reason in bad:
+            print(f"  {grid}: {reason}")
+        print(f"  extremes of sigma(G): {len(mismatched)} differ from bisection; "
+              f"secular evaluations per grid: median {np.median(evaluations):g}, "
+              f"max {max(evaluations)}")
+        for grid in mismatched:
+            print(f"  {grid}: extremes of sigma(G) differ from bisection")
 
 
 if __name__ == "__main__":

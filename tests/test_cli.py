@@ -426,6 +426,30 @@ def test_bulk_parse_rejections_name_the_entry(tmp_path, capsys, payload, message
     assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
+def _upper_triangular(corner):
+    entries = [[1, 0], [corner, 0], [0, 0], [2, 0]]
+    return {"format": 1, "kind": "dense", "dim": 2, "entries": entries}
+
+
+# the canonical metric of [[1, c], [0, 2]] has smallest eigenvalue about
+# 1/c^2: zero in floats for c = 1e200, subnormal for c = 1e160
+@pytest.mark.parametrize(
+    "command, corner",
+    [("metric", 1e200), ("analyze", 1e200), ("transform", 1e200), ("analyze", 1e160)],
+)
+def test_metric_below_the_float_range_exit_two(tmp_path, capsys, command, corner):
+    path = _write(tmp_path, "a.json", _upper_triangular(corner))
+    json_out = str(tmp_path / "out.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", qherm.IllConditionedWarning)
+        assert main([command, path, "--json-out", json_out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: solve_metric: metric eigenvalue ")
+    assert not os.path.exists(json_out)
+
+
 HUGE_N = 10**400
 
 
@@ -453,18 +477,43 @@ def _no_grid(spec):
     raise AssertionError("no grid may be built for a rejected schedule")
 
 
-def test_samsonov_flag_beyond_dense_limit_builds_no_grid(monkeypatch, capsys):
+def test_samsonov_flag_beyond_grid_limit_builds_no_grid(monkeypatch, capsys):
+    # the report builds every grid with build_pair, so no call means no grid
     monkeypatch.setattr("qherm.halfline.build_pair", _no_grid)
-    assert main(["samsonov", "--d", "-1", "--b", "1", "--n", "100,1000000000000"]) == 2
-    assert "exceeds the dense limit 8192" in capsys.readouterr().err
+    assert main(["samsonov", "--d", "-1", "--b", "1", "--n", "100,1048577"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid size n = 1048577 exceeds the largest grid 1048576"
+    ]
 
 
-def test_samsonov_spec_beyond_dense_limit_exit_two(tmp_path, monkeypatch, capsys):
+def test_samsonov_spec_beyond_grid_limit_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("qherm.halfline.build_pair", _no_grid)
     path = tmp_path / "spec.json"
-    path.write_text('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 8193}')
+    path.write_text('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 1048577}')
     assert main(["samsonov", str(path)]) == 2
-    assert "exceeds the dense limit 8192" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: grid size n = 1048577 exceeds the largest grid 1048576"
+    ]
+
+
+def test_samsonov_at_n_65536_forms_no_dense_matrix(tmp_path, capsys):
+    # one n x n complex matrix at n = 65536 would take 64 GiB: the report
+    # forms none
+    json_out = tmp_path / "out.json"
+    argv = ["samsonov", "--d", "-1", "--b", "1", "--L", "40", "--n", "65536"]
+    assert main([*argv, "--json-out", str(json_out)]) == 0
+    capsys.readouterr()
+    (row,) = json.loads(json_out.read_text())["rows"]
+    assert row["n"] == 65536
+    assert all(np.isfinite(v) for k, v in row.items() if k != "order_estimates")
+
+
+@pytest.mark.parametrize("field, value", [("d", True), ("b", "1e0"), ("box_length", "40")])
+def test_samsonov_spec_takes_only_numbers(tmp_path, capsys, field, value):
+    spec = {"format": 1, "kind": "samsonov", "d": -1, "b": 1, "box_length": 40, "n": 64}
+    path = _write(tmp_path, "spec.json", {**spec, field: value})
+    assert main(["samsonov", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {field} must be a number"]
 
 
 def _usage_error(argv) -> int:

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from dense_oracle import dense_pair
+from helpers import rng
 from qherm import (
     HalfLineSpec,
     InvalidSpec,
-    Operator,
     build_pair,
     default_box_length,
     quasi_hermiticity_residual,
     samsonov_report,
 )
+from qherm.halfline import MAX_GRID_SIZE
+
+_EPS = np.finfo(np.float64).eps
 
 
 def test_spec_validation():
@@ -50,41 +54,47 @@ def test_scale_bound_keeps_the_report_finite(d, b, box, valid):
     assert row.min_eig_G > 0.0
 
 
+def _bands_of(m: np.ndarray) -> np.ndarray:
+    """The three diagonals of a dense ``m`` in the band layout of ``build_pair``."""
+    out = np.zeros((m.shape[0], 3), dtype=np.complex128)
+    out[1:, 0] = np.diagonal(m, -1)
+    out[:, 1] = np.diagonal(m)
+    out[:-1, 2] = np.diagonal(m, 1)
+    return out
+
+
 def test_interior_stencil():
     spec = HalfLineSpec(-1.0, 1.0, 32.0, 32)
     h = spec.spacing
-    pair = build_pair(spec)
-    hm = pair.H.matrix
+    hb = build_pair(spec).h_bands
     j = 10
-    assert hm[j, j] == pytest.approx(2.0 / h**2)
-    assert hm[j, j - 1] == pytest.approx(-1.0 / h**2)
-    assert hm[j, j + 1] == pytest.approx(-1.0 / h**2)
-    assert hm[j, j + 2] == 0.0
+    assert hb[j, 1] == pytest.approx(2.0 / h**2)
+    assert hb[j, 0] == pytest.approx(-1.0 / h**2)
+    assert hb[j, 2] == pytest.approx(-1.0 / h**2)
     # Robin data only in the corner entry
     c = spec.robin_coefficient
-    assert hm[0, 0] == pytest.approx(1.0 / h**2 - c / h)
-    assert hm[0, 1] == pytest.approx(-1.0 / h**2)
+    assert hb[0, 1] == pytest.approx(1.0 / h**2 - c / h)
+    assert hb[0, 2] == pytest.approx(-1.0 / h**2)
 
 
 def test_neumann_limit_collapses_to_hermitian():
     spec = HalfLineSpec(0.0, 0.0, 40.0, 64)
     pair = build_pair(spec)
-    hm, gm = pair.H.matrix, pair.G_raw.matrix
-    assert np.abs(hm - hm.conj().T).max() <= 1e-12
+    hb, gb = pair.h_bands, pair.g_bands
+    assert np.all(hb[:, 1].imag == 0.0)
+    assert np.abs(hb[1:, 0] - hb[:-1, 2].conj()).max() <= 1e-12
     # the metric and the operator coincide at the self-adjoint point
-    assert np.abs(hm - gm).max() <= 1e-12
+    assert np.abs(hb - gb).max() <= 1e-12
     h = spec.spacing
-    assert hm[0, 0] == pytest.approx(1.0 / h**2)
-    assert hm[0, 1] == pytest.approx(-1.0 / h**2)
+    assert hb[0, 1] == pytest.approx(1.0 / h**2)
+    assert hb[0, 2] == pytest.approx(-1.0 / h**2)
 
 
 def test_factorization_identity_and_psd():
     for d, b in [(-1.0, 1.0), (0.5, -2.0), (0.0, 3.0)]:
-        spec = HalfLineSpec(d, b, 40.0, 48)
-        pair = build_pair(spec)
-        lm = pair.L_factor.matrix
-        assert np.abs(lm.conj().T @ lm - pair.G_raw.matrix).max() == 0.0
-        w = np.linalg.eigvalsh(0.5 * (pair.G_raw.matrix + pair.G_raw.matrix.conj().T))
+        _, gm, lm = dense_pair(HalfLineSpec(d, b, 40.0, 48))
+        assert np.abs(lm.conj().T @ lm - gm).max() == 0.0
+        w = np.linalg.eigvalsh(0.5 * (gm + gm.conj().T))
         assert w[0] >= -1e-12 * np.abs(w).max()
 
 
@@ -92,42 +102,76 @@ def test_robin_row_is_kernel_condition():
     # a vector satisfying the discrete Robin condition is killed by row 0 of L
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 32)
     h, c = spec.spacing, spec.robin_coefficient
-    pair = build_pair(spec)
+    _, _, lm = dense_pair(spec)
     xi = np.zeros(32, dtype=complex)
     xi[0] = 1.0
     xi[1] = 1.0 - h * c  # (xi_1 - xi_0)/h + c xi_0 = 0
-    assert abs(pair.L_factor.matrix[0] @ xi) <= 1e-14 / h
+    assert abs(lm[0] @ xi) <= 1e-14 / h
 
 
 def test_constant_vector_through_metric():
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 128)
-    pair = build_pair(spec)
-    out = pair.G_raw.matrix @ np.ones(128)
+    # G times the constant vector is the sum of each row's bands
+    out = build_pair(spec).g_bands.sum(axis=1)
     d2b2 = spec.d**2 + spec.b**2
     assert np.abs(out[3:125] - d2b2).max() <= 1e-9
 
 
 def test_b_flip_gives_adjoint():
-    plus = build_pair(HalfLineSpec(-1.0, 1.0, 40.0, 64))
-    minus = build_pair(HalfLineSpec(-1.0, -1.0, 40.0, 64))
-    assert np.abs(minus.H.matrix - plus.H.matrix.conj().T).max() <= 1e-12
+    plus, _, _ = dense_pair(HalfLineSpec(-1.0, 1.0, 40.0, 64))
+    minus = build_pair(HalfLineSpec(-1.0, -1.0, 40.0, 64)).h_bands
+    assert np.abs(minus - _bands_of(plus.conj().T)).max() <= 1e-12
 
 
 def test_export_round_trip_and_cross_module():
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 64)
     pair = build_pair(spec)
-    h_op, g_op = pair.H, pair.G_raw
-    assert isinstance(h_op, Operator) and isinstance(g_op, Operator)
-    assert h_op.dim == 64
-    # tridiagonal away from the boundary rows
-    mask = np.abs(h_op.matrix) > 0
-    for i in range(1, 63):
-        cols = np.nonzero(mask[i])[0]
-        assert set(cols) <= {i - 1, i, i + 1}
-    # the report's residual is the module-level residual, reproduced exactly
+    assert pair.spacing == spec.spacing
+    for bands in (pair.h_bands, pair.g_bands):
+        assert bands.shape == (64, 3)
+        # entries outside the matrix are zero, and the bands are read-only
+        assert bands[0, 0] == 0.0 and bands[-1, 2] == 0.0
+        with pytest.raises(ValueError):
+            bands[1, 1] = 0.0
+    # the report's residual is the module-level residual of the dense pair
+    hm, gm, _ = dense_pair(spec)
     rep = samsonov_report(spec, [64])
-    direct = quasi_hermiticity_residual(h_op, g_op)
+    direct = quasi_hermiticity_residual(hm, gm)
     assert rep.rows[0].residual_full == pytest.approx(direct, rel=1e-12)
+
+
+# 60 fixed-seed random grids, then the Neumann point, real c, d = 0 and hc = 1
+_GEN = rng(2024)
+_GRIDS = [
+    (*_GEN.uniform(-5.0, 5.0, 2).tolist(), _GEN.uniform(0.5, 100.0), int(_GEN.integers(16, 129)))
+    for _ in range(60)
+] + [(0.0, 0.0, 40.0, 64), (-1.0, 0.0, 40.0, 64), (0.0, 1.0, 40.0, 64), (16.0, 0.0, 1.0, 16)]
+
+
+@pytest.mark.parametrize("d, b, box, n", _GRIDS)
+def test_bands_match_the_dense_pair(d, b, box, n):
+    # H bit for bit; G = L* L within 2 eps of each entry, since the closed
+    # form adds |c - 1/h|^2 and 1/h^2 in another order than the product
+    spec = HalfLineSpec(d, b, box, n)
+    pair = build_pair(spec)
+    hm, gm, _ = dense_pair(spec)
+    assert np.array_equal(pair.h_bands, _bands_of(hm))
+    assert np.abs(hm - np.triu(np.tril(hm, 1), -1)).max() == 0.0
+    ref = _bands_of(gm)
+    assert np.all(np.abs(pair.g_bands - ref) <= 2.0 * _EPS * np.abs(ref))
+    assert np.abs(gm - np.triu(np.tril(gm, 1), -1)).max() == 0.0
+
+
+def test_scale_bound_holds_at_the_largest_grid():
+    # the overflow argument of the scale bound counts n <= MAX_GRID_SIZE
+    # rows: at n = MAX_GRID_SIZE and r = max(|d|, |b|, 1/h) = 1e37 the
+    # report stays finite
+    n = MAX_GRID_SIZE
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        row = samsonov_report(HalfLineSpec(-1e37, 1e37, n * 1e-37, n), [n]).rows[0]
+    fields = [f for f in row.__dataclass_fields__ if f != "order_estimate"]
+    assert all(np.isfinite(getattr(row, f)) for f in fields)
+    assert row.min_eig_G > 0.0
 
 
 def test_refinement_study_frozen_oracle():
@@ -169,10 +213,10 @@ def test_schedule_must_be_ascending():
 
 def test_bound_state_for_positive_d():
     # d > 0 turns the Robin condition attractive: lowest eigenvalue near -d^2
-    pair = build_pair(HalfLineSpec(1.0, 0.0, 40.0, 800))
-    w = np.linalg.eigvalsh(0.5 * (pair.H.matrix + pair.H.matrix.conj().T))
+    hm, _, _ = dense_pair(HalfLineSpec(1.0, 0.0, 40.0, 800))
+    w = np.linalg.eigvalsh(0.5 * (hm + hm.conj().T))
     assert w[0] == pytest.approx(-1.0, abs=0.06)
     # while d < 0 keeps the spectrum nonnegative up to truncation effects
-    pair = build_pair(HalfLineSpec(-1.0, 0.0, 40.0, 800))
-    w = np.linalg.eigvalsh(0.5 * (pair.H.matrix + pair.H.matrix.conj().T))
+    hm, _, _ = dense_pair(HalfLineSpec(-1.0, 0.0, 40.0, 800))
+    w = np.linalg.eigvalsh(0.5 * (hm + hm.conj().T))
     assert w[0] >= -1e-10

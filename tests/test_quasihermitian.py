@@ -8,6 +8,7 @@ from qherm import (
     MetricOperator,
     NotHermitian,
     NotInvolution,
+    NotPositiveDefinite,
     NotQuasiHermitian,
     Operator,
     SpectrumNotConjugateClosed,
@@ -90,6 +91,16 @@ def test_solve_metric_ill_conditioned_warns():
     assert record[0].filename == __file__
     assert sol.vector_condition > 1e6
     assert sol.canonical.eig_min > 0
+
+
+@pytest.mark.parametrize("corner, subnormal", [(1e200, False), (1e160, True)])
+def test_solve_metric_below_the_float_range_raises(corner, subnormal):
+    # the metric's smallest eigenvalue is about 1/(4 corner^2): zero or subnormal
+    with pytest.warns(IllConditionedWarning), pytest.raises(NotPositiveDefinite) as info:
+        solve_metric(Operator([[1.0, corner], [0.0, 2.0]]))
+    eig_min = info.value.min_eigenvalue
+    assert 0.0 <= eig_min < np.finfo(np.float64).tiny
+    assert (eig_min > 0.0) == subnormal
 
 
 def test_a_passed_eigensystem_keeps_its_verdicts():
