@@ -18,7 +18,9 @@ class NotHermitian(QhermError):
 class NotPositiveDefinite(QhermError):
     """A matrix required to be positive definite has spectrum reaching zero.
 
-    Carries the offending minimum eigenvalue in ``min_eigenvalue``.
+    Also raised for a pseudo-metric, required to be invertible, that
+    cannot be formed in floats.  Carries the offending minimum eigenvalue
+    in ``min_eigenvalue`` where it was computed.
     """
 
     def __init__(self, message: str, min_eigenvalue: float | None = None):

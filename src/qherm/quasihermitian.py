@@ -286,7 +286,9 @@ def solve_pseudo_metric(
     positions and swaps each conjugate pair; the result is normalized to
     unit spectral norm.  Reduces to the canonical positive metric when
     the spectrum is real.  Warns :class:`IllConditionedWarning` when the
-    eigenvector basis is badly conditioned.
+    eigenvector basis is badly conditioned, and raises
+    :class:`NotPositiveDefinite` when the entries of ``T`` overflow before
+    it is normalized, so that it cannot be formed in floats.
     """
     es = ensure_eigensystem(A, tol)
     if es.defective:
@@ -296,9 +298,15 @@ def solve_pseudo_metric(
         m[i, i] = m[j, j] = 0.0
         m[i, j] = m[j, i] = 1.0
     s = es.scaled_vectors
-    basis_condition(np.linalg.svd(s, compute_uv=False), "pseudo metric is nearly singular")
+    cond = basis_condition(np.linalg.svd(s, compute_uv=False), "pseudo metric is nearly singular")
     s_inv = np.linalg.inv(s)
-    t = herm_part(s_inv.conj().T @ m @ s_inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = herm_part(s_inv.conj().T @ m @ s_inv)
+    if not np.isfinite(t).all():
+        raise NotPositiveDefinite(
+            f"solve_pseudo_metric: pseudo metric entries overflow "
+            f"(eigenvector basis condition {cond:.3e})"
+        )
     wt = np.linalg.eigvalsh(t)
     t = t / max(float(np.abs(wt).max()), _TINY)
     signature = (int(np.count_nonzero(wt > 0.0)), int(np.count_nonzero(wt < 0.0)))

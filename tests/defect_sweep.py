@@ -23,7 +23,14 @@ disagree is printed with its Jordan structure in 50 digits
   eigenvalues form the block's cluster;
 * ``ill-conditioned``: diagonalizable, n in [8, 16] with clusters of 2 to
   4, under a similarity whose condition number is log-uniform up to 1e8,
-  at the smallest such ``tol`` at which the clusters form as built.
+  at the smallest such ``tol`` at which the clusters form as built;
+* ``real-clusters``: as ``clusters-4`` under a real similarity, so
+  ``eig_general`` runs the real driver;
+* ``real-jordan``: as ``unitary-jordan`` under a real orthogonal
+  similarity, so again the real driver.
+
+Every matrix of ``jordan`` and of the two real families has zero
+imaginary parts, so ``eig_general`` takes the real driver for all three.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import time
 import numpy as np
 
 from dense_oracle import mp_defective, rank_defective
-from helpers import block_sigma_mins, random_unitary, well_conditioned
+from helpers import block_sigma_mins, random_orthogonal, random_unitary, well_conditioned
 from qherm import eig_general
 
 # tolerances tried, smallest first, for the families whose clusters need one
@@ -44,10 +51,10 @@ _LADDER = (1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2)
 _MP_MAX_DIM = 40
 
 
-def _clusters(gen, n: int, size: int):
+def _clusters(gen, n: int, size: int, real: bool = False):
     step = 6.0 / (n // size)
     values = -3.0 + step * (np.arange(n // size) + gen.uniform(0.0, 0.5, n // size))
-    v = well_conditioned(gen, n, spread=2.0)
+    v = well_conditioned(gen, n, spread=2.0, real=real)
     return (v * np.repeat(values, size)) @ np.linalg.inv(v), 1e-10, False
 
 
@@ -66,11 +73,11 @@ def _smallest_clustering_tol(a: np.ndarray, sizes: list[int]):
     return None
 
 
-def _unitary_jordan(gen):
+def _unitary_jordan(gen, real: bool = False):
     n, block = int(gen.integers(6, 17)), int(gen.integers(2, 5))
     j = np.diag(np.r_[np.zeros(block), 2.0 * np.arange(1, n - block + 1)]).astype(np.complex128)
     j += np.diag(np.r_[np.ones(block - 1), np.zeros(n - block)], 1)
-    u = random_unitary(gen, n)
+    u = random_orthogonal(gen, n) if real else random_unitary(gen, n)
     a = u @ j @ u.conj().T
     return a, _smallest_clustering_tol(a, [block] + [1] * (n - block)), True
 
@@ -95,6 +102,8 @@ FAMILIES = [
     ("jordan", 3003, 300, _jordan),
     ("unitary-jordan", 3004, 300, _unitary_jordan),
     ("ill-conditioned", 3005, 300, _ill_conditioned),
+    ("real-clusters", 3006, 12, lambda gen: _clusters(gen, 200, 4, real=True)),
+    ("real-jordan", 3007, 300, lambda gen: _unitary_jordan(gen, real=True)),
 ]
 
 

@@ -16,7 +16,9 @@ float for float reference for the extremes of its spectrum.  Last, it
 keeps the rank test that decided defectiveness before the
 eigenvector-block test of ``core.eig_general``: one SVD of
 ``A - lam I`` per repeated eigenvalue, the reference that test is
-calibrated against, and the
+calibrated against; the record ``eig_general`` built from complex
+``eig`` alone, before it chose the driver from the entries, the
+reference for the real and Hermitian drivers; and the
 Python loop of the greedy conjugate pairing, the element for element
 reference for ``Eigensystem.conjugate_pairs``, and the sample-by-sample
 loops of ``verify_lattice`` (dense ``R_G^-1`` and ``R_G^1/2``, one inner
@@ -38,7 +40,7 @@ from qherm import (
     lattice_norms,
     verify_intertwining,
 )
-from qherm.core import inner
+from qherm.core import _sorted_eig, inner
 from qherm.lattice import LatticeReport, LatticeSampleChecks
 from qherm.quasisimilarity import PushedEigenvector, PushReport
 
@@ -283,6 +285,15 @@ def rank_defective(es) -> bool:
         if np.count_nonzero(sv <= es.tol * a2) < cluster.size:
             return True
     return False
+
+
+def complex_eig_general(a: np.ndarray, tol: float) -> Eigensystem:
+    """The record of ``a`` from complex ``eig``, whatever its entries: the
+    eigenvalues and unit eigenvectors sorted as ``eig_general`` sorts them."""
+    op = ensure_operator(a)
+    w, v = np.linalg.eig(op.matrix)
+    w, v = _sorted_eig(w, v)
+    return Eigensystem(op, w, v, tol)
 
 
 def mp_jordan_nullities(a: np.ndarray, value: complex, size: int, tol: float, dps: int = 50) -> list[int]:

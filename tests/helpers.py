@@ -21,6 +21,11 @@ def random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_orthogonal(gen: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(gen.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
 def random_hermitian(gen: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     return scale * 0.5 * (z + z.conj().T)
@@ -33,10 +38,13 @@ def random_pd(gen: np.random.Generator, n: int, spread: float = 10.0) -> np.ndar
     return (u * w) @ u.conj().T
 
 
-def well_conditioned(gen: np.random.Generator, n: int, spread: float = 4.0) -> np.ndarray:
-    """Invertible matrix with singular values in [1/spread, spread]."""
-    u1 = random_unitary(gen, n)
-    u2 = random_unitary(gen, n)
+def well_conditioned(
+    gen: np.random.Generator, n: int, spread: float = 4.0, real: bool = False
+) -> np.ndarray:
+    """Invertible matrix with singular values in [1/spread, spread]; real if ``real``."""
+    factor = random_orthogonal if real else random_unitary
+    u1 = factor(gen, n)
+    u2 = factor(gen, n)
     s = np.exp(gen.uniform(-np.log(spread), np.log(spread), n))
     return (u1 * s) @ u2.conj().T
 

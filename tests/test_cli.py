@@ -131,6 +131,19 @@ def test_metric_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_refuses_a_pseudo_metric_that_overflows(tmp_path, capsys):
+    # the rotation under a diagonal similarity of condition 1e200: eigenvalues
+    # +-i, and S^-* M S^-1 overflows before it can be normalized
+    scaled = {**ROTATION, "entries": [[0, 0], [1e200, 0], [-1e-200, 0], [0, 0]]}
+    path = _write(tmp_path, "scaled.json", scaled)
+    with pytest.warns(qherm.IllConditionedWarning):
+        assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: solve_pseudo_metric: pseudo metric entries overflow "
+        "(eigenvector basis condition 1.000e+200)\n"
+    )
+
+
 def test_qsim_command(tmp_path, capsys):
     a = _write(tmp_path, "a.json", WORKED)
     b = _write(

@@ -1,6 +1,8 @@
 """How many LAPACK-backed kernels and clustering passes the pipelines run.
 
-``qherm analyze`` diagonalizes its input once, whatever the class,
+``qherm analyze`` diagonalizes its input once, whatever the class, with
+``eigh`` when it is Hermitian entry for entry and with ``eig`` else, in
+real arithmetic when its imaginary parts are all zero,
 ``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
 of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 ``inv`` with no Hermitian eigensolver, no singular vectors and no metric
@@ -94,9 +96,36 @@ def _count_qherm_calls(monkeypatch, name: str) -> list[int]:
     "name", ["hermitian", "worked", "rotation", "jordan", "unpaired", "quasi5", "pseudo4"]
 )
 def test_analyze_diagonalizes_once(monkeypatch, capsys, name):
+    # an exactly Hermitian input is diagonalized by eigh, any other by eig
     eig_calls = _count_calls(monkeypatch, "eig")
+    eigh_calls = _count_calls(monkeypatch, "eigh")
     assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
-    assert eig_calls[0] == 1
+    assert eig_calls[0] + eigh_calls[0] == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, driver",
+    [
+        ("hermitian", ("eigh", np.complex128)),
+        ("metric", ("eigh", np.float64)),
+        ("pseudo4", ("eig", np.float64)),
+        ("quasi5", ("eig", np.complex128)),
+    ],
+)
+def test_analyze_picks_the_driver_from_the_entries(monkeypatch, capsys, name, driver):
+    # Hermitian bit for bit: eigh; imaginary parts all zero: the real driver
+    calls = []
+    for kernel in ("eig", "eigh"):
+        original = getattr(np.linalg, kernel)
+
+        def recorded(a, *args, _kernel=kernel, _original=original, **kwargs):
+            calls.append((_kernel, np.asarray(a).dtype))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, kernel, recorded)
+    assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
+    assert calls == [driver]
     capsys.readouterr()
 
 
