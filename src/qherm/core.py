@@ -334,7 +334,7 @@ def _eig_by_structure(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     float64 ``a.real`` when ``a.imag`` is all zero.  Returns complex128
     arrays in the driver's order.
     """
-    m = a.real if not a.imag.any() else a
+    m = a if a.imag.any() else a.real
     try:
         if np.array_equal(m, m.conj().T):
             w, v = np.linalg.eigh(m)
