@@ -121,6 +121,32 @@ def fro(a: np.ndarray) -> float:
     return norm
 
 
+def unit_exponent(*arrays: np.ndarray) -> int:
+    """The ``k`` for which ``2**k`` brings the largest real or imaginary part
+    of ``arrays`` into [0.5, 1); 0 when they are all zero or not all finite.
+
+    Operands scaled by ``2**k`` (:func:`ldexp`) form products that neither
+    over- nor underflow, and since the scaling is exact, a scale-free ratio
+    of such products keeps every bit it has on well-scaled input.
+    """
+    peak = max(
+        max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
+        for a in arrays
+    )
+    return -math.frexp(peak)[1] if 0.0 < peak < math.inf else 0
+
+
+def ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """``a * 2**k`` as a complex array, exact while the entries stay in the normal range."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return np.ldexp(a.view(np.float64), k).view(np.complex128)
+
+
+def unit_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` scaled by the exact power of two :func:`unit_exponent` picks for it."""
+    return ldexp(a, unit_exponent(a))
+
+
 def spec_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 

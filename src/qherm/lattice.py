@@ -8,9 +8,13 @@ four built from the Riesz operators ``I + G`` and ``I + G^-1`` and their
 inverses.  At finite dimension the underlying spaces coincide as sets, so
 this module materializes the lattice purely as computable norms, together
 with verification of the projective-norm identity, the duality relation
-and the embedding chain.  The verification runs on the whole sample block
-at once, in the stored eigenbasis: functions of ``G`` act on the
-eigen-coordinates of the samples and are never formed as n x n matrices.
+and the embedding chain.  The seven norms have one implementation, a
+block pass over the samples stacked as the columns of ``X`` that forms
+their eigen-coordinates ``Y = V* X`` and ``G X`` once each;
+:func:`lattice_norms` is its one-column call.  The verification runs one
+such pass and reuses its ``Y`` for every check, each an array expression
+over the samples: functions of ``G`` act on the eigen-coordinates and are
+never formed as n x n matrices.
 """
 
 from __future__ import annotations
@@ -165,31 +169,47 @@ class LatticeNorms:
         )
 
 
-def _rg_norm(M: MetricOperator, xi: np.ndarray) -> float:
-    # sqrt(<xi, xi> + <G xi, xi>), the R_G-norm from one G-matvec
-    return float(np.sqrt(max(inner(xi, xi).real + inner(M.G.matrix @ xi, xi).real, 0.0)))
+def _stacked(M: MetricOperator, vectors) -> np.ndarray:
+    """The vectors as the columns of an n x s array, each checked against ``M.dim``."""
+    columns = [np.asarray(xi, dtype=np.complex128) for xi in vectors]
+    for xi in columns:
+        if xi.shape != (M.dim,):
+            raise DimensionMismatch(f"vector of shape {xi.shape} against dim {M.dim}")
+    return np.stack(columns, axis=1)
+
+
+def _rg_squared(M: MetricOperator, Z: np.ndarray) -> np.ndarray:
+    # <z, z> + <G z, z> per column of Z, the squared R_G-norms from one G product
+    return np.sum(Z.conj() * (Z + M.G.matrix @ Z), axis=0).real
+
+
+def _block_norms(M: MetricOperator, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The seven norms of every column of ``X``, and ``Y = V* X``.
+
+    Row ``k`` of the 7 x s norm array is field ``k`` of :class:`LatticeNorms`.
+    """
+    v, w = M.eigenvectors, M.eigenvalues
+    # Y = V* X, taken as (X* V)* so that V is not copied conjugated
+    Y = (X.T.conj() @ v).conj().T
+    weights = np.array([w, 1.0 / w, 1.0 / (1.0 + w), 1.0 + 1.0 / w, w / (1.0 + w)])
+    g, g_inv, rg_inv, rginv, rginv_inv = np.sqrt(weights @ np.abs(Y) ** 2)
+    plain = np.linalg.norm(X, axis=0)
+    rg = np.sqrt(np.maximum(_rg_squared(M, X), 0.0))
+    return np.array([plain, g, g_inv, rg, rg_inv, rginv, rginv_inv]), Y
 
 
 def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
     """Evaluate all seven lattice norms of ``xi``.
 
-    ``rg`` comes from one ``G`` matvec and ``plain`` from ``xi`` itself;
-    the other five are quadratic forms ``sqrt(sum f(w_k) |y_k|^2)`` in
-    the coordinates ``y = V* xi`` of the stored eigenbasis, so the
-    projective identity ``rg**2 == plain**2 + g**2`` compares two
-    different computations and is a genuine floating-point check.
+    This is the block pass of :func:`verify_lattice` on one column.
+    ``rg`` comes from one ``G`` product and ``plain`` from ``xi`` itself;
+    the other five are quadratic forms ``sqrt(sum f(w_k) |y_k|^2)`` in the
+    coordinates ``y = V* xi`` of the stored eigenbasis, so the projective
+    identity ``rg**2 == plain**2 + g**2`` compares two different
+    computations and is a genuine floating-point check.
     """
-    xi = np.asarray(xi, dtype=np.complex128)
-    if xi.shape != (M.dim,):
-        raise DimensionMismatch(f"vector of shape {xi.shape} against dim {M.dim}")
-    w = M.eigenvalues
-    # |V* xi|^2 as |xi* V|^2: the same products up to sign, and no conjugated
-    # copy of V
-    y2 = np.abs(xi.conj() @ M.eigenvectors) ** 2
-    weights = np.array([w, 1.0 / w, 1.0 / (1.0 + w), 1.0 + 1.0 / w, w / (1.0 + w)])
-    g, g_inv, rg_inv, rginv, rginv_inv = map(float, np.sqrt(np.sum(weights * y2, axis=1)))
-    plain = float(np.linalg.norm(xi))
-    return LatticeNorms(plain, g, g_inv, _rg_norm(M, xi), rg_inv, rginv, rginv_inv)
+    norms, _ = _block_norms(M, _stacked(M, [xi]))
+    return LatticeNorms(*norms[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -232,56 +252,47 @@ def verify_lattice(
     ``R_G``-norm to the plain one, and (d) the embedding chain
     ``g <= plain <= g_inv`` after rescaling ``G`` to unit top eigenvalue.
 
-    Once :func:`lattice_norms` has validated every sample, the samples
-    are stacked as the columns of ``X`` and taken to the eigenbasis once,
-    ``Y = V* X``.  For (c) and the candidates of (b), ``R_G^1/2`` and
-    ``R_G^-1`` act as ``V (f(w) Y)`` with ``f(w) = sqrt(1+w)`` and
-    ``1/(1+w)``, so no n x n function of ``G`` is formed.  The ratios
+    Every sample's shape is checked before the samples are stacked as the
+    columns of ``X``; one block pass then forms ``Y = V* X`` and ``G X``
+    once and reads the seven norms of every sample off them.  For (c) and
+    the candidates of (b), ``R_G^1/2`` and ``R_G^-1`` act on the same
+    ``Y`` as ``V (f(w) Y)`` with ``f(w) = sqrt(1+w)`` and ``1/(1+w)``, so
+    no n x n function of ``G`` is formed.  The ratios
     ``|<xi_j, xi_k>| / ||xi_k||_rg`` of (b) come from one s x s Gram block
-    ``X* X``, and a candidate with zero ``R_G``-norm is skipped.
+    ``X* X``, and a candidate with zero ``R_G``-norm is skipped.  Every
+    check is one array expression over the samples.
     """
     if not samples:
         raise ValueError("verify_lattice needs a nonempty sample list")
-    sample_norms = [lattice_norms(M, xi) for xi in samples]
-    X = np.array(samples, dtype=np.complex128).T
+    X = _stacked(M, samples)
+    norms, Y = _block_norms(M, X)
+    plain, g, g_inv, rg, rg_inv = norms[:5]
     v, w = M.eigenvectors, M.eigenvalues
-    # Y = V* X, taken as (X* V)* so that V is not copied conjugated
-    Y = (X.T.conj() @ v).conj().T
     eta = v @ (Y / (1.0 + w)[:, None])
     unit = np.linalg.norm(v @ (Y * np.sqrt(1.0 + w)[:, None]), axis=0)
-    # row k < s: <xi_j, xi_k> over ||xi_k||_rg; last row: <xi_j, eta_j> over ||eta_j||_rg
+    # row k < s: <xi_j, xi_k> over ||xi_k||_rg; last row: <xi_j, eta_j> over
+    # ||eta_j||_rg; a candidate's zero denominator is read as inf, its ratio as 0
     dots = np.vstack([X.conj().T @ X, np.sum(eta.conj() * X, axis=0)])
-    eta_rg2 = np.sum(eta.conj() * (eta + M.G.matrix @ eta), axis=0).real
-    rg = np.array([[norms.rg] for norms in sample_norms])
-    denoms = np.vstack([np.repeat(rg, len(samples), axis=1), np.sqrt(np.maximum(eta_rg2, 0.0))])
-    live = denoms > _TINY
-    ratios = np.where(live, np.hypot(dots.real, dots.imag) / np.where(live, denoms, 1.0), 0.0)
+    eta_rg = np.sqrt(np.maximum(_rg_squared(M, eta), 0.0))
+    denoms = np.vstack([np.broadcast_to(rg[:, None], dots[:-1].shape), eta_rg])
+    ratios = np.hypot(dots.real, dots.imag) / np.where(denoms > _TINY, denoms, np.inf)
     sup_samples, sup_all = ratios[:-1].max(axis=0), ratios.max(axis=0)
+    rg2 = rg**2
+    proj = abs(rg2 - plain**2 - g**2) / np.maximum(rg2, _TINY)
+    dual = abs(sup_all - rg_inv) / np.maximum(rg_inv, _TINY)
+    found = sup_samples > _TINY
+    slack = np.where(found, rg_inv / np.where(found, sup_samples, 1.0), np.inf)
+    unit_res = abs(unit - rg) / np.maximum(rg, _TINY)
     rescale = 1.0 / M.eig_max
     scale_root = float(np.sqrt(rescale))
-    rows = []
-    for norms, sup_s, sup_a, u in zip(sample_norms, sup_samples, sup_all, unit):
-        rg2 = norms.rg**2
-        proj = abs(rg2 - norms.plain**2 - norms.g**2) / max(rg2, _TINY)
-        dual_exact = abs(float(sup_a) - norms.rg_inv) / max(norms.rg_inv, _TINY)
-        slack = norms.rg_inv / float(sup_s) if sup_s > _TINY else float("inf")
-        unit_res = abs(float(u) - norms.rg) / max(norms.rg, _TINY)
-
-        g_scaled = norms.g * scale_root
-        ginv_scaled = norms.g_inv / scale_root
-        slack_chain = tol * max(norms.plain, 1.0)
-        chain = (
-            g_scaled <= norms.plain + slack_chain
-            and norms.plain <= ginv_scaled + slack_chain
-        )
-        rows.append(
-            LatticeSampleChecks(norms, proj, dual_exact, slack, unit_res, chain)
-        )
-    max_proj = max(r.projective_residual for r in rows)
-    max_dual = max(r.duality_exact_residual for r in rows)
-    max_unit = max(r.unitarity_residual for r in rows)
-    chain_all = all(r.chain_holds for r in rows)
-    passed = max_proj <= tol and max_dual <= tol and max_unit <= tol and chain_all
-    return LatticeReport(
-        tol, rescale, tuple(rows), max_proj, max_dual, max_unit, chain_all, passed
+    room = tol * np.maximum(plain, 1.0)
+    chain = (g * scale_root <= plain + room) & (plain <= g_inv / scale_root + room)
+    checks = np.array([proj, dual, slack, unit_res]).T.tolist()
+    rows = tuple(
+        LatticeSampleChecks(LatticeNorms(*col), *row, holds)
+        for col, row, holds in zip(norms.T.tolist(), checks, chain.tolist())
     )
+    max_proj, max_dual, max_unit = (float(r.max()) for r in (proj, dual, unit_res))
+    chain_all = bool(chain.all())
+    passed = max_proj <= tol and max_dual <= tol and max_unit <= tol and chain_all
+    return LatticeReport(tol, rescale, rows, max_proj, max_dual, max_unit, chain_all, passed)

@@ -26,6 +26,7 @@ Its canonically scaled eigenvector matrix ``S`` builds both.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,9 @@ from .core import (
     fro,
     herm_part,
     herm_residual,
+    ldexp,
+    unit_exponent,
+    unit_scaled,
 )
 from .errors import (
     ComplexSpectrum,
@@ -78,14 +82,17 @@ __all__ = [
 def quasi_hermiticity_residual(A: Operator | np.ndarray, G: Operator | np.ndarray) -> float:
     """Normalized defect of the metric relation, ``||GA - A*G||_F / (||G||_F ||A||_F)``.
 
-    Zero exactly when ``GA`` is Hermitian.
+    Zero exactly when ``GA`` is Hermitian.  ``G`` and ``A`` are each scaled
+    by an exact power of two first, so that ``GA`` neither over- nor
+    underflows; the ratio does not depend on their scales.
     """
     A = ensure_operator(A)
     G = ensure_operator(G)
     if A.dim != G.dim:
         raise DimensionMismatch(f"A has dim {A.dim}, G has dim {G.dim}")
-    ga = G.matrix @ A.matrix
-    return fro(ga - ga.conj().T) / (fro(G.matrix) * fro(A.matrix) + _TINY)
+    g, a = unit_scaled(G.matrix), unit_scaled(A.matrix)
+    ga = g @ a
+    return fro(ga - ga.conj().T) / (fro(g) * fro(a) + _TINY)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,14 +257,19 @@ def krein_check(
     """Validate ``J`` and test the Krein relation ``JA = A*J``.
 
     Returns ``(holds, structure)`` where ``holds`` is the residual test
-    ``||JA - A*J||_F <= tol * ||A||_F * ||J||_F``.
+    ``||JA - A*J||_F <= tol * ||A||_F * ||J||_F``.  ``J`` is an involution
+    when ``||J^2 - I||_F <= tol * (1 + ||J||_F^2)``.  Both tests run on
+    operands scaled by exact powers of two, so no product over- or
+    underflows; for the involution test only a large ``J`` is scaled,
+    down, with both of its sides.
     """
     A = ensure_operator(A)
     J = ensure_operator(J)
     if A.dim != J.dim:
         raise DimensionMismatch(f"A has dim {A.dim}, J has dim {J.dim}")
-    jj = J.matrix @ J.matrix
-    if fro(jj - np.eye(J.dim)) > tol * (1.0 + fro(J.matrix) ** 2):
+    k = min(unit_exponent(J.matrix), 0)
+    j, c2 = ldexp(J.matrix, k), math.ldexp(1.0, 2 * k)
+    if fro(j @ j - c2 * np.eye(J.dim)) > tol * (c2 + fro(j) ** 2):
         raise NotInvolution("J squared does not equal the identity at tolerance")
     if herm_residual(J.matrix) > tol:
         raise NotHermitian("J is not Hermitian at tolerance")
@@ -271,8 +283,8 @@ def krein_check(
         Operator(0.5 * (eye + J.matrix), "P+"),
         Operator(0.5 * (eye - J.matrix), "P-"),
     )
-    defect = fro(J.matrix @ A.matrix - A.matrix.conj().T @ J.matrix)
-    holds = defect <= tol * fro(A.matrix) * fro(J.matrix)
+    j, a = unit_scaled(J.matrix), unit_scaled(A.matrix)
+    holds = fro(j @ a - a.conj().T @ j) <= tol * fro(a) * fro(j)
     return holds, structure
 
 

@@ -28,6 +28,9 @@ from .core import (
     ensure_eigensystem,
     ensure_operator,
     fro,
+    ldexp,
+    unit_exponent,
+    unit_scaled,
 )
 from .errors import DimensionMismatch, IntertwiningViolated
 
@@ -71,16 +74,19 @@ def verify_intertwining(
     """Measure ``TA = BT`` and the quasi-affinity of ``T``.
 
     The residual is ``||TA - BT||_F / (||T||_F (||A||_F + ||B||_F))``;
-    large residuals are recorded, never raised.  Quasi-affinity means full
-    numerical rank at threshold ``tol * max_sv``.
+    large residuals are recorded, never raised.  It is taken on ``T`` and
+    on ``A`` and ``B`` scaled by exact powers of two (one for ``A`` and
+    ``B`` together), so no product over- or underflows.  Quasi-affinity
+    means full numerical rank at threshold ``tol * max_sv``.
     """
     A, B, T = ensure_operator(A), ensure_operator(B), ensure_operator(T)
     if not (A.dim == B.dim == T.dim):
         raise DimensionMismatch(
             f"incompatible dims A={A.dim}, B={B.dim}, T={T.dim}"
         )
-    defect = fro(T.matrix @ A.matrix - B.matrix @ T.matrix)
-    residual = defect / (fro(T.matrix) * (fro(A.matrix) + fro(B.matrix)) + _TINY)
+    k = unit_exponent(A.matrix, B.matrix)
+    a, b, t = ldexp(A.matrix, k), ldexp(B.matrix, k), unit_scaled(T.matrix)
+    residual = fro(t @ a - b @ t) / (fro(t) * (fro(a) + fro(b)) + _TINY)
     sv = np.linalg.svd(T.matrix, compute_uv=False)
     max_sv = float(sv[0]) if len(sv) else 0.0
     rank = int(np.count_nonzero(sv > tol * max_sv)) if max_sv > 0 else 0
@@ -194,8 +200,10 @@ def push_eigenvectors(
     surviving eigenpair the report records
     ``||B(T xi) - lam (T xi)|| / ||T xi||``.  All images come from one
     product ``T V`` with the eigenvector matrix ``V`` of ``A``, and the
-    residuals from one product with ``B``, column by column.  ``A`` may be
-    given as its :class:`Eigensystem`, which is then reused.
+    residuals from one product with ``B``, column by column.  Image norms
+    and residuals are taken on the images and on ``B`` and ``lam`` scaled
+    by exact powers of two, so that they neither over- nor underflow.
+    ``A`` may be given as its :class:`Eigensystem`, which is then reused.
     """
     B, T = ensure_operator(B), ensure_operator(T)
     rep = verify_intertwining(A.operator if isinstance(A, Eigensystem) else A, B, T, tol)
@@ -206,10 +214,15 @@ def push_eigenvectors(
     es = ensure_eigensystem(A, tol)
     t2 = float(rep.singular_values[0]) if len(rep.singular_values) else 0.0
     images = T.matrix @ es.right_vectors
-    norms = np.linalg.norm(images, axis=0)
+    k = unit_exponent(images)
+    y = ldexp(images, k)
+    y_norms = np.linalg.norm(y, axis=0)
+    norms = np.ldexp(y_norms, -k)
     gone = norms <= tol * max(t2, 1.0)
-    lam, kept = es.eigenvalues[~gone], images[:, ~gone]
-    res = np.linalg.norm(B.matrix @ kept - lam * kept, axis=0) / norms[~gone]
+    lam, kept = es.eigenvalues[~gone], y[:, ~gone]
+    kb = unit_exponent(B.matrix, lam)
+    defect = np.linalg.norm(ldexp(B.matrix, kb) @ kept - ldexp(lam, kb) * kept, axis=0)
+    res = np.ldexp(defect / y_norms[~gone], -kb)
     rows = tuple(map(PushedEigenvector, lam.tolist(), norms[~gone].tolist(), res.tolist()))
     annihilated = tuple(zip(es.eigenvalues[gone].tolist(), norms[gone].tolist()))
     max_res = float(res.max(initial=0.0))
@@ -238,6 +251,8 @@ class MutualReport:
 
 
 def _is_normal(a: np.ndarray, tol: float) -> bool:
+    # scale-free, so taken on a scaled by an exact power of two
+    a = unit_scaled(a)
     return fro(a @ a.conj().T - a.conj().T @ a) <= tol * (fro(a) ** 2 + _TINY)
 
 

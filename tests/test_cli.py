@@ -661,3 +661,61 @@ def test_subnormal_scale_writes_finite_reports(tmp_path, capsys, command, residu
     assert main([command, path, "--json-out", out]) == 0
     assert 0.0 <= residual(json.loads(open(out).read())) <= 1e-14
     capsys.readouterr()
+
+
+def _scaled_pair(s):
+    """``s * [[1, 2], [0, 3]]``, its adjoint and ``s * I``: the last is no metric for the first."""
+    a = dict(WORKED, entries=[[s, 0], [2 * s, 0], [0, 0], [3 * s, 0]])
+    a_adjoint = dict(WORKED, entries=[[s, 0], [0, 0], [2 * s, 0], [3 * s, 0]])
+    return a, a_adjoint, dict(G_FILE, entries=[[s, 0], [0, 0], [0, 0], [s, 0]])
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1e-160, 1.0, 1e160, 1e200])
+def test_a_wrong_metric_is_refused_at_every_scale(tmp_path, capsys, s):
+    # G A and T A - B T under- or overflow at the ends; the verdicts must not move
+    a, a_adjoint, g = (
+        _write(tmp_path, name, payload)
+        for name, payload in zip(("a.json", "a_adj.json", "g.json"), _scaled_pair(s))
+    )
+    out = str(tmp_path / "r.json")
+    assert main(["transform", a, "--metric", g, "--json-out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: metric relation residual 5.345e-01 exceeds 1.000e-10\n"
+    assert main(["qsim", a, a_adjoint, g, "--json-out", out]) == 1
+    report = json.loads(open(out).read())
+    assert report["intertwining"]["residual"] == pytest.approx(0.2672612419124244, rel=1e-15)
+    assert report["push"] is None and report["passed"] is False
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [64.5, True])
+def test_samsonov_spec_n_must_be_an_integer(tmp_path, capsys, n):
+    spec = {"format": 1, "kind": "samsonov", "d": -1.0, "b": 1.0, "box_length": 40.0, "n": n}
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(["samsonov", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: n must be an integer\n"
+
+
+def test_dense_command_refuses_a_samsonov_spec(tmp_path, capsys):
+    spec = {"format": 1, "kind": "samsonov", "d": -1.0, "b": 1.0, "n": 64}
+    path = _write(tmp_path, "spec.json", spec)
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a dense operator file\n"
+
+
+def test_samsonov_refuses_a_dense_file(tmp_path, capsys):
+    path = _write(tmp_path, "worked.json", WORKED)
+    assert main(["samsonov", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: expected a samsonov spec file\n"
+
+
+def test_failed_report_write_leaves_no_temporary_file(tmp_path, capsys):
+    # the report path is a directory: the rename over it fails after the
+    # temporary file is written, and the temporary file must go with it
+    path = _write(tmp_path, "worked.json", WORKED)
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["analyze", path, "--json-out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "worked.json"]
+    assert list(target.iterdir()) == []

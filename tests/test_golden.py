@@ -8,12 +8,16 @@ significant digits, so another BLAS/LAPACK build can differ in the last
 digits without any change in qherm.  After an intended change of output,
 rewrite the cases it moves with
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` (no names rewrites
-every case).
+every case).  For each file it rewrites, that command prints whether its
+bytes changed, how many of its numbers changed and the largest relative
+change of any of them.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -121,6 +125,39 @@ def test_every_case_matches_golden_with_one_blas_thread():
     assert done.stdout == "", f"differ under one BLAS thread: {done.stdout.split()}"
 
 
+_NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def describe_change(old: bytes | None, new: bytes) -> str:
+    """How ``new`` differs from ``old``: bytes, count of changed numbers, largest relative change."""
+    if old is None:
+        return "new file"
+    if old == new:
+        return "unchanged"
+    before, after = _NUMBER.findall(old), _NUMBER.findall(new)
+    if len(before) != len(after):
+        return f"changed; {len(before)} numbers before, {len(after)} after"
+    moved = [(float(a), float(b)) for a, b in zip(before, after) if float(a) != float(b)]
+    worst = max(
+        (abs(b - a) / abs(a) if a else math.inf for a, b in moved), default=0.0
+    )
+    return (
+        f"changed; {len(moved)} of {len(before)} numbers changed, "
+        f"largest relative change {worst:.3g}"
+    )
+
+
+
+def test_describe_change_counts_the_numbers_that_moved():
+    old = b'{"a":1.5,"b":[2,-0.25],"c":"x3"}'
+    assert describe_change(None, old) == "new file"
+    assert describe_change(old, old) == "unchanged"
+    new = b'{"a":1.5000000000000002,"b":[2,-0.5],"c":"x3"}'
+    assert describe_change(old, new) == (
+        "changed; 2 of 4 numbers changed, largest relative change 1"
+    )
+    assert describe_change(old, b'{"a":1.5}') == "changed; 4 numbers before, 1 after"
+
 if __name__ == "__main__":
     import tempfile
 
@@ -130,5 +167,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         for case in sys.argv[1:] or sorted(CASES):
             for suffix, data in run_case(case, scratch).items():
-                with open(os.path.join(GOLDEN, f"{case}.{suffix}"), "wb") as handle:
+                golden = os.path.join(GOLDEN, f"{case}.{suffix}")
+                old = open(golden, "rb").read() if os.path.exists(golden) else None
+                with open(golden, "wb") as handle:
                     handle.write(data)
+                print(f"{case}.{suffix}: {describe_change(old, data)}")

@@ -173,21 +173,17 @@ def test_verify_lattice_rejects_a_wrong_length_sample():
 
 
 def _exact_fields(rep):
-    """The report fields computed by the same arithmetic as the sample loop, in hex."""
-    rows = [
-        [v.hex() for v in r.norms.as_tuple()]
-        + [r.projective_residual.hex(), r.chain_holds]
-        + [r.duality_sample_slack == np.inf]
-        for r in rep.samples
-    ]
-    return rows, rep.rescale_factor.hex(), rep.max_projective_residual.hex(), rep.chain_holds
+    """The report fields that agree with the sample loop bit for bit, in hex."""
+    rows = [[r.chain_holds, r.duality_sample_slack == np.inf] for r in rep.samples]
+    return rows, rep.rescale_factor.hex(), rep.chain_holds
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 40])
 def test_verify_lattice_is_the_sample_loop(n):
-    # one zero sample among random ones; the duality and unitarity residuals
-    # and the sample slack are sums taken in another order, so they agree
-    # with the loop to a few eps
+    # one zero sample among random ones; the norms come from one block
+    # product over all samples where the loop takes one column at a time,
+    # and the residuals and the sample slack are sums taken in another
+    # order, so they agree with the loop to a few eps
     eps = np.finfo(np.float64).eps
     gen = rng(60 + n)
     for _ in range(12):
@@ -200,10 +196,14 @@ def test_verify_lattice_is_the_sample_loop(n):
         assert got.passed == ref.passed
         for a, b in zip(got.samples, ref.samples):
             if a.norms.plain == 0.0:
+                assert a.norms.as_tuple() == b.norms.as_tuple()
                 assert a.duality_exact_residual == a.unitarity_residual == 0.0
+            assert np.allclose(a.norms.as_tuple(), b.norms.as_tuple(), rtol=8 * eps, atol=0.0)
+            assert abs(a.projective_residual - b.projective_residual) <= 8 * eps
             assert abs(a.duality_exact_residual - b.duality_exact_residual) <= 8 * eps
             assert abs(a.unitarity_residual - b.unitarity_residual) <= 8 * eps
             if np.isfinite(b.duality_sample_slack):
                 assert a.duality_sample_slack == pytest.approx(b.duality_sample_slack, rel=8 * eps)
+        assert abs(got.max_projective_residual - ref.max_projective_residual) <= 8 * eps
         assert abs(got.max_duality_residual - ref.max_duality_residual) <= 8 * eps
         assert abs(got.max_unitarity_residual - ref.max_unitarity_residual) <= 8 * eps

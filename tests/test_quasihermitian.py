@@ -4,6 +4,7 @@ import pytest
 from qherm import (
     ComplexSpectrum,
     Defective,
+    DimensionMismatch,
     IllConditionedWarning,
     MetricOperator,
     NotHermitian,
@@ -384,3 +385,52 @@ def test_canonical_eigvec_scaling_matches_the_column_loop():
     assert not s.flags.writeable
     assert es.scaled_vectors is s
     assert s.tobytes() == _loop_eigvec_scaling(es.right_vectors).tobytes()
+
+
+SCALES = [1e-200, 1e-170, 1e-160, 1.0, 1e160, 1e200]
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_metric_residual_is_scale_free(s):
+    # G A and A* G under- or overflow at the ends; the residual must not
+    eps = np.finfo(np.float64).eps
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    wrong = quasi_hermiticity_residual(a, np.eye(2))
+    assert quasi_hermiticity_residual(s * a, s * np.eye(2)) == pytest.approx(wrong, rel=4 * eps)
+    assert quasi_hermiticity_residual(s * A_WORKED, s * G_WORKED) <= 1e-15
+    with pytest.raises(NotQuasiHermitian):
+        quasi_sa_transform(s * a, make_metric(s * np.eye(2)))
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_krein_check_is_scale_free(s):
+    # the Krein relation is judged alike at every scale of A
+    j = np.diag([1.0, -1.0])
+    assert krein_check(s * np.array([[0.0, 1.0], [-1.0, 0.0]]), j)[0]
+    assert not krein_check(s * np.array([[1.0, 2.0], [0.0, 3.0]]), j)[0]
+    if s != 1.0:
+        # (s J)^2 = s^2 I under- or overflows at the ends, and is no identity
+        with pytest.raises(NotInvolution):
+            krein_check([[1.0, 2.0], [0.0, 3.0]], s * j)
+
+
+def test_krein_check_large_involution_is_judged_as_one():
+    # J^2 = I exactly although ||J||_F^2 overflows: it is an involution, not Hermitian
+    with pytest.raises(NotHermitian):
+        krein_check(Operator.identity(2), Operator([[1.0, 1e200], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quasi_hermiticity_residual(np.eye(2), np.eye(3)),
+        lambda: quasi_sa_transform(np.eye(3), MetricOperator.identity(2)),
+        lambda: sharp_adjoint(np.eye(3), MetricOperator.identity(2)),
+        lambda: minimal_b0(np.eye(3), MetricOperator.identity(2)),
+        lambda: krein_check(np.eye(2), np.eye(3)),
+    ],
+    ids=["residual", "transform", "sharp_adjoint", "minimal_b0", "krein_check"],
+)
+def test_dimension_mismatch_raises(call):
+    with pytest.raises(DimensionMismatch):
+        call()

@@ -296,3 +296,42 @@ def test_mutual_normal_pairs_unitary_equivalence():
         assert rep.both_normal
         assert rep.mutual
         assert rep.unitarily_equivalent
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-170, 1e-160, 1.0, 1e160, 1e200])
+def test_intertwining_residual_is_scale_free(s):
+    # T A - B T under- or overflows at the ends; the residual must not
+    eps = np.finfo(np.float64).eps
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    wrong = verify_intertwining(a, a.T, np.eye(2)).residual
+    got = verify_intertwining(s * a, s * a.T, s * np.eye(2)).residual
+    assert got == pytest.approx(wrong, rel=4 * eps)
+    assert verify_intertwining(s * A_WORKED, s * A_WORKED.T, s * G_WORKED).residual <= 1e-15
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_mutual_qs_check_at_scale_is_the_unit_scale_report(s):
+    # ||A||_F^2 and A A* overflow or underflow; the normality test must not
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    eye = np.eye(2)
+
+    def verdicts(rep):
+        return rep.mutual, rep.sigma_p_equal, rep.both_normal, rep.unitarily_equivalent, rep.passed
+
+    assert verdicts(mutual_qs_check(s * a, s * a, eye, eye)) == verdicts(
+        mutual_qs_check(a, a, eye, eye)
+    )
+    u = random_unitary(rng(80), 3)
+    normal = u @ np.diag([1.0, 2.0j, -1.0]) @ u.conj().T
+    assert mutual_qs_check(s * normal, s * normal, np.eye(3), np.eye(3)).both_normal
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e160, 1e200])
+def test_push_eigenvectors_at_scale_reports_finite_numbers(s):
+    # T V and B (T V) under- or overflow at the ends; the unit eigenvectors
+    # of A must come out with image norm s and a finite residual
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    rep = push_eigenvectors(s * a, s * a, s * np.eye(2))
+    norms = [r.image_norm for r in rep.rows] + [norm for _, norm in rep.annihilated]
+    assert norms == pytest.approx([s, s], rel=1e-15, abs=0.0)
+    assert all(np.isfinite(r.residual) for r in rep.rows)
