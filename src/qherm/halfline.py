@@ -33,7 +33,11 @@ the circle; and starts that follow the change of layout of the roots near
 ``|1 + hc| = 1``.  The first set whose steps all converge and whose roots
 match ``tr H`` and ``tr H^2`` gives ``sigma(H)``; if none does, the report
 raises :class:`ConvergenceFailure`.  Each root keeps ``Im lambda``
-relative to ``b``, however small ``b`` is.  Safeguarded Newton steps
+relative to ``b``, however small ``b`` is.  The report solves a whole
+schedule in one pass: one Newton run takes the starts of every grid, and
+one commutator the bands of every grid joined, so numpy's cost per call
+is paid once per pass and not once per grid, and each row is, bit for
+bit, that of its grid alone.  Safeguarded Newton steps
 on the secular equation of ``G`` give the extremes of ``sigma(G)``, the
 same floats as bisection to the last bit, but ``min sigma(G)`` is
 ``sigma_min(L)^2`` by inverse iteration where :data:`FLOOR_EPSILON`
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,6 +62,10 @@ from .errors import ConvergenceFailure, InvalidSpec
 
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
+
+# np.sum calls np.add.reduce(a, axis=None) after some Python checks; called
+# directly it adds in the same order and skips them
+_sum = partial(np.add.reduce, axis=None)
 
 # rows this close to either end are "boundary" for the interior residual;
 # the commutator of the two tridiagonal operators reaches two rows past a
@@ -246,7 +255,7 @@ def _nonincreasing(values: list[float], floor: float) -> bool:
 
 
 def _sum_sq(a: np.ndarray) -> float:
-    return float(np.sum(a.real**2 + a.imag**2))
+    return float(_sum(a.real**2 + a.imag**2))
 
 
 def _commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
@@ -268,12 +277,13 @@ def _secular(
     x: float, nu: np.ndarray, z2: np.ndarray, rho: float
 ) -> tuple[float, float, np.ndarray]:
     """``f(x) = 1 - rho sum_k z2_k/(nu_k - x)``, ``-f'(x)`` and ``nu - x``;
-    ``f`` is ``1.0 - rho * np.sum(z2 / (nu - x))``, operation for operation,
-    which the argument of :func:`_metric_extremes` rests on."""
+    ``f`` is ``1.0 - rho * np.sum(z2 / (nu - x))``, operation for operation
+    (``_sum`` is the reduction ``np.sum`` calls, in the same order), which
+    the argument of :func:`_metric_extremes` rests on."""
     gap = nu - x
     terms = z2 / gap
-    f = 1.0 - rho * float(np.sum(terms))
-    return f, rho * float(np.sum(terms / gap)), gap
+    f = 1.0 - rho * float(_sum(terms))
+    return f, rho * float(_sum(terms / gap)), gap
 
 
 def _secular_root(
@@ -338,9 +348,10 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     ``(nu_1 - h^-2, nu_1)`` and ``(nu_(n-1), nu_n)`` to the last bit
     returns.  Inside either bracket each ``nu_k - lam`` keeps one sign,
     every operation of ``f`` is correctly rounded and monotone in its
-    operands, and ``np.sum`` adds in a fixed order, so the computed ``f``
-    is nonincreasing in ``lam`` and changes sign between exactly one pair
-    of adjacent floats.  Any method that moves ``lo`` only to floats where
+    operands, and ``_sum`` (``np.add.reduce``, the reduction ``np.sum``
+    calls) adds the terms in an order fixed by their count alone, so the
+    computed ``f`` is nonincreasing in ``lam`` and changes sign between
+    exactly one pair of adjacent floats.  Any method that moves ``lo`` only to floats where
     the computed ``f > 0``, ``hi`` only to floats where it is not, and stops
     on adjacent floats, ends on that pair.
 
@@ -414,7 +425,7 @@ def _min_singular_squared(grid: HalfLineSpec) -> float:
         w = np.cumsum(weights * (u / u[-1])[::-1])[::-1]
         u = np.cumsum(weights * w)
     # ||x||^2 / ||N^-T x||^2 at x = N^-1 y, times m^2n and the 1/h^2 of L
-    ratio = np.sum(weights * w * w) / np.sum(weights * u[::-1] ** 2)
+    ratio = _sum(weights * w * w) / _sum(weights * u[::-1] ** 2)
     return float(np.exp(n * log_m2 + np.log(ratio) - 2.0 * np.log(h)))
 
 
@@ -465,21 +476,21 @@ def _factor_herm_residual(grid: HalfLineSpec) -> float:
     # Im Z[0,0] = s Im q - b/h and Im Z[n-1,n-1] = -s Im q, times w
     im_corner = b * (2.0 * d - h * abs(c) ** 2) / m2_w
     im_last = b / (h * m2_w)
-    num_sq = 4.0 * im_corner**2 * scale + 2.0 * c4 * np.sum(tail) + 4.0 * im_last**2 * scale
+    num_sq = 4.0 * im_corner**2 * scale + 2.0 * c4 * _sum(tail) + 4.0 * im_last**2 * scale
     z00 = s * (w + qw) - c * w / h
     z01 = c2 * q * qw - s * w
     den_sq = (
         abs(z00) ** 2 * scale
         + abs(z01) ** 2 * scale
-        + c4 * np.sum(tail[1:])
+        + c4 * _sum(tail[1:])
         # rows 1..n-2 of H, then row n-1 with its corrected diagonal
         + s * s * ((6.0 * (n - 2) + 1.0) * w * w + abs(2.0 * w - qw) ** 2) * scale
     )
     return float(np.sqrt(num_sq) / max(np.sqrt(den_sq), _TINY))
 
 
-def _characteristic(p: np.ndarray, n: int, hc: complex) -> tuple[np.ndarray, np.ndarray]:
-    """``F`` and ``F'`` of :func:`_newton` at ``phi = p``."""
+def _characteristic(p: np.ndarray, n: np.ndarray, hc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``F`` and ``F'`` of :func:`_newton` at ``phi = p``, element by element."""
     x, y = p.real, p.imag
     root_q = np.exp(0.5j * p)
     chord = 2j * np.sin(0.5 * p)  # q^1/2 - q^-1/2
@@ -498,10 +509,15 @@ def _characteristic(p: np.ndarray, n: int, hc: complex) -> tuple[np.ndarray, np.
     return f, 1j * (2 * n - 1.0 / (q * plus) - q / minus)
 
 
-def _newton(phi: np.ndarray, n: int, hc: complex) -> np.ndarray | None:
+def _newton(
+    phi: np.ndarray, n: np.ndarray, hc: np.ndarray, loose: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Roots ``phi`` of the characteristic equation of ``H`` by Newton's
-    method from the starts ``phi``, or None if one has not converged after
-    ``_MAX_NEWTON_STEPS`` steps.
+    method from the starts ``phi``, and the mask of the roots that have
+    converged within ``_MAX_NEWTON_STEPS`` steps.  ``n`` and ``hc`` are
+    arrays of the shape of ``phi`` that give each start its own grid, or
+    the scalars of one grid.  Each element follows its own iteration, so
+    the starts of many grids run as one.
 
     Write ``h^2 lam = 2 - q - 1/q`` and ``beta = 1 + hc`` with ``Im c >= 0``.
     The rows of ``h^2 (H - lam)`` below the corner and the Dirichlet wall
@@ -511,9 +527,14 @@ def _newton(phi: np.ndarray, n: int, hc: complex) -> np.ndarray | None:
     is a zero of ``F(phi) = 2n i phi - Log((beta - 1/q)/(beta - q)) -
     2 pi i m``, ``F' = i (2n - 1/(beta q - 1) - q/(beta - q))``, with ``m``
     the nearest integer at every step.  A root has converged once its step
-    is at most four units in the last place of ``|phi|``.  Nothing keeps
-    two starts from reaching one root, or one from reaching ``q = 1``; the
-    certificate of :func:`_certified` rejects both.
+    is at most four units in the last place of ``|phi|``.  Where ``|F'|`` is
+    far below ``2n``, the rounding of ``F``, of the size of ``eps 2n |phi|``,
+    moves ``phi`` by more than that on every step (7 to 15 units at
+    ``beta = 1.1i``, ``n = 30``, where ``|F'| = 6.3``); with ``loose`` the
+    last step passes within four units of ``max(|phi|, 2n |phi|/|F'|)``
+    instead.  Every root that stops earlier stops as without it.  Nothing
+    keeps two starts from reaching one root, or one from reaching ``q = 1``;
+    the certificate of :func:`_certified` rejects both.
 
     Everything is formed without cancellation, since ``|Im lam|`` is what
     the study reads: ``beta - q`` as ``hc - 2i sin(phi/2) q^1/2`` (and
@@ -529,23 +550,28 @@ def _newton(phi: np.ndarray, n: int, hc: complex) -> np.ndarray | None:
     and the step is exact to first order in ``Im phi``.  Every other root
     is left as the complex steps give it.
     """
+    def at(index):  # n and hc of the roots at index, or one grid's scalars
+        return (n[index], hc[index]) if np.ndim(n) else (n, hc)
+
     phi = phi.copy()
     active = np.ones(phi.size, dtype=bool)
-    for _ in range(_MAX_NEWTON_STEPS):
+    for k in range(_MAX_NEWTON_STEPS):
         todo = np.flatnonzero(active)
         if todo.size == 0:
             break
-        f, f_prime = _characteristic(phi[todo], n, hc)
+        f, f_prime = _characteristic(phi[todo], *at(todo))
         step = f / f_prime
         phi[todo] -= step
-        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * np.abs(phi[todo]))
-    if active.any():
-        return None
-    low = np.abs(phi.imag) <= _EPS * np.abs(phi)
+        size = np.abs(phi[todo])
+        if loose and k == _MAX_NEWTON_STEPS - 1:
+            size = np.maximum(size, 2 * at(todo)[0] * size / np.abs(f_prime))
+        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * size)
+        del f, f_prime, step, size  # freed before the next step's temporaries
+    low = ~active & (np.abs(phi.imag) <= _EPS * np.abs(phi))
     if low.any():
-        f, f_prime = _characteristic(phi.real[low].astype(np.complex128), n, hc)
+        f, f_prime = _characteristic(phi.real[low].astype(np.complex128), *at(low))
         phi.imag[low] = f.real / f_prime.imag
-    return phi
+    return phi, ~active
 
 
 def _bound_state(n: int, hc: complex) -> complex | None:
@@ -583,8 +609,8 @@ def _bound_state(n: int, hc: complex) -> complex | None:
     with np.errstate(all="ignore"):  # a diverging x ends as nan
         for _ in range(_MAX_BOUND_STATE_STEPS):
             r = 1.0 / (nu - x)
-            f = 1.0 - hc * np.sum(w * r)
-            step = f / (-hc * np.sum(w * r * r) - f * np.sum(r))
+            f = 1.0 - hc * _sum(w * r)
+            step = f / (-hc * _sum(w * r * r) - f * _sum(r))
             x -= step
             if abs(step) <= 4.0 * _EPS * max(abs(x), nu[0]) or x == two_back:
                 return complex(x)
@@ -593,7 +619,7 @@ def _bound_state(n: int, hc: complex) -> complex | None:
 
 
 def _start_sets(n: int, hc: complex):
-    """``(bound, phi)`` pairs in the order :func:`_max_im_eigenvalue` tries
+    """``(bound, phi)`` pairs in the order :func:`_max_im_eigenvalues` tries
     them: ``h^2 lam`` of the roots already known, and the starts of
     :func:`_newton` for the rest.
 
@@ -631,95 +657,112 @@ def _certified(roots: np.ndarray, hb: np.ndarray) -> bool:
     ``sum lam^2 = tr H^2`` to ``n`` units in the last place of
     ``sum |lam|`` and ``sum |lam|^2``."""
     moduli = np.abs(roots)
-    trace = np.sum(hb[:, 1])
-    trace_sq = np.sum(hb[:, 1] ** 2) + 2.0 * np.sum(hb[:-1, 2] * hb[1:, 0])
+    trace = _sum(hb[:, 1])
+    trace_sq = _sum(hb[:, 1] ** 2) + 2.0 * _sum(hb[:-1, 2] * hb[1:, 0])
     slack = roots.size * _EPS
     return bool(
-        abs(np.sum(roots) - trace) <= slack * np.sum(moduli)
-        and abs(np.sum(roots * roots) - trace_sq) <= slack * np.sum(moduli**2)
+        abs(_sum(roots) - trace) <= slack * _sum(moduli)
+        and abs(_sum(roots * roots) - trace_sq) <= slack * _sum(moduli**2)
     )
 
 
-def _max_im_eigenvalue(grid: HalfLineSpec, hb: np.ndarray) -> float:
-    """``max |Im lambda(H)|`` from the first start set of :func:`_start_sets`
-    whose roots, by :func:`_newton`, pass the certificate of
-    :func:`_certified`; :class:`ConvergenceFailure` if none does.
+def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) -> list[float]:
+    """``max |Im lambda(H)|`` of each of ``grids`` from the first start set
+    of :func:`_start_sets` whose roots, by :func:`_newton`, pass the
+    certificate of :func:`_certified` on the grid's bands ``h_bands``.
 
-    ``lam = (4/h^2) sin^2(phi/2)``, O(n) time and memory per set.  For
-    ``Im c < 0`` the roots are those of ``conj c``, conjugated, since
+    One Newton run takes the first start set of every grid, and the grids
+    whose roots fail go on to their next sets together.  Each root follows
+    its own iteration, so every grid ends on the floats it reaches alone.
+    A grid that no set certifies at four units in the last place goes
+    through its sets once more with the ``loose`` last step of
+    :func:`_newton`, so that a set that converges exactly always goes
+    first.  :class:`ConvergenceFailure` names the first grid, in order,
+    that no set certifies either way.
+
+    ``lam = (4/h^2) sin^2(phi/2)``, O(n) time and memory per grid and set.
+    For ``Im c < 0`` the roots are those of ``conj c``, conjugated, since
     ``H(conj c) = conj H(c)``; a real ``c`` makes ``H`` real symmetric.
     """
-    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    c = grids[0].robin_coefficient
     if c.imag == 0.0:
-        return 0.0
+        return [0.0] * len(grids)
     flip = c.imag < 0.0
-    hc = h * (c.conjugate() if flip else c)
-    for bound, starts in _start_sets(n, hc):
-        phi = _newton(starts, n, hc)
-        if phi is None:
-            continue
-        roots = np.append(bound / (h * h), (4.0 / (h * h)) * np.sin(0.5 * phi) ** 2)
-        if _certified(roots.conjugate() if flip else roots, hb):
-            return float(np.abs(roots.imag).max())
-    raise ConvergenceFailure(f"no certified spectrum of H at n = {n}")
+    hcs = [g.spacing * (c.conjugate() if flip else c) for g in grids]
+    found: list[float | None] = [None] * len(grids)
+    for loose in (False, True):
+        sets = {k: _start_sets(g.n, hcs[k]) for k, g in enumerate(grids) if found[k] is None}
+        drawn = {k: next(start_sets) for k, start_sets in sets.items()}
+        while drawn:
+            counts = [starts.size for _, starts in drawn.values()]
+            n, hc = [grids[k].n for k in drawn], [hcs[k] for k in drawn]
+            # one grid keeps n and hc scalars: no O(n) arrays of them in _newton
+            n, hc = (n[0], hc[0]) if len(n) == 1 else (np.repeat(n, counts), np.repeat(hc, counts))
+            phi, converged = _newton(np.concatenate([s for _, s in drawn.values()]), n, hc, loose)
+            for (k, (bound, _)), end, count in zip(drawn.items(), np.cumsum(counts), counts):
+                part, hh = slice(end - count, end), grids[k].spacing * grids[k].spacing
+                if not converged[part].all():
+                    continue
+                roots = np.append(bound / hh, (4.0 / hh) * np.sin(0.5 * phi[part]) ** 2)
+                if _certified(roots.conjugate() if flip else roots, h_bands[k]):
+                    found[k] = float(np.abs(roots.imag).max())
+            # the grids not certified go on to their next start sets, if any
+            drawn = {k: s for k in drawn if found[k] is None and (s := next(sets[k], None))}
+    if None in found:
+        raise ConvergenceFailure(f"no certified spectrum of H at n = {grids[found.index(None)].n}")
+    return found
 
 
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     """Run the refinement study over strictly ascending grid sizes ``schedule``.
 
-    Each grid costs O(n) time and memory and forms no n x n matrix.
-    Raises :class:`ConvergenceFailure` when no start set of
-    :func:`_start_sets` gives a certified spectrum of ``H``.
+    A schedule of at most :data:`MAX_GRID_SIZE` points in all is one pass:
+    the spectra of ``H`` of its grids come from one run of Newton's method
+    and their commutators from the bands of all of them joined, so numpy's
+    cost per call is paid once per pass rather than per grid.  A longer
+    schedule takes one pass per grid, so no pass holds more than
+    :data:`MAX_GRID_SIZE` points.  Each row's sums run over its own grid
+    alone and come out bit for bit as on that grid by itself.  Each grid
+    costs O(n) time and memory and forms no n x n matrix.  Raises
+    :class:`ConvergenceFailure`, naming the first grid in order, when no
+    start set of :func:`_start_sets` gives a certified spectrum of ``H``.
     """
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(set(sizes)) != sizes:
         raise InvalidSpec(f"schedule must be ascending grid sizes, got {schedule}")
     # every grid size is validated before the first grid is built
     specs = [spec.with_n(n) for n in sizes]
+    # on grids that large numpy's cost per call is lost in the O(n) work, and
+    # one pass per grid keeps memory within that of a MAX_GRID_SIZE grid
+    passes = [specs] if sum(sizes) <= MAX_GRID_SIZE else [[grid] for grid in specs]
     d2 = spec.d**2
     rows: list[SamsonovRow] = []
-    prev: SamsonovRow | None = None
-    for grid in specs:
-        n = grid.n
-        pair = build_pair(grid)
-        hb, gb = pair.h_bands, pair.g_bands
-        min_eig, _ = _metric_extremes(grid)
-
+    for grids in passes:
+        # entries outside each matrix are zero, so these are the bands of
+        # the block-diagonal H and G with one block per grid
+        bands = ((pair.h_bands, pair.g_bands) for pair in map(build_pair, grids))
+        hb, gb = map(np.concatenate, zip(*bands))
+        parts = [slice(end - g.n, end) for g, end in zip(grids, np.cumsum([g.n for g in grids]))]
+        max_ims = _max_im_eigenvalues(grids, [hb[part] for part in parts])
         cb = _commutator_bands(gb, hb)
-        denom = np.sqrt(_sum_sq(gb)) * np.sqrt(_sum_sq(hb)) + _TINY
-        residual_full = np.sqrt(_sum_sq(cb)) / denom
-        interior = cb[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN]
-        residual_interior = np.sqrt(_sum_sq(interior)) / denom
+        for grid, part, max_im in zip(grids, parts, max_ims):
+            min_eig, _ = _metric_extremes(grid)
+            denom = np.sqrt(_sum_sq(gb[part])) * np.sqrt(_sum_sq(hb[part])) + _TINY
+            residual_full = float(np.sqrt(_sum_sq(cb[part])) / denom)
+            interior = cb[part.start + _BOUNDARY_MARGIN : part.stop - _BOUNDARY_MARGIN]
+            residual_interior = float(np.sqrt(_sum_sq(interior)) / denom)
+            prev = rows[-1] if rows else None
+            if prev is None or residual_full <= 0.0 or prev.residual_full <= 0.0:
+                order = float("nan")
+            else:
+                order = float(np.log(prev.residual_full / residual_full) / np.log(grid.n / prev.n))
+            herm = _factor_herm_residual(grid)
+            rows.append(SamsonovRow(grid.n, grid.spacing, min_eig, min_eig - d2, residual_full,
+                                    residual_interior, herm, max_im, order))
 
-        gap = min_eig - d2
-
-        max_im = _max_im_eigenvalue(grid, hb)
-
-        if prev is None or residual_full <= 0.0 or prev.residual_full <= 0.0:
-            order = float("nan")
-        else:
-            order = float(
-                np.log(prev.residual_full / residual_full) / np.log(n / prev.n)
-            )
-        row = SamsonovRow(
-            n,
-            grid.spacing,
-            min_eig,
-            gap,
-            float(residual_full),
-            float(residual_interior),
-            _factor_herm_residual(grid),
-            max_im,
-            order,
-        )
-        rows.append(row)
-        prev = row
-
-    interiors = [r.residual_interior for r in rows]
-    max_ims = [r.max_im_lambda_H for r in rows]
+    interior_ok = _nonincreasing([r.residual_interior for r in rows], _TREND_FLOOR)
+    max_im_ok = _nonincreasing([r.max_im_lambda_H for r in rows], _TREND_FLOOR)
     gaps = [r.gap_to_d2 for r in rows]
-    interior_ok = _nonincreasing(interiors, _TREND_FLOOR)
-    max_im_ok = _nonincreasing(max_ims, _TREND_FLOOR)
     # the discrete minimum of sigma(G) drifts monotonically toward its
     # limit; the direction depends on whether d^2 sits below the truncated
     # box's own minimum, so monotone in either sense passes
@@ -727,12 +770,5 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     gap_ok = _nonincreasing(gaps, gap_floor) or _nonincreasing(gaps[::-1], gap_floor)
     passed = interior_ok and max_im_ok and gap_ok
     return SamsonovReport(
-        spec,
-        tuple(rows),
-        FLOOR_EPSILON,
-        d2,
-        interior_ok,
-        max_im_ok,
-        gap_ok,
-        passed,
+        spec, tuple(rows), FLOOR_EPSILON, d2, interior_ok, max_im_ok, gap_ok, passed
     )

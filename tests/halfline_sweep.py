@@ -21,7 +21,12 @@ of O(n) secular evaluations per grid.  The families:
 * ``large``: as ``random`` with ``n`` in [2000, 8192];
 * ``huge``: as ``random`` with ``n`` in [8193, 262144];
 * ``tiny-b``: as ``random`` with ``|b|`` from 1e-300 to 1e-6, where
-  ``Im lambda`` lies far below the rounding of ``|lambda|``.
+  ``Im lambda`` lies far below the rounding of ``|lambda|``;
+* ``imaginary-beta``: ``1 + hc = +-i r``, so ``arg(1 + hc) = +-pi/2``,
+  with ``n`` in [16, 500], ``h`` from 0.2 (``d = -1/h``, ``|d| <= 5``),
+  ``|b| <= 5`` and ``r`` within 1e-12 to 1e-1 of 1 or from 0.01 up; at
+  ``r = 1.1``, ``n = 30`` a root's Newton steps stay above four units in
+  the last place in every start set.
 """
 
 from __future__ import annotations
@@ -61,6 +66,17 @@ def _tiny_b(gen):
     return d, 10.0 ** gen.uniform(-300.0, -6.0) * gen.choice([-1.0, 1.0]), box, n
 
 
+def _imaginary_beta(gen):
+    n = int(gen.integers(16, 501))
+    h = gen.uniform(0.2, 100.0 / n)
+    if gen.uniform() < 0.5:
+        r = 1.0 + 10.0 ** gen.uniform(-12.0, -1.0) * gen.choice([-1.0, 1.0])
+    else:
+        r = 10.0 ** gen.uniform(-2.0, math.log10(5.0 * h))
+    b = gen.choice([-1.0, 1.0]) * r / h
+    return (-1.0 / h, b, h * n, n) if abs(b) <= 5.0 else None
+
+
 FAMILIES = [
     ("random", 2026, 2500, _random),
     ("near-unit", 2027, 1000, _near_unit),
@@ -68,6 +84,7 @@ FAMILIES = [
     ("large", 2029, 60, lambda gen: _random(gen, 2000, 8192)),
     ("huge", 2031, 30, lambda gen: _random(gen, 8193, 262144)),
     ("tiny-b", 2030, 500, _tiny_b),
+    ("imaginary-beta", 2032, 1000, _imaginary_beta),
 ]
 
 

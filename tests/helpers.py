@@ -94,19 +94,20 @@ def jordan_case(gen: np.random.Generator, n: int) -> np.ndarray:
 def start_sets_taken(spec, schedule: list[int]) -> list[int]:
     """For each grid of ``samsonov_report(spec, schedule)`` with a complex
     Robin coefficient, the start set (1, 2 or 3, numbered as in
-    ``halfline._start_sets``) whose roots gave ``max_im_lambda_H``."""
-    taken = []
+    ``halfline._start_sets``) whose roots gave ``max_im_lambda_H``: the last
+    one drawn for its grid size, as the report draws each grid's sets in
+    order and stops at the one it takes."""
+    taken = {}
     start_sets = halfline._start_sets
 
     def labelled(n, hc):
-        taken.append(None)
         for k, (bound, starts) in enumerate(start_sets(n, hc)):
-            taken[-1] = 1 if k == 0 else 2 if bound.size else 3
+            taken[n] = 1 if k == 0 else 2 if bound.size else 3
             yield bound, starts
 
     with mock.patch.object(halfline, "_start_sets", labelled):
         samsonov_report(spec, schedule)
-    return taken
+    return list(taken.values())
 
 
 def metric_extremes_counted(grid) -> tuple[tuple[float, float], int]:

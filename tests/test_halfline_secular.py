@@ -14,6 +14,7 @@ right.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -278,6 +279,10 @@ def test_im_lambda_stays_relative_to_tiny_b(d, box, n, exponent):
         (1.0, 1.0, 40.0, 100, 2),
         # |1 + hc| = 1 exactly
         (-0.5, 1.5, 40.0, 100, 3),
+        # set 1 converges here only to the last-step bound of _newton, so
+        # set 2, converged at four units in the last place, goes first
+        (1.7851261724138934, -0.01251608841960517, 0.5238428341711351, 395, 2),
+        (1.2380921958778968, 0.02360139159584108, 0.7251417186390254, 31, 2),
     ],
 )
 def test_named_grids_take_each_start_set(d, b, box, n, start_set):
@@ -327,6 +332,8 @@ def test_grids_near_the_binding_threshold_certify(d, binding, b, b_sign, n):
     exponent=st.floats(-12.0, -1.0, allow_nan=False),
     side=st.sampled_from([-1.0, 1.0]),
 )
+# 1 + hc = 1.1i: no start set passes at four units in the last place
+@example(b_fraction=1.0, box=10.0, n=30, exponent=-1.0, side=1.0)
 def test_grids_near_unit_beta_certify(b_fraction, box, n, exponent, side):
     # |1 + hc| = 1 + side 10^exponent, where the roots change layout at
     # phi = arg(1 + hc); ConvergenceFailure would fail the test
@@ -336,6 +343,29 @@ def test_grids_near_unit_beta_certify(b_fraction, box, n, exponent, side):
     spec = HalfLineSpec(d, b, box, n)
     assert abs(abs(1.0 + spec.spacing * spec.robin_coefficient) - 1.0) <= 1.01 * 10.0**exponent
     assert start_sets_taken(spec, [n]) in ([1], [2], [3])
+
+
+def test_imaginary_beta_grid_certifies_at_the_rounding_bound():
+    # beta = 1 + hc = 1.1i exactly: the root near phi = pi/2 - 0.077i has
+    # |F'| ~ 6.3, far below 2n = 60, and the rounding of F moves its Newton
+    # iterates by 7 to 15 units in the last place on every step, so no start
+    # set converges at four; the last-step bound of _newton lets set 2 through
+    d, b, box, n = -3.0, 3.3000000000000003, 10.0, 30
+    spec = HalfLineSpec(d, b, box, n)
+    assert 1.0 + spec.spacing * spec.robin_coefficient == 1.1j
+    assert start_sets_taken(spec, [n]) == [2]
+    got = samsonov_report(spec, [n]).rows[0].max_im_lambda_H
+    assert got == 1.453339356428549
+    h, c = spec.spacing, spec.robin_coefficient
+    half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
+    mu = (4.0 / (h * h)) * np.sin(half) ** 2
+    w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
+    reference = aberth(mu, w, c / h)
+    assert halfline._certified(reference, halfline.build_pair(spec).h_bands)
+    ref = np.abs(reference.imag).max()
+    assert abs(got - ref) <= 1e-13 * ref
+    exact = mp_max_im_h(d, b, box, n)
+    assert abs(got - exact) <= 1e-13 * exact
 
 
 # benchmark-range grids with max_im_lambda_H as Newton's method from the
@@ -428,17 +458,22 @@ def test_failed_certificate_raises_convergence_failure(monkeypatch):
 
 
 def _losing_a_root(newton, lost: list[int]):
-    """``newton`` with one converged root replaced by a copy of its
-    neighbour on the calls whose (0-based) index is in ``lost``."""
+    """``newton`` with, on the calls whose (0-based) index is in ``lost``,
+    one root of each grid replaced by a copy of its neighbour; ``calls``
+    gets the ``(n, number of starts)`` of each grid of each call."""
     calls = []
 
-    def lose_one(phi, n, hc):
-        roots = newton(phi, n, hc)
-        if roots is not None and len(calls) in lost:
-            low = np.argsort(roots.real)
-            roots[low[0]] = roots[low[1]]
-        calls.append(phi.size)
-        return roots
+    def lose_one(phi, n, hc, loose):
+        roots, converged = newton(phi, n, hc, loose)
+        sizes = np.broadcast_to(n, phi.shape)  # one grid passes n as a scalar
+        grids = [(int(m), int(np.count_nonzero(sizes == m))) for m in np.unique(sizes)]
+        if len(calls) in lost:
+            for m, _ in grids:
+                part = np.flatnonzero(sizes == m)
+                low = part[np.argsort(roots[part].real)]
+                roots[low[0]] = roots[low[1]]
+        calls.append(grids)
+        return roots, converged
 
     return lose_one, calls
 
@@ -446,38 +481,41 @@ def _losing_a_root(newton, lost: list[int]):
 def test_certificate_rejects_a_lost_root(monkeypatch):
     # a bound-state grid, which start set 2 alone certifies (set 1 does not
     # converge): with one root of each set a copy of its neighbour, every
-    # set must fail
+    # set must fail, at four units in the last place and at the last-step
+    # bound alike
     spec = HalfLineSpec(1.0, 1.0, 40.0, 100)
-    lose_one, calls = _losing_a_root(halfline._newton, lost=[0, 1, 2])
+    lose_one, calls = _losing_a_root(halfline._newton, lost=list(range(6)))
     monkeypatch.setattr(halfline, "_newton", lose_one)
     linalg = _record_linalg_calls(monkeypatch)
     with pytest.raises(ConvergenceFailure):
         samsonov_report(spec, [100])
     monkeypatch.undo()
     assert linalg == []
-    # sets 1 and 3 with n starts, set 2 with the bound state and n - 1
-    assert calls == [100, 99, 100]
+    # sets 1 and 3 with n starts, set 2 with the bound state and n - 1,
+    # first at four units and then at the last-step bound
+    assert calls == [[(100, 100)], [(100, 99)], [(100, 100)]] * 2
     # the same grid passes with the copies undone
     assert samsonov_report(spec, [100]).rows[0].max_im_lambda_H > 0.0
 
 
 def test_certificate_sends_a_lost_root_to_the_next_start_set(monkeypatch):
-    # every Newton step of start set 1 converged, but one root is a copy of
-    # its neighbour: the trace checks must send each grid to the next set,
-    # here set 3 (|1 + hc| < 1, so set 2 does not apply)
+    # every Newton step of start set 1 converged, but one root of each grid
+    # is a copy of its neighbour: the trace checks must send both grids to
+    # the next set, here set 3 (|1 + hc| < 1, so set 2 does not apply),
+    # and the two grids go there in one Newton run
     spec = HalfLineSpec(-1.0, 1.0, 20.0, 50)
     schedule = [50, 100]
     assert start_sets_taken(spec, schedule) == [1, 1]
     reference = samsonov_report(spec, schedule).rows
 
-    lose_one, calls = _losing_a_root(halfline._newton, lost=[0, 2])
+    lose_one, calls = _losing_a_root(halfline._newton, lost=[0])
     monkeypatch.setattr(halfline, "_newton", lose_one)
     linalg = _record_linalg_calls(monkeypatch)
     rows = samsonov_report(spec, schedule).rows
     monkeypatch.undo()
     assert linalg == []
-    # two sets of n starts per grid: 1, then 3
-    assert calls == [50, 50, 100, 100]
+    # n starts per grid: set 1, then set 3
+    assert calls == [[(50, 50), (100, 100)]] * 2
     for row, ref in zip(rows, reference):
         assert row.max_im_lambda_H == pytest.approx(ref.max_im_lambda_H, rel=1e-13, abs=0.0)
         assert row.min_eig_G == ref.min_eig_G and row.herm_residual_h == ref.herm_residual_h
@@ -650,3 +688,111 @@ def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
     assert certify(reference, hb)
     ref = np.abs(reference.imag).max()
     assert abs(new - ref) <= 1e-13 * ref
+
+
+# --- the schedule pass ------------------------------------------------------
+
+
+@st.composite
+def _schedules(draw) -> tuple[HalfLineSpec, list[int]]:
+    """A spec and 2 to 4 ascending grid sizes from 16 to 400, from families
+    whose grids take start set 1 (``d < 0``), set 2 (a bound state, ``d L``
+    from 1 to 3), set 3 on one grid (``|1 + hc|`` within 1e-12 to 1e-1 of
+    1 there) or bind the floor of ``min sigma(G)`` (``d L`` from 15 to 100)."""
+    sizes = sorted(draw(st.sets(st.integers(16, 400), min_size=2, max_size=4)))
+    family = draw(st.sampled_from(["negative", "bound", "near-unit", "floor"]))
+    box = draw(st.floats(0.5, 100.0, allow_nan=False))
+    b = draw(st.floats(-5.0, 5.0, allow_nan=False))
+    d = draw(st.floats(0.5, 5.0, allow_nan=False))
+    if family == "negative":
+        d = -d
+    elif family == "bound":
+        box = draw(st.floats(1.0, 3.0, allow_nan=False)) / d
+    elif family == "near-unit":
+        n = draw(st.sampled_from(sizes))
+        delta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -1.0))
+        d, b = near_unit_beta(box / n, delta, b / 5.0)
+        assume(abs(d) <= 5.0 and b != 0.0)
+    else:
+        b, box = b * d / 5.0, draw(st.floats(15.0, 100.0, allow_nan=False)) / d
+    assume(0.5 <= box <= 100.0)
+    return HalfLineSpec(d, b, box, sizes[0]), sizes
+
+
+def _hex_fields(row) -> list[str]:
+    return [float(getattr(row, f)).hex() for f in row.__dataclass_fields__]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_schedules())
+# start sets 2, 3 and 1 in one schedule
+@example(case=(HalfLineSpec(-0.5, 1.5, 40.0, 64), [64, 100, 200]))
+# floor-binding grids
+@example(case=(HalfLineSpec(1.0, 0.5, 40.0, 64), [64, 128, 400]))
+def test_schedule_rows_are_the_one_grid_rows(case):
+    # one Newton run and one commutator over the joined grids give each
+    # row, bit for bit, the report of its grid alone; the order estimate
+    # is the log-ratio of those rows' full residuals
+    spec, schedule = case
+    alone = []
+    for n in schedule:
+        try:
+            alone.append(samsonov_report(spec.with_n(n), [n]).rows[0])
+        except ConvergenceFailure:
+            with pytest.raises(ConvergenceFailure, match=f"n = {n}$"):
+                samsonov_report(spec, schedule)
+            return
+    rows = samsonov_report(spec, schedule).rows
+    assert [row.n for row in rows] == schedule
+    for k, (row, ref) in enumerate(zip(rows, alone)):
+        if k > 0 and ref.residual_full > 0.0 and alone[k - 1].residual_full > 0.0:
+            ratio = np.log(alone[k - 1].residual_full / ref.residual_full)
+            ref = dataclasses.replace(
+                ref, order_estimate=float(ratio / np.log(ref.n / alone[k - 1].n))
+            )
+        assert _hex_fields(row) == _hex_fields(ref)
+
+
+def test_convergence_failure_names_the_first_grid(monkeypatch):
+    # n = 16 has |1 + hc| = 2.9 and a bound state, so three start sets;
+    # n = 64 has |1 + hc| = 0.73 and two, and runs out of them first.
+    # With no certificate passing, the failure still names n = 16
+    spec = HalfLineSpec(-1.0, 1.0, 40.0, 16)
+    drawn = {16: 0, 64: 0}
+    start_sets = halfline._start_sets
+
+    def counted(n, hc):
+        for start_set in start_sets(n, hc):
+            drawn[n] += 1
+            yield start_set
+
+    monkeypatch.setattr(halfline, "_start_sets", counted)
+    monkeypatch.setattr(halfline, "_certified", lambda roots, hb: False)
+    with pytest.raises(ConvergenceFailure, match="n = 16$"):
+        samsonov_report(spec, [16, 64])
+    # every set, at four units in the last place and at the last-step bound
+    assert drawn == {16: 6, 64: 4}
+
+
+def test_no_newton_run_exceeds_the_largest_grid(monkeypatch):
+    # a schedule of more points than MAX_GRID_SIZE runs grid by grid, one
+    # of at most that many in one pass; the rows are the same either way
+    spec = HalfLineSpec(-1.0, 1.0, 40.0, 100)
+    newton, sizes = halfline._newton, []
+
+    def recorded(phi, n, hc, loose):
+        sizes.append(phi.size)
+        return newton(phi, n, hc, loose)
+
+    reference = {n: samsonov_report(spec, [n]).rows[0] for n in (100, 150, 200)}
+    monkeypatch.setattr(halfline, "_newton", recorded)
+    monkeypatch.setattr(halfline, "MAX_GRID_SIZE", 300)
+    for schedule, runs in (([100, 150], [250]), ([100, 150, 200], [100, 150, 200])):
+        sizes.clear()
+        rows = samsonov_report(spec, schedule).rows
+        assert sizes == runs
+        for row in rows:
+            ref = reference[row.n]
+            assert _hex_fields(dataclasses.replace(row, order_estimate=0.0)) == _hex_fields(
+                dataclasses.replace(ref, order_estimate=0.0)
+            )
