@@ -351,9 +351,9 @@ def _metric_extremes(grid: HalfLineSpec) -> tuple[float, float]:
     operands, and ``_sum`` (``np.add.reduce``, the reduction ``np.sum``
     calls) adds the terms in an order fixed by their count alone, so the
     computed ``f`` is nonincreasing in ``lam`` and changes sign between
-    exactly one pair of adjacent floats.  Any method that moves ``lo`` only to floats where
-    the computed ``f > 0``, ``hi`` only to floats where it is not, and stops
-    on adjacent floats, ends on that pair.
+    exactly one pair of adjacent floats.  Any method that moves ``lo`` only
+    to floats where the computed ``f > 0``, ``hi`` only to floats where it
+    is not, and stops on adjacent floats, ends on that pair.
 
     Where the floor binds, ``min sigma(G) < FLOOR_EPSILON max sigma(G)``,
     the lowest root is rounding noise and :func:`_min_singular_squared`
