@@ -33,9 +33,9 @@ the circle; and starts that follow the change of layout of the roots near
 ``|1 + hc| = 1``.  The first set whose steps all converge and whose roots
 match ``tr H`` and ``tr H^2`` gives ``sigma(H)``; if none does, the report
 raises :class:`ConvergenceFailure`.  Each root keeps ``Im lambda``
-relative to ``b``, however small ``b`` is.  The report solves a whole
-schedule in one pass: one Newton run takes the starts of every grid, and
-one commutator the bands of every grid joined, so numpy's cost per call
+relative to ``b``, however small ``b`` is.  The report solves the small
+grids of a schedule in one pass: one Newton run takes the starts of each
+of them, and one commutator their bands joined, so numpy's cost per call
 is paid once per pass and not once per grid, and each row is, bit for
 bit, that of its grid alone.  Safeguarded Newton steps
 on the secular equation of ``G`` give the extremes of ``sigma(G)``, the
@@ -75,6 +75,12 @@ _BOUNDARY_MARGIN = 3
 # largest grid size: the report's peak traced memory is about 465 bytes
 # per grid point, 487 MB at n = 2**20
 MAX_GRID_SIZE = 2**20
+
+# the first grids of a schedule share a pass of samsonov_report up to this
+# many points in all: joined, 100, 200 and 400 points take about 0.6 of their
+# time one by one, where numpy's cost per call sets it, but 1200, 2400 and
+# 4800 take about 1.1, as the joined arrays outgrow the cache
+_PASS_POINTS = 2**12
 
 # bound on the scale max(|d|, |b|, 1/h) and its inverse (see HalfLineSpec)
 _SCALE_LIMIT = 1e37
@@ -509,15 +515,16 @@ def _characteristic(p: np.ndarray, n: np.ndarray, hc: np.ndarray) -> tuple[np.nd
     return f, 1j * (2 * n - 1.0 / (q * plus) - q / minus)
 
 
-def _newton(
-    phi: np.ndarray, n: np.ndarray, hc: np.ndarray, loose: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton(phi: np.ndarray, n: np.ndarray, hc: np.ndarray) -> tuple[np.ndarray, ...]:
     """Roots ``phi`` of the characteristic equation of ``H`` by Newton's
-    method from the starts ``phi``, and the mask of the roots that have
-    converged within ``_MAX_NEWTON_STEPS`` steps.  ``n`` and ``hc`` are
-    arrays of the shape of ``phi`` that give each start its own grid, or
-    the scalars of one grid.  Each element follows its own iteration, so
-    the starts of many grids run as one.
+    method from the starts ``phi``, the mask of the roots that have
+    converged within ``_MAX_NEWTON_STEPS`` steps and the mask of those that
+    pass the last-step bound.  ``n`` and ``hc`` are arrays of the shape of
+    ``phi`` that give each start its own grid, or the scalars of one grid;
+    each element follows its own iteration, so the starts of many grids run
+    as one.  Scalars save numpy's casts of real arrays to complex ones in
+    :func:`_characteristic`: a report on one grid of 32768 or 131072 points
+    takes about 0.8 of its time with arrays of ``n`` and ``hc``.
 
     Write ``h^2 lam = 2 - q - 1/q`` and ``beta = 1 + hc`` with ``Im c >= 0``.
     The rows of ``h^2 (H - lam)`` below the corner and the Dirichlet wall
@@ -530,11 +537,12 @@ def _newton(
     is at most four units in the last place of ``|phi|``.  Where ``|F'|`` is
     far below ``2n``, the rounding of ``F``, of the size of ``eps 2n |phi|``,
     moves ``phi`` by more than that on every step (7 to 15 units at
-    ``beta = 1.1i``, ``n = 30``, where ``|F'| = 6.3``); with ``loose`` the
-    last step passes within four units of ``max(|phi|, 2n |phi|/|F'|)``
-    instead.  Every root that stops earlier stops as without it.  Nothing
-    keeps two starts from reaching one root, or one from reaching ``q = 1``;
-    the certificate of :func:`_certified` rejects both.
+    ``beta = 1.1i``, ``n = 30``, where ``|F'| = 6.3``); the last-step bound
+    passes a root still moving after the last step if that step is within
+    four units of ``max(|phi|, 2n |phi|/|F'|)``.  Every converged root
+    passes it.  Nothing keeps two starts from reaching one root, or one
+    from reaching ``q = 1``; the certificate of :func:`_certified` rejects
+    both.
 
     Everything is formed without cancellation, since ``|Im lam|`` is what
     the study reads: ``beta - q`` as ``hc - 2i sin(phi/2) q^1/2`` (and
@@ -543,35 +551,36 @@ def _newton(
     for real ``phi``.  ``Re F'`` is not: it is a difference of terms of
     size 1, so the complex steps leave ``Im phi`` with noise of about
     ``eps^2 |phi|``, which can swamp an ``Im phi`` below the rounding of
-    ``|phi|``.  A root with ``|Im phi| <= eps |phi|`` (which takes ``|b|``
-    far below ``|d|``) therefore takes its ``Im phi`` from one Newton step
-    on ``Re F`` in ``Im phi`` alone, from the real axis: ``Im phi =
-    Re F/Im F'`` at ``Re phi``, where ``Re F`` is proportional to ``Im c``
-    and the step is exact to first order in ``Im phi``.  Every other root
-    is left as the complex steps give it.
+    ``|phi|``.  A root that passes the last-step bound with ``|Im phi| <=
+    eps |phi|`` (which takes ``|b|`` far below ``|d|``) therefore takes its
+    ``Im phi`` from one Newton step on ``Re F`` in ``Im phi`` alone, from
+    the real axis: ``Im phi = Re F/Im F'`` at ``Re phi``, where ``Re F`` is
+    proportional to ``Im c`` and the step is exact to first order in ``Im
+    phi``.  Every other root is left as the complex steps give it.
     """
-    def at(index):  # n and hc of the roots at index, or one grid's scalars
+    def at(index):  # n and hc of the starts at index, or one grid's scalars
         return (n[index], hc[index]) if np.ndim(n) else (n, hc)
 
     phi = phi.copy()
-    active = np.ones(phi.size, dtype=bool)
+    converged, accepted = np.zeros((2, phi.size), dtype=bool)
     for k in range(_MAX_NEWTON_STEPS):
-        todo = np.flatnonzero(active)
+        todo = np.flatnonzero(~converged)
         if todo.size == 0:
             break
         f, f_prime = _characteristic(phi[todo], *at(todo))
         step = f / f_prime
         phi[todo] -= step
-        size = np.abs(phi[todo])
-        if loose and k == _MAX_NEWTON_STEPS - 1:
+        size, step = np.abs(phi[todo]), np.abs(step)
+        converged[todo] = step <= 4.0 * _EPS * size
+        if k == _MAX_NEWTON_STEPS - 1:
             size = np.maximum(size, 2 * at(todo)[0] * size / np.abs(f_prime))
-        active[todo] = ~(np.abs(step) <= 4.0 * _EPS * size)
+        accepted[todo] = step <= 4.0 * _EPS * size
         del f, f_prime, step, size  # freed before the next step's temporaries
-    low = ~active & (np.abs(phi.imag) <= _EPS * np.abs(phi))
+    low = accepted & (np.abs(phi.imag) <= _EPS * np.abs(phi))
     if low.any():
         f, f_prime = _characteristic(phi.real[low].astype(np.complex128), *at(low))
         phi.imag[low] = f.real / f_prime.imag
-    return phi, ~active
+    return phi, converged, accepted
 
 
 def _bound_state(n: int, hc: complex) -> complex | None:
@@ -674,11 +683,11 @@ def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) ->
     One Newton run takes the first start set of every grid, and the grids
     whose roots fail go on to their next sets together.  Each root follows
     its own iteration, so every grid ends on the floats it reaches alone.
-    A grid that no set certifies at four units in the last place goes
-    through its sets once more with the ``loose`` last step of
-    :func:`_newton`, so that a set that converges exactly always goes
-    first.  :class:`ConvergenceFailure` names the first grid, in order,
-    that no set certifies either way.
+    A set counts once all its roots have converged; a set whose roots only
+    pass the last-step bound of :func:`_newton` counts if no set of its
+    grid converges and passes, so that a set that converges exactly always
+    goes first.  :class:`ConvergenceFailure` names the first grid, in
+    order, that no set certifies either way.
 
     ``lam = (4/h^2) sin^2(phi/2)``, O(n) time and memory per grid and set.
     For ``Im c < 0`` the roots are those of ``conj c``, conjugated, since
@@ -689,25 +698,27 @@ def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) ->
         return [0.0] * len(grids)
     flip = c.imag < 0.0
     hcs = [g.spacing * (c.conjugate() if flip else c) for g in grids]
-    found: list[float | None] = [None] * len(grids)
-    for loose in (False, True):
-        sets = {k: _start_sets(g.n, hcs[k]) for k, g in enumerate(grids) if found[k] is None}
-        drawn = {k: next(start_sets) for k, start_sets in sets.items()}
-        while drawn:
-            counts = [starts.size for _, starts in drawn.values()]
-            n, hc = [grids[k].n for k in drawn], [hcs[k] for k in drawn]
-            # one grid keeps n and hc scalars: no O(n) arrays of them in _newton
-            n, hc = (n[0], hc[0]) if len(n) == 1 else (np.repeat(n, counts), np.repeat(hc, counts))
-            phi, converged = _newton(np.concatenate([s for _, s in drawn.values()]), n, hc, loose)
-            for (k, (bound, _)), end, count in zip(drawn.items(), np.cumsum(counts), counts):
-                part, hh = slice(end - count, end), grids[k].spacing * grids[k].spacing
-                if not converged[part].all():
-                    continue
+    # max |Im lambda| by grid: of a set that converges, and of the first set
+    # at the last-step bound
+    found, rounded = {}, {}
+    sets = {k: _start_sets(g.n, hc) for k, (g, hc) in enumerate(zip(grids, hcs))}
+    drawn = {k: next(start_sets) for k, start_sets in sets.items()}
+    while drawn:
+        counts = [starts.size for _, starts in drawn.values()]
+        n, hc = ([v[k] for k in drawn] for v in ([g.n for g in grids], hcs))
+        n, hc = (n[0], hc[0]) if len(n) == 1 else (np.repeat(n, counts), np.repeat(hc, counts))
+        phi, converged, accepted = _newton(np.concatenate([s for _, s in drawn.values()]), n, hc)
+        for (k, (bound, _)), end, count in zip(drawn.items(), np.cumsum(counts), counts):
+            part, hh = slice(end - count, end), grids[k].spacing * grids[k].spacing
+            exact = converged[part].all()
+            # a set at the last-step bound matters only if it is the first
+            if exact or accepted[part].all() and k not in rounded:
                 roots = np.append(bound / hh, (4.0 / hh) * np.sin(0.5 * phi[part]) ** 2)
                 if _certified(roots.conjugate() if flip else roots, h_bands[k]):
-                    found[k] = float(np.abs(roots.imag).max())
-            # the grids not certified go on to their next start sets, if any
-            drawn = {k: s for k in drawn if found[k] is None and (s := next(sets[k], None))}
+                    (found if exact else rounded)[k] = float(np.abs(roots.imag).max())
+        # the grids not certified go on to their next start sets, if any
+        drawn = {k: s for k in drawn if k not in found and (s := next(sets[k], None))}
+    found = [found.get(k, rounded.get(k)) for k in range(len(grids))]
     if None in found:
         raise ConvergenceFailure(f"no certified spectrum of H at n = {grids[found.index(None)].n}")
     return found
@@ -716,14 +727,14 @@ def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) ->
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     """Run the refinement study over strictly ascending grid sizes ``schedule``.
 
-    A schedule of at most :data:`MAX_GRID_SIZE` points in all is one pass:
-    the spectra of ``H`` of its grids come from one run of Newton's method
-    and their commutators from the bands of all of them joined, so numpy's
-    cost per call is paid once per pass rather than per grid.  A longer
-    schedule takes one pass per grid, so no pass holds more than
-    :data:`MAX_GRID_SIZE` points.  Each row's sums run over its own grid
-    alone and come out bit for bit as on that grid by itself.  Each grid
-    costs O(n) time and memory and forms no n x n matrix.  Raises
+    Consecutive grids share a pass while it holds at most ``_PASS_POINTS``
+    points, and a larger grid runs alone: the spectra of ``H`` of a pass
+    come from one run of Newton's method and its commutators from the bands
+    of its grids joined, so on small grids numpy's cost per call is paid
+    once per pass rather than per grid, and no pass holds more points than
+    the larger of ``_PASS_POINTS`` and the largest grid.  Each row's sums
+    run over its own grid alone and come out bit for bit as on that grid by
+    itself.  Each grid costs O(n) time and memory and forms no n x n matrix.  Raises
     :class:`ConvergenceFailure`, naming the first grid in order, when no
     start set of :func:`_start_sets` gives a certified spectrum of ``H``.
     """
@@ -732,12 +743,12 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
         raise InvalidSpec(f"schedule must be ascending grid sizes, got {schedule}")
     # every grid size is validated before the first grid is built
     specs = [spec.with_n(n) for n in sizes]
-    # on grids that large numpy's cost per call is lost in the O(n) work, and
-    # one pass per grid keeps memory within that of a MAX_GRID_SIZE grid
-    passes = [specs] if sum(sizes) <= MAX_GRID_SIZE else [[grid] for grid in specs]
+    # the first grids, up to _PASS_POINTS points in all, share a pass; each
+    # later grid runs alone
+    joined = max(1, int(np.searchsorted(np.cumsum(sizes), _PASS_POINTS, side="right")))
     d2 = spec.d**2
     rows: list[SamsonovRow] = []
-    for grids in passes:
+    for grids in [specs[:joined]] + [[grid] for grid in specs[joined:]]:
         # entries outside each matrix are zero, so these are the bands of
         # the block-diagonal H and G with one block per grid
         bands = ((pair.h_bands, pair.g_bands) for pair in map(build_pair, grids))

@@ -95,19 +95,27 @@ def start_sets_taken(spec, schedule: list[int]) -> list[int]:
     """For each grid of ``samsonov_report(spec, schedule)`` with a complex
     Robin coefficient, the start set (1, 2 or 3, numbered as in
     ``halfline._start_sets``) whose roots gave ``max_im_lambda_H``: the last
-    one drawn for its grid size, as the report draws each grid's sets in
-    order and stops at the one it takes."""
-    taken = {}
-    start_sets = halfline._start_sets
+    one of its grid size that passed ``halfline._certified``, as the report
+    certifies each grid's sets in order, stops at the first that has
+    converged and passes, and certifies no set at the last-step bound of
+    ``halfline._newton`` after the first that passes."""
+    drawn, taken = {}, {}
+    start_sets, certified = halfline._start_sets, halfline._certified
 
     def labelled(n, hc):
         for k, (bound, starts) in enumerate(start_sets(n, hc)):
-            taken[n] = 1 if k == 0 else 2 if bound.size else 3
+            drawn[n] = 1 if k == 0 else 2 if bound.size else 3
             yield bound, starts
 
-    with mock.patch.object(halfline, "_start_sets", labelled):
+    def recorded(roots, hb):
+        passed = certified(roots, hb)
+        if passed:
+            taken[len(hb)] = drawn[len(hb)]
+        return passed
+
+    with mock.patch.multiple(halfline, _start_sets=labelled, _certified=recorded):
         samsonov_report(spec, schedule)
-    return list(taken.values())
+    return [taken[n] for n in drawn]
 
 
 def metric_extremes_counted(grid) -> tuple[tuple[float, float], int]:

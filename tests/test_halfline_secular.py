@@ -463,8 +463,8 @@ def _losing_a_root(newton, lost: list[int]):
     gets the ``(n, number of starts)`` of each grid of each call."""
     calls = []
 
-    def lose_one(phi, n, hc, loose):
-        roots, converged = newton(phi, n, hc, loose)
+    def lose_one(phi, n, hc):
+        roots, converged, accepted = newton(phi, n, hc)
         sizes = np.broadcast_to(n, phi.shape)  # one grid passes n as a scalar
         grids = [(int(m), int(np.count_nonzero(sizes == m))) for m in np.unique(sizes)]
         if len(calls) in lost:
@@ -473,7 +473,7 @@ def _losing_a_root(newton, lost: list[int]):
                 low = part[np.argsort(roots[part].real)]
                 roots[low[0]] = roots[low[1]]
         calls.append(grids)
-        return roots, converged
+        return roots, converged, accepted
 
     return lose_one, calls
 
@@ -481,19 +481,17 @@ def _losing_a_root(newton, lost: list[int]):
 def test_certificate_rejects_a_lost_root(monkeypatch):
     # a bound-state grid, which start set 2 alone certifies (set 1 does not
     # converge): with one root of each set a copy of its neighbour, every
-    # set must fail, at four units in the last place and at the last-step
-    # bound alike
+    # set must fail
     spec = HalfLineSpec(1.0, 1.0, 40.0, 100)
-    lose_one, calls = _losing_a_root(halfline._newton, lost=list(range(6)))
+    lose_one, calls = _losing_a_root(halfline._newton, lost=[0, 1, 2])
     monkeypatch.setattr(halfline, "_newton", lose_one)
     linalg = _record_linalg_calls(monkeypatch)
     with pytest.raises(ConvergenceFailure):
         samsonov_report(spec, [100])
     monkeypatch.undo()
     assert linalg == []
-    # sets 1 and 3 with n starts, set 2 with the bound state and n - 1,
-    # first at four units and then at the last-step bound
-    assert calls == [[(100, 100)], [(100, 99)], [(100, 100)]] * 2
+    # sets 1 and 3 with n starts, set 2 with the bound state and n - 1
+    assert calls == [[(100, 100)], [(100, 99)], [(100, 100)]]
     # the same grid passes with the copies undone
     assert samsonov_report(spec, [100]).rows[0].max_im_lambda_H > 0.0
 
@@ -678,7 +676,9 @@ def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
 
     with mock.patch.object(halfline, "_certified", recorded):
         new = samsonov_report(spec, [n]).rows[0].max_im_lambda_H
-    (roots,) = certified
+    # the last to pass: a set at the last-step bound of _newton may pass
+    # before the set that converges at four units and is taken
+    roots = certified[-1]
     assert new == np.abs(roots.imag).max()
     h, c = spec.spacing, spec.robin_coefficient
     half = (np.arange(n) + 0.5) * (np.pi / (2 * n + 1))
@@ -770,24 +770,30 @@ def test_convergence_failure_names_the_first_grid(monkeypatch):
     monkeypatch.setattr(halfline, "_certified", lambda roots, hb: False)
     with pytest.raises(ConvergenceFailure, match="n = 16$"):
         samsonov_report(spec, [16, 64])
-    # every set, at four units in the last place and at the last-step bound
-    assert drawn == {16: 6, 64: 4}
+    assert drawn == {16: 3, 64: 2}
 
 
-def test_no_newton_run_exceeds_the_largest_grid(monkeypatch):
-    # a schedule of more points than MAX_GRID_SIZE runs grid by grid, one
-    # of at most that many in one pass; the rows are the same either way
+def test_small_grids_share_a_pass_and_large_grids_run_alone(monkeypatch):
+    # consecutive grids share one Newton run while it holds at most
+    # _PASS_POINTS points, and a grid that does not fit starts the next;
+    # the rows are the same either way; no run holds more than one grid of
+    # MAX_GRID_SIZE points
+    assert halfline._PASS_POINTS <= halfline.MAX_GRID_SIZE
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 100)
     newton, sizes = halfline._newton, []
 
-    def recorded(phi, n, hc, loose):
+    def recorded(phi, n, hc):
         sizes.append(phi.size)
-        return newton(phi, n, hc, loose)
+        return newton(phi, n, hc)
 
-    reference = {n: samsonov_report(spec, [n]).rows[0] for n in (100, 150, 200)}
+    reference = {n: samsonov_report(spec, [n]).rows[0] for n in (100, 150, 200, 250, 400)}
     monkeypatch.setattr(halfline, "_newton", recorded)
-    monkeypatch.setattr(halfline, "MAX_GRID_SIZE", 300)
-    for schedule, runs in (([100, 150], [250]), ([100, 150, 200], [100, 150, 200])):
+    monkeypatch.setattr(halfline, "_PASS_POINTS", 300)
+    for schedule, runs in (
+        ([100, 150], [250]),
+        ([100, 150, 200], [250, 200]),
+        ([100, 250, 400], [100, 250, 400]),
+    ):
         sizes.clear()
         rows = samsonov_report(spec, schedule).rows
         assert sizes == runs
