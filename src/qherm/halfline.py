@@ -705,7 +705,9 @@ def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) ->
     drawn = {k: next(start_sets) for k, start_sets in sets.items()}
     while drawn:
         counts = [starts.size for _, starts in drawn.values()]
-        n, hc = ([v[k] for k in drawn] for v in ([g.n for g in grids], hcs))
+        n, hc = [grids[k].n for k in drawn], [hcs[k] for k in drawn]
+        # one grid keeps its scalars, which numpy combines with complex
+        # arrays without casts (see _newton)
         n, hc = (n[0], hc[0]) if len(n) == 1 else (np.repeat(n, counts), np.repeat(hc, counts))
         phi, converged, accepted = _newton(np.concatenate([s for _, s in drawn.values()]), n, hc)
         for (k, (bound, _)), end, count in zip(drawn.items(), np.cumsum(counts), counts):
@@ -718,10 +720,10 @@ def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) ->
                     (found if exact else rounded)[k] = float(np.abs(roots.imag).max())
         # the grids not certified go on to their next start sets, if any
         drawn = {k: s for k in drawn if k not in found and (s := next(sets[k], None))}
-    found = [found.get(k, rounded.get(k)) for k in range(len(grids))]
-    if None in found:
-        raise ConvergenceFailure(f"no certified spectrum of H at n = {grids[found.index(None)].n}")
-    return found
+    max_im = [found.get(k, rounded.get(k)) for k in range(len(grids))]
+    if None in max_im:
+        raise ConvergenceFailure(f"no certified spectrum of H at n = {grids[max_im.index(None)].n}")
+    return max_im
 
 
 def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
