@@ -774,10 +774,10 @@ def test_convergence_failure_names_the_first_grid(monkeypatch):
 
 
 def test_small_grids_share_a_pass_and_large_grids_run_alone(monkeypatch):
-    # consecutive grids share one Newton run while it holds at most
-    # _PASS_POINTS points, and a grid that does not fit starts the next;
-    # the rows are the same either way; no run holds more than one grid of
-    # MAX_GRID_SIZE points
+    # the first grids of a schedule share one Newton run up to _PASS_POINTS
+    # points in all, and each later grid runs alone, so no run holds more
+    # than the larger of _PASS_POINTS and one grid of at most MAX_GRID_SIZE
+    # points; the rows are the same either way
     assert halfline._PASS_POINTS <= halfline.MAX_GRID_SIZE
     spec = HalfLineSpec(-1.0, 1.0, 40.0, 100)
     newton, sizes = halfline._newton, []
