@@ -221,7 +221,7 @@ def _parse_dense(path: str, doc: dict) -> Operator:
         raise ParseError(f"{path}: expected {dim * dim} entries")
     values = _bulk_entries(entries)
     if values is None:
-        values = _checked_entries(path, entries)
+        _first_bad_entry(path, entries)
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"{path}: label must be a string")
@@ -236,7 +236,7 @@ def _bulk_entries(entries: list) -> np.ndarray | None:
 
     ``None`` means some entry is not a list of two JSON numbers (``bool``
     is its own type here, so ``true`` is not taken for 1) or holds an int
-    beyond float range; :func:`_checked_entries` then finds and names it.
+    beyond float range; :func:`_first_bad_entry` then finds and names it.
     numpy rounds an int to float as ``float()`` does, so the values equal
     ``complex(re, im)`` bit for bit.
     """
@@ -251,8 +251,13 @@ def _bulk_entries(entries: list) -> np.ndarray | None:
         return None
 
 
-def _checked_entries(path: str, entries: list) -> np.ndarray:
-    values = np.empty(len(entries), dtype=np.complex128)
+def _first_bad_entry(path: str, entries: list) -> None:
+    """Raise the :class:`ParseError` naming the first entry that is not a
+    ``[re, im]`` pair of JSON numbers within float range.
+
+    Called on the lists :func:`_bulk_entries` refuses, each of which holds
+    such an entry, so it always raises.
+    """
     for k, pair in enumerate(entries):
         if (
             not isinstance(pair, list)
@@ -261,10 +266,9 @@ def _checked_entries(path: str, entries: list) -> np.ndarray:
         ):
             raise ParseError(f"{path}: entry {k} must be a [re, im] number pair")
         try:
-            values[k] = complex(pair[0], pair[1])
+            complex(pair[0], pair[1])
         except OverflowError as exc:
             raise ParseError(f"{path}: entry {k}: {exc}") from exc
-    return values
 
 
 def _parse_samsonov(path: str, doc: dict) -> HalfLineSpec:
@@ -401,9 +405,9 @@ def cmd_qsim(args) -> tuple[int, dict]:
     B = _load_dense(args.b)
     T = _load_dense(args.t)
     tol = args.tol
-    # eigenvalues and vectors do not depend on the tolerance passed to
-    # eig_general, so one eigensystem of A serves the push and the match
-    es_a = eig_general(A, tol)
+    # one record of A, at the match tolerance, serves the push (which reads
+    # only its eigenpairs and judges at tol) and the match (its clusters)
+    es_a = eig_general(A, MATCH_TOL)
     try:
         push = push_eigenvectors(es_a, B, T, tol)
         rep = push.intertwiner
@@ -658,10 +662,7 @@ def main(argv: list[str] | None = None) -> int:
             }
             write_json(args.json_out, {**head, **body})
         return code
-    except QhermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (QhermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

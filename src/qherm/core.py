@@ -22,9 +22,13 @@ the tolerance.  Every verdict about the spectrum (clusters, realness,
 defectiveness, conjugate pairing) is derived from those four on first
 read, at the record's tolerance, and then kept, so no verdict can
 contradict the eigenvalues it is about and none is made that nobody
-reads.  The metric builders and spectral checks of the other modules
-accept the record in place of the operator and read its verdicts instead
-of deciding again (:func:`ensure_eigensystem`).  The other costly
+reads.  Clusters, realness and the one partner search
+(:func:`nearest_partner`), which the conjugate pairing and the spectral
+match of two operators share, decide by one rule,
+``|lam - mu| <= tol*(1+|lam|)``, stated only here.  The metric builders
+and spectral checks of the other modules accept the record in place of
+the operator and read its verdicts instead of deciding again
+(:func:`ensure_eigensystem`).  The other costly
 quantities are computed the same way: the canonically scaled
 eigenvector matrix and ``vector_condition`` (one SVD).  The
 defectiveness verdict adds nothing to ``eig`` for a simple spectrum, and
@@ -56,6 +60,7 @@ __all__ = [
     "eig_hermitian",
     "eig_general",
     "cluster_eigenvalues",
+    "nearest_partner",
     "ensure_operator",
     "ensure_eigensystem",
 ]
@@ -281,7 +286,7 @@ class Eigensystem:
 
         In ascending index order each unmatched nonreal ``lam_i`` takes the
         first unmatched nonreal ``lam_j`` nearest to ``conj(lam_i)``, if it
-        lies within ``tol*(1+|lam_i|)``; else
+        lies within ``tol*(1+|lam_i|)`` (:func:`nearest_partner`); else
         :class:`SpectrumNotConjugateClosed`.  Real eigenvalues pair with
         themselves and are not listed.
         """
@@ -289,15 +294,13 @@ class Eigensystem:
         while free.any():
             i = int(np.argmax(free))
             free[i] = False
-            diff = w - np.conj(w[i])
-            dist = np.where(free, np.hypot(diff.real, diff.imag), np.inf)
-            best = int(np.argmin(dist))
-            if dist[best] == np.inf or dist[best] > self.tol * (1.0 + abs(w[i])):
+            j, _ = nearest_partner(w, np.conj(w[i]), free, self.tol)
+            if j < 0:
                 raise SpectrumNotConjugateClosed(
                     f"eigenvalue {w[i]} has no conjugate partner within tolerance"
                 )
-            free[best] = False
-            pairs.append((i, best))
+            free[j] = False
+            pairs.append((i, j))
         return tuple(pairs)
 
     @cached_property
@@ -342,6 +345,27 @@ def cluster_eigenvalues(values: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[E
     if n:
         clusters.append(EigenvalueCluster(start, n - start, total / (n - start)))
     return tuple(clusters)
+
+
+def nearest_partner(
+    values: np.ndarray, target: complex, free: np.ndarray, tol: float
+) -> tuple[int, float]:
+    """The free entry of ``values`` nearest to ``target``, and its distance.
+
+    The first such entry on a tie; ``(-1, inf)`` when no free entry lies
+    within ``tol*(1+|target|)``, the rule by which :func:`cluster_eigenvalues`
+    and ``Eigensystem.real`` also decide.  Distances are ``np.hypot`` of the
+    parts of the differences, which is Python's ``abs`` of a complex, so
+    they are symmetric in the two values (``np.abs`` can differ in the last
+    bit).
+    """
+    index = np.flatnonzero(free)
+    diff = values[index] - target
+    dist = np.hypot(diff.real, diff.imag)
+    best = int(np.argmin(dist)) if dist.size else -1
+    if best < 0 or dist[best] > tol * (1.0 + abs(target)):
+        return -1, math.inf
+    return int(index[best]), float(dist[best])
 
 
 def _sorted_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -225,7 +225,15 @@ class SamsonovReport:
 
     Passing means: the interior metric-relation residual and the largest
     spurious imaginary eigenvalue part do not grow with ``n``, and the gap
-    ``min sigma(G) - d^2`` shrinks monotonically.
+    ``min sigma(G) - d^2`` shrinks monotonically.  The commutator
+    ``GH - H*G`` is nonzero only at the entries ``(0, 0)``, ``(0, 1)``,
+    ``(1, 0)`` and ``(n-1, n-1)``: away from the corner row both operators
+    are Toeplitz tridiagonal, and the interior entries of ``GH`` and
+    ``H*G`` are formed from the same operands; addition commutes and
+    conjugation is exact, so they agree to the bit.  So
+    ``residual_interior`` is exactly 0 and
+    ``interior_residual_nonincreasing`` holds by construction; it tests
+    nothing.
     """
 
     spec: HalfLineSpec

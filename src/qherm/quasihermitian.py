@@ -305,15 +305,15 @@ def solve_pseudo_metric(
     es = ensure_eigensystem(A, tol)
     if es.defective:
         raise Defective("solve_pseudo_metric: operator is numerically defective")
-    m = np.eye(es.dim, dtype=np.complex128)
+    # S^-* M is S^-* with the columns of each conjugate pair exchanged
+    swap = np.arange(es.dim)
     for i, j in es.conjugate_pairs:
-        m[i, i] = m[j, j] = 0.0
-        m[i, j] = m[j, i] = 1.0
+        swap[i], swap[j] = j, i
     s = es.scaled_vectors
     cond = basis_condition(np.linalg.svd(s, compute_uv=False), "pseudo metric is nearly singular")
     s_inv = np.linalg.inv(s)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = herm_part(s_inv.conj().T @ m @ s_inv)
+        t = herm_part(s_inv.conj().T[:, swap] @ s_inv)
     if not np.isfinite(t).all():
         raise NotPositiveDefinite(
             f"solve_pseudo_metric: pseudo metric entries overflow "

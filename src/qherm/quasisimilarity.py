@@ -24,11 +24,11 @@ from .core import (
     DEFAULT_TOL,
     Eigensystem,
     Operator,
-    cluster_eigenvalues,
     ensure_eigensystem,
     ensure_operator,
     fro,
     ldexp,
+    nearest_partner,
     unit_exponent,
     unit_scaled,
 )
@@ -134,31 +134,27 @@ def spectral_comparison(
 ) -> SpectralMatch:
     """Match the eigenvalue multisets of ``A`` and ``B`` at tolerance.
 
-    Eigenvalues are clustered at ``tol*(1+|lam|)`` to obtain multiplicities,
-    then clusters are paired greedily with their nearest partner.  Either
-    operator may be given as its :class:`Eigensystem`, whose eigenvalues
-    are then reused.
+    The multiplicities are the clusters of each spectrum's record
+    (``Eigensystem.clusters``): an operator is diagonalized and clustered
+    at ``tol``, and a passed :class:`Eigensystem` keeps the clusters of its
+    own tolerance.  In order, each cluster of ``A`` takes the first nearest
+    unmatched cluster of ``B`` within ``tol``, as
+    :func:`~qherm.core.nearest_partner` decides.
     """
-    ca = cluster_eigenvalues(ensure_eigensystem(A, tol).eigenvalues, tol)
-    cb = cluster_eigenvalues(ensure_eigensystem(B, tol).eigenvalues, tol)
+    ca = ensure_eigensystem(A, tol).clusters
+    cb = ensure_eigensystem(B, tol).clusters
     values_b = np.array([c.value for c in cb], dtype=np.complex128)
-    used = np.zeros(len(cb), dtype=bool)
+    free = np.ones(len(cb), dtype=bool)
     pairs: list[MatchedPair] = []
     unmatched_a: list[tuple[complex, int]] = []
     for cl in ca:
-        # the first nearest partner not yet used; hypot is Python's abs of
-        # a complex, which np.abs differs from in the last bit
-        diff = cl.value - values_b
-        dist = np.where(used, np.inf, np.hypot(diff.real, diff.imag))
-        best = int(np.argmin(dist)) if dist.size else -1
-        if best >= 0 and dist[best] <= tol * (1.0 + abs(cl.value)):
-            used[best] = True
-            pairs.append(
-                MatchedPair(cl.value, cb[best].value, float(dist[best]), cl.size, cb[best].size)
-            )
-        else:
+        j, dist = nearest_partner(values_b, cl.value, free, tol)
+        if j < 0:
             unmatched_a.append((cl.value, cl.size))
-    unmatched_b = [(c.value, c.size) for j, c in enumerate(cb) if not used[j]]
+        else:
+            free[j] = False
+            pairs.append(MatchedPair(cl.value, cb[j].value, dist, cl.size, cb[j].size))
+    unmatched_b = [(c.value, c.size) for c, left in zip(cb, free) if left]
     inclusion = not unmatched_a and all(p.mult_a <= p.mult_b for p in pairs)
     return SpectralMatch(
         tuple(pairs), tuple(unmatched_a), tuple(unmatched_b), inclusion, tol
@@ -262,13 +258,15 @@ def mutual_qs_check(
     T_ab: Operator | np.ndarray,
     T_ba: Operator | np.ndarray,
     tol: float = DEFAULT_TOL,
-    match_tol: float = MATCH_TOL,
 ) -> MutualReport:
-    """Verify both intertwinings, both quasi-affinities, and equal spectra."""
+    """Verify both intertwinings, both quasi-affinities, and equal spectra.
+
+    The spectra are matched at ``MATCH_TOL``, whatever ``tol``.
+    """
     A, B = ensure_operator(A), ensure_operator(B)
     rep_ab = verify_intertwining(A, B, T_ab, tol)
     rep_ba = verify_intertwining(B, A, T_ba, tol)
-    match = spectral_comparison(A, B, match_tol)
+    match = spectral_comparison(A, B, MATCH_TOL)
     mutual = (
         rep_ab.residual <= tol
         and rep_ba.residual <= tol

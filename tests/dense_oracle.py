@@ -20,7 +20,10 @@ calibrated against; the record ``eig_general`` built from complex
 ``eig`` alone, before it chose the driver from the entries, the
 reference for the real and Hermitian drivers; and the
 Python loop of the greedy conjugate pairing, the element for element
-reference for ``Eigensystem.conjugate_pairs``, and the sample-by-sample
+reference for ``Eigensystem.conjugate_pairs``; the pseudo-metric
+``S^-* M S^-1`` with the swap matrix ``M`` formed and multiplied, the bit
+for bit reference for ``solve_pseudo_metric``'s column exchange; and the
+sample-by-sample
 loops of ``verify_lattice`` (dense ``R_G^-1`` and ``R_G^1/2``, one inner
 product per sample pair) and ``push_eigenvectors`` (one image per
 eigenvector), the references for their one-block forms.
@@ -40,7 +43,7 @@ from qherm import (
     lattice_norms,
     verify_intertwining,
 )
-from qherm.core import _sorted_eig, inner
+from qherm.core import _sorted_eig, herm_part, inner
 from qherm.lattice import LatticeReport, LatticeSampleChecks
 from qherm.quasisimilarity import PushedEigenvector, PushReport
 
@@ -353,6 +356,20 @@ def conjugate_pairing(es) -> list[tuple[int, int]]:
         unpaired.remove(best)
         pairs.append((i, best))
     return pairs
+
+
+def dense_swap_pseudo_metric(es) -> tuple[np.ndarray, tuple[int, int]]:
+    """``solve_pseudo_metric`` of a record, with its n x n swap matrix ``M``:
+    the identity on real eigenvalues, exchanging each conjugate pair."""
+    m = np.eye(es.dim, dtype=np.complex128)
+    for i, j in es.conjugate_pairs:
+        m[i, i] = m[j, j] = 0.0
+        m[i, j] = m[j, i] = 1.0
+    s_inv = np.linalg.inv(es.scaled_vectors)
+    t = herm_part(s_inv.conj().T @ m @ s_inv)
+    wt = np.linalg.eigvalsh(t)
+    t = t / max(float(np.abs(wt).max()), _TINY)
+    return t, (int(np.count_nonzero(wt > 0.0)), int(np.count_nonzero(wt < 0.0)))
 
 
 def _rg_norm(M, xi: np.ndarray) -> float:

@@ -1,8 +1,8 @@
 """Sweep of random half-line grids: which start set certifies ``sigma(H)``,
 and whether the extremes of ``sigma(G)`` are the bisection's.
 
-Run with ``PYTHONPATH=src python tests/halfline_sweep.py`` (no arguments;
-the seeds are fixed).  Every grid runs through ``samsonov_report``, and
+Run with ``PYTHONPATH=src python tests/halfline_sweep.py`` (the seeds are
+fixed).  Every grid runs through ``samsonov_report``, and
 the script prints, per family of grids, how many took start set 1, 2 or 3
 of ``halfline._start_sets``, how many have a real Robin coefficient (no
 start set), and every grid that raised
@@ -27,11 +27,21 @@ of O(n) secular evaluations per grid.  The families:
   ``|b| <= 5`` and ``r`` within 1e-12 to 1e-1 of 1 or from 0.01 up; at
   ``r = 1.1``, ``n = 30`` a root's Newton steps stay above four units in
   the last place in every start set.
+
+``--record PATH`` also writes one line per grid: its family, the grid
+``(d, b, L, n)``, the start set that certified it (or ``failed``) and
+every field of its report row in hex.  ``--compare PATH`` prints every
+grid whose line differs from the one in ``PATH``, a record written
+before, and exits 1 if any does; so a change that moves a grid to
+another start set or changes one bit of its row shows by name.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import math
+import sys
 import time
 from collections import Counter
 
@@ -88,9 +98,13 @@ FAMILIES = [
 ]
 
 
-def sweep(seed: int, count: int, draw) -> tuple[Counter, list, list, list]:
+def _hex(value) -> str:
+    return value.hex() if isinstance(value, float) else str(value)
+
+
+def sweep(seed: int, count: int, draw) -> tuple[Counter, list, list, list, list]:
     gen = np.random.default_rng(seed)
-    taken, bad, mismatched, evaluations = Counter(), [], [], []
+    taken, bad, mismatched, evaluations, records = Counter(), [], [], [], []
     while len(evaluations) < count:
         grid = draw(gen)
         if grid is None:
@@ -100,22 +114,45 @@ def sweep(seed: int, count: int, draw) -> tuple[Counter, list, list, list]:
         evaluations.append(calls)
         if [v.hex() for v in extremes] != [v.hex() for v in bisected_metric_extremes(spec)]:
             mismatched.append(grid)
+        key = repr(tuple(float(v) for v in grid[:3]) + (int(grid[3]),))
         try:
             (start_set,) = start_sets_taken(spec, [spec.n]) or ["real c"]
-            max_im = samsonov_report(spec, [spec.n]).rows[0].max_im_lambda_H
+            row = samsonov_report(spec, [spec.n]).rows[0]
         except ConvergenceFailure as exc:
             bad.append((grid, str(exc)))
+            records.append(f"{key}\tfailed")
             continue
-        if not math.isfinite(max_im):
-            bad.append((grid, f"max_im_lambda_H = {max_im}"))
+        records.append("\t".join([key, str(start_set), *map(_hex, dataclasses.astuple(row))]))
+        if not math.isfinite(row.max_im_lambda_H):
+            bad.append((grid, f"max_im_lambda_H = {row.max_im_lambda_H}"))
         taken[start_set] += 1
-    return taken, bad, mismatched, evaluations
+    return taken, bad, mismatched, evaluations, records
 
 
-def main() -> None:
+def differing_lines(old: list[str], new: list[str]) -> list[tuple[str, str | None, str | None]]:
+    """``(family and grid, old line, new line)`` for every grid whose line
+    differs between two records, ``None`` where a record lacks the grid."""
+    def keyed(lines):
+        return {"\t".join(line.split("\t")[:2]): line for line in lines}
+
+    before, after = keyed(old), keyed(new)
+    keys = list(before) + [key for key in after if key not in before]
+    return [(key, before.get(key), after.get(key)) for key in keys
+            if before.get(key) != after.get(key)]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--record", metavar="PATH",
+                        help="write one line per grid: family, grid, start set, row in hex")
+    parser.add_argument("--compare", metavar="PATH",
+                        help="print every grid whose line differs from PATH's; exit 1 if any")
+    args = parser.parse_args(argv)
+    lines = []
     for name, seed, count, draw in FAMILIES:
         start = time.perf_counter()
-        taken, bad, mismatched, evaluations = sweep(seed, count, draw)
+        taken, bad, mismatched, evaluations, records = sweep(seed, count, draw)
+        lines += [f"{name}\t{record}" for record in records]
         counts = ", ".join(f"set {k}: {v}" for k, v in sorted(taken.items(), key=str))
         print(f"{name} (seed {seed}): {count} grids; {counts}; failed: {len(bad)}; "
               f"{time.perf_counter() - start:.1f} s")
@@ -126,7 +163,18 @@ def main() -> None:
               f"max {max(evaluations)}")
         for grid in mismatched:
             print(f"  {grid}: extremes of sigma(G) differ from bisection")
+    if args.record:
+        with open(args.record, "w") as handle:
+            handle.writelines(line + "\n" for line in lines)
+    if not args.compare:
+        return 0
+    with open(args.compare) as handle:
+        differ = differing_lines(handle.read().splitlines(), lines)
+    for key, before, after in differ:
+        print(f"differs: {key}\n  was: {before}\n  now: {after}")
+    print(f"{len(differ)} grids differ from {args.compare}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,8 +14,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qherm.cli import load_operator_file, matrix_entries, operator_payload, render_json, write_csv
+from qherm import ParseError
+from qherm.cli import (
+    _bulk_entries,
+    _first_bad_entry,
+    load_operator_file,
+    matrix_entries,
+    operator_payload,
+    render_json,
+    write_csv,
+)
 from qherm.core import Operator
 
 from helpers import rng
@@ -58,6 +69,36 @@ def test_parse_special_values_bit_exact(tmp_path):
     assert _bits(op.matrix.reshape(-1)) == _bits(complex(re, im) for re, im in entries)
     # 2**53 + 1 rounds to even, as float() rounds it
     assert op.matrix[1, 0].real == float(2**53)
+
+
+_ATOMS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+_ENTRIES = st.one_of(
+    st.lists(st.one_of(st.integers(-9, 9), st.floats(-1e3, 1e3)), min_size=2, max_size=2),
+    st.lists(_ATOMS, min_size=2, max_size=2),
+    st.lists(_ATOMS, max_size=3),
+    st.lists(st.lists(_ATOMS, max_size=2), min_size=2, max_size=2),
+    _ATOMS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTRIES, min_size=1, max_size=6))
+def test_a_refused_entry_list_raises_naming_its_first_bad_entry(entries):
+    # the bulk pass refuses a list exactly when one of its entries is bad, so
+    # the checked pass only has to name the first of them
+    bad = [k for k, entry in enumerate(entries) if _bulk_entries([entry]) is None]
+    if _bulk_entries(entries) is not None:
+        assert bad == []
+        return
+    with pytest.raises(ParseError, match=rf"^op\.json: entry {bad[0]}( must be|: )"):
+        _first_bad_entry("op.json", entries)
 
 
 def _reference_payload(op: Operator) -> str:

@@ -20,7 +20,7 @@ from qherm import (
     eig_hermitian,
     sqrt_pd,
 )
-from qherm.core import fro, herm_residual
+from qherm.core import fro, herm_residual, nearest_partner
 from dense_oracle import conjugate_pairing
 from helpers import random_hermitian, random_pd, random_unitary, rng
 
@@ -313,4 +313,22 @@ def test_conjugate_pairs_match_the_python_loop(es):
         assert str(info.value) == str(exc)
     else:
         assert list(es.conjugate_pairs) == expected
+
+
+def test_nearest_partner_takes_the_first_free_value_within_tolerance():
+    values = np.array([0.5, -0.5, 0.5, 10.5], dtype=np.complex128)
+    free = np.array([False, True, True, True])
+    # 0 lies 0.5 from -0.5 and from 0.5: the first free one wins
+    assert nearest_partner(values, 0.0, free, 0.6) == (1, 0.5)
+    assert nearest_partner(values, 0.0, free, 0.4) == (-1, math.inf)
+    # the bound tol*(1 + |target|) grows with the target
+    assert nearest_partner(values, 10.0, free, 0.05) == (3, 0.5)
+    assert nearest_partner(values, 10.0, free, 0.04) == (-1, math.inf)
+    # no free value, or none at all, is no partner at any tolerance
+    assert nearest_partner(values, 0.5, np.zeros(4, dtype=bool), math.inf) == (-1, math.inf)
+    empty = np.array([], dtype=np.complex128)
+    assert nearest_partner(empty, 0.5, np.array([], dtype=bool), 1.0) == (-1, math.inf)
+    # distances are Python's abs of the complex difference, bit for bit
+    z = complex(0.1, 0.7)
+    assert nearest_partner(values, z, free, 10.0) == (2, abs(values[2] - z))
 

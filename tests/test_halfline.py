@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import dense_pair
 from helpers import rng
@@ -11,7 +13,7 @@ from qherm import (
     quasi_hermiticity_residual,
     samsonov_report,
 )
-from qherm.halfline import MAX_GRID_SIZE
+from qherm.halfline import MAX_GRID_SIZE, _commutator_bands
 
 _EPS = np.finfo(np.float64).eps
 
@@ -192,6 +194,33 @@ def test_refinement_study_frozen_oracle():
     assert max(r.residual_interior for r in rows) <= 1e-14
     ims = [r.max_im_lambda_H for r in rows]
     assert ims[0] >= ims[1] >= ims[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.floats(-5.0, 5.0),
+    b=st.one_of(st.floats(-5.0, 5.0), st.floats(1e-300, 1e-6), st.just(0.0)),
+    scale=st.sampled_from([1.0, 1e30]),
+    box=st.floats(0.5, 100.0),
+    n=st.integers(16, 3000),
+)
+def test_commutator_is_nonzero_only_at_the_corner_and_the_last_diagonal(d, b, scale, box, n):
+    # away from the corner row both operators are Toeplitz tridiagonal, with
+    # H real there and G's off-diagonals each other's conjugates, so the
+    # interior entries of GH and H*G come from the same operands and agree
+    # to the bit (addition commutes, conjugation is exact).  The entries left are
+    # (0, 0), (0, 1), (1, 0) and (n-1, n-1), where the Dirichlet wall cuts
+    # G's last row; so residual_interior is exactly 0 on every grid
+    try:
+        spec = HalfLineSpec(scale * d, scale * b, box, n)
+    except InvalidSpec:
+        assume(False)
+    pair = build_pair(spec)
+    bands = _commutator_bands(pair.g_bands, pair.h_bands)  # offsets -2..2
+    allowed = np.zeros(bands.shape, dtype=bool)
+    allowed[0, [2, 3]] = allowed[1, 1] = allowed[-1, 2] = True
+    assert not bands[~allowed].any()
+    assert samsonov_report(spec, [n]).rows[0].residual_interior == 0.0
 
 
 def test_control_run_all_residuals_zero():

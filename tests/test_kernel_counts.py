@@ -3,8 +3,9 @@
 ``qherm analyze`` diagonalizes its input once, whatever the class, with
 ``eigh`` when it is Hermitian entry for entry and with ``eig`` else, in
 real arithmetic when its imaginary parts are all zero,
-``qherm qsim`` diagonalizes each of ``A`` and ``B`` once and takes one SVD
-of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
+``qherm qsim`` diagonalizes each of ``A`` and ``B`` once, clusters each
+spectrum once (one record of ``A``, at the match tolerance, serves the
+push and the match) and takes one SVD of ``T``, ``qherm spectral`` builds its X family from one ``eig`` and one
 ``inv`` with no Hermitian eigensolver, no singular vectors and no metric
 root (nor does ``qherm lattice`` read a root) and takes the coordinates
 of its samples once, ``verify_lattice`` holds no n x n temporary,
@@ -157,6 +158,15 @@ def test_qsim_diagonalizes_each_operator_once(monkeypatch, tmp_path):
     svd_calls = _count_calls(monkeypatch, "svd")
     assert run_case("qsim_worked", str(tmp_path))["out"].startswith(b"exit 0\n")
     assert (eig_calls[0], svd_calls[0]) == (2, 1)
+
+
+def test_qsim_clusters_each_spectrum_once(monkeypatch, tmp_path):
+    # the match reads the clusters of the records; it clusters nothing itself
+    passes = _count_qherm_calls(monkeypatch, "cluster_eigenvalues")
+    eig_calls = _count_calls(monkeypatch, "eig")
+    svd_calls = _count_calls(monkeypatch, "svd")
+    assert run_case("qsim_worked", str(tmp_path))["out"].startswith(b"exit 0\n")
+    assert (passes[0], eig_calls[0], svd_calls[0]) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("name", ["spectral_worked", "spectral_quasi5"])

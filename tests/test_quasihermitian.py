@@ -25,6 +25,7 @@ from qherm import (
     solve_pseudo_metric,
     x_family,
 )
+from dense_oracle import dense_swap_pseudo_metric
 from helpers import (
     diagonalizable_real_spectrum,
     jordan_case,
@@ -271,6 +272,24 @@ def test_solve_pseudo_metric_examples():
     t, sig = solve_pseudo_metric(Operator(np.diag([1j, -1j])))
     assert sig == (1, 1)
     assert np.abs(t.matrix - np.array([[0.0, 1.0], [1.0, 0.0]])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pseudo_metric_is_the_dense_swap_product(seed):
+    # exchanging the columns of S^-* is multiplying by the swap matrix M:
+    # each entry of S^-* M is one entry of S^-* times 1 plus zeros, so T
+    # comes out bit for bit; real inputs have exactly conjugate spectra
+    gen = rng(90 + seed)
+    for case in range(12):
+        n = int(gen.integers(2, 41))
+        a = gen.standard_normal((n, n))
+        if case % 3 == 0:
+            a = np.round(4.0 * a)
+        es = eig_general(Operator(a))
+        t, signature = solve_pseudo_metric(es)
+        ref, ref_signature = dense_swap_pseudo_metric(es)
+        assert t.matrix.tobytes() == ref.tobytes()
+        assert signature == ref_signature
 
 
 def test_solve_pseudo_metric_errors():

@@ -78,6 +78,18 @@ def test_spectral_comparison_examples():
     assert match.total_with_equal_multiplicities
 
 
+def test_spectral_comparison_reads_a_records_clusters():
+    # 1 and 1 + 1e-5 are one cluster at 1e-3 and two at 1e-7; each record
+    # keeps its own, and the match tolerance only pairs them
+    a = Operator(np.diag([1.0, 1.0 + 1e-5]))
+    match = spectral_comparison(eig_general(a, 1e-3), eig_general(a, 1e-7), 1e-3)
+    assert [(p.mult_a, p.mult_b) for p in match.pairs] == [(2, 1)]
+    assert match.unmatched_b == ((1.0 + 1e-5 + 0j, 1),)
+    assert not match.inclusion
+    # an operator is clustered at the match tolerance
+    assert spectral_comparison(a, a, 1e-3).pairs[0].mult_b == 2
+
+
 def _loop_match(A, B, tol):
     """The O(n^2) pairwise loop ``spectral_comparison`` used to run: the
     first nearest unused partner of each cluster of ``A``, in order."""
