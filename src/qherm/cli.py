@@ -237,10 +237,16 @@ def _bulk_entries(entries: list) -> np.ndarray | None:
     ``None`` means some entry is not a list of two JSON numbers (``bool``
     is its own type here, so ``true`` is not taken for 1) or holds an int
     beyond float range; :func:`_first_bad_entry` then finds and names it.
-    numpy rounds an int to float as ``float()`` does, so the values equal
+    A JSON scalar has no ``len``; a 2-character string or a 2-key object
+    yields ``str`` items, which the item-type pass refuses.  numpy rounds
+    an int to float as ``float()`` does, so the values equal
     ``complex(re, im)`` bit for bit.
     """
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+    try:
+        lengths = set(map(len, entries))
+    except TypeError:
+        return None
+    if lengths != {2}:
         return None
     if not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
         return None

@@ -152,10 +152,6 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
     return ldexp(a, unit_exponent(a))
 
 
-def spec_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, 2))
-
-
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
     """Inner product ``<x, y>``, linear in the first argument."""
     return complex(np.vdot(y, x))

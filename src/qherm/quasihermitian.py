@@ -69,6 +69,7 @@ __all__ = [
     "KreinStructure",
     "canonical_eigenbasis",
     "basis_condition",
+    "invert_basis",
     "quasi_hermiticity_residual",
     "solve_metric",
     "quasi_sa_transform",
@@ -131,19 +132,46 @@ def canonical_eigenbasis(A: Operator | Eigensystem | np.ndarray, tol: float, cal
     return es
 
 
-def basis_condition(sig: np.ndarray, consequence: str) -> float:
+def basis_condition(sig: np.ndarray, consequence: str, stacklevel: int = 3) -> float:
     """2-norm condition from descending singular values; warns beyond the threshold.
 
-    The :class:`IllConditionedWarning` points at the caller's caller.
+    ``sig`` comes from the SVD of the eigenvector matrix ``S``: the full one
+    :func:`solve_metric` needs for ``G``, or the one without vectors that
+    :func:`invert_basis` takes only when its O(n^2) bound cannot rule the
+    warning out.  The :class:`IllConditionedWarning` points ``stacklevel``
+    frames up, by default at the caller's caller.
     """
     cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else float("inf")
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"eigenvector basis condition {cond:.3e}; {consequence}",
             IllConditionedWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return cond
+
+
+def invert_basis(s: np.ndarray, consequence: str) -> tuple[np.ndarray, float]:
+    """``S^-1`` and a bound on the 2-norm condition of ``S``; warns as
+    :func:`basis_condition` does, at the caller's caller.
+
+    The bound is ``||S||_F ||S^-1||_F``, O(n^2) from the inverse, which is at
+    least ``kappa_2(S)`` (``||M||_2 <= ||M||_F``).  Where it is at most
+    ``CONDITION_WARN_THRESHOLD`` it rules the warning out and is returned;
+    anywhere else, an infinite or NaN bound included, the singular values of
+    ``S`` decide and the exact ``kappa_2`` is returned, so the warning and
+    its text are those of the SVD alone.  A singular ``S`` warns before the
+    ``LinAlgError`` of the inverse propagates.
+    """
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        basis_condition(np.linalg.svd(s, compute_uv=False), consequence, stacklevel=4)
+        raise
+    bound = fro(s) * fro(s_inv)
+    if bound <= CONDITION_WARN_THRESHOLD:
+        return s_inv, bound
+    return s_inv, basis_condition(np.linalg.svd(s, compute_uv=False), consequence, stacklevel=4)
 
 
 def solve_metric(
@@ -309,9 +337,10 @@ def solve_pseudo_metric(
     swap = np.arange(es.dim)
     for i, j in es.conjugate_pairs:
         swap[i], swap[j] = j, i
-    s = es.scaled_vectors
-    cond = basis_condition(np.linalg.svd(s, compute_uv=False), "pseudo metric is nearly singular")
-    s_inv = np.linalg.inv(s)
+    # where the O(n^2) bound rules the warning out, ||S^-1||_F <= 1e6 (every
+    # column of S has a unit entry, so ||S||_F >= 1) and T cannot overflow:
+    # the message below prints the exact kappa_2 of the SVD
+    s_inv, cond = invert_basis(es.scaled_vectors, "pseudo metric is nearly singular")
     with np.errstate(over="ignore", invalid="ignore"):
         t = herm_part(s_inv.conj().T[:, swap] @ s_inv)
     if not np.isfinite(t).all():

@@ -42,10 +42,9 @@ from .core import (
     Operator,
     eig_hermitian,
     ensure_operator,
-    spec_norm,
 )
 from .errors import DimensionMismatch
-from .quasihermitian import basis_condition, canonical_eigenbasis
+from .quasihermitian import canonical_eigenbasis, invert_basis
 
 __all__ = [
     "SpectralFamily",
@@ -181,12 +180,14 @@ def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -
 
     Raises :class:`ComplexSpectrum` or :class:`Defective` when no
     positive metric exists; warns :class:`IllConditionedWarning` when the
-    eigenvector basis is badly conditioned.
+    eigenvector basis is badly conditioned, which one SVD without vectors
+    decides only where ``||S||_F ||S^-1||_F`` exceeds the threshold
+    (:func:`~qherm.quasihermitian.invert_basis`).
     """
     es = canonical_eigenbasis(A, tol, "x_family")
     s = es.scaled_vectors
-    basis_condition(np.linalg.svd(s, compute_uv=False), "X family is ill-conditioned")
-    return XFamily(*_steps(es), s, _readonly(np.linalg.inv(s)))
+    s_inv, _ = invert_basis(s, "X family is ill-conditioned")
+    return XFamily(*_steps(es), s, _readonly(s_inv))
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,11 @@ def x_properties(
     ``lam -> <X(lam) xi, eta>`` bounded by ``||L xi|| ||R* eta||`` up to a
     relative margin ``tol``, which is ``||G^1/2 xi|| ||G^-1/2 eta||`` for
     the canonical metric ``G``, proportional to ``(S S*)^-1`` (its scale
-    cancels); (iv) ``<A xi, eta>`` equals the Stieltjes sum of the jumps.
+    cancels); (iv) ``<A xi, eta>`` equals the Stieltjes sum of the jumps,
+    relative to ``max(||A xi||, rho ||xi||) ||eta||`` with ``rho`` the largest
+    ``|threshold|``: the Cauchy-Schwarz bound of ``<A xi, eta>``, kept from
+    falling below the rounding of the sum where ``xi`` is near the kernel of
+    ``A``.  The scale is at most ``||A||_2 ||xi|| ||eta||`` and takes no SVD.
 
     Raises :class:`DimensionMismatch` when ``A`` or a sample vector does
     not match the dimension of ``XF``.
@@ -243,7 +248,6 @@ def x_properties(
     n = XF.right_vectors.shape[0]
     if A.dim != n or any(np.shape(v) != (n,) for pair in samples for v in pair):
         raise DimensionMismatch(f"operator or sample vector against a family of dim {n}")
-    a2 = spec_norm(A.matrix)
     xis = np.array([xi for xi, _ in samples], dtype=np.complex128).T
     etas = np.array([eta for _, eta in samples], dtype=np.complex128).T
     nx = np.linalg.norm(xis, axis=0)
@@ -258,8 +262,11 @@ def x_properties(
     variation = np.abs(values).sum(axis=0)
     bound = np.linalg.norm(lx, axis=0) * np.linalg.norm(rh, axis=0)
     stieltjes = XF.thresholds @ values
-    a_values = np.sum(etas.conj() * (A.matrix @ xis), axis=0)
-    recon = np.abs(a_values - stieltjes) / np.maximum(a2 * nx * ne, 1e-300)
+    a_xis = A.matrix @ xis
+    a_values = np.sum(etas.conj() * a_xis, axis=0)
+    rho = float(np.abs(XF.thresholds).max())
+    a_scale = np.maximum(np.linalg.norm(a_xis, axis=0), rho * nx)
+    recon = np.abs(a_values - stieltjes) / np.maximum(a_scale * ne, 1e-300)
     rows = tuple(
         XPropertySample(float(e), float(v), float(b), float(r))
         for e, v, b, r in zip(endpoint, variation, bound, recon)

@@ -414,18 +414,25 @@ def _dense_with(entry, index):
     return {"format": 1, "kind": "dense", "dim": 2, "entries": entries}
 
 
+_NOT_A_PAIR = "must be a [re, im] number pair"
+
+
 # each input passes the file-level checks, so only the per-entry check can
-# reject it; the message must name the same entry as before the bulk parse
+# reject it; the whole message, entry index included, is the one the
+# per-entry check gave before the bulk parse
 @pytest.mark.parametrize(
     "payload, message",
     [
-        pytest.param(_dense_with([True, 0], 1), "entry 1 must be", id="true-re"),
-        pytest.param(_dense_with([1.5, False], 2), "entry 2 must be", id="false-im"),
-        pytest.param(_dense_with(["1.5", 0], 3), "entry 3 must be", id="numeric-string"),
-        pytest.param(_dense_with([[1, 0], 0], 1), "entry 1 must be", id="nested-pair"),
-        pytest.param(_dense_with([1, 0, 0], 2), "entry 2 must be", id="triple"),
-        pytest.param(_dense_with(1.5, 3), "entry 3 must be", id="bare-number"),
-        pytest.param(_dense_with({"re": 1, "im": 0}, 1), "entry 1 must be", id="dict"),
+        pytest.param(_dense_with([True, 0], 1), f"entry 1 {_NOT_A_PAIR}", id="true-re"),
+        pytest.param(_dense_with([1.5, False], 2), f"entry 2 {_NOT_A_PAIR}", id="false-im"),
+        pytest.param(_dense_with(["1.5", 0], 3), f"entry 3 {_NOT_A_PAIR}", id="numeric-string"),
+        pytest.param(_dense_with([[1, 0], 0], 1), f"entry 1 {_NOT_A_PAIR}", id="nested-pair"),
+        pytest.param(_dense_with([1, 0, 0], 2), f"entry 2 {_NOT_A_PAIR}", id="triple"),
+        pytest.param(_dense_with(1.5, 3), f"entry 3 {_NOT_A_PAIR}", id="bare-number"),
+        pytest.param(_dense_with({"re": 1, "im": 0}, 1), f"entry 1 {_NOT_A_PAIR}", id="dict"),
+        pytest.param(_dense_with(True, 0), f"entry 0 {_NOT_A_PAIR}", id="bare-true"),
+        pytest.param(_dense_with(None, 2), f"entry 2 {_NOT_A_PAIR}", id="null"),
+        pytest.param(_dense_with("12", 1), f"entry 1 {_NOT_A_PAIR}", id="two-char-string"),
         pytest.param(
             _dense_with([0, 10**400], 2),
             "entry 2: int too large to convert to float",
@@ -436,7 +443,7 @@ def _dense_with(entry, index):
 def test_bulk_parse_rejections_name_the_entry(tmp_path, capsys, payload, message):
     path = _write(tmp_path, "bad.json", payload)
     assert main(["analyze", path]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def _upper_triangular(corner):

@@ -103,6 +103,7 @@ def test_batched_x_properties_matches_per_sample_loop(case):
     samples = _samples(rng(63), N, 8)
     rep = x_properties(xf, Operator(a), samples, TOL)
     a2 = np.linalg.norm(a, 2)
+    rho = np.abs(xf.thresholds).max()
     jumps = xf.jumps()
     for (xi, eta), row in zip(samples, rep.samples, strict=True):
         values = [np.vdot(eta, p @ xi) for p in jumps]
@@ -111,11 +112,15 @@ def test_batched_x_properties_matches_per_sample_loop(case):
         variation = sum(abs(v) for v in values)
         bound = np.linalg.norm(g0.G_half.matrix @ xi) * np.linalg.norm(g0.G_invhalf.matrix @ eta)
         stieltjes = sum(t * v for t, v in zip(xf.thresholds, values))
-        recon = abs(np.vdot(eta, a @ xi) - stieltjes) / (a2 * scale)
+        defect = abs(np.vdot(eta, a @ xi) - stieltjes)
+        a_scale = max(np.linalg.norm(a @ xi), rho * np.linalg.norm(xi))
+        recon = defect / (a_scale * np.linalg.norm(eta))
         assert row.endpoint_residual == pytest.approx(endpoint, rel=1e-6, abs=1e-14)
         assert row.total_variation == pytest.approx(variation, rel=1e-12)
         assert row.variation_bound == pytest.approx(bound, rel=1e-12)
         assert row.reconstruction_residual == pytest.approx(recon, rel=1e-6, abs=1e-14)
+        # the scale is at most ||A||_2 ||xi|| ||eta||, so the check is never looser
+        assert a_scale <= a2 * np.linalg.norm(xi) * (1 + 1e-12)
         assert row.total_variation <= row.variation_bound * (1 + TOL)
     assert rep.variation_violations == 0
     assert rep.passed

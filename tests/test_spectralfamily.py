@@ -120,6 +120,22 @@ def test_x_properties_worked_oracle():
     assert rep.passed
 
 
+def test_x_properties_passes_on_a_sample_in_the_kernel():
+    # for an eigenvector xi of the eigenvalue 0 both <A xi, eta> and the
+    # Stieltjes sum are rounding errors, the sum's of order eps rho ||xi||
+    # ||eta|| times the basis condition: scaled by ||A xi|| ||eta|| alone,
+    # itself a rounding error, the residual would be of order one
+    gen = rng(5)
+    for _ in range(20):
+        s = gen.standard_normal((6, 6))
+        a = (s * np.array([0.0, 0.7, 1.3, 2.0, 2.9, 3.5])) @ np.linalg.inv(s)
+        xf = x_family(Operator(a))
+        xi = xf.right_vectors[:, 0] + 0j
+        rep = x_properties(xf, Operator(a), [(xi, gen.standard_normal(6) + 0j)])
+        assert rep.passed
+        assert rep.max_reconstruction_residual <= 1e-12
+
+
 def test_x_properties_identity_metric():
     gen = rng(53)
     h = random_hermitian(gen, 8)
