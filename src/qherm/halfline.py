@@ -35,16 +35,16 @@ match ``tr H`` and ``tr H^2`` gives ``sigma(H)``; if none does, the report
 raises :class:`ConvergenceFailure`.  Each root keeps ``Im lambda``
 relative to ``b``, however small ``b`` is.  The report solves the small
 grids of a schedule in one pass: one Newton run takes the starts of each
-of them, and one commutator their bands joined, so numpy's cost per call
-is paid once per pass and not once per grid, and each row is, bit for
-bit, that of its grid alone.  Safeguarded Newton steps
-on the secular equation of ``G`` give the extremes of ``sigma(G)``, the
-same floats as bisection to the last bit, but ``min sigma(G)`` is
-``sigma_min(L)^2`` by inverse iteration where :data:`FLOOR_EPSILON`
-binds.  The commutator ``GH - H*G`` comes from its five bands and the
-Hermiticity residual of ``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed
-form.  No function here calls BLAS or LAPACK, so the report does not
-depend on the BLAS thread count.
+of them, so numpy's cost per call is paid once per pass and not once per
+grid, and each row is, bit for bit, that of its grid alone.  Safeguarded
+Newton steps on the secular equation of ``G`` give the extremes of
+``sigma(G)``, the same floats as bisection to the last bit, but
+``min sigma(G)`` is ``sigma_min(L)^2`` by inverse iteration where
+:data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` comes from the
+four entries where it can be nonzero, and the Hermiticity residual of
+``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed form.  No function here
+calls BLAS or LAPACK, so the report does not depend on the BLAS thread
+count.
 
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
@@ -67,13 +67,8 @@ _EPS = np.finfo(np.float64).eps
 # directly it adds in the same order and skips them
 _sum = partial(np.add.reduce, axis=None)
 
-# rows this close to either end are "boundary" for the interior residual;
-# the commutator of the two tridiagonal operators reaches two rows past a
-# perturbed entry, so three is one row of slack
-_BOUNDARY_MARGIN = 3
-
-# largest grid size: the report's peak traced memory is about 465 bytes
-# per grid point, 487 MB at n = 2**20
+# largest grid size: the report's peak traced memory is about 314 bytes
+# per grid point, 329 MB at n = 2**20
 MAX_GRID_SIZE = 2**20
 
 # the first grids of a schedule share a pass of samsonov_report up to this
@@ -96,7 +91,8 @@ _MAX_NEWTON_STEPS = 10
 _MAX_BOUND_STATE_STEPS = 50
 
 # slack for the non-increasing trend tests, absorbing rounding noise on
-# quantities that sit at machine level (the interior residual in particular)
+# quantities that sit at machine level (max |Im lambda(H)| for tiny b; the
+# interior residual is exactly 0)
 _TREND_FLOOR = 1e-13
 
 __all__ = [
@@ -145,11 +141,10 @@ class HalfLineSpec:
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
         # the report forms up to the eighth power of r = max(|d|, |b|, 1/h):
-        # the squared entries of the commutator GH - H*G, each below
-        # 150 r^4, summed over five bands of n rows, stay below
-        # 1.125e5 n r^8, which n <= 2**20 and r <= 1e37 keep under
-        # 1.2e307, short of overflow; r >= 1e-37 keeps r^8 a normal
-        # float, and the metric nonzero
+        # the squares of the four entries of the commutator GH - H*G that
+        # can be nonzero, each entry below 150 r^4, sum to below 9e4 r^8,
+        # which r <= 1e37 keeps under 1e301, short of overflow; r >= 1e-37
+        # keeps r^8 a normal float, and the metric nonzero
         scale = max(abs(self.d), abs(self.b), self.n / self.box_length)
         if not 1.0 / _SCALE_LIMIT <= scale <= _SCALE_LIMIT:
             raise InvalidSpec(
@@ -230,9 +225,10 @@ class SamsonovReport:
     ``(1, 0)`` and ``(n-1, n-1)``: away from the corner row both operators
     are Toeplitz tridiagonal, and the interior entries of ``GH`` and
     ``H*G`` are formed from the same operands; addition commutes and
-    conjugation is exact, so they agree to the bit.  So
-    ``residual_interior`` is exactly 0 and
-    ``interior_residual_nonincreasing`` holds by construction; it tests
+    conjugation is exact, so they agree to the bit.  The report forms only
+    those four entries, and ``residual_interior``, the commutator's norm
+    more than two rows from either end, is 0.0 by that structure:
+    ``interior_residual_nonincreasing`` holds by construction and tests
     nothing.
     """
 
@@ -272,19 +268,25 @@ def _sum_sq(a: np.ndarray) -> float:
     return float(_sum(a.real**2 + a.imag**2))
 
 
-def _commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """The five bands (offsets -2..2) of ``C = GH - H*G = M - M*``, ``M = GH``."""
-    n = gb.shape[0]
-    h_rows = np.zeros((n + 2, 3), dtype=np.complex128)
-    h_rows[1:-1] = hb
-    # M[i, i + s + u] collects G[i, i + s] H[i + s, i + s + u]; two zero
-    # rows pad M at either end
-    m = np.zeros((n + 4, 5), dtype=np.complex128)
-    for s in (-1, 0, 1):
-        m[2:-2, s + 1 : s + 4] += gb[:, s + 1, None] * h_rows[1 + s : n + 1 + s]
-    # M*[i, i + t] = conj(M[i + t, i]), band 2 - t of row i + t
-    adj = np.stack([m[2 + t : n + 2 + t, 2 - t] for t in range(-2, 3)], axis=1)
-    return m[2:-2] - adj.conj()
+def _commutator_sum_sq(gb: np.ndarray, hb: np.ndarray) -> float:
+    """``||GH - H*G||_F^2`` from the bands ``gb`` of ``G`` and ``hb`` of ``H``.
+
+    ``C = M - M*``, ``M = GH``, is nonzero only at ``(0, 0)``, ``(0, 1)``,
+    ``(1, 0)`` and ``(n-1, n-1)`` (see :class:`SamsonovReport`), so only
+    those entries of ``M`` are formed: each ``sum_k G[i, k] H[k, j]`` in
+    ascending ``k``, by numpy's array product (Python's complex product
+    rounds differently).  The squares of ``C`` sit in their band positions
+    of a zero ``(n, 5)`` array, so ``_sum`` adds them in the order it adds
+    the five bands of the whole commutator: the sum is that one's to the
+    bit.
+    """
+    rows = [0, 0, 1, -1]
+    m = (gb[rows, [1, 1, 0, 0]] * hb[[0, 0, 0, -2], [1, 2, 1, 2]]
+         + gb[rows, [2, 2, 1, 1]] * hb[[1, 1, 1, -1], [0, 1, 0, 1]])
+    c = m - m[[0, 2, 1, 3]].conj()
+    squares = np.zeros((gb.shape[0], 5))
+    squares[rows, [2, 3, 1, 2]] = c.real**2 + c.imag**2
+    return float(_sum(squares))
 
 
 def _secular(
@@ -739,14 +741,16 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
 
     Consecutive grids share a pass while it holds at most ``_PASS_POINTS``
     points, and a larger grid runs alone: the spectra of ``H`` of a pass
-    come from one run of Newton's method and its commutators from the bands
-    of its grids joined, so on small grids numpy's cost per call is paid
-    once per pass rather than per grid, and no pass holds more points than
-    the larger of ``_PASS_POINTS`` and the largest grid.  Each row's sums
-    run over its own grid alone and come out bit for bit as on that grid by
-    itself.  Each grid costs O(n) time and memory and forms no n x n matrix.  Raises
-    :class:`ConvergenceFailure`, naming the first grid in order, when no
-    start set of :func:`_start_sets` gives a certified spectrum of ``H``.
+    come from one run of Newton's method, so on small grids numpy's cost
+    per call is paid once per pass rather than per grid, and no pass holds
+    more points than the larger of ``_PASS_POINTS`` and the largest grid.
+    Everything else runs on each grid's own bands, and each row is bit for
+    bit that of its grid by itself.  The commutator ``GH - H*G`` is formed
+    at its four entries that can be nonzero, so ``residual_interior`` is
+    0.0.  Each grid costs O(n) time and memory and forms no n x n matrix.
+    Raises :class:`ConvergenceFailure`, naming the first grid in order,
+    when no start set of :func:`_start_sets` gives a certified spectrum of
+    ``H``.
     """
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(set(sizes)) != sizes:
@@ -759,19 +763,13 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     d2 = spec.d**2
     rows: list[SamsonovRow] = []
     for grids in [specs[:joined]] + [[grid] for grid in specs[joined:]]:
-        # entries outside each matrix are zero, so these are the bands of
-        # the block-diagonal H and G with one block per grid
-        bands = ((pair.h_bands, pair.g_bands) for pair in map(build_pair, grids))
-        hb, gb = map(np.concatenate, zip(*bands))
-        parts = [slice(end - g.n, end) for g, end in zip(grids, np.cumsum([g.n for g in grids]))]
-        max_ims = _max_im_eigenvalues(grids, [hb[part] for part in parts])
-        cb = _commutator_bands(gb, hb)
-        for grid, part, max_im in zip(grids, parts, max_ims):
+        pairs = [build_pair(grid) for grid in grids]
+        max_ims = _max_im_eigenvalues(grids, [pair.h_bands for pair in pairs])
+        for grid, pair, max_im in zip(grids, pairs, max_ims):
             min_eig, _ = _metric_extremes(grid)
-            denom = np.sqrt(_sum_sq(gb[part])) * np.sqrt(_sum_sq(hb[part])) + _TINY
-            residual_full = float(np.sqrt(_sum_sq(cb[part])) / denom)
-            interior = cb[part.start + _BOUNDARY_MARGIN : part.stop - _BOUNDARY_MARGIN]
-            residual_interior = float(np.sqrt(_sum_sq(interior)) / denom)
+            gb, hb = pair.g_bands, pair.h_bands
+            denom = np.sqrt(_sum_sq(gb)) * np.sqrt(_sum_sq(hb)) + _TINY
+            residual_full = float(np.sqrt(_commutator_sum_sq(gb, hb)) / denom)
             prev = rows[-1] if rows else None
             if prev is None or residual_full <= 0.0 or prev.residual_full <= 0.0:
                 order = float("nan")
@@ -779,7 +777,7 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
                 order = float(np.log(prev.residual_full / residual_full) / np.log(grid.n / prev.n))
             herm = _factor_herm_residual(grid)
             rows.append(SamsonovRow(grid.n, grid.spacing, min_eig, min_eig - d2, residual_full,
-                                    residual_interior, herm, max_im, order))
+                                    0.0, herm, max_im, order))
 
     interior_ok = _nonincreasing([r.residual_interior for r in rows], _TREND_FLOOR)
     max_im_ok = _nonincreasing([r.max_im_lambda_H for r in rows], _TREND_FLOOR)

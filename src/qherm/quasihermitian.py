@@ -141,7 +141,8 @@ def basis_condition(sig: np.ndarray, consequence: str, stacklevel: int = 3) -> f
     warning out.  The :class:`IllConditionedWarning` points ``stacklevel``
     frames up, by default at the caller's caller.
     """
-    cond = float(sig[0] / sig[-1]) if sig[-1] > 0 else float("inf")
+    # Python floats divide to inf where the quotient overflows, with no warning
+    cond = float(sig[0]) / float(sig[-1]) if sig[-1] > 0 else float("inf")
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"eigenvector basis condition {cond:.3e}; {consequence}",

@@ -7,8 +7,10 @@ cumulative projector as its own dense matrix, ``E(lam_k) = W_k W_k*`` and
 the reference the tests compare the factored families against.  It also
 keeps the dense half-line pair, ``H``, ``G = L* L`` and ``L`` by matrix
 products, the reference for the bands that ``halfline.build_pair`` writes
-in closed form; the dense per-grid computation of the half-line
-refinement study, the reference for its secular and banded kernels; the
+in closed form; the five bands of the commutator ``GH - H*G`` by a band
+product, the reference for the four entries the report forms; the dense
+per-grid computation of the half-line refinement study, the reference
+for its secular and banded kernels; the
 Aberth-Ehrlich sweeps on the secular equation of the half-line ``H``, an
 independent O(n^2) reference for the roots that Newton's method finds;
 and the bisection of the secular equation of the half-line ``G``, the
@@ -101,6 +103,28 @@ def dense_pair(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hmat, gmat, lmat
 
 
+def commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """The five bands (offsets -2..2) of ``C = GH - H*G = M - M*``, ``M = GH``,
+    from the ``(n, 3)`` bands of ``G`` and ``H``."""
+    n = gb.shape[0]
+    h_rows = np.zeros((n + 2, 3), dtype=np.complex128)
+    h_rows[1:-1] = hb
+    # M[i, i + s + u] collects G[i, i + s] H[i + s, i + s + u]; two zero
+    # rows pad M at either end
+    m = np.zeros((n + 4, 5), dtype=np.complex128)
+    for s in (-1, 0, 1):
+        m[2:-2, s + 1 : s + 4] += gb[:, s + 1, None] * h_rows[1 + s : n + 1 + s]
+    # M*[i, i + t] = conj(M[i + t, i]), band 2 - t of row i + t
+    adj = np.stack([m[2 + t : n + 2 + t, 2 - t] for t in range(-2, 3)], axis=1)
+    return m[2:-2] - adj.conj()
+
+
+# rows this close to either end are "boundary" for the interior residual;
+# the commutator of the two tridiagonal operators reaches two rows past a
+# perturbed entry, so three is one row of slack
+_BOUNDARY_MARGIN = 3
+
+
 def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     """The refinement rows of ``samsonov_report`` from dense n x n kernels.
 
@@ -113,12 +137,7 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     reference for the other fields only.
     """
     from qherm.core import fro, herm_part
-    from qherm.halfline import (
-        _BOUNDARY_MARGIN,
-        _TINY,
-        FLOOR_EPSILON,
-        SamsonovRow,
-    )
+    from qherm.halfline import _TINY, FLOOR_EPSILON, SamsonovRow
 
     def _spectrum(hmat: np.ndarray) -> np.ndarray:
         # the real LAPACK driver keeps an exactly-real spectrum exactly real

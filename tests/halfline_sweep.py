@@ -2,7 +2,8 @@
 and whether the extremes of ``sigma(G)`` are the bisection's.
 
 Run with ``PYTHONPATH=src python tests/halfline_sweep.py`` (the seeds are
-fixed).  Every grid runs through ``samsonov_report``, and
+fixed).  Every grid runs through ``samsonov_report``, alone or, in the
+``schedules`` family, in its schedule, and
 the script prints, per family of grids, how many took start set 1, 2 or 3
 of ``halfline._start_sets``, how many have a real Robin coefficient (no
 start set), and every grid that raised
@@ -26,10 +27,15 @@ of O(n) secular evaluations per grid.  The families:
   with ``n`` in [16, 500], ``h`` from 0.2 (``d = -1/h``, ``|d| <= 5``),
   ``|b| <= 5`` and ``r`` within 1e-12 to 1e-1 of 1 or from 0.01 up; at
   ``r = 1.1``, ``n = 30`` a root's Newton steps stay above four units in
-  the last place in every start set.
+  the last place in every start set;
+* ``schedules``: as ``random`` with 2 to 4 ascending sizes in [16, 3000]
+  per schedule, more than ``halfline._PASS_POINTS`` points in all, so that
+  the first grids share a pass and the last runs alone.
 
 ``--record PATH`` also writes one line per grid: its family, the grid
-``(d, b, L, n)``, the start set that certified it (or ``failed``) and
+``(d, b, L, n)`` (``(d, b, L, schedule, n)`` in ``schedules``), the start
+set that certified it (or ``failed``, for each grid of a schedule that
+raised) and
 every field of its report row in hex.  ``--compare PATH`` prints every
 grid whose line differs from the one in ``PATH``, a record written
 before, and exits 1 if any does; so a change that moves a grid to
@@ -49,7 +55,7 @@ import numpy as np
 
 from dense_oracle import bisected_metric_extremes
 from helpers import metric_extremes_counted, near_unit_beta, start_sets_taken
-from qherm import ConvergenceFailure, HalfLineSpec, samsonov_report
+from qherm import ConvergenceFailure, HalfLineSpec, halfline, samsonov_report
 
 
 def _random(gen, n_low=16, n_high=1600):
@@ -87,6 +93,12 @@ def _imaginary_beta(gen):
     return (-1.0 / h, b, h * n, n) if abs(b) <= 5.0 else None
 
 
+def _schedule(gen):
+    d, b, box, _ = _random(gen)
+    sizes = sorted({int(n) for n in gen.integers(16, 3001, int(gen.integers(2, 5)))})
+    return (d, b, box, sizes) if len(sizes) > 1 and sum(sizes) > halfline._PASS_POINTS else None
+
+
 FAMILIES = [
     ("random", 2026, 2500, _random),
     ("near-unit", 2027, 1000, _near_unit),
@@ -95,6 +107,7 @@ FAMILIES = [
     ("huge", 2031, 30, lambda gen: _random(gen, 8193, 262144)),
     ("tiny-b", 2030, 500, _tiny_b),
     ("imaginary-beta", 2032, 1000, _imaginary_beta),
+    ("schedules", 2033, 300, _schedule),
 ]
 
 
@@ -103,29 +116,39 @@ def _hex(value) -> str:
 
 
 def sweep(seed: int, count: int, draw) -> tuple[Counter, list, list, list, list]:
+    """Run ``count`` draws: a grid ``(d, b, L, n)`` or a schedule ``(d, b,
+    L, sizes)``, reported as a whole."""
     gen = np.random.default_rng(seed)
     taken, bad, mismatched, evaluations, records = Counter(), [], [], [], []
-    while len(evaluations) < count:
+    done = 0
+    while done < count:
         grid = draw(gen)
         if grid is None:
             continue
-        spec = HalfLineSpec(*(float(v) for v in grid[:3]), grid[3])
-        extremes, calls = metric_extremes_counted(spec)
-        evaluations.append(calls)
-        if [v.hex() for v in extremes] != [v.hex() for v in bisected_metric_extremes(spec)]:
-            mismatched.append(grid)
-        key = repr(tuple(float(v) for v in grid[:3]) + (int(grid[3]),))
+        done += 1
+        params = tuple(float(v) for v in grid[:3])
+        schedule = grid[3] if isinstance(grid[3], list) else [int(grid[3])]
+        spec = HalfLineSpec(*params, schedule[0])
+        for n in schedule:
+            extremes, calls = metric_extremes_counted(spec.with_n(n))
+            evaluations.append(calls)
+            if [v.hex() for v in extremes] != [v.hex() for v in bisected_metric_extremes(spec.with_n(n))]:
+                mismatched.append(params + (n,))
+        # a line is keyed by (d, b, L, n), or (d, b, L, schedule, n)
+        prefix = params if len(schedule) == 1 else params + (tuple(schedule),)
         try:
-            (start_set,) = start_sets_taken(spec, [spec.n]) or ["real c"]
-            row = samsonov_report(spec, [spec.n]).rows[0]
+            start_sets = start_sets_taken(spec, schedule) or ["real c"] * len(schedule)
+            rows = samsonov_report(spec, schedule).rows
         except ConvergenceFailure as exc:
             bad.append((grid, str(exc)))
-            records.append(f"{key}\tfailed")
+            records += [f"{prefix + (n,)!r}\tfailed" for n in schedule]
             continue
-        records.append("\t".join([key, str(start_set), *map(_hex, dataclasses.astuple(row))]))
-        if not math.isfinite(row.max_im_lambda_H):
-            bad.append((grid, f"max_im_lambda_H = {row.max_im_lambda_H}"))
-        taken[start_set] += 1
+        for start_set, row in zip(start_sets, rows):
+            records.append("\t".join([repr(prefix + (row.n,)), str(start_set),
+                                       *map(_hex, dataclasses.astuple(row))]))
+            if not math.isfinite(row.max_im_lambda_H):
+                bad.append((grid, f"max_im_lambda_H = {row.max_im_lambda_H} at n = {row.n}"))
+            taken[start_set] += 1
     return taken, bad, mismatched, evaluations, records
 
 
@@ -154,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         taken, bad, mismatched, evaluations, records = sweep(seed, count, draw)
         lines += [f"{name}\t{record}" for record in records]
         counts = ", ".join(f"set {k}: {v}" for k, v in sorted(taken.items(), key=str))
-        print(f"{name} (seed {seed}): {count} grids; {counts}; failed: {len(bad)}; "
+        print(f"{name} (seed {seed}): {count} draws, {len(evaluations)} grids; {counts}; "
+              f"failed: {len(bad)}; "
               f"{time.perf_counter() - start:.1f} s")
         for grid, reason in bad:
             print(f"  {grid}: {reason}")

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_pair
+from dense_oracle import commutator_bands, dense_pair
 from helpers import rng
 from qherm import (
     HalfLineSpec,
@@ -13,7 +15,7 @@ from qherm import (
     quasi_hermiticity_residual,
     samsonov_report,
 )
-from qherm.halfline import MAX_GRID_SIZE, _commutator_bands
+from qherm.halfline import _TINY, MAX_GRID_SIZE, _sum_sq
 
 _EPS = np.finfo(np.float64).eps
 
@@ -204,23 +206,52 @@ def test_refinement_study_frozen_oracle():
     box=st.floats(0.5, 100.0),
     n=st.integers(16, 3000),
 )
+# sizes at which numpy's pairwise sum of the (n, 5) band array groups the
+# four entries as (a + b) + (c + d), where a sum of four alone adds them in
+# turn; on these grids the two differ in the last bit
+@example(d=4.99, b=1.52, scale=1.0, box=23.8, n=16)
+@example(d=1.77, b=-4.39, scale=1.0, box=55.8, n=18)
+@example(d=2.07, b=-4.99, scale=1.0, box=50.6, n=21)
+@example(d=3.06, b=-1.84, scale=1.0, box=15.3, n=24)
+@example(d=-4.0, b=2.5, scale=1e30, box=25.0, n=26)
 def test_commutator_is_nonzero_only_at_the_corner_and_the_last_diagonal(d, b, scale, box, n):
     # away from the corner row both operators are Toeplitz tridiagonal, with
     # H real there and G's off-diagonals each other's conjugates, so the
     # interior entries of GH and H*G come from the same operands and agree
     # to the bit (addition commutes, conjugation is exact).  The entries left are
     # (0, 0), (0, 1), (1, 0) and (n-1, n-1), where the Dirichlet wall cuts
-    # G's last row; so residual_interior is exactly 0 on every grid
+    # G's last row; so residual_interior is exactly 0 on every grid, and the
+    # report, which forms those four entries alone, gives residual_full of
+    # the band reference to the bit
     try:
         spec = HalfLineSpec(scale * d, scale * b, box, n)
     except InvalidSpec:
         assume(False)
     pair = build_pair(spec)
-    bands = _commutator_bands(pair.g_bands, pair.h_bands)  # offsets -2..2
+    bands = commutator_bands(pair.g_bands, pair.h_bands)  # offsets -2..2
     allowed = np.zeros(bands.shape, dtype=bool)
     allowed[0, [2, 3]] = allowed[1, 1] = allowed[-1, 2] = True
     assert not bands[~allowed].any()
-    assert samsonov_report(spec, [n]).rows[0].residual_interior == 0.0
+    row = samsonov_report(spec, [n]).rows[0]
+    assert row.residual_interior == 0.0
+    denom = np.sqrt(_sum_sq(pair.g_bands)) * np.sqrt(_sum_sq(pair.h_bands)) + _TINY
+    assert row.residual_full.hex() == float(np.sqrt(_sum_sq(bands)) / denom).hex()
+
+
+def test_one_grid_peaks_below_400_bytes_per_point():
+    # the report holds the bands of H and G and the O(n) vectors of the
+    # Newton run and the secular equations, and forms no band product of
+    # the commutator: about 314 bytes per point
+    n = 65536
+    spec = HalfLineSpec(-1.0, 1.0, 40.0, n)
+    samsonov_report(spec, [16])
+    tracemalloc.start()
+    try:
+        samsonov_report(spec, [n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n, f"peak {peak / n:.0f} bytes per point"
 
 
 def test_control_run_all_residuals_zero():

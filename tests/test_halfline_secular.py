@@ -730,9 +730,10 @@ def _hex_fields(row) -> list[str]:
 # floor-binding grids
 @example(case=(HalfLineSpec(1.0, 0.5, 40.0, 64), [64, 128, 400]))
 def test_schedule_rows_are_the_one_grid_rows(case):
-    # one Newton run and one commutator over the joined grids give each
-    # row, bit for bit, the report of its grid alone; the order estimate
-    # is the log-ratio of those rows' full residuals
+    # one Newton run over the joined grids' starts gives each row, bit for
+    # bit, the report of its grid alone, as every other field comes from
+    # the grid's own bands; the order estimate is the log-ratio of those
+    # rows' full residuals
     spec, schedule = case
     alone = []
     for n in schedule:
