@@ -9,12 +9,13 @@ inverses.  At finite dimension the underlying spaces coincide as sets, so
 this module materializes the lattice purely as computable norms, together
 with verification of the projective-norm identity, the duality relation
 and the embedding chain.  The seven norms have one implementation, a
-block pass over the samples stacked as the columns of ``X`` that forms
-their eigen-coordinates ``Y = V* X`` and ``G X`` once each;
-:func:`lattice_norms` is its one-column call.  The verification runs one
-such pass and reuses its ``Y`` for every check, each an array expression
-over the samples: functions of ``G`` act on the eigen-coordinates and are
-never formed as n x n matrices.
+block pass over the samples, one ``(s, n)`` array read as the columns of
+``X``, that forms their eigen-coordinates ``Y = V* X`` and ``G X`` once
+each; :func:`lattice_norms` is its one-column call.  The verification
+runs one such pass and reuses its ``Y`` for every check, each an array
+expression over the samples that it reports as one array: functions of
+``G`` act on the eigen-coordinates and are never formed as n x n
+matrices.
 """
 
 from __future__ import annotations
@@ -157,25 +158,17 @@ class LatticeNorms:
     rginv: float
     rginv_inv: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.plain,
-            self.g,
-            self.g_inv,
-            self.rg,
-            self.rg_inv,
-            self.rginv,
-            self.rginv_inv,
-        )
 
-
-def _stacked(M: MetricOperator, vectors) -> np.ndarray:
-    """The vectors as the columns of an n x s array, each checked against ``M.dim``."""
-    columns = [np.asarray(xi, dtype=np.complex128) for xi in vectors]
-    for xi in columns:
-        if xi.shape != (M.dim,):
-            raise DimensionMismatch(f"vector of shape {xi.shape} against dim {M.dim}")
-    return np.stack(columns, axis=1)
+def _stacked(M: MetricOperator, samples) -> np.ndarray:
+    """The ``(s, n)`` samples, one per row, as the columns of an n x s array."""
+    try:
+        X = np.asarray(samples, dtype=np.complex128)
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatch(f"samples of different lengths against dim {M.dim}") from exc
+    if X.ndim != 2 or X.shape[1] != M.dim:
+        raise DimensionMismatch(f"samples of shape {X.shape} against dim {M.dim}")
+    # C order, so that the column norms sum each column in row order
+    return np.ascontiguousarray(X.T)
 
 
 def _rg_squared(M: MetricOperator, Z: np.ndarray) -> np.ndarray:
@@ -212,25 +205,24 @@ def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
     return LatticeNorms(*norms[:, 0].tolist())
 
 
-@dataclass(frozen=True)
-class LatticeSampleChecks:
-    """Per-sample residuals of the lattice verification."""
-
-    norms: LatticeNorms
-    projective_residual: float
-    duality_exact_residual: float
-    duality_sample_slack: float
-    unitarity_residual: float
-    chain_holds: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeReport:
-    """Outcome of :func:`verify_lattice` over a sample of vectors."""
+    """Outcome of :func:`verify_lattice` over a sample of vectors.
+
+    ``norms`` is the read-only 7 x s array of the seven norms of every
+    sample, row ``k`` field ``k`` of :class:`LatticeNorms` and column ``j``
+    sample ``j``.  The per-sample residuals and the chain verdicts are
+    read-only arrays with one entry per sample, in sample order.
+    """
 
     tol: float
     rescale_factor: float
-    samples: tuple[LatticeSampleChecks, ...]
+    norms: np.ndarray
+    projective_residuals: np.ndarray
+    duality_exact_residuals: np.ndarray
+    duality_sample_slacks: np.ndarray
+    unitarity_residuals: np.ndarray
+    chain_verdicts: np.ndarray
     max_projective_residual: float
     max_duality_residual: float
     max_unitarity_residual: float
@@ -240,10 +232,14 @@ class LatticeReport:
 
 def verify_lattice(
     M: MetricOperator,
-    samples: list[np.ndarray],
+    samples: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> LatticeReport:
     """Check the lattice relations on a nonempty sample of vectors.
+
+    ``samples`` is an ``(s, n)`` array-like, one sample per row (a list of
+    vectors is one); a shape other than ``(s, M.dim)``, rows of different
+    lengths included, raises :class:`DimensionMismatch`.
 
     Per sample: (a) the projective-norm identity, (b) the duality between
     the ``R_G``-norm and its inverse norm — the supremum is taken over the
@@ -252,17 +248,16 @@ def verify_lattice(
     ``R_G``-norm to the plain one, and (d) the embedding chain
     ``g <= plain <= g_inv`` after rescaling ``G`` to unit top eigenvalue.
 
-    Every sample's shape is checked before the samples are stacked as the
-    columns of ``X``; one block pass then forms ``Y = V* X`` and ``G X``
-    once and reads the seven norms of every sample off them.  For (c) and
-    the candidates of (b), ``R_G^1/2`` and ``R_G^-1`` act on the same
-    ``Y`` as ``V (f(w) Y)`` with ``f(w) = sqrt(1+w)`` and ``1/(1+w)``, so
-    no n x n function of ``G`` is formed.  The ratios
+    The samples are the columns of ``X``; one block pass forms ``Y = V* X``
+    and ``G X`` once and reads the seven norms of every sample off them.
+    For (c) and the candidates of (b), ``R_G^1/2`` and ``R_G^-1`` act on
+    the same ``Y`` as ``V (f(w) Y)`` with ``f(w) = sqrt(1+w)`` and
+    ``1/(1+w)``, so no n x n function of ``G`` is formed.  The ratios
     ``|<xi_j, xi_k>| / ||xi_k||_rg`` of (b) come from one s x s Gram block
     ``X* X``, and a candidate with zero ``R_G``-norm is skipped.  Every
     check is one array expression over the samples.
     """
-    if not samples:
+    if len(samples) == 0:
         raise ValueError("verify_lattice needs a nonempty sample list")
     X = _stacked(M, samples)
     norms, Y = _block_norms(M, X)
@@ -287,12 +282,12 @@ def verify_lattice(
     scale_root = float(np.sqrt(rescale))
     room = tol * np.maximum(plain, 1.0)
     chain = (g * scale_root <= plain + room) & (plain <= g_inv / scale_root + room)
-    checks = np.array([proj, dual, slack, unit_res]).T.tolist()
-    rows = tuple(
-        LatticeSampleChecks(LatticeNorms(*col), *row, holds)
-        for col, row, holds in zip(norms.T.tolist(), checks, chain.tolist())
-    )
+    per_sample = (norms, proj, dual, slack, unit_res, chain)
+    for a in per_sample:
+        a.setflags(write=False)
     max_proj, max_dual, max_unit = (float(r.max()) for r in (proj, dual, unit_res))
     chain_all = bool(chain.all())
     passed = max_proj <= tol and max_dual <= tol and max_unit <= tol and chain_all
-    return LatticeReport(tol, rescale, rows, max_proj, max_dual, max_unit, chain_all, passed)
+    return LatticeReport(
+        tol, rescale, *per_sample, max_proj, max_dual, max_unit, chain_all, passed
+    )

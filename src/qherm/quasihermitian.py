@@ -37,7 +37,6 @@ from .core import (
     EigenvalueCluster,
     Eigensystem,
     Operator,
-    adjoint,
     ensure_eigensystem,
     ensure_operator,
     fro,

@@ -4,7 +4,10 @@ At finite dimension a quasi-affine intertwiner (injective with dense
 range) is just a full-rank matrix, so the interesting information is its
 conditioning: the smallest singular value stands in for the norm of the
 possibly-unbounded inverse.  Reports therefore expose the full singular
-value profile rather than hiding it behind a boolean.
+value profile rather than hiding it behind a boolean.  Every verdict on
+an intertwiner is relative to its largest singular value, and the push of
+eigenvectors is judged against ``||B||_F``, so the verdicts read the
+same at any scale of the operands.
 
 Two classical facts about the unbounded setting have no content here and
 are deliberately untested: every matrix intertwiner is bounded (so a
@@ -161,22 +164,20 @@ def spectral_comparison(
     )
 
 
-@dataclass(frozen=True)
-class PushedEigenvector:
-    eigenvalue: complex
-    image_norm: float
-    residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class PushReport:
     """Where the intertwiner sends the eigenvectors of ``A``.
 
-    ``annihilated`` lists eigenpairs whose image under ``T`` is numerically
-    zero — possible only when quasi-affinity fails.
+    ``eigenvalues``, ``image_norms`` and ``residuals`` are read-only
+    arrays over the kept eigenpairs of ``A``, in the order of its
+    record.  ``annihilated`` lists the eigenpairs whose image under ``T``
+    is numerically zero, at most ``tol * ||T||_2`` — possible only when
+    quasi-affinity fails.
     """
 
-    rows: tuple[PushedEigenvector, ...]
+    eigenvalues: np.ndarray
+    image_norms: np.ndarray
+    residuals: np.ndarray
     annihilated: tuple[tuple[complex, float], ...]
     max_residual: float
     intertwiner: IntertwinerReport
@@ -192,14 +193,17 @@ def push_eigenvectors(
     """Check that ``T`` maps eigenvectors of ``A`` to eigenvectors of ``B``.
 
     Requires the intertwining residual to be below ``tol`` (else
-    :class:`IntertwiningViolated`, carrying the report on ``T``); per
-    surviving eigenpair the report records
-    ``||B(T xi) - lam (T xi)|| / ||T xi||``.  All images come from one
-    product ``T V`` with the eigenvector matrix ``V`` of ``A``, and the
-    residuals from one product with ``B``, column by column.  Image norms
-    and residuals are taken on the images and on ``B`` and ``lam`` scaled
-    by exact powers of two, so that they neither over- nor underflow.
-    ``A`` may be given as its :class:`Eigensystem`, which is then reused.
+    :class:`IntertwiningViolated`, carrying the report on ``T``).  The
+    image of a unit eigenvector is annihilated when its norm is at most
+    ``tol * ||T||_2``, the threshold of the rank of ``T``; per kept
+    eigenpair the report records ``||B(T xi) - lam (T xi)|| / ||T xi||``,
+    and the push passes when the largest of these is at most
+    ``tol * ||B||_F``.  All images come from one product ``T V`` with the
+    eigenvector matrix ``V`` of ``A``, and the residuals from one product
+    with ``B``, column by column.  Image norms and residuals are taken on
+    the images and on ``B`` and ``lam`` scaled by exact powers of two, so
+    that they neither over- nor underflow.  ``A`` may be given as its
+    :class:`Eigensystem`, which is then reused.
     """
     B, T = ensure_operator(B), ensure_operator(T)
     rep = verify_intertwining(A.operator if isinstance(A, Eigensystem) else A, B, T, tol)
@@ -214,15 +218,17 @@ def push_eigenvectors(
     y = ldexp(images, k)
     y_norms = np.linalg.norm(y, axis=0)
     norms = np.ldexp(y_norms, -k)
-    gone = norms <= tol * max(t2, 1.0)
+    gone = norms <= tol * t2
     lam, kept = es.eigenvalues[~gone], y[:, ~gone]
     kb = unit_exponent(B.matrix, lam)
     defect = np.linalg.norm(ldexp(B.matrix, kb) @ kept - ldexp(lam, kb) * kept, axis=0)
     res = np.ldexp(defect / y_norms[~gone], -kb)
-    rows = tuple(map(PushedEigenvector, lam.tolist(), norms[~gone].tolist(), res.tolist()))
+    kept_pairs = (lam, norms[~gone], res)
+    for a in kept_pairs:
+        a.setflags(write=False)
     annihilated = tuple(zip(es.eigenvalues[gone].tolist(), norms[gone].tolist()))
     max_res = float(res.max(initial=0.0))
-    return PushReport(rows, annihilated, max_res, rep, max_res <= tol)
+    return PushReport(*kept_pairs, annihilated, max_res, rep, max_res <= tol * fro(B.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +238,8 @@ class MutualReport:
     ``unitarily_equivalent`` is the finite-dimensional criterion for
     normal operators (equal eigenvalue multisets); ``None`` when either
     operator fails the normality test.  ``sigma_equal`` is asserted only
-    when both intertwiners have min singular value above tolerance.
+    when both intertwiners are quasi-affinities, of full numerical rank at
+    ``tol`` times their largest singular value; ``None`` otherwise.
     """
 
     intertwining_ab: IntertwinerReport
@@ -267,19 +274,12 @@ def mutual_qs_check(
     rep_ab = verify_intertwining(A, B, T_ab, tol)
     rep_ba = verify_intertwining(B, A, T_ba, tol)
     match = spectral_comparison(A, B, MATCH_TOL)
-    mutual = (
-        rep_ab.residual <= tol
-        and rep_ba.residual <= tol
-        and rep_ab.quasi_affinity
-        and rep_ba.quasi_affinity
-    )
+    quasi_affine = rep_ab.quasi_affinity and rep_ba.quasi_affinity
+    mutual = rep_ab.residual <= tol and rep_ba.residual <= tol and quasi_affine
     sigma_p_equal = match.total_with_equal_multiplicities
     both_normal = _is_normal(A.matrix, tol) and _is_normal(B.matrix, tol)
     unitary = sigma_p_equal if (both_normal and mutual) else None
-    if rep_ab.min_sv > tol and rep_ba.min_sv > tol:
-        sigma_equal = sigma_p_equal
-    else:
-        sigma_equal = None
+    sigma_equal = sigma_p_equal if quasi_affine else None
     passed = mutual and sigma_p_equal
     return MutualReport(
         rep_ab,

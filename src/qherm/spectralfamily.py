@@ -22,7 +22,8 @@ built in O(n^3) time by one eigensolver (and one inverse for ``X``).
 ``projectors`` / ``x_projectors`` tuples materialize
 O(#clusters * n^2) on each access.  Sampled values ``<P_k xi, eta>``
 for a stack of vector pairs come from ``jump_values`` in O(n^2) per
-pair, without forming any projector.
+pair, without forming any projector; ``x_properties`` reads its pairs as
+one ``(s, 2, n)`` array and reports one array entry per pair.
 
 At finite dimension the decomposition forces ``sigma(A) = sigma(K)``; for
 unbounded operators with an unbounded metric inverse that equality can
@@ -190,28 +191,25 @@ def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -
     return XFamily(*_steps(es), s, _readonly(s_inv))
 
 
-@dataclass(frozen=True)
-class XPropertySample:
-    endpoint_residual: float
-    total_variation: float
-    variation_bound: float
-    reconstruction_residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class XPropertiesReport:
     """Verification of the step-family properties on sampled vector pairs.
 
     Right-continuity is structural for step functions evaluated by the
     "largest threshold <= lam" convention, so it is reported as a
-    representation fact, not measured.  ``jump_values`` is the read-only
-    array of the ``<P_k xi_j, eta_j>`` the checks were computed from, one
-    row per threshold and one column per sample, as
+    representation fact, not measured.  The endpoint residuals, total
+    variations, variation bounds and reconstruction residuals are
+    read-only arrays with one entry per sample.  ``jump_values`` is the
+    read-only array of the ``<P_k xi_j, eta_j>`` the checks were computed
+    from, one row per threshold and one column per sample, as
     :meth:`XFamily.jump_values` returns it; its cumulative sum over rows
     is the path ``<X(lam_k) xi_j, eta_j>`` of each sample.
     """
 
-    samples: tuple[XPropertySample, ...]
+    endpoint_residuals: np.ndarray
+    total_variations: np.ndarray
+    variation_bounds: np.ndarray
+    reconstruction_residuals: np.ndarray
     max_endpoint_residual: float
     variation_violations: int
     max_reconstruction_residual: float
@@ -223,10 +221,13 @@ class XPropertiesReport:
 def x_properties(
     XF: XFamily,
     A: Operator | np.ndarray,
-    samples: list[tuple[np.ndarray, np.ndarray]],
+    samples: np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> XPropertiesReport:
     """Check the four step-family properties per sampled pair ``(xi, eta)``.
+
+    ``samples`` is an ``(s, 2, n)`` array-like of the pairs, ``xi`` then
+    ``eta`` (a list of pairs is one).
 
     (i) the path vanishes below the spectrum and reaches ``<xi, eta>`` at
     the top; (ii) right-continuity, structural; (iii) total variation of
@@ -239,17 +240,21 @@ def x_properties(
     falling below the rounding of the sum where ``xi`` is near the kernel of
     ``A``.  The scale is at most ``||A||_2 ||xi|| ||eta||`` and takes no SVD.
 
-    Raises :class:`DimensionMismatch` when ``A`` or a sample vector does
-    not match the dimension of ``XF``.
+    Raises :class:`DimensionMismatch` when ``A`` or the samples do not
+    match the dimension of ``XF``, sample vectors of different lengths
+    included.
     """
-    if not samples:
+    if len(samples) == 0:
         raise ValueError("x_properties needs a nonempty sample list")
     A = ensure_operator(A)
     n = XF.right_vectors.shape[0]
-    if A.dim != n or any(np.shape(v) != (n,) for pair in samples for v in pair):
-        raise DimensionMismatch(f"operator or sample vector against a family of dim {n}")
-    xis = np.array([xi for xi, _ in samples], dtype=np.complex128).T
-    etas = np.array([eta for _, eta in samples], dtype=np.complex128).T
+    try:
+        pairs = np.asarray(samples, dtype=np.complex128)
+    except ValueError as exc:  # vectors of different lengths
+        raise DimensionMismatch(f"sample vectors of different lengths against dim {n}") from exc
+    if A.dim != n or pairs.shape[1:] != (2, n):
+        raise DimensionMismatch(f"operator or samples of shape {pairs.shape} against dim {n}")
+    xis, etas = pairs[:, 0].T, pairs[:, 1].T
     nx = np.linalg.norm(xis, axis=0)
     ne = np.linalg.norm(etas, axis=0)
     scale = np.maximum(nx * ne, 1e-300)
@@ -267,16 +272,15 @@ def x_properties(
     rho = float(np.abs(XF.thresholds).max())
     a_scale = np.maximum(np.linalg.norm(a_xis, axis=0), rho * nx)
     recon = np.abs(a_values - stieltjes) / np.maximum(a_scale * ne, 1e-300)
-    rows = tuple(
-        XPropertySample(float(e), float(v), float(b), float(r))
-        for e, v, b, r in zip(endpoint, variation, bound, recon)
-    )
     max_endpoint = float(endpoint.max())
     # Cauchy-Schwarz is exact, so a relative margin is scale-free
     violations = int(np.count_nonzero(variation > bound * (1.0 + tol)))
     max_recon = float(recon.max())
     passed = max_endpoint <= tol and violations == 0 and max_recon <= tol
-    return XPropertiesReport(rows, max_endpoint, violations, max_recon, True, passed, values)
+    per_sample = map(_readonly, (endpoint, variation, bound, recon))
+    return XPropertiesReport(
+        *per_sample, max_endpoint, violations, max_recon, True, passed, values
+    )
 
 
 def scalar_type_decomposition(

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from dataclasses import astuple
+
 from qherm import (
     Eigensystem,
     IntertwiningViolated,
@@ -45,9 +47,9 @@ from qherm import (
     lattice_norms,
     verify_intertwining,
 )
-from qherm.core import _sorted_eig, herm_part, inner
-from qherm.lattice import LatticeReport, LatticeSampleChecks
-from qherm.quasisimilarity import PushedEigenvector, PushReport
+from qherm.core import _sorted_eig, fro, herm_part, inner
+from qherm.lattice import LatticeReport
+from qherm.quasisimilarity import PushReport
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
@@ -435,13 +437,16 @@ def loop_verify_lattice(M, samples, tol: float) -> LatticeReport:
             g_scaled <= norms.plain + slack_chain
             and norms.plain <= ginv_scaled + slack_chain
         )
-        rows.append(LatticeSampleChecks(norms, proj, dual_exact, slack, unit_res, chain))
-    max_proj = max(r.projective_residual for r in rows)
-    max_dual = max(r.duality_exact_residual for r in rows)
-    max_unit = max(r.unitarity_residual for r in rows)
-    chain_all = all(r.chain_holds for r in rows)
+        rows.append((proj, dual_exact, slack, unit_res, chain))
+    proj, dual, slack, unit_res, chain = (np.array(c) for c in zip(*rows))
+    max_proj, max_dual, max_unit = (float(c.max()) for c in (proj, dual, unit_res))
+    chain_all = bool(chain.all())
     passed = max_proj <= tol and max_dual <= tol and max_unit <= tol and chain_all
-    return LatticeReport(tol, rescale, tuple(rows), max_proj, max_dual, max_unit, chain_all, passed)
+    norms = np.array([astuple(n) for n in sample_norms]).T
+    return LatticeReport(
+        tol, rescale, norms, proj, dual, slack, unit_res, chain,
+        max_proj, max_dual, max_unit, chain_all, passed,
+    )
 
 
 def loop_push_eigenvectors(A, B, T, tol: float) -> PushReport:
@@ -454,15 +459,20 @@ def loop_push_eigenvectors(A, B, T, tol: float) -> PushReport:
         )
     es = ensure_eigensystem(A, tol)
     t2 = float(rep.singular_values[0]) if len(rep.singular_values) else 0.0
-    rows, annihilated = [], []
+    lams, norms, residuals, annihilated = [], [], [], []
     for k in range(es.dim):
         lam = es.eigenvalues[k]
         image = T.matrix @ es.right_vectors[:, k]
         norm = float(np.linalg.norm(image))
-        if norm <= tol * max(t2, 1.0):
+        if norm <= tol * t2:
             annihilated.append((complex(lam), norm))
             continue
         res = float(np.linalg.norm(B.matrix @ image - lam * image)) / norm
-        rows.append(PushedEigenvector(complex(lam), norm, res))
-    max_res = max((r.residual for r in rows), default=0.0)
-    return PushReport(tuple(rows), tuple(annihilated), max_res, rep, max_res <= tol)
+        lams.append(complex(lam))
+        norms.append(norm)
+        residuals.append(res)
+    max_res = max(residuals, default=0.0)
+    return PushReport(
+        np.array(lams, dtype=np.complex128), np.array(norms), np.array(residuals),
+        tuple(annihilated), max_res, rep, max_res <= tol * fro(B.matrix),
+    )

@@ -695,6 +695,21 @@ def test_a_wrong_metric_is_refused_at_every_scale(tmp_path, capsys, s):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("s", [1e-200, 1.0, 1e160])
+def test_qsim_push_is_scale_free(tmp_path, capsys, s):
+    # s I intertwines s [[1, 2], [0, 3]] with itself: the push keeps both
+    # eigenvectors and passes at every scale
+    a, _, t = (
+        _write(tmp_path, name, payload)
+        for name, payload in zip(("a.json", "a_adj.json", "t.json"), _scaled_pair(s))
+    )
+    out = str(tmp_path / "r.json")
+    assert main(["qsim", a, a, t, "--json-out", out]) == 0
+    push = json.loads(open(out).read())["push"]
+    assert push["annihilated"] == [] and push["passed"] is True
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n", [64.5, True])
 def test_samsonov_spec_n_must_be_an_integer(tmp_path, capsys, n):
     spec = {"format": 1, "kind": "samsonov", "d": -1.0, "b": 1.0, "box_length": 40.0, "n": n}

@@ -105,7 +105,15 @@ def test_batched_x_properties_matches_per_sample_loop(case):
     a2 = np.linalg.norm(a, 2)
     rho = np.abs(xf.thresholds).max()
     jumps = xf.jumps()
-    for (xi, eta), row in zip(samples, rep.samples, strict=True):
+    per_sample = zip(
+        rep.endpoint_residuals,
+        rep.total_variations,
+        rep.variation_bounds,
+        rep.reconstruction_residuals,
+        strict=True,
+    )
+    for (xi, eta), row in zip(samples, per_sample, strict=True):
+        got_endpoint, got_variation, got_bound, got_recon = row
         values = [np.vdot(eta, p @ xi) for p in jumps]
         scale = np.linalg.norm(xi) * np.linalg.norm(eta)
         endpoint = abs(sum(values) - np.vdot(eta, xi)) / scale
@@ -115,13 +123,13 @@ def test_batched_x_properties_matches_per_sample_loop(case):
         defect = abs(np.vdot(eta, a @ xi) - stieltjes)
         a_scale = max(np.linalg.norm(a @ xi), rho * np.linalg.norm(xi))
         recon = defect / (a_scale * np.linalg.norm(eta))
-        assert row.endpoint_residual == pytest.approx(endpoint, rel=1e-6, abs=1e-14)
-        assert row.total_variation == pytest.approx(variation, rel=1e-12)
-        assert row.variation_bound == pytest.approx(bound, rel=1e-12)
-        assert row.reconstruction_residual == pytest.approx(recon, rel=1e-6, abs=1e-14)
+        assert got_endpoint == pytest.approx(endpoint, rel=1e-6, abs=1e-14)
+        assert got_variation == pytest.approx(variation, rel=1e-12)
+        assert got_bound == pytest.approx(bound, rel=1e-12)
+        assert got_recon == pytest.approx(recon, rel=1e-6, abs=1e-14)
         # the scale is at most ||A||_2 ||xi|| ||eta||, so the check is never looser
         assert a_scale <= a2 * np.linalg.norm(xi) * (1 + 1e-12)
-        assert row.total_variation <= row.variation_bound * (1 + TOL)
+        assert got_variation <= got_bound * (1 + TOL)
     assert rep.variation_violations == 0
     assert rep.passed
 
@@ -161,8 +169,8 @@ def test_variation_bound_is_the_canonical_metric_bound(case):
         g0.G_invhalf.matrix @ etas, axis=0
     )
     assert np.abs(got / want - 1.0).max() <= 1e-12
-    rows = x_properties(xf, Operator(a), pairs, TOL).samples
-    assert [row.variation_bound for row in rows] == pytest.approx(list(want), rel=1e-12)
+    bounds = x_properties(xf, Operator(a), pairs, TOL).variation_bounds
+    assert list(bounds) == pytest.approx(list(want), rel=1e-12)
 
 
 def test_x_family_memory_is_quadratic():

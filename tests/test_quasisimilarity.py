@@ -178,7 +178,7 @@ def test_push_eigenvectors_annihilation():
 
 def _pushed_values(rep):
     """The eigenvalues of the kept and of the annihilated eigenvectors, in order, in hex."""
-    return _hex([[r.eigenvalue for r in rep.rows], [lam for lam, _ in rep.annihilated]])
+    return _hex([rep.eigenvalues.tolist(), [lam for lam, _ in rep.annihilated]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 40])
@@ -204,10 +204,9 @@ def test_push_eigenvectors_is_the_eigenvector_loop(n):
         assert got.passed == ref.passed
         assert _hex([got.intertwiner.singular_values]) == _hex([ref.intertwiner.singular_values])
         t_norm, b_norm = np.linalg.norm(t), np.linalg.norm(b)
-        for x, y in zip(got.rows, ref.rows):
-            assert abs(x.image_norm - y.image_norm) <= 4 * eps * t_norm
-            scale = (b_norm + abs(y.eigenvalue)) * t_norm / y.image_norm
-            assert abs(x.residual - y.residual) <= 4 * eps * scale
+        assert np.abs(got.image_norms - ref.image_norms).max() <= 4 * eps * t_norm
+        scale = (b_norm + np.abs(ref.eigenvalues)) * t_norm / ref.image_norms
+        assert np.all(np.abs(got.residuals - ref.residuals) <= 4 * eps * scale)
         for (_, x), (_, y) in zip(got.annihilated, ref.annihilated):
             assert abs(x - y) <= 4 * eps * t_norm
 
@@ -321,18 +320,29 @@ def test_intertwining_residual_is_scale_free(s):
     assert verify_intertwining(s * A_WORKED, s * A_WORKED.T, s * G_WORKED).residual <= 1e-15
 
 
-@pytest.mark.parametrize("s", [1e-200, 1e200])
+@pytest.mark.parametrize("s", [1e-200, 1e-12, 1e200])
 def test_mutual_qs_check_at_scale_is_the_unit_scale_report(s):
-    # ||A||_F^2 and A A* overflow or underflow; the normality test must not
+    # ||A||_F^2 and A A* overflow or underflow, and the smallest singular
+    # value of s T or of T^-1 / s leaves the unit scale; the normality test
+    # and the quasi-affinity behind sigma_equal must not
     a = np.array([[1.0, 2.0], [0.0, 3.0]])
-    eye = np.eye(2)
+    t = np.array([[2.0, 1.0], [1.0, 1.0]])
+    t_inv = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
     def verdicts(rep):
-        return rep.mutual, rep.sigma_p_equal, rep.both_normal, rep.unitarily_equivalent, rep.passed
+        return (
+            rep.mutual,
+            rep.sigma_p_equal,
+            rep.both_normal,
+            rep.unitarily_equivalent,
+            rep.sigma_equal,
+            rep.passed,
+        )
 
-    assert verdicts(mutual_qs_check(s * a, s * a, eye, eye)) == verdicts(
-        mutual_qs_check(a, a, eye, eye)
-    )
+    for b, t_ab, t_ba in ((a, np.eye(2), np.eye(2)), (t @ a @ t_inv, t, t_inv)):
+        unit = verdicts(mutual_qs_check(a, b, t_ab, t_ba))
+        assert unit[0] and unit[4]
+        assert verdicts(mutual_qs_check(s * a, s * b, s * t_ab, t_ba / s)) == unit
     u = random_unitary(rng(80), 3)
     normal = u @ np.diag([1.0, 2.0j, -1.0]) @ u.conj().T
     assert mutual_qs_check(s * normal, s * normal, np.eye(3), np.eye(3)).both_normal
@@ -344,6 +354,21 @@ def test_push_eigenvectors_at_scale_reports_finite_numbers(s):
     # of A must come out with image norm s and a finite residual
     a = np.array([[1.0, 2.0], [0.0, 3.0]])
     rep = push_eigenvectors(s * a, s * a, s * np.eye(2))
-    norms = [r.image_norm for r in rep.rows] + [norm for _, norm in rep.annihilated]
-    assert norms == pytest.approx([s, s], rel=1e-15, abs=0.0)
-    assert all(np.isfinite(r.residual) for r in rep.rows)
+    assert not rep.annihilated
+    assert list(rep.image_norms) == pytest.approx([s, s], rel=1e-15, abs=0.0)
+    assert np.isfinite(rep.residuals).all()
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-12, 1e160, 1e200])
+def test_push_eigenvectors_verdict_is_scale_free(s):
+    # an image is annihilated at tol ||T||_2 and the residuals, which grow
+    # with B, are judged at tol ||B||_F: the scaled push is the unit one
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    d = np.diag([1.0, 2.0])
+    for args in ((a, a, np.eye(2)), (d, d, np.diag([1.0, 0.0]))):
+        unit = push_eigenvectors(*args)
+        rep = push_eigenvectors(*(s * m for m in args))
+        assert rep.passed and unit.passed
+        assert list(rep.eigenvalues / s) == pytest.approx(list(unit.eigenvalues), rel=1e-15)
+        gone = [lam / s for lam, _ in rep.annihilated]
+        assert gone == pytest.approx([lam for lam, _ in unit.annihilated], rel=1e-15)

@@ -108,14 +108,13 @@ def test_x_properties_worked_oracle():
     xf = x_family(Operator(A_WORKED))
     e1 = np.array([1.0, 0.0])
     rep = x_properties(xf, Operator(A_WORKED), [(e1, e1)])
-    row = rep.samples[0]
     # V = 1 <= ||G^1/2 e1|| * ||G^-1/2 e1|| = 1 * sqrt(2) for the canonical
     # metric, proportional to G_WORKED (the scale cancels)
-    assert row.total_variation == pytest.approx(1.0, abs=1e-12)
-    assert row.variation_bound == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert rep.total_variations[0] == pytest.approx(1.0, abs=1e-12)
+    assert rep.variation_bounds[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert rep.variation_violations == 0
     # <A e1, e1> = 1 = 1*<X1 e1,e1> + 2*<(I - X1) e1, e1>
-    assert row.reconstruction_residual <= 1e-12
+    assert rep.reconstruction_residuals[0] <= 1e-12
     assert rep.right_continuous
     assert rep.passed
 
