@@ -47,8 +47,6 @@ from .lattice import (
     g_inner,
     lattice_norms,
     make_metric,
-    riesz_operator,
-    sqrt_pd,
     verify_lattice,
 )
 from .quasihermitian import (
@@ -75,10 +73,8 @@ from .quasisimilarity import (
     verify_intertwining,
 )
 from .spectralfamily import (
-    SpectralFamily,
     XFamily,
     XPropertiesReport,
-    scalar_type_decomposition,
     spectral_family,
     x_family,
     x_properties,

@@ -540,7 +540,6 @@ def cmd_samsonov(args) -> tuple[int, dict]:
         print(
             f"n={row.n:5d} min_eig_G={row.min_eig_G:.9f} "
             f"residual_full={row.residual_full:.3e} "
-            f"residual_interior={row.residual_interior:.3e} "
             f"max_im={row.max_im_lambda_H:.3e}"
         )
     print(f"verdict: {'pass' if rep.passed else 'fail'}")
@@ -552,7 +551,6 @@ def cmd_samsonov(args) -> tuple[int, dict]:
         "box_length": spec.box_length,
         "floor_epsilon": rep.floor_epsilon,
         "d_squared": rep.d_squared,
-        "interior_residual_nonincreasing": rep.interior_residual_nonincreasing,
         "max_im_nonincreasing": rep.max_im_nonincreasing,
         "gap_monotone": rep.gap_monotone,
         "passed": rep.passed,

@@ -1,21 +1,23 @@
 """Metric operators, their square roots, and the seven-norm lattice they generate.
 
 A metric operator is a Hermitian positive-definite ``G``, held with its
-eigendecomposition; ``G^1/2`` and ``G^-1/2`` are reassembled from it on
-first read, and :func:`sqrt_pd` is such a read.  Around one ``G`` live
-seven inner products: the plain one, the ``G`` and ``G^-1`` ones, and the
-four built from the Riesz operators ``I + G`` and ``I + G^-1`` and their
-inverses.  At finite dimension the underlying spaces coincide as sets, so
-this module materializes the lattice purely as computable norms, together
-with verification of the projective-norm identity, the duality relation
-and the embedding chain.  The seven norms have one implementation, a
-block pass over the samples, one ``(s, n)`` array read as the columns of
-``X``, that forms their eigen-coordinates ``Y = V* X`` and ``G X`` once
-each; :func:`lattice_norms` is its one-column call.  The verification
-runs one such pass and reuses its ``Y`` for every check, each an array
-expression over the samples that it reports as one array: functions of
-``G`` act on the eigen-coordinates and are never formed as n x n
-matrices.
+eigendecomposition by :func:`make_metric`; ``G^1/2`` and ``G^-1/2`` are
+its ``G_half`` and ``G_invhalf``, reassembled from it on first read.
+Around one ``G`` live seven inner products: the plain one, the ``G`` and
+``G^-1`` ones, and the four built from the Riesz operators
+``R_G = I + G`` and ``I + G^-1`` and their inverses.  At finite dimension
+the underlying spaces coincide as sets, so this module materializes the
+lattice purely as computable norms, together with verification of the
+projective-norm identity, the duality relation and the embedding chain.
+No Riesz operator is formed as a matrix.  The seven norms have one
+implementation, a block pass over the samples, one ``(s, n)`` array read
+as the columns of ``X``, that forms their eigen-coordinates ``Y = V* X``
+and ``G X`` once each; :func:`lattice_norms` is its one-column call.  The
+``R_G`` norms ``rg`` and ``rg_inv`` come from that pass, and the maximizer
+``R_G^-1 xi`` of their duality from :func:`verify_lattice`, which runs one
+such pass and reuses its ``Y`` for every check, each an array expression
+over the samples that it reports as one array: functions of ``G`` act on
+the eigen-coordinates and are never formed as n x n matrices.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ __all__ = [
     "LatticeNorms",
     "LatticeReport",
     "make_metric",
-    "sqrt_pd",
     "g_inner",
-    "riesz_operator",
     "lattice_norms",
     "verify_lattice",
 ]
@@ -120,16 +120,6 @@ def make_metric(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricOpe
     return MetricOperator(es.operator, w, es.right_vectors)
 
 
-def sqrt_pd(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> tuple[Operator, Operator]:
-    """Positive-definite square root and its inverse, ``(G^1/2, G^-1/2)``.
-
-    Both results are Hermitian positive definite; built by spectral
-    reassembly so they commute with ``G`` exactly up to rounding.
-    """
-    M = make_metric(G, tol)
-    return M.G_half, M.G_invhalf
-
-
 def g_inner(M: MetricOperator, xi: np.ndarray, eta: np.ndarray) -> complex:
     """The ``G``-inner product ``<G xi, eta>``, linear in ``xi``."""
     xi = np.asarray(xi, dtype=np.complex128)
@@ -139,11 +129,6 @@ def g_inner(M: MetricOperator, xi: np.ndarray, eta: np.ndarray) -> complex:
             f"vectors of shape {xi.shape}, {eta.shape} against dim {M.dim}"
         )
     return inner(M.G.matrix @ xi, eta)
-
-
-def riesz_operator(M: MetricOperator) -> Operator:
-    """The Riesz operator ``I + G``; itself a metric with eig_min >= 1."""
-    return Operator(np.eye(M.dim) + M.G.matrix, "riesz")
 
 
 @dataclass(frozen=True)

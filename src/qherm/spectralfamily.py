@@ -1,29 +1,33 @@
 """Spectral families and non-orthogonal resolutions of the identity.
 
-For a Hermitian ``K`` the cumulative orthogonal projectors ``E(lam)``
-form the usual spectral family.  For a quasi-Hermitian ``A`` with metric
-``G`` the conjugated family ``X(lam) = G^-1/2 E(lam) G^1/2`` of the
-transform ``K = G^1/2 A G^-1/2`` is an increasing family of oblique
-idempotents whose jumps decompose ``A`` as a spectral operator of scalar
-type.  At finite dimension ``X(lam)`` is the cumulative Riesz projector
-of ``A`` (Kato, *Perturbation Theory for Linear Operators*, I.5), the same
-for every admissible metric.  Families are finite step functions:
-evaluation at ``lam`` returns the largest accumulated projector with
-threshold at most ``lam``, which makes right-continuity a representation
-invariant rather than a numerical claim.
+For a quasi-Hermitian ``A`` with metric ``G`` the conjugated family
+``X(lam) = G^-1/2 E(lam) G^1/2``, where ``E(lam)`` is the spectral family
+of the transform ``K = G^1/2 A G^-1/2``, is an increasing family of
+oblique idempotents whose jumps decompose ``A`` as a spectral operator of
+scalar type: ``A = sum lam_k P_k`` over the ``thresholds`` ``lam_k`` and
+the ``jumps()`` ``P_k`` of :class:`XFamily`.  At finite dimension
+``X(lam)`` is the cumulative Riesz projector of ``A`` (Kato,
+*Perturbation Theory for Linear Operators*, I.5), the same for every
+admissible metric.  The Hermitian spectral family ``E(lam)`` is the case
+``G = I``, and :func:`spectral_family` returns it as an :class:`XFamily`
+whose factors are an orthonormal eigenbasis and its adjoint.  Families
+are finite step functions: evaluation at ``lam`` returns the largest
+accumulated projector with threshold at most ``lam``, which makes
+right-continuity a representation invariant rather than a numerical
+claim.
 
-Both families are stored factored.  With ``e_k`` the end of eigenvalue
-cluster ``k``, ``E(lam_k) = W[:, :e_k] W[:, :e_k]*`` for the orthonormal
-eigenbasis ``W`` of ``K`` and ``X(lam_k) = S[:, :e_k] S^-1[:e_k, :]`` for
-the scaled eigenvector matrix ``S`` of ``A``: thresholds, ends ``e_k``
-and two n x n blocks ``R``, ``L`` with ``L R = I``, so O(n^2) memory,
-built in O(n^3) time by one eigensolver (and one inverse for ``X``).
-``evaluate`` costs one n x e_k x n product; ``jumps()`` and the
-``projectors`` / ``x_projectors`` tuples materialize
-O(#clusters * n^2) on each access.  Sampled values ``<P_k xi, eta>``
-for a stack of vector pairs come from ``jump_values`` in O(n^2) per
-pair, without forming any projector; ``x_properties`` reads its pairs as
-one ``(s, 2, n)`` array and reports one array entry per pair.
+A family is stored factored.  With ``e_k`` the end of eigenvalue cluster
+``k``, ``X(lam_k) = S[:, :e_k] S^-1[:e_k, :]`` for the scaled eigenvector
+matrix ``S`` of ``A`` (``E(lam_k) = W[:, :e_k] W[:, :e_k]*`` for the
+orthonormal eigenbasis ``W`` of a Hermitian ``H``): thresholds, ends
+``e_k`` and two n x n blocks ``R``, ``L`` with ``L R = I``, so O(n^2)
+memory, built in O(n^3) time by one eigensolver (and one inverse for
+``X``).  ``evaluate`` costs one n x e_k x n product; ``jumps()`` and the
+``x_projectors`` tuple materialize O(#clusters * n^2) on each access.
+Sampled values ``<P_k xi, eta>`` for a stack of vector pairs come from
+``jump_values`` in O(n^2) per pair, without forming any projector;
+``x_properties`` reads its pairs as one ``(s, 2, n)`` array and reports
+one array entry per pair.
 
 At finite dimension the decomposition forces ``sigma(A) = sigma(K)``; for
 unbounded operators with an unbounded metric inverse that equality can
@@ -48,13 +52,11 @@ from .errors import DimensionMismatch
 from .quasihermitian import canonical_eigenbasis, invert_basis
 
 __all__ = [
-    "SpectralFamily",
     "XFamily",
     "XPropertiesReport",
     "spectral_family",
     "x_family",
     "x_properties",
-    "scalar_type_decomposition",
 ]
 
 
@@ -64,14 +66,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _FactoredFamily:
-    """Step family ``F(lam_k) = R[:, :e_k] @ L[:e_k, :]`` held by its factors.
+class XFamily:
+    """The step family ``X(lam_k) = R[:, :e_k] @ L[:e_k, :]`` held by its factors.
 
-    ``thresholds`` ascend, ``ends`` are the cumulative cluster ends
-    ``e_k`` (the last equals the dimension) and ``right_vectors`` ``R`` /
-    ``left_vectors`` ``L`` are n x n with ``L @ R = I``: column ``i`` of
-    ``R`` and row ``i`` of ``L`` are the right and left eigenvectors of
-    the ``i``-th eigenvalue in ascending order.
+    Cumulative, idempotent, generally non-Hermitian; the top member is
+    the identity.  ``thresholds`` ascend, ``ends`` are the cumulative
+    cluster ends ``e_k`` (the last equals the dimension) and
+    ``right_vectors`` ``R`` / ``left_vectors`` ``L`` are n x n with
+    ``L @ R = I``: column ``i`` of ``R`` and row ``i`` of ``L`` are the
+    right and left eigenvectors of the ``i``-th eigenvalue in ascending
+    order.  From :func:`x_family`, ``R`` is the canonically scaled
+    eigenvector matrix ``S`` of the operator and ``L`` its inverse; from
+    :func:`spectral_family`, ``R`` is an orthonormal eigenbasis ``W`` and
+    ``L = W*``, so the members are the orthogonal projectors ``E(lam_k)``.
     """
 
     thresholds: np.ndarray
@@ -92,13 +99,19 @@ class _FactoredFamily:
         return self.right_vectors[:, :end] @ self.left_vectors[:end, :]
 
     def jumps(self) -> list[np.ndarray]:
-        """The idempotent jump projectors ``F_k - F_{k-1}``, one per cluster."""
+        """The idempotent jumps ``P_k = X(lam_k) - X(lam_{k-1})``, one per cluster.
+
+        With :attr:`thresholds` they are the scalar-type decomposition
+        ``A = sum lam_k P_k`` into mutually annihilating idempotents.
+        """
         return [
             self.right_vectors[:, s:e] @ self.left_vectors[s:e, :]
             for s, e in zip(self._starts(), self.ends)
         ]
 
-    def _members(self) -> tuple[Operator, ...]:
+    @property
+    def x_projectors(self) -> tuple[Operator, ...]:
+        """The cumulative projectors ``X(lam_k)``, built on each access."""
         return tuple(Operator(m) for m in accumulate(self.jumps()))
 
     def _coordinates(self, xis: np.ndarray, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,44 +127,9 @@ class _FactoredFamily:
 
         ``xis`` and ``etas`` stack the samples as columns (n x s); the
         result has one row per threshold.  Its cumulative sum over rows is
-        the path ``<F(lam_k) xi_j, eta_j>``.
+        the path ``<X(lam_k) xi_j, eta_j>``.
         """
         return self._jump_sums(*self._coordinates(xis, etas))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralFamily(_FactoredFamily):
-    """Cumulative orthogonal projectors at distinct eigenvalue thresholds.
-
-    ``right_vectors`` is the orthonormal eigenbasis ``W`` and
-    ``left_vectors`` its adjoint ``W*``.
-    """
-
-    @property
-    def projectors(self) -> tuple[Operator, ...]:
-        """The cumulative projectors ``E(lam_k)``, built on each access."""
-        return self._members()
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """The rank ``e_k`` of each cumulative projector."""
-        return tuple(int(e) for e in self.ends)
-
-
-@dataclass(frozen=True, eq=False)
-class XFamily(_FactoredFamily):
-    """The conjugated family ``X(lam) = G^-1/2 E(lam) G^1/2``.
-
-    Cumulative, idempotent, generally non-Hermitian; the top member is
-    the identity.  ``right_vectors`` is the canonically scaled
-    eigenvector matrix ``S`` of the operator and ``left_vectors`` its
-    inverse.
-    """
-
-    @property
-    def x_projectors(self) -> tuple[Operator, ...]:
-        """The cumulative oblique projectors ``X(lam_k)``, built on each access."""
-        return self._members()
 
 
 def _steps(es: Eigensystem) -> tuple[np.ndarray, np.ndarray]:
@@ -161,15 +139,17 @@ def _steps(es: Eigensystem) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(thresholds), _readonly(ends)
 
 
-def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> SpectralFamily:
-    """Self-adjoint spectral family of a Hermitian operator.
+def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> XFamily:
+    """Self-adjoint spectral family ``E(lam)`` of a Hermitian operator.
 
-    Thresholds are the means of the clusters of ``eig_hermitian(H, tol)``
-    and projectors accumulate the eigenspaces.
+    The ``G = I`` case of :func:`x_family`: thresholds are the means of
+    the clusters of ``eig_hermitian(H, tol)``, the factors are its
+    orthonormal eigenbasis ``W`` and ``W*``, and the members ``x_projectors``
+    accumulate the eigenspaces, of ranks ``ends``.
     """
     es = eig_hermitian(H, tol)
     W = es.right_vectors
-    return SpectralFamily(*_steps(es), _readonly(W), _readonly(W.conj().T))
+    return XFamily(*_steps(es), _readonly(W), _readonly(W.conj().T))
 
 
 def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -> XFamily:
@@ -281,15 +261,3 @@ def x_properties(
     return XPropertiesReport(
         *per_sample, max_endpoint, violations, max_recon, True, passed, values
     )
-
-
-def scalar_type_decomposition(
-    A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL
-) -> list[tuple[float, Operator]]:
-    """Decompose ``A = sum lam_k P_k`` with mutually annihilating idempotents.
-
-    The ``P_k`` are the jumps of the X family: oblique projectors, each
-    similar to an orthogonal one (rank preserved by the conjugation).
-    """
-    XF = x_family(A, tol)
-    return [(float(t), Operator(p)) for t, p in zip(XF.thresholds, XF.jumps())]

@@ -121,12 +121,6 @@ def commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
     return m[2:-2] - adj.conj()
 
 
-# rows this close to either end are "boundary" for the interior residual;
-# the commutator of the two tridiagonal operators reaches two rows past a
-# perturbed entry, so three is one row of slack
-_BOUNDARY_MARGIN = 3
-
-
 def dense_samsonov_rows(spec, schedule: list[int]) -> list:
     """The refinement rows of ``samsonov_report`` from dense n x n kernels.
 
@@ -162,8 +156,6 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
         commutator = gmat @ hmat - hmat.conj().T @ gmat
         denom = fro(gmat) * fro(hmat) + _TINY
         residual_full = fro(commutator) / denom
-        interior = commutator[_BOUNDARY_MARGIN : n - _BOUNDARY_MARGIN, :]
-        residual_interior = fro(interior) / denom
 
         w_floored = np.maximum(w_g, FLOOR_EPSILON * float(w_g[-1]))
         g_half = (v_g * np.sqrt(w_floored)) @ v_g.conj().T
@@ -189,7 +181,6 @@ def dense_samsonov_rows(spec, schedule: list[int]) -> list:
             min_eig,
             gap,
             residual_full,
-            residual_interior,
             herm_res,
             max_im,
             order,

@@ -39,7 +39,10 @@ raised) and
 every field of its report row in hex.  ``--compare PATH`` prints every
 grid whose line differs from the one in ``PATH``, a record written
 before, and exits 1 if any does; so a change that moves a grid to
-another start set or changes one bit of its row shows by name.
+another start set or changes one bit of its row shows by name.  A line
+holds ``dataclasses.astuple`` of the row, so only records of the same
+``SamsonovRow`` fields compare: a record written while the row still had
+its ``residual_interior`` field (one field more) differs on every grid.
 """
 
 from __future__ import annotations

@@ -231,7 +231,7 @@ def test_samsonov_command(tmp_path, capsys):
     assert code == 0
     lines = open(csv_out).read().strip().splitlines()
     assert lines[0] == (
-        "n,h,min_eig_G,gap_to_d2,residual_full,residual_interior,"
+        "n,h,min_eig_G,gap_to_d2,residual_full,"
         "herm_residual_h,max_im_lambda_H,order_estimates"
     )
     assert len(lines) == 3

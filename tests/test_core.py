@@ -18,7 +18,7 @@ from qherm import (
     cluster_eigenvalues,
     eig_general,
     eig_hermitian,
-    sqrt_pd,
+    make_metric,
 )
 from qherm.core import fro, herm_residual, nearest_partner
 from dense_oracle import conjugate_pairing
@@ -130,17 +130,21 @@ def test_eig_general_unit_columns_and_residual():
 
 
 def test_sqrt_pd_examples():
-    half, invhalf = sqrt_pd(Operator(np.diag([4.0, 0.25])))
+    # the positive-definite square root and its inverse, G^1/2 and G^-1/2
+    m = make_metric(Operator(np.diag([4.0, 0.25])))
+    half, invhalf = m.G_half, m.G_invhalf
     assert np.allclose(half.matrix, np.diag([2.0, 0.5]), atol=1e-15)
     assert np.allclose(invhalf.matrix, np.diag([0.5, 2.0]), atol=1e-15)
 
-    half, invhalf = sqrt_pd(Operator.identity(3))
+    m = make_metric(Operator.identity(3))
+    half, invhalf = m.G_half, m.G_invhalf
     assert np.allclose(half.matrix, np.eye(3), atol=0)
     assert np.allclose(invhalf.matrix, np.eye(3), atol=0)
 
     # Cayley-Hamilton oracle: G^2 = 3G - I, hence G^1/2 = (I + G)/sqrt(5)
     g = np.array([[1.0, -1.0], [-1.0, 2.0]])
-    half, invhalf = sqrt_pd(Operator(g))
+    m = make_metric(Operator(g))
+    half, invhalf = m.G_half, m.G_invhalf
     assert np.abs(half.matrix - (np.eye(2) + g) / SQRT5).max() <= 1e-14
     assert np.linalg.norm(half.matrix @ half.matrix - g, "fro") <= 1e-12
     assert np.abs(half.matrix @ invhalf.matrix - np.eye(2)).max() <= 1e-14
@@ -148,9 +152,9 @@ def test_sqrt_pd_examples():
 
 def test_sqrt_pd_errors():
     with pytest.raises(NotHermitian):
-        sqrt_pd(Operator([[0, 1], [0, 0]]))
+        make_metric(Operator([[0, 1], [0, 0]]))
     with pytest.raises(NotPositiveDefinite) as info:
-        sqrt_pd(Operator([[1, 1], [1, 1]]))
+        make_metric(Operator([[1, 1], [1, 1]]))
     assert abs(info.value.min_eigenvalue) <= 1e-12
 
 
@@ -178,7 +182,8 @@ def test_random_pd_sqrt_invariants():
     for _ in range(10):
         n = int(gen.integers(2, 65))
         g = random_pd(gen, n)
-        half, invhalf = sqrt_pd(Operator(g))
+        m = make_metric(Operator(g))
+        half, invhalf = m.G_half, m.G_invhalf
         gf = np.linalg.norm(g, "fro")
         assert np.linalg.norm(half.matrix @ half.matrix - g, "fro") <= 1e-10 * gf
         comm = half.matrix @ g - g @ half.matrix

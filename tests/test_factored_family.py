@@ -88,8 +88,8 @@ def test_factored_families_match_dense_oracle(case):
     ef = spectral_family(Operator(0.5 * (k + k.conj().T)))
     e_thresholds, projectors, ranks = dense_spectral_family(k, TOL)
     assert np.array_equal(ef.thresholds, e_thresholds)
-    assert ef.ranks == tuple(ranks)
-    for got, want in zip(ef.projectors, projectors, strict=True):
+    assert ef.ends.tolist() == ranks
+    for got, want in zip(ef.x_projectors, projectors, strict=True):
         assert _max_diff(got.matrix, want) <= TOL
     for lam in probes:
         assert _max_diff(ef.evaluate(float(lam)), dense_evaluate(e_thresholds, projectors, lam)) <= TOL

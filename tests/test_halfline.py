@@ -192,8 +192,6 @@ def test_refinement_study_frozen_oracle():
     assert fulls[0] > fulls[1] > fulls[2]
     assert rows[1].order_estimate == pytest.approx(2.0, abs=0.25)
     assert rows[2].order_estimate == pytest.approx(2.0, abs=0.25)
-    # interior rows of the commutator vanish identically for this stencil
-    assert max(r.residual_interior for r in rows) <= 1e-14
     ims = [r.max_im_lambda_H for r in rows]
     assert ims[0] >= ims[1] >= ims[2]
 
@@ -220,9 +218,9 @@ def test_commutator_is_nonzero_only_at_the_corner_and_the_last_diagonal(d, b, sc
     # interior entries of GH and H*G come from the same operands and agree
     # to the bit (addition commutes, conjugation is exact).  The entries left are
     # (0, 0), (0, 1), (1, 0) and (n-1, n-1), where the Dirichlet wall cuts
-    # G's last row; so residual_interior is exactly 0 on every grid, and the
-    # report, which forms those four entries alone, gives residual_full of
-    # the band reference to the bit
+    # G's last row; so the band reference is exactly 0 off them on every
+    # grid, and the report, which forms those four entries alone, gives
+    # residual_full of the band reference to the bit
     try:
         spec = HalfLineSpec(scale * d, scale * b, box, n)
     except InvalidSpec:
@@ -233,7 +231,6 @@ def test_commutator_is_nonzero_only_at_the_corner_and_the_last_diagonal(d, b, sc
     allowed[0, [2, 3]] = allowed[1, 1] = allowed[-1, 2] = True
     assert not bands[~allowed].any()
     row = samsonov_report(spec, [n]).rows[0]
-    assert row.residual_interior == 0.0
     denom = np.sqrt(_sum_sq(pair.g_bands)) * np.sqrt(_sum_sq(pair.h_bands)) + _TINY
     assert row.residual_full.hex() == float(np.sqrt(_sum_sq(bands)) / denom).hex()
 
@@ -259,7 +256,6 @@ def test_control_run_all_residuals_zero():
     assert rep.passed
     for row in rep.rows:
         assert row.residual_full <= 1e-12
-        assert row.residual_interior <= 1e-12
         assert row.herm_residual_h <= 1e-12
         assert row.max_im_lambda_H <= 1e-12
 

@@ -58,7 +58,7 @@ from qherm import (
     x_properties,
 )
 from qherm import halfline
-from qherm.spectralfamily import _FactoredFamily
+from qherm.spectralfamily import XFamily
 from qherm.cli import main
 from test_golden import run_case
 
@@ -229,13 +229,13 @@ def test_analyze_takes_no_svd_of_the_pseudo_metric_basis(monkeypatch, capsys):
 def test_spectral_takes_the_sample_coordinates_once(monkeypatch, tmp_path, name):
     # the CSV paths are the cumulative sums of the jump values x_properties keeps
     calls = [0]
-    original = _FactoredFamily._coordinates
+    original = XFamily._coordinates
 
     def counted(self, xis, etas):
         calls[0] += 1
         return original(self, xis, etas)
 
-    monkeypatch.setattr(_FactoredFamily, "_coordinates", counted)
+    monkeypatch.setattr(XFamily, "_coordinates", counted)
     assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
     assert calls[0] == 1
 

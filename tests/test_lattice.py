@@ -11,7 +11,6 @@ from qherm import (
     g_inner,
     lattice_norms,
     make_metric,
-    riesz_operator,
     verify_lattice,
 )
 from dense_oracle import loop_verify_lattice
@@ -69,16 +68,6 @@ def test_g_inner_properties():
     # equals the half-transformed plain inner product
     half = m.G_half.matrix
     assert g_inner(m, xi, eta) == pytest.approx(np.vdot(half @ eta, half @ xi))
-
-
-def test_riesz_operator_examples():
-    assert np.allclose(
-        riesz_operator(MetricOperator.identity(2)).matrix, 2 * np.eye(2), atol=0
-    )
-    m = make_metric(Operator(np.diag([4.0, 0.25])))
-    assert np.allclose(riesz_operator(m).matrix, np.diag([5.0, 1.25]), atol=0)
-    m = make_metric(Operator(G_WORKED))
-    assert np.allclose(riesz_operator(m).matrix, [[2, -1], [-1, 3]], atol=0)
 
 
 def test_lattice_norms_diagonal_example():

@@ -10,7 +10,6 @@ from qherm import (
     Operator,
     cluster_eigenvalues,
     eig_general,
-    scalar_type_decomposition,
     spectral_family,
     x_family,
     x_properties,
@@ -25,17 +24,17 @@ X1_WORKED = np.array([[1.0, -1.0], [0.0, 0.0]])
 def test_spectral_family_examples():
     ef = spectral_family(Operator(np.diag([1.0, 2.0])))
     assert np.allclose(ef.thresholds, [1.0, 2.0], atol=0)
-    assert np.allclose(ef.projectors[0].matrix, np.diag([1.0, 0.0]), atol=0)
-    assert np.allclose(ef.projectors[1].matrix, np.eye(2), atol=1e-15)
-    assert ef.ranks == (1, 2)
+    assert np.allclose(ef.x_projectors[0].matrix, np.diag([1.0, 0.0]), atol=0)
+    assert np.allclose(ef.x_projectors[1].matrix, np.eye(2), atol=1e-15)
+    assert ef.ends.tolist() == [1, 2]
 
     ef = spectral_family(Operator([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(ef.thresholds, [-1.0, 1.0], atol=1e-14)
-    assert np.abs(ef.projectors[0].matrix - 0.5 * np.array([[1, -1], [-1, 1]])).max() <= 1e-14
+    assert np.abs(ef.x_projectors[0].matrix - 0.5 * np.array([[1, -1], [-1, 1]])).max() <= 1e-14
 
     ef = spectral_family(Operator.identity(3))
     assert len(ef.thresholds) == 1
-    assert np.allclose(ef.projectors[0].matrix, np.eye(3), atol=0)
+    assert np.allclose(ef.x_projectors[0].matrix, np.eye(3), atol=0)
 
     with pytest.raises(NotHermitian):
         spectral_family(Operator(A_WORKED))
@@ -48,7 +47,7 @@ def test_spectral_family_structure():
     # cumulative, commuting, reconstructing
     prev = np.zeros((12, 12), dtype=complex)
     recon = np.zeros((12, 12), dtype=complex)
-    for t, p in zip(ef.thresholds, ef.projectors):
+    for t, p in zip(ef.thresholds, ef.x_projectors):
         e = p.matrix
         assert np.linalg.norm(e @ e - e, "fro") <= 1e-12
         assert np.linalg.norm(e @ prev - prev, "fro") <= 1e-12  # E_k E_j = E_min
@@ -63,7 +62,7 @@ def test_x_family_hermitian_reduces_to_spectral():
     h = random_hermitian(gen, 6)
     xf = x_family(Operator(h))
     ef = spectral_family(Operator(h))
-    for xp, ep in zip(xf.x_projectors, ef.projectors):
+    for xp, ep in zip(xf.x_projectors, ef.x_projectors):
         assert np.abs(xp.matrix - ep.matrix).max() <= 1e-12
 
 
@@ -152,24 +151,24 @@ def test_x_properties_identity_metric():
 
 
 def test_scalar_type_decomposition_worked():
-    dec = scalar_type_decomposition(Operator(A_WORKED))
-    (lam1, p1), (lam2, p2) = dec
+    # A = sum lam_k P_k over the thresholds and jumps of the X family
+    xf = x_family(Operator(A_WORKED))
+    (lam1, lam2), (p1, p2) = xf.thresholds, xf.jumps()
     assert lam1 == pytest.approx(1.0, abs=1e-12)
     assert lam2 == pytest.approx(2.0, abs=1e-12)
-    assert np.abs(p1.matrix - X1_WORKED).max() <= 1e-12
-    assert np.abs(p2.matrix - np.array([[0.0, 1.0], [0.0, 1.0]])).max() <= 1e-12
-    assert np.abs(p1.matrix + p2.matrix - np.eye(2)).max() <= 1e-12
-    assert np.abs(p1.matrix @ p2.matrix).max() <= 1e-12
-    recon = lam1 * p1.matrix + lam2 * p2.matrix
+    assert np.abs(p1 - X1_WORKED).max() <= 1e-12
+    assert np.abs(p2 - np.array([[0.0, 1.0], [0.0, 1.0]])).max() <= 1e-12
+    assert np.abs(p1 + p2 - np.eye(2)).max() <= 1e-12
+    assert np.abs(p1 @ p2).max() <= 1e-12
+    recon = lam1 * p1 + lam2 * p2
     assert np.abs(recon - A_WORKED).max() <= 1e-12
 
 
 def test_scalar_type_decomposition_scalar_input():
-    dec = scalar_type_decomposition(Operator(3.0 * np.eye(4)))
-    assert len(dec) == 1
-    lam, p = dec[0]
-    assert lam == pytest.approx(3.0)
-    assert np.allclose(p.matrix, np.eye(4), atol=1e-14)
+    xf = x_family(Operator(3.0 * np.eye(4)))
+    assert len(xf.thresholds) == len(xf.jumps()) == 1
+    assert xf.thresholds[0] == pytest.approx(3.0)
+    assert np.allclose(xf.jumps()[0], np.eye(4), atol=1e-14)
 
 
 def test_random_pairs_properties_and_idempotence():
@@ -222,8 +221,11 @@ def test_thresholds_shared_with_decomposition():
     gen = rng(56)
     a, _ = manufactured_quasi_hermitian(gen, 10)
     xf = x_family(Operator(a), 1e-8)
-    dec = scalar_type_decomposition(Operator(a), 1e-8)
-    assert np.allclose([lam for lam, _ in dec], xf.thresholds, atol=0)
+    # one jump per threshold, and A = sum lam_k P_k
+    jumps = xf.jumps()
+    assert len(jumps) == len(xf.thresholds)
+    recon = sum(lam * p for lam, p in zip(xf.thresholds, jumps))
+    assert np.linalg.norm(recon - a, "fro") <= 1e-8 * np.linalg.norm(a, "fro")
 
 
 def test_jump_projectors_preserve_rank():
