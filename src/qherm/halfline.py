@@ -22,8 +22,9 @@ The continuum facts to track under grid refinement: ``min sigma(G)`` is
 real, so the discrete ``max |Im lambda(H)|`` must shrink with ``n``.
 
 :func:`build_pair` writes the three diagonals of ``H`` and ``G`` in
-closed form; the refinement study works on them and on ``L``, forms no
-n x n matrix and costs O(n) time and memory per grid.
+closed form.  The refinement study reads no bands: each number it reports
+is a closed form in ``(c, h, n)`` or the root of an O(n) equation, so it
+forms no n x n matrix and costs O(n) time and memory per grid.
 ``H`` and ``G`` are rank-one corner updates of Toeplitz tridiagonals with
 closed-form eigenpairs (Golub 1973).  Newton's method finds each root of
 the characteristic equation of ``H`` from up to three sets of starts: the
@@ -40,11 +41,11 @@ grid, and each row is, bit for bit, that of its grid alone.  Safeguarded
 Newton steps on the secular equation of ``G`` give the extremes of
 ``sigma(G)``, the same floats as bisection to the last bit, but
 ``min sigma(G)`` is ``sigma_min(L)^2`` by inverse iteration where
-:data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` comes from the
-four entries where it can be nonzero, and the Hermiticity residual of
-``G^1/2 H G^-1/2`` from ``L H L^-1`` in closed form.  No function here
-calls BLAS or LAPACK, so the report does not depend on the BLAS thread
-count.
+:data:`FLOOR_EPSILON` binds.  The commutator ``GH - H*G`` is nonzero at
+four entries only, so its residual is a closed form, and so is the
+Hermiticity residual of ``G^1/2 H G^-1/2``, from ``L H L^-1``.  No
+function here calls BLAS or LAPACK, so the report does not depend on the
+BLAS thread count.
 
 One could instead take ``G^-1`` (bounded, with unbounded inverse) as the
 metric; it has no closed form, so this module does not represent it.
@@ -67,8 +68,8 @@ _EPS = np.finfo(np.float64).eps
 # directly it adds in the same order and skips them
 _sum = partial(np.add.reduce, axis=None)
 
-# largest grid size: the report's peak traced memory is about 314 bytes
-# per grid point, 329 MB at n = 2**20
+# largest grid size: the report's peak traced memory is about 218 bytes
+# per grid point, 229 MB at n = 2**20
 MAX_GRID_SIZE = 2**20
 
 # the first grids of a schedule share a pass of samsonov_report up to this
@@ -139,11 +140,13 @@ class HalfLineSpec:
             )
         if int(self.n) != self.n or self.n < 16:
             raise InvalidSpec(f"need at least 16 grid points, got {self.n}")
-        # the report forms up to the eighth power of r = max(|d|, |b|, 1/h):
-        # the squares of the four entries of the commutator GH - H*G that
-        # can be nonzero, each entry below 150 r^4, sum to below 9e4 r^8,
-        # which r <= 1e37 keeps under 1e301, short of overflow; r >= 1e-37
-        # keeps r^8 a normal float, and the metric nonzero
+        # the report forms up to about n r^4, r = max(|d|, |b|, 1/h): in
+        # tr H^2 = (s - c/h)^2 + 6 (n-1) s^2, s = h^-2, in the sum of the
+        # squared roots of H and in the sums of squares of the Hermiticity
+        # residual, each below 100 n r^4, which r <= 1e37 keeps under 1e157;
+        # the commutator's residual is a function of hc alone (see
+        # _relation_residual).  r >= 1e-37 keeps r^4 a normal float, and the
+        # metric nonzero
         scale = max(abs(self.d), abs(self.b), self.n / self.box_length)
         if not 1.0 / _SCALE_LIMIT <= scale <= _SCALE_LIMIT:
             raise InvalidSpec(
@@ -223,11 +226,12 @@ class SamsonovReport:
     metric-relation residual ``residual_full`` and its order estimate are
     reported per grid and do not enter the verdict.  The commutator
     ``GH - H*G`` is nonzero only at the entries ``(0, 0)``, ``(0, 1)``,
-    ``(1, 0)`` and ``(n-1, n-1)``: away from the corner row both operators
-    are Toeplitz tridiagonal, and the interior entries of ``GH`` and
-    ``H*G`` are formed from the same operands; addition commutes and
-    conjugation is exact, so they agree to the bit.  The report forms only
-    those four entries.
+    ``(1, 0)`` and ``(n-1, n-1)``: away from the corner and the last row
+    ``G`` is Hermitian and ``H`` real symmetric, both Toeplitz tridiagonal,
+    so ``GH`` is Hermitian there, and the Robin corner and the Dirichlet
+    wall, which cuts ``G``'s last row, leave those four entries.  So
+    ``residual_full`` is a closed form in ``(c, h, n)``
+    (:func:`_relation_residual`).
     """
 
     spec: HalfLineSpec
@@ -260,29 +264,39 @@ def _nonincreasing(values: list[float], floor: float) -> bool:
     return all(b <= a + floor for a, b in zip(values, values[1:]))
 
 
-def _sum_sq(a: np.ndarray) -> float:
-    return float(_sum(a.real**2 + a.imag**2))
+def _relation_residual(grid: HalfLineSpec) -> float:
+    """``||GH - H*G||_F / (||G||_F ||H||_F)`` in closed form.
 
+    With ``s = h^-2``, ``t = hc = x + iy`` and ``m = |1 - t|^2``, the
+    commutator ``C = GH - H*G`` has the nonzero entries (see
+    :class:`SamsonovReport`)::
 
-def _commutator_sum_sq(gb: np.ndarray, hb: np.ndarray) -> float:
-    """``||GH - H*G||_F^2`` from the bands ``gb`` of ``G`` and ``hb`` of ``H``.
+        C[0, 0] = 2i (b/h)(2d/h - |c|^2) = 2i s^2 y (2x - |t|^2),
+        C[0, 1] = -conj(C[1, 0]) = s conj(c)^2 = s^2 conj(t)^2,
+        C[n-1, n-1] = -2i s b/h = -2i s^2 y,
 
-    ``C = M - M*``, ``M = GH``, is nonzero only at ``(0, 0)``, ``(0, 1)``,
-    ``(1, 0)`` and ``(n-1, n-1)`` (see :class:`SamsonovReport`), so only
-    those entries of ``M`` are formed: each ``sum_k G[i, k] H[k, j]`` in
-    ascending ``k``, by numpy's array product (Python's complex product
-    rounds differently).  The squares of ``C`` sit in their band positions
-    of a zero ``(n, 5)`` array, so ``_sum`` adds them in the order it adds
-    the five bands of the whole commutator: the sum is that one's to the
-    bit.
+    and with ``a = c - 1/h``, so ``|a|^2 = s m``, the norms are::
+
+        ||H||_F^2 = |s - c/h|^2 + 6 (n-1) s^2 = s^2 (m + 6 (n-1)),
+        ||G||_F^2 = |a|^4 + (n-1) ((|a|^2 + s)^2 + 2 |a|^2 s)
+                  = s^2 (m^2 + (n-1) ((m + 1)^2 + 2m)).
+
+    The ratio is that of the brackets, a function of ``t`` and ``n``
+    alone.  ``2x - |t|^2`` cancels only where ``|t| <= 2``, and each norm
+    is ``math.hypot`` of nonnegative terms, which forms no square that
+    could underflow, so the ratio keeps its relative accuracy wherever it
+    is a normal float (and ``|t|^2`` is finite, ``|t|`` below about
+    1e154): nothing of size ``s^2`` cancels, as the entries of ``GH`` and
+    ``H*G`` do.
     """
-    rows = [0, 0, 1, -1]
-    m = (gb[rows, [1, 1, 0, 0]] * hb[[0, 0, 0, -2], [1, 2, 1, 2]]
-         + gb[rows, [2, 2, 1, 1]] * hb[[1, 1, 1, -1], [0, 1, 0, 1]])
-    c = m - m[[0, 2, 1, 3]].conj()
-    squares = np.zeros((gb.shape[0], 5))
-    squares[rows, [2, 3, 1, 2]] = c.real**2 + c.imag**2
-    return float(_sum(squares))
+    n, t = grid.n, grid.spacing * grid.robin_coefficient
+    x, y = t.real, t.imag
+    modulus_sq = x * x + y * y
+    one_minus = 1.0 - x
+    m = one_minus * one_minus + y * y
+    commutator = math.hypot(2.0 * y * (2.0 * x - modulus_sq), modulus_sq, modulus_sq, 2.0 * y)
+    g_norm = math.hypot(m, math.sqrt(n - 1) * (m + 1.0), math.sqrt(2.0 * (n - 1) * m))
+    return commutator / (g_norm * math.sqrt(m + 6.0 * (n - 1)))
 
 
 def _secular(
@@ -667,24 +681,28 @@ def _start_sets(n: int, hc: complex):
     yield none, starts
 
 
-def _certified(roots: np.ndarray, hb: np.ndarray) -> bool:
-    """Whether ``roots`` pass for ``sigma(H)``: ``sum lam = tr H`` and
-    ``sum lam^2 = tr H^2`` to ``n`` units in the last place of
-    ``sum |lam|`` and ``sum |lam|^2``."""
-    moduli = np.abs(roots)
-    trace = _sum(hb[:, 1])
-    trace_sq = _sum(hb[:, 1] ** 2) + 2.0 * _sum(hb[:-1, 2] * hb[1:, 0])
-    slack = roots.size * _EPS
+def _certified(roots: np.ndarray, grid: HalfLineSpec) -> bool:
+    """Whether ``roots`` pass for ``sigma(H)`` of ``grid``: ``sum lam = tr
+    H`` and ``sum lam^2 = tr H^2`` to ``n`` units in the last place of
+    ``sum |lam|`` and ``sum |lam|^2``.  With ``s = h^-2``, ``H`` has the
+    corner ``s - c/h``, the rest of its diagonal ``2s`` and ``-s`` off it,
+    so ``tr H = (s - c/h) + 2 (n-1) s`` and ``tr H^2 = (s - c/h)^2 +
+    6 (n-1) s^2``."""
+    n, h, c = grid.n, grid.spacing, grid.robin_coefficient
+    s = 1.0 / (h * h)
+    corner = s - c / h
+    trace, trace_sq = corner + 2.0 * (n - 1) * s, corner * corner + 6.0 * (n - 1) * s * s
+    moduli, slack = np.abs(roots), roots.size * _EPS
     return bool(
         abs(_sum(roots) - trace) <= slack * _sum(moduli)
         and abs(_sum(roots * roots) - trace_sq) <= slack * _sum(moduli**2)
     )
 
 
-def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) -> list[float]:
+def _max_im_eigenvalues(grids: list[HalfLineSpec]) -> list[float]:
     """``max |Im lambda(H)|`` of each of ``grids`` from the first start set
     of :func:`_start_sets` whose roots, by :func:`_newton`, pass the
-    certificate of :func:`_certified` on the grid's bands ``h_bands``.
+    certificate of :func:`_certified` on the grid's traces of ``H``.
 
     One Newton run takes the first start set of every grid, and the grids
     whose roots fail go on to their next sets together.  Each root follows
@@ -722,7 +740,7 @@ def _max_im_eigenvalues(grids: list[HalfLineSpec], h_bands: list[np.ndarray]) ->
             # a set at the last-step bound matters only if it is the first
             if exact or accepted[part].all() and k not in rounded:
                 roots = np.append(bound / hh, (4.0 / hh) * np.sin(0.5 * phi[part]) ** 2)
-                if _certified(roots.conjugate() if flip else roots, h_bands[k]):
+                if _certified(roots.conjugate() if flip else roots, grids[k]):
                     (found if exact else rounded)[k] = float(np.abs(roots.imag).max())
         # the grids not certified go on to their next start sets, if any
         drawn = {k: s for k in drawn if k not in found and (s := next(sets[k], None))}
@@ -740,10 +758,10 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     come from one run of Newton's method, so on small grids numpy's cost
     per call is paid once per pass rather than per grid, and no pass holds
     more points than the larger of ``_PASS_POINTS`` and the largest grid.
-    Everything else runs on each grid's own bands, and each row is bit for
-    bit that of its grid by itself.  The commutator ``GH - H*G`` is formed
-    at its four entries that can be nonzero.  Each grid costs O(n) time
-    and memory and forms no n x n matrix.
+    Everything else is a closed form in ``(c, h, n)`` or the root of the
+    grid's own secular equation of ``G``, and each row is bit for bit that
+    of its grid by itself.  No grid's bands are built: each grid costs
+    O(n) time and memory, in the solvers alone, and forms no n x n matrix.
     Raises :class:`ConvergenceFailure`, naming the first grid in order,
     when no start set of :func:`_start_sets` gives a certified spectrum of
     ``H``.
@@ -751,7 +769,7 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     sizes = [int(n) for n in schedule]
     if not sizes or sorted(set(sizes)) != sizes:
         raise InvalidSpec(f"schedule must be ascending grid sizes, got {schedule}")
-    # every grid size is validated before the first grid is built
+    # every grid size is validated before the first grid is solved
     specs = [spec.with_n(n) for n in sizes]
     # the first grids, up to _PASS_POINTS points in all, share a pass; each
     # later grid runs alone
@@ -759,13 +777,9 @@ def samsonov_report(spec: HalfLineSpec, schedule: list[int]) -> SamsonovReport:
     d2 = spec.d**2
     rows: list[SamsonovRow] = []
     for grids in [specs[:joined]] + [[grid] for grid in specs[joined:]]:
-        pairs = [build_pair(grid) for grid in grids]
-        max_ims = _max_im_eigenvalues(grids, [pair.h_bands for pair in pairs])
-        for grid, pair, max_im in zip(grids, pairs, max_ims):
+        for grid, max_im in zip(grids, _max_im_eigenvalues(grids)):
             min_eig, _ = _metric_extremes(grid)
-            gb, hb = pair.g_bands, pair.h_bands
-            denom = np.sqrt(_sum_sq(gb)) * np.sqrt(_sum_sq(hb)) + _TINY
-            residual_full = float(np.sqrt(_commutator_sum_sq(gb, hb)) / denom)
+            residual_full = _relation_residual(grid)
             prev = rows[-1] if rows else None
             if prev is None or residual_full <= 0.0 or prev.residual_full <= 0.0:
                 order = float("nan")

@@ -8,9 +8,11 @@ the reference the tests compare the factored families against.  It also
 keeps the dense half-line pair, ``H``, ``G = L* L`` and ``L`` by matrix
 products, the reference for the bands that ``halfline.build_pair`` writes
 in closed form; the five bands of the commutator ``GH - H*G`` by a band
-product, the reference for the four entries the report forms; the dense
-per-grid computation of the half-line refinement study, the reference
-for its secular and banded kernels; the
+product, the check that only four of its entries are nonzero; the same
+commutator of the dense construction formed exactly in integers, the
+reference for the closed form of ``residual_full``; the dense per-grid
+computation of the half-line refinement study, the reference for its
+secular kernels; the
 Aberth-Ehrlich sweeps on the secular equation of the half-line ``H``, an
 independent O(n^2) reference for the roots that Newton's method finds;
 and the bisection of the secular equation of the half-line ``G``, the
@@ -119,6 +121,78 @@ def commutator_bands(gb: np.ndarray, hb: np.ndarray) -> np.ndarray:
     # M*[i, i + t] = conj(M[i + t, i]), band 2 - t of row i + t
     adj = np.stack([m[2 + t : n + 2 + t, 2 - t] for t in range(-2, 3)], axis=1)
     return m[2:-2] - adj.conj()
+
+
+def _exact_product(a: dict, b: dict) -> dict:
+    """``a b`` of two matrices held as ``{(i, j): (re, im)}`` of their
+    nonzero entries, with integer parts: every entry that a dense product
+    forms, exactly, with the sum over ``k`` run only where both factors
+    are nonzero."""
+    rows = {}
+    for (k, j), v in b.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), (ur, ui) in a.items():
+        for j, (vr, vi) in rows.get(k, ()):
+            wr, wi = out.get((i, j), (0, 0))
+            out[i, j] = (wr + ur * vr - ui * vi, wi + ur * vi + ui * vr)
+    return out
+
+
+def _exact_adjoint(a: dict) -> dict:
+    return {(j, i): (re, -im) for (i, j), (re, im) in a.items()}
+
+
+def _exact_sum_sq(a: dict) -> int:
+    return sum(re * re + im * im for re, im in a.values())
+
+
+def mp_relation_residual(spec, dps: int = 60):
+    """``||GH - H*G||_F / (||G||_F ||H||_F)`` of one half-line grid, from
+    the construction of :func:`dense_pair`, exact but for its last steps at
+    ``dps`` digits.
+
+    The ratio does not change when ``G`` and ``H`` are each scaled, so it
+    is that of ``G' = L'* L'`` and ``H' = 2^k D'* D' - 2^k hc e0 e0*``
+    with ``D' = h D``, whose entries are 0 and +-1, and ``L' = 2^k (D' +
+    hc I)``.  The float ``h`` and the floats ``d``, ``b`` have dyadic
+    products, so some ``2^k`` makes every entry of ``L'`` and ``H'`` a
+    Gaussian integer, and every entry of ``G'``, ``M = G'H'`` and ``C =
+    M - M*`` is formed exactly in Python integers; ``G'`` is exactly
+    Hermitian, so ``C = G'H' - H'*G'``.  The three sums of squares are
+    exact too; they are rounded to ``dps`` digits, and the ratio and its
+    square root taken at that precision.  Exact integers, unlike ``dps``
+    digits, resolve the commutator where its entries are ``1e-300`` of
+    those of ``GH`` (a tiny ``b`` or ``hc``).  A grid
+    costs O(n) integer products, of ``k`` bits, and no O(n^3) dense
+    product: the sums run over the nonzero entries of the factors.
+    """
+    import mpmath
+    from fractions import Fraction
+
+    n, h = spec.n, Fraction(spec.spacing)
+    hd, hb = h * Fraction(spec.d), h * Fraction(spec.b)
+    one = max(hd.denominator, hb.denominator)  # 2^k
+    cr, ci = int(hd * one), int(hb * one)  # 2^k hc
+    dmat, lmat = {}, {}
+    for i in range(n):
+        dmat[i, i], lmat[i, i] = (-1, 0), (cr - one, ci)
+        if i + 1 < n:
+            dmat[i, i + 1], lmat[i, i + 1] = (1, 0), (one, 0)
+    gmat = _exact_product(_exact_adjoint(lmat), lmat)
+    hmat = {k: (one * re, one * im) for k, (re, im) in _exact_product(_exact_adjoint(dmat), dmat).items()}
+    re, im = hmat[0, 0]
+    hmat[0, 0] = (re - cr, im - ci)
+    m = _exact_product(gmat, hmat)
+    m_adj = _exact_adjoint(m)
+    zero = (0, 0)
+    commutator = {
+        k: (m.get(k, zero)[0] - m_adj.get(k, zero)[0], m.get(k, zero)[1] - m_adj.get(k, zero)[1])
+        for k in m.keys() | m_adj.keys()
+    }
+    with mpmath.workdps(dps):
+        num, g_sq, h_sq = (mpmath.mpf(_exact_sum_sq(a)) for a in (commutator, gmat, hmat))
+        return mpmath.sqrt(num / (g_sq * h_sq))
 
 
 def dense_samsonov_rows(spec, schedule: list[int]) -> list:

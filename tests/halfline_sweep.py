@@ -43,6 +43,11 @@ another start set or changes one bit of its row shows by name.  A line
 holds ``dataclasses.astuple`` of the row, so only records of the same
 ``SamsonovRow`` fields compare: a record written while the row still had
 its ``residual_interior`` field (one field more) differs on every grid.
+A record written while ``residual_full`` came from a product of the bands
+of ``H`` and ``G`` differs from one of its closed form in
+``residual_full`` and ``order_estimate`` alone: on 5862 of the 7089
+grids, by 3.6e-16 relative in the median and by up to 3.3e-7 where the
+entries of the band product cancel, with every start set the same.
 """
 
 from __future__ import annotations

@@ -107,10 +107,10 @@ def start_sets_taken(spec, schedule: list[int]) -> list[int]:
             drawn[n] = 1 if k == 0 else 2 if bound.size else 3
             yield bound, starts
 
-    def recorded(roots, hb):
-        passed = certified(roots, hb)
+    def recorded(roots, grid):
+        passed = certified(roots, grid)
         if passed:
-            taken[len(hb)] = drawn[len(hb)]
+            taken[grid.n] = drawn[grid.n]
         return passed
 
     with mock.patch.multiple(halfline, _start_sets=labelled, _certified=recorded):

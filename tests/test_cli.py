@@ -493,13 +493,22 @@ def test_json_past_the_int_digit_limit_exit_two(tmp_path, capsys):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
-def _no_grid(spec):
-    raise AssertionError("no grid may be built for a rejected schedule")
+def _no_grid(grid):
+    raise AssertionError("no grid may be solved for a rejected schedule")
+
+
+def test_the_grid_sentinel_fires_on_an_accepted_schedule(monkeypatch):
+    # the report takes the extremes of sigma(G) once per grid, so a schedule
+    # it accepts reaches the sentinel of the two tests below
+    monkeypatch.setattr("qherm.halfline._metric_extremes", _no_grid)
+    with pytest.raises(AssertionError, match="no grid may be solved"):
+        main(["samsonov", "--d", "-1", "--b", "1", "--n", "100"])
 
 
 def test_samsonov_flag_beyond_grid_limit_builds_no_grid(monkeypatch, capsys):
-    # the report builds every grid with build_pair, so no call means no grid
-    monkeypatch.setattr("qherm.halfline.build_pair", _no_grid)
+    # the report solves the metric's secular equation once per grid, so no
+    # call means no grid
+    monkeypatch.setattr("qherm.halfline._metric_extremes", _no_grid)
     assert main(["samsonov", "--d", "-1", "--b", "1", "--n", "100,1048577"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: grid size n = 1048577 exceeds the largest grid 1048576"
@@ -507,7 +516,7 @@ def test_samsonov_flag_beyond_grid_limit_builds_no_grid(monkeypatch, capsys):
 
 
 def test_samsonov_spec_beyond_grid_limit_exit_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("qherm.halfline.build_pair", _no_grid)
+    monkeypatch.setattr("qherm.halfline._metric_extremes", _no_grid)
     path = tmp_path / "spec.json"
     path.write_text('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 1048577}')
     assert main(["samsonov", str(path)]) == 2

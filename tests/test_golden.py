@@ -9,17 +9,23 @@ digits without any change in qherm.  After an intended change of output,
 rewrite the cases it moves with
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` (no names rewrites
 every case).  For each file it rewrites, that command prints whether its
-bytes changed, how many of its numbers changed and the largest relative
-change of any of them.
+bytes changed and matches the numbers of the old and the new file by their
+place: the key path in a JSON file, the row and column in a CSV file, the
+text around them in stdout.  It prints how many of the matched numbers
+changed, the largest relative change of any of them, and how many numbers
+only one of the two files holds.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -125,38 +131,86 @@ def test_every_case_matches_golden_with_one_blas_thread():
     assert done.stdout == "", f"differ under one BLAS thread: {done.stdout.split()}"
 
 
-_NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def describe_change(old: bytes | None, new: bytes) -> str:
-    """How ``new`` differs from ``old``: bytes, count of changed numbers, largest relative change."""
+def placed_numbers(data: bytes, suffix: str) -> dict:
+    """The numbers of a recorded file keyed by their place: the key path in
+    a ``json`` file, the row and column in a ``csv`` file, and in stdout the
+    line with its numbers blanked and its spaces collapsed, the count of
+    such lines before it and the number's place in the line."""
+    text, numbers = data.decode(), {}
+    if suffix == "json":
+        def walk(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+            for key, value in items:
+                walk(value, path + (key,))
+            if isinstance(node, (int, float)) and not isinstance(node, bool):
+                numbers[path] = float(node)
+
+        walk(json.loads(text), ())
+    elif suffix == "csv":
+        for row, record in enumerate(csv.DictReader(StringIO(text))):
+            for column, value in record.items():
+                try:
+                    numbers[row, column] = float(value)
+                except (TypeError, ValueError):  # an empty cell or a word
+                    pass
+    else:
+        seen = Counter()
+        for line in text.splitlines():
+            template = " ".join(_NUMBER.sub("#", line).split())
+            for place, value in enumerate(_NUMBER.findall(line)):
+                numbers[template, seen[template], place] = float(value)
+            seen[template] += 1
+    return numbers
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b or math.isnan(a) and math.isnan(b):
+        return 0.0
+    return abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
+
+
+def describe_change(old: bytes | None, new: bytes, suffix: str) -> str:
+    """How ``new`` differs from ``old``: bytes, and of the numbers at the
+    same place (:func:`placed_numbers`) the count that changed and the
+    largest relative change; then the numbers that only one file holds."""
     if old is None:
         return "new file"
     if old == new:
         return "unchanged"
-    before, after = _NUMBER.findall(old), _NUMBER.findall(new)
-    if len(before) != len(after):
-        return f"changed; {len(before)} numbers before, {len(after)} after"
-    moved = [(float(a), float(b)) for a, b in zip(before, after) if float(a) != float(b)]
-    worst = max(
-        (abs(b - a) / abs(a) if a else math.inf for a, b in moved), default=0.0
+    before, after = placed_numbers(old, suffix), placed_numbers(new, suffix)
+    changes = [_relative_change(before[key], after[key]) for key in before if key in after]
+    moved = [change for change in changes if change > 0.0]
+    text = (
+        f"changed; {len(moved)} of {len(changes)} numbers changed, "
+        f"largest relative change {max(moved, default=0.0):.3g}"
     )
-    return (
-        f"changed; {len(moved)} of {len(before)} numbers changed, "
-        f"largest relative change {worst:.3g}"
-    )
-
+    dropped, added = len(before) - len(changes), len(after) - len(changes)
+    return text + (f"; {dropped} numbers dropped, {added} added" if dropped or added else "")
 
 
 def test_describe_change_counts_the_numbers_that_moved():
     old = b'{"a":1.5,"b":[2,-0.25],"c":"x3"}'
-    assert describe_change(None, old) == "new file"
-    assert describe_change(old, old) == "unchanged"
+    assert describe_change(None, old, "json") == "new file"
+    assert describe_change(old, old, "json") == "unchanged"
     new = b'{"a":1.5000000000000002,"b":[2,-0.5],"c":"x3"}'
-    assert describe_change(old, new) == (
-        "changed; 2 of 4 numbers changed, largest relative change 1"
+    assert describe_change(old, new, "json") == (
+        "changed; 2 of 3 numbers changed, largest relative change 1"
     )
-    assert describe_change(old, b'{"a":1.5}') == "changed; 4 numbers before, 1 after"
+    # a dropped key keeps the largest change of the numbers left
+    assert describe_change(old, b'{"a":3,"c":"x3"}', "json") == (
+        "changed; 1 of 1 numbers changed, largest relative change 1; 2 numbers dropped, 0 added"
+    )
+    # a new CSV column, and a stdout line that moved down
+    assert describe_change(b"n,r\n1,2\n2,4\n", b"n,q,r\n1,7,2.5\n2,8,4\n", "csv") == (
+        "changed; 1 of 4 numbers changed, largest relative change 0.25; 0 numbers dropped, 2 added"
+    )
+    assert describe_change(b"exit 0\nn=  50 r=1.0\n", b"exit 0\nnew 7\nn=  50 r=1.5\n", "out") == (
+        "changed; 1 of 3 numbers changed, largest relative change 0.5; 0 numbers dropped, 1 added"
+    )
+
 
 if __name__ == "__main__":
     import tempfile
@@ -171,4 +225,4 @@ if __name__ == "__main__":
                 old = open(golden, "rb").read() if os.path.exists(golden) else None
                 with open(golden, "wb") as handle:
                     handle.write(data)
-                print(f"{case}.{suffix}: {describe_change(old, data)}")
+                print(f"{case}.{suffix}: {describe_change(old, data, suffix)}")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,17 +6,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import commutator_bands, dense_pair
+from dense_oracle import commutator_bands, dense_pair, mp_relation_residual
 from helpers import rng
 from qherm import (
     HalfLineSpec,
     InvalidSpec,
     build_pair,
     default_box_length,
+    halfline,
     quasi_hermiticity_residual,
     samsonov_report,
 )
-from qherm.halfline import _TINY, MAX_GRID_SIZE, _sum_sq
+from qherm.halfline import _TINY, MAX_GRID_SIZE
 
 _EPS = np.finfo(np.float64).eps
 
@@ -204,9 +206,8 @@ def test_refinement_study_frozen_oracle():
     box=st.floats(0.5, 100.0),
     n=st.integers(16, 3000),
 )
-# sizes at which numpy's pairwise sum of the (n, 5) band array groups the
-# four entries as (a + b) + (c + d), where a sum of four alone adds them in
-# turn; on these grids the two differ in the last bit
+# grids on which the sum of the four squares of the commutator depends on
+# the order of addition in its last bit
 @example(d=4.99, b=1.52, scale=1.0, box=23.8, n=16)
 @example(d=1.77, b=-4.39, scale=1.0, box=55.8, n=18)
 @example(d=2.07, b=-4.99, scale=1.0, box=50.6, n=21)
@@ -219,8 +220,8 @@ def test_commutator_is_nonzero_only_at_the_corner_and_the_last_diagonal(d, b, sc
     # to the bit (addition commutes, conjugation is exact).  The entries left are
     # (0, 0), (0, 1), (1, 0) and (n-1, n-1), where the Dirichlet wall cuts
     # G's last row; so the band reference is exactly 0 off them on every
-    # grid, and the report, which forms those four entries alone, gives
-    # residual_full of the band reference to the bit
+    # grid, and the report's closed form of residual_full, which rests on
+    # that, agrees with the exact commutator of the dense construction
     try:
         spec = HalfLineSpec(scale * d, scale * b, box, n)
     except InvalidSpec:
@@ -231,14 +232,62 @@ def test_commutator_is_nonzero_only_at_the_corner_and_the_last_diagonal(d, b, sc
     allowed[0, [2, 3]] = allowed[1, 1] = allowed[-1, 2] = True
     assert not bands[~allowed].any()
     row = samsonov_report(spec, [n]).rows[0]
-    denom = np.sqrt(_sum_sq(pair.g_bands)) * np.sqrt(_sum_sq(pair.h_bands)) + _TINY
-    assert row.residual_full.hex() == float(np.sqrt(_sum_sq(bands)) / denom).hex()
+    # relative to the exact oracle, or absolute where the residual falls
+    # below the normal floats, which hold no relative accuracy
+    exact = mp_relation_residual(spec)
+    assert abs(row.residual_full - exact) <= 1e-14 * max(exact, _TINY)
 
 
-def test_one_grid_peaks_below_400_bytes_per_point():
-    # the report holds the bands of H and G and the O(n) vectors of the
-    # Newton run and the secular equations, and forms no band product of
-    # the commutator: about 314 bytes per point
+@pytest.mark.parametrize(
+    "d, b, box, n",
+    [(7.453514162126297e-07, 0.0, 1.0, 16), (-1.0, 1e-6, 0.4, 64), (-1.0, 1.0, 40.0, 64), (1.0, 0.5, 40.0, 64)],
+)
+def test_relation_residual_matches_the_exact_commutator(d, b, box, n):
+    # where the entries of GH and H*G, of size h^-4, cancel to far less
+    # (tiny c, or tiny b beside h = 0.00625), and on the grids of the
+    # benchmark and of the floor golden
+    spec = HalfLineSpec(d, b, box, n)
+    exact = mp_relation_residual(spec)
+    assert abs(samsonov_report(spec, [n]).rows[0].residual_full - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("d, b, box, n", [(-1.0, 1.0, 40.0, 64), (1.0, -0.5, 3.0, 17), (16.0, 0.0, 1.0, 16)])
+def test_certificate_reads_the_traces_of_the_dense_h(d, b, box, n):
+    # n - 2 roots at 0 and two with sum tr H and sum of squares tr H^2 of the
+    # dense H pass; moving either sum by more than the slack fails
+    spec = HalfLineSpec(d, b, box, n)
+    hm, _, _ = dense_pair(spec)
+    trace, trace_sq = np.trace(hm), np.trace(hm @ hm)
+    spread = np.sqrt(2.0 * trace_sq - trace * trace)
+    roots = np.zeros(n, dtype=np.complex128)
+    roots[:2] = 0.5 * (trace + spread), 0.5 * (trace - spread)
+    assert halfline._certified(roots, spec)
+    size = np.abs(roots).sum()
+    moved = roots.copy()
+    moved[2] = 1e-12 * size  # the sum moves by 1e-12 of sum |lam|
+    assert not halfline._certified(moved, spec)
+    moved[2:4] = 1e-6 * size, -1e-6 * size  # only the sum of squares moves
+    assert not halfline._certified(moved, spec)
+
+
+@pytest.mark.parametrize(
+    "d, b, box, schedule", [(0.0, 0.0, 40.0, [64, 128]), (-1.0, 1.0, 20.0, [50, 100, 200]), (1.0, 0.5, 40.0, [64, 128])]
+)
+def test_golden_schedules_build_no_bands(d, b, box, schedule, monkeypatch):
+    # the schedules of the samsonov goldens: every row comes from closed
+    # forms and the solvers, none from the bands of build_pair
+    def no_bands(spec):
+        raise AssertionError("the report builds no bands")
+
+    rows = samsonov_report(HalfLineSpec(d, b, box, schedule[0]), schedule).rows
+    monkeypatch.setattr(halfline, "build_pair", no_bands)
+    again = samsonov_report(HalfLineSpec(d, b, box, schedule[0]), schedule).rows
+    assert [repr(dataclasses.astuple(r)) for r in again] == [repr(dataclasses.astuple(r)) for r in rows]
+
+
+def test_one_grid_peaks_below_260_bytes_per_point():
+    # the report holds the O(n) vectors of the Newton run and of the
+    # secular equations, and no bands of H or G: about 218 bytes per point
     n = 65536
     spec = HalfLineSpec(-1.0, 1.0, 40.0, n)
     samsonov_report(spec, [16])
@@ -248,7 +297,7 @@ def test_one_grid_peaks_below_400_bytes_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400 * n, f"peak {peak / n:.0f} bytes per point"
+    assert peak < 260 * n, f"peak {peak / n:.0f} bytes per point"
 
 
 def test_control_run_all_residuals_zero():

@@ -4,7 +4,7 @@
 characteristic equation from up to three start sets, the extremes of
 ``sigma(G)`` by safeguarded Newton steps on its secular equation
 (``min sigma(G)`` as ``sigma_min(L)^2`` where the floor binds) and the
-residuals from bands and the factor ``L``.  The dense per-grid computation
+residuals in closed form, from ``hc`` and from the factor ``L``.  The dense per-grid computation
 in ``tests/dense_oracle.py`` is the reference, with its Aberth sweeps on
 the secular equation of ``H`` for the roots and its bisection of the
 secular equation of ``G`` for the extremes, float for float; where they
@@ -360,7 +360,7 @@ def test_imaginary_beta_grid_certifies_at_the_rounding_bound():
     mu = (4.0 / (h * h)) * np.sin(half) ** 2
     w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
     reference = aberth(mu, w, c / h)
-    assert halfline._certified(reference, halfline.build_pair(spec).h_bands)
+    assert halfline._certified(reference, spec)
     ref = np.abs(reference.imag).max()
     assert abs(got - ref) <= 1e-13 * ref
     exact = mp_max_im_h(d, b, box, n)
@@ -663,11 +663,10 @@ def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
     # keeps |hc| <= 0.64, and at larger |hc| the Aberth roots themselves
     # miss the mpmath max |Im lam| by up to ~6e-14 relative
     spec = HalfLineSpec(d, b_sign * b, h * n, n)
-    hb = halfline.build_pair(spec).h_bands
     certify, certified = halfline._certified, []
 
-    def recorded(roots, bands):
-        passed = certify(roots, bands)
+    def recorded(roots, grid):
+        passed = certify(roots, grid)
         certified.extend([roots] if passed else [])
         return passed
 
@@ -682,7 +681,7 @@ def test_certified_newton_roots_agree_with_aberth(d, b, b_sign, h, n):
     mu = (4.0 / (h * h)) * np.sin(half) ** 2
     w = (4.0 / (2 * n + 1)) * np.cos(half) ** 2
     reference = aberth(mu, w, c / h)
-    assert certify(reference, hb)
+    assert certify(reference, spec)
     ref = np.abs(reference.imag).max()
     assert abs(new - ref) <= 1e-13 * ref
 
@@ -729,8 +728,8 @@ def _hex_fields(row) -> list[str]:
 def test_schedule_rows_are_the_one_grid_rows(case):
     # one Newton run over the joined grids' starts gives each row, bit for
     # bit, the report of its grid alone, as every other field comes from
-    # the grid's own bands; the order estimate is the log-ratio of those
-    # rows' full residuals
+    # the grid's own closed forms and secular equation; the order estimate
+    # is the log-ratio of those rows' full residuals
     spec, schedule = case
     alone = []
     for n in schedule:
@@ -765,7 +764,7 @@ def test_convergence_failure_names_the_first_grid(monkeypatch):
             yield start_set
 
     monkeypatch.setattr(halfline, "_start_sets", counted)
-    monkeypatch.setattr(halfline, "_certified", lambda roots, hb: False)
+    monkeypatch.setattr(halfline, "_certified", lambda roots, grid: False)
     with pytest.raises(ConvergenceFailure, match="n = 16$"):
         samsonov_report(spec, [16, 64])
     assert drawn == {16: 3, 64: 2}
