@@ -17,8 +17,11 @@ Numbers move in bulk at both ends.  A dense operator file whose entries
 are all pairs of JSON numbers becomes one float64 array in a single
 ``np.fromiter`` pass; any other file is checked entry by entry, and that
 check alone writes the error naming the first bad entry.  A matrix in a
-report is its ``(n*n, 2)`` float64 view, and it and every CSV table are
-formatted by one ``%``-template over all their rows.
+report is its ``(n*n, 2)`` float64 view.  It and every CSV table are
+formatted whole: below :data:`_KERNEL_MIN_CELLS` cells by one
+``%``-template over all their rows, from it on by the exact numpy
+``%.17g`` kernel of :mod:`qherm._fmt17`, whose chunks of text go to the
+file one by one.
 
 :func:`main` may be called any number of times in one process: the
 argument parser is built once, at import, and each call parses into a
@@ -109,8 +112,9 @@ def _render(value, out: list[str]) -> None:
     elif isinstance(value, np.ndarray):
         if value.ndim == 2 and value.dtype == np.float64:
             _check_finite(value)
-            row = "[" + ",".join(["%.17g"] * value.shape[1]) + "]"
-            out.append("[" + _format_rows(value, row, ",") + "]")
+            out.append("[")
+            _format_rows(value, "[", "]", ",", out)
+            out.append("]")
         else:
             _render(value.tolist(), out)
     elif dataclasses.is_dataclass(value):
@@ -125,13 +129,31 @@ def _check_finite(values: np.ndarray) -> None:
         _fmt_float(float(bad[0]))  # raises the finite-number error
 
 
-def _format_rows(table: np.ndarray, template: str, sep: str) -> str:
-    """All rows of a 2-D float array through one ``%``-template, joined by ``sep``.
+# Tables of at least this many cells are formatted by the numpy kernel of
+# ._fmt17, smaller ones by one %-template, which is faster there: the kernel
+# pays about 60 numpy calls per chunk.  Measured crossover: about 250 cells
+# of a complex matrix, 350 of a CSV table, 700 of a real matrix (half of it
+# zeros, which the template writes fast); 512 is a complex 16 x 16 matrix.
+_KERNEL_MIN_CELLS = 512
 
-    ``"%.17g" % x`` is ``format(x, ".17g")``, so this writes the same
-    digits as :func:`_fmt_float`; the caller checks finiteness.
+
+def _format_rows(table: np.ndarray, head: str, tail: str, sep: str, out: list[str]) -> None:
+    """Append the rows of a 2-D float array to ``out``, each written
+    ``head + ",".join(cells) + tail`` and joined by ``sep``.
+
+    Each cell is ``"%.17g" % x``, which is ``format(x, ".17g")`` and so the
+    digits of :func:`_fmt_float`, or nothing for NaN (an undefined CSV
+    number); the caller checks finiteness.
     """
-    return sep.join([template] * len(table)) % tuple(table.reshape(-1).tolist())
+    if table.size >= _KERNEL_MIN_CELLS:
+        from ._fmt17 import format_rows  # on first use, so import qherm.cli stays quick
+
+        format_rows(table, head, tail, sep, out)
+        return
+    row = head + ",".join(["%.17g"] * table.shape[1]) + tail
+    text = sep.join([row] * len(table)) % tuple(table.reshape(-1).tolist())
+    # "%.17g" writes NaN as "nan", and no finite number's text holds an "n"
+    out.append(text.replace("nan", ""))
 
 
 def matrix_entries(mat: np.ndarray) -> np.ndarray:
@@ -148,10 +170,11 @@ def operator_payload(op: Operator) -> dict:
     return {"dim": op.dim, "entries": matrix_entries(op.matrix)}
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a new file in ``path``'s directory, then rename it
-    over ``path``; the file gets the mode ``open(path, "w")`` would give:
-    that of the file it replaces, else 0o666 less the umask."""
+def _write_text_atomic(path: str, parts: list[str]) -> None:
+    """Write the concatenated ``parts`` to a new file in ``path``'s
+    directory, then rename it over ``path``; the file gets the mode
+    ``open(path, "w")`` would give: that of the file it replaces, else
+    0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     # exclusive like mkstemp, but 0o666 so that the umask decides the mode
@@ -162,7 +185,7 @@ def _write_text_atomic(path: str, text: str) -> None:
         except FileNotFoundError:
             pass
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -171,7 +194,11 @@ def _write_text_atomic(path: str, text: str) -> None:
 
 
 def write_json(path: str, payload) -> None:
-    _write_text_atomic(path, render_json(payload) + "\n")
+    """Write :func:`render_json`'s text and a newline, part by part."""
+    parts: list[str] = []
+    _render(payload, parts)
+    parts.append("\n")
+    _write_text_atomic(path, parts)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -183,9 +210,9 @@ def write_csv(path: str, header: list[str], rows) -> None:
     """
     table = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
     _check_finite(table[~np.isnan(table)])
-    # "%.17g" writes NaN as "nan", and no finite number's text holds an "n"
-    body = _format_rows(table, ",".join(["%.17g"] * len(header)) + "\n", "")
-    _write_text_atomic(path, ",".join(header) + "\n" + body.replace("nan", ""))
+    parts = [",".join(header) + "\n"]
+    _format_rows(table, "", "\n", "", parts)
+    _write_text_atomic(path, parts)
 
 
 # ---------------------------------------------------------------------------

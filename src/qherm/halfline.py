@@ -144,15 +144,23 @@ class HalfLineSpec:
         # tr H^2 = (s - c/h)^2 + 6 (n-1) s^2, s = h^-2, in the sum of the
         # squared roots of H and in the sums of squares of the Hermiticity
         # residual, each below 100 n r^4, which r <= 1e37 keeps under 1e157;
-        # the commutator's residual is a function of hc alone (see
-        # _relation_residual).  r >= 1e-37 keeps r^4 a normal float, and the
-        # metric nonzero
+        # r >= 1e-37 keeps r^4 a normal float, and the metric nonzero
         scale = max(abs(self.d), abs(self.b), self.n / self.box_length)
         if not 1.0 / _SCALE_LIMIT <= scale <= _SCALE_LIMIT:
             raise InvalidSpec(
                 f"max(|d|, |b|, n / box_length) = {scale:g} lies outside "
                 f"[{1.0 / _SCALE_LIMIT:g}, {_SCALE_LIMIT:g}]: the report's "
                 "numbers would overflow or underflow"
+            )
+        # r bounds 1/h but not h: the Hermiticity residual forms |1 - hc|^2
+        # and the commutator's residual, a function of hc alone, about
+        # sqrt(n) |hc|^3 (see _relation_residual), which |hc| <= 1.5e37
+        # keeps under 1e116
+        reach = max(abs(self.d), abs(self.b)) * (self.box_length / self.n)
+        if reach > _SCALE_LIMIT:
+            raise InvalidSpec(
+                f"max(|d|, |b|) * box_length / n = {reach:g} exceeds "
+                f"{_SCALE_LIMIT:g}: the report's numbers would overflow"
             )
 
     @property
@@ -285,9 +293,9 @@ def _relation_residual(grid: HalfLineSpec) -> float:
     alone.  ``2x - |t|^2`` cancels only where ``|t| <= 2``, and each norm
     is ``math.hypot`` of nonnegative terms, which forms no square that
     could underflow, so the ratio keeps its relative accuracy wherever it
-    is a normal float (and ``|t|^2`` is finite, ``|t|`` below about
-    1e154): nothing of size ``s^2`` cancels, as the entries of ``GH`` and
-    ``H*G`` do.
+    is a normal float (the denominator, about ``sqrt(n) |t|^3``, is finite
+    for the ``|t| <= 1.5e37`` that :class:`HalfLineSpec` admits): nothing of
+    size ``s^2`` cancels, as the entries of ``GH`` and ``H*G`` do.
     """
     n, t = grid.n, grid.spacing * grid.robin_coefficient
     x, y = t.real, t.imag

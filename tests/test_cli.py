@@ -407,6 +407,31 @@ def test_samsonov_spec_beyond_float_range_exit_two(tmp_path, capsys, spec, scale
     assert line.startswith(f"error: {path}: max(|d|, |b|, n / box_length) = {scale} lies outside")
 
 
+@pytest.mark.parametrize("box", ["1.6e160", "1.6e200"])
+def test_samsonov_spacing_beyond_float_range_exit_two(capsys, box):
+    # max(|d|, |b|, n / box_length) = 1 passes the scale bound, but h |c| =
+    # box / 16 made |1 - hc|^2 overflow into an OverflowError traceback
+    assert main(["samsonov", "--d", "1", "--b", "0", "--L", box, "--n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: max(|d|, |b|) * box_length / n = {float(box) / 16:g} exceeds 1e+37: "
+        "the report's numbers would overflow"
+    ]
+
+
+def test_samsonov_spacing_at_its_bound_gives_a_finite_row(tmp_path, capsys):
+    # h |c| = 1e37, the largest spacing admitted
+    json_out = tmp_path / "s.json"
+    argv = ["samsonov", "--d", "1", "--b", "0", "--L", "1.6e38", "--n", "16"]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert main([*argv, "--json-out", str(json_out)]) == 0
+    capsys.readouterr()
+    (row,) = json.loads(json_out.read_text())["rows"]
+    assert row.pop("order_estimates") is None  # one grid has no order
+    assert all(isinstance(value, (int, float)) for value in row.values())
+
+
 def _dense_with(entry, index):
     """A 2x2 dense payload whose entry ``index`` is replaced by ``entry``."""
     entries = [[1, 0], [0.5, 0], [0, -1.5], [2, 0]]

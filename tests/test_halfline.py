@@ -40,6 +40,8 @@ def test_spec_validation():
         (-1e37, 1e37, 16.0, True),
         (1.0, -1.0, 16e-37, True),
         (-1e-37, 1e-37, 16e37, True),
+        (1.0, 0.0, 16e37, True),
+        (-1.0, 1.0, 16e37, True),
         (2e37, 0.0, 16.0, False),
         (0.0, -2e37, 16.0, False),
         (1.0, 0.0, 8e-37, False),
@@ -58,6 +60,18 @@ def test_scale_bound_keeps_the_report_finite(d, b, box, valid):
     fields = [f for f in row.__dataclass_fields__ if f != "order_estimate"]
     assert all(np.isfinite(getattr(row, f)) for f in fields)
     assert row.min_eig_G > 0.0
+
+
+@pytest.mark.parametrize("d, b", [(1.0, 0.0), (-1.0, 1.0), (1e37, 0.5)])
+def test_spacing_bound_keeps_the_relation_residual_exact(d, b):
+    # h max(|d|, |b|) = 1e37, the largest spacing admitted: the residual,
+    # whose denominator grows like |hc|^3, still matches the exact commutator
+    spec = HalfLineSpec(d, b, 16e37 / max(abs(d), abs(b)), 16)
+    exact = mp_relation_residual(spec)
+    assert abs(samsonov_report(spec, [16]).rows[0].residual_full - exact) <= 1e-15 * exact
+    beyond = r"max\(\|d\|, \|b\|\) \* box_length / n = 1.1e\+37 exceeds"
+    with pytest.raises(InvalidSpec, match=beyond):
+        HalfLineSpec(d, b, 17.6e37 / max(abs(d), abs(b)), 16)
 
 
 def _bands_of(m: np.ndarray) -> np.ndarray:
