@@ -13,12 +13,14 @@ inputs and flags: key order is fixed and floats carry 17 significant
 digits.  Complex numbers are serialized as ``[re, im]`` pairs, and
 dataclasses as objects of their fields in declaration order.
 
-Numbers move in bulk at both ends.  A dense operator file whose entries
-are all pairs of JSON numbers becomes one float64 array in a single
-``np.fromiter`` pass; any other file is checked entry by entry, and that
-check alone writes the error naming the first bad entry.  A matrix in a
-report is its ``(n*n, 2)`` float64 view.  It and every CSV table are
-formatted whole: below :data:`_KERNEL_MIN_CELLS` cells by one
+Numbers move in bulk at both ends.  Operator files are decoded by orjson
+where it is installed, with the stdlib ``json`` decoder as the fallback
+that decides every refusal (:func:`load_operator_file`).  A dense operator
+file whose entries are all pairs of JSON numbers becomes one float64 array
+in a single ``np.fromiter`` pass; any other file is checked entry by
+entry, and that check alone writes the error naming the first bad entry.
+A matrix in a report is its ``(n*n, 2)`` float64 view.  It and every CSV
+table are formatted whole: below :data:`_KERNEL_MIN_CELLS` cells by one
 ``%``-template over all their rows, from it on by the exact numpy
 ``%.17g`` kernel of :mod:`qherm._fmt17`, whose chunks of text go to the
 file one by one.
@@ -33,6 +35,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import gc
 import itertools
 import json
 import math
@@ -47,6 +51,7 @@ from .errors import IntertwiningViolated, ParseError, QhermError, SpectrumNotCon
 from .halfline import HalfLineSpec, default_box_length, samsonov_report
 from .lattice import LatticeNorms, make_metric, verify_lattice
 from .quasihermitian import (
+    hermitian_partner,
     quasi_hermiticity_residual,
     quasi_sa_transform,
     solve_metric,
@@ -218,15 +223,86 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 # operator files
 
-def load_operator_file(path: str):
-    """Parse an operator file; returns an Operator or a HalfLineSpec."""
+@functools.cache
+def _orjson_loads():
+    """``orjson.loads``, or ``None`` where orjson is not installed.
+
+    Imported on the first load, so that ``import qherm.cli`` does not pay
+    for it.
+    """
     try:
-        with open(path) as handle:
+        import orjson
+    except ImportError:
+        return None
+    return orjson.loads
+
+
+def load_operator_file(path: str):
+    """Parse an operator file; returns an Operator or a HalfLineSpec.
+
+    Where orjson is installed (the ``fast`` extra), ``orjson.loads``
+    decodes the file's bytes first.  The stdlib ``json`` decoder reads the
+    file anew and decides wherever orjson refuses the bytes (NaN, a number
+    beyond float range, a BOM, a lone surrogate), the checks refuse what it
+    returns (an int past 2**64, which orjson makes a float, as ``dim``), or
+    the text holds a list or an object besides the top object and a dense
+    file's entries and pairs (``json`` refuses nesting past the recursion
+    limit, orjson does not; a repeated key can hide such a value).
+    Both decoders round a JSON number to the nearest double, so every
+    Operator is bit for bit, and every ParseError word for word, that of
+    ``json`` alone.
+    """
+    # The cyclic garbage collector is held off: a decode allocates a list
+    # and two floats per matrix entry, and each collection they start walks
+    # every list made so far, to free nothing, since the decoded document
+    # holds no cycles and reference counting frees it before the collector
+    # runs again.  At n = 2000 the collections took half of json.load's time.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = _decode_with_orjson(path)
+        return _decode_with_json(path) if loaded is None else loaded
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _decode_with_orjson(path: str):
+    """The operator file as orjson decodes it, or ``None`` where orjson is
+    not installed or :func:`load_operator_file` leaves the decision to
+    ``json``."""
+    loads = _orjson_loads()
+    if loads is None:
+        return None
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        opened = data.count(b"[") + data.count(b"{")
+        loaded = _parse_document(path, loads(data))
+    # RecursionError: a ParseError that writes out a deeply nested value
+    except (OSError, ValueError, RecursionError, ParseError):
+        return None
+    # json refuses nesting past the recursion limit and orjson does not, so
+    # the result stands only where the text opens no list or object but the
+    # top object and a dense file's entries and pairs, whose depth the
+    # checks fixed; a bracket inside a string just sends the file to json
+    if opened != 1 + (1 + loaded.dim**2 if isinstance(loaded, Operator) else 0):
+        return None
+    return loaded
+
+
+def _decode_with_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    return _parse_document(path, doc)
+
+
+def _parse_document(path: str, doc):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     if doc.get("format") != 1:
@@ -377,7 +453,8 @@ def cmd_analyze(args) -> tuple[int, dict]:
             "scale": sol.scale,
             "G": operator_payload(M.G),
         }
-        K = quasi_sa_transform(A, M, tol=np.inf, force=False)
+        # sol.residual is the metric relation's residual, so K needs no check
+        K = hermitian_partner(A, M)
         transform_summary = {"herm_residual": herm_residual(K.matrix)}
     else:
         try:

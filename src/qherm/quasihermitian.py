@@ -72,6 +72,7 @@ __all__ = [
     "quasi_hermiticity_residual",
     "solve_metric",
     "quasi_sa_transform",
+    "hermitian_partner",
     "sharp_adjoint",
     "minimal_b0",
     "krein_check",
@@ -237,6 +238,13 @@ def quasi_sa_transform(
             "result is not Hermitian",
             stacklevel=2,
         )
+    return hermitian_partner(A, M)
+
+
+def hermitian_partner(A: Operator, M: MetricOperator) -> Operator:
+    """``K = G^1/2 A G^-1/2`` for ``A`` of the metric's dimension, with no
+    check of the metric relation: :func:`quasi_sa_transform` with that
+    check passed, for a caller that already holds its residual."""
     K = M.G_half.matrix @ A.matrix @ M.G_invhalf.matrix
     return Operator(K, "quasi-self-adjoint transform")
 

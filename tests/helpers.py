@@ -3,12 +3,38 @@ test modules."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 
-from qherm import halfline, samsonov_report
+from qherm import cli, halfline, samsonov_report
+
+# the decoders load_operator_file can run on: the stdlib one always, orjson
+# where it is installed
+DECODERS = ["json"] + (["orjson"] if cli._orjson_loads() else [])
+
+
+@contextlib.contextmanager
+def operator_decoder(name: str):
+    """Load operator files with ``"orjson"`` first, as an install with the
+    ``fast`` extra does, or with ``"json"`` alone, orjson made unimportable,
+    while the context is open."""
+    blocked = {"orjson": None} if name == "json" else {}
+    saved = {module: sys.modules.pop(module) for module in blocked if module in sys.modules}
+    sys.modules.update(blocked)
+    cli._orjson_loads.cache_clear()
+    try:
+        if (cli._orjson_loads() is None) != (name == "json"):
+            raise RuntimeError(f"cannot decode with {name}")
+        yield
+    finally:
+        cli._orjson_loads.cache_clear()
+        for module in blocked:
+            del sys.modules[module]
+        sys.modules.update(saved)
 
 
 def rng(seed: int) -> np.random.Generator:

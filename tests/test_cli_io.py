@@ -2,7 +2,9 @@
 
 Operator files are parsed, and report matrices and CSV tables formatted,
 in bulk; these tests keep the per-entry versions as references and
-require equal results bit for bit.  Parsing and small tables do the
+require equal results bit for bit.  Operator files are decoded by orjson
+where it is installed, and the stdlib ``json`` alone is the reference
+for that too: the same Operator bits or the same ParseError text.  Parsing and small tables do the
 per-entry arithmetic in C; tables from ``cli._KERNEL_MIN_CELLS`` cells on
 get their digits from the numpy kernel of ``qherm._fmt17``, which must
 write ``format(x, ".17g")`` for every finite double.
@@ -10,22 +12,30 @@ write ``format(x, ".17g")`` for every finite double.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import decimal
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qherm
 from qherm import ParseError, _fmt17
 from qherm.cli import (
     _KERNEL_MIN_CELLS,
     _bulk_entries,
     _first_bad_entry,
     load_operator_file,
+    main,
     matrix_entries,
     operator_payload,
     render_json,
@@ -34,7 +44,7 @@ from qherm.cli import (
 from qherm.core import Operator, eig_general
 from qherm.quasihermitian import solve_metric, solve_pseudo_metric
 
-from helpers import rng, well_conditioned
+from helpers import DECODERS, operator_decoder, rng, well_conditioned
 
 SPECIAL = [
     -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -53,27 +63,32 @@ def _pairs(gen, count: int) -> list[list]:
     return [[pool[i], pool[j]] for i, j in picks]
 
 
-def _load(tmp_path, entries, dim):
+def _load_each(tmp_path, entries, dim) -> list[Operator]:
+    """The operator file of ``entries`` as each decoder of DECODERS loads it."""
     path = tmp_path / "op.json"
     path.write_text(json.dumps({"format": 1, "kind": "dense", "dim": dim, "entries": entries}))
-    return load_operator_file(str(path))
+    loaded = []
+    for name in DECODERS:
+        with operator_decoder(name):
+            loaded.append(load_operator_file(str(path)))
+    return loaded
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_parse_matches_complex_per_entry(tmp_path, seed):
     dim = 9
     entries = _pairs(rng(seed), dim * dim)
-    op = _load(tmp_path, entries, dim)
     reference = [complex(re, im) for re, im in entries]
-    assert _bits(op.matrix.reshape(-1)) == _bits(reference)
+    for op in _load_each(tmp_path, entries, dim):
+        assert _bits(op.matrix.reshape(-1)) == _bits(reference)
 
 
 def test_parse_special_values_bit_exact(tmp_path):
     entries = [[-0.0, 5e-324], [1.7976931348623157e308, -0.0], [2**53 + 1, 0.25], [3, -7]]
-    op = _load(tmp_path, entries, 2)
-    assert _bits(op.matrix.reshape(-1)) == _bits(complex(re, im) for re, im in entries)
-    # 2**53 + 1 rounds to even, as float() rounds it
-    assert op.matrix[1, 0].real == float(2**53)
+    for op in _load_each(tmp_path, entries, 2):
+        assert _bits(op.matrix.reshape(-1)) == _bits(complex(re, im) for re, im in entries)
+        # 2**53 + 1 rounds to even, as float() rounds it
+        assert op.matrix[1, 0].real == float(2**53)
 
 
 _ATOMS = st.one_of(
@@ -104,6 +119,184 @@ def test_a_refused_entry_list_raises_naming_its_first_bad_entry(entries):
         return
     with pytest.raises(ParseError, match=rf"^op\.json: entry {bad[0]}( must be|: )"):
         _first_bad_entry("op.json", entries)
+
+
+# The orjson decoder against the stdlib json alone: operator files written
+# as text, numbers in the forms writers use and in the hard ones (the exact
+# decimal of a double, the midpoint of two doubles and the decimals next to
+# it), in the JSON that one of the two decoders refuses and in the files
+# the schema checks refuse.
+
+_EXACT = decimal.Context(prec=1200)
+
+
+def _midpoint(x: float, offset: int) -> str:
+    """The exact decimal halfway from ``x`` up to the next double, moved by
+    ``offset`` units in its last place (1200 digits hold any midpoint)."""
+    low, high = decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))
+    mid = _EXACT.divide(_EXACT.add(low, high), 2)
+    return str(_EXACT.next_toward(mid, offset) if offset else mid)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+_NUMBERS = st.one_of(
+    st.builds(repr, _DOUBLES),
+    st.builds("%.17g".__mod__, _DOUBLES),
+    st.builds("%.25g".__mod__, _DOUBLES),
+    st.builds("%.40e".__mod__, _DOUBLES),
+    st.builds(lambda x: str(decimal.Decimal(x)), _DOUBLES),
+    st.builds(
+        _midpoint, _DOUBLES.filter(lambda x: x < sys.float_info.max), st.sampled_from([-1, 0, 1])
+    ),
+    st.builds(str, st.integers(-(2**70), 2**70)),
+    st.builds(lambda k, sign: str(sign * 2**k + k), st.integers(64, 1020), st.sampled_from([1, -1])),
+)
+# values at the edges of float range, and values one decoder or the schema refuses
+_SPECIAL = st.sampled_from([
+    "-0", "-0.0", "0e0", "1E5", "1e-400", "5e-324", "2.4703282292062328e-324",
+    "2.4703282292062327e-324", "1.7976931348623158e308", "1.7976931348623159e308",
+    "1e400", "-1e400", str(10**400), "1" * 4400, "NaN", "Infinity", "-Infinity",
+    "true", "false", "null", '"1.5"',
+])
+_LABELS = st.sampled_from([
+    '"op"', r'"M\u00f6\u00dfbauer \ud835\udd38"', '"Mößbauer 𝔸"', r'"\ud800"', r'"\udc00x"', "1",
+])
+_KEYS = st.sampled_from(["dim", "label", "format", "kind", "entries", "n", "d", "meta"])
+# a member repeated with another value, of which JSON keeps the last, or one
+# holding lists and objects: json refuses more than about 1000 levels of
+# nesting, where orjson takes any
+_EXTRA = st.one_of(
+    st.builds('"{}": {}'.format, _KEYS, _NUMBERS),
+    st.builds(
+        lambda key, depth: f'"{key}": ' + "[" * depth + "]" * depth, _KEYS, st.sampled_from([1, 3, 3000])
+    ),
+    st.builds('"{}": {{"a": [1, {{"b": null}}]}}'.format, _KEYS),
+)
+
+
+def _sometimes(draw, usual, unusual):
+    """``usual``, or one in eight times a value drawn from ``unusual``."""
+    return draw(unusual) if draw(st.integers(0, 7)) == 0 else usual
+
+
+@st.composite
+def _operator_files(draw) -> bytes:
+    """The bytes of a dense or half-line operator file, mostly valid."""
+    fields = {"format": _sometimes(draw, "1", st.sampled_from(["1.0", "2", "true"]))}
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        fields["kind"] = '"dense"'
+        fields["dim"] = _sometimes(
+            draw, str(dim), st.sampled_from([str(2**64 + 1), "2.0", "-1", "true"])
+        )
+        numbers = draw(st.lists(_NUMBERS, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        k = draw(st.integers(0, len(numbers) - 1))
+        numbers[k] = _sometimes(draw, numbers[k], _SPECIAL)
+        pairs = (f"[{re},{im}]" for re, im in zip(numbers[::2], numbers[1::2]))
+        fields["entries"] = "[" + ",".join(pairs) + "]"
+        fields["label"] = draw(_LABELS)
+    else:
+        fields["kind"] = '"samsonov"'
+        for name, low, high in (("d", -3, 3), ("b", -3, 3), ("box_length", 1, 50)):
+            fields[name] = _sometimes(
+                draw, repr(draw(st.floats(low, high))), st.one_of(_NUMBERS, _SPECIAL)
+            )
+        fields["n"] = _sometimes(
+            draw, str(draw(st.integers(16, 64))), st.sampled_from(["16.0", str(2**64 + 16), "true"])
+        )
+    members = [f'"{key}": {value}' for key, value in fields.items()]
+    members.append(_sometimes(draw, members[-1], _EXTRA))
+    text = "{" + ", ".join(draw(st.permutations(members))) + "}\r\n"
+    prefix = _sometimes(
+        draw, b"", st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xed\xa0\x80", b"[" * 5000])
+    )
+    return prefix + text.encode()
+
+
+def _outcome(path: str):
+    """What ``load_operator_file`` gives: the loaded object's bits, or its error."""
+    try:
+        loaded = load_operator_file(path)
+    except (ParseError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(loaded, Operator):
+        return loaded.label, loaded.matrix.dtype.str, loaded.matrix.tobytes()
+    return repr(loaded)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_operator_files())
+@example(b'{"format": 1, "kind": "dense", "dim": 18446744073709551617, "entries": []}')
+@example(b'{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 18446744073709551616}')
+@example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[1e400, 0]]}')
+def test_orjson_and_json_load_every_file_alike(tmp_path, data):
+    pytest.importorskip("orjson")
+    path = tmp_path / "op.json"
+    path.write_bytes(data)
+    outcomes = []
+    for name in ("json", "orjson"):
+        with operator_decoder(name):
+            outcomes.append(_outcome(str(path)))
+    assert outcomes[1] == outcomes[0]
+
+
+@pytest.mark.parametrize(
+    "text, decided_by_json",
+    [
+        ('{"format": 1, "kind": "dense", "dim": 1, "entries": [[1, 2]], "label": "A"}', False),
+        ('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 64}', False),
+        # a bracket in a string, and a list where the schema reads none
+        ('{"format": 1, "kind": "dense", "dim": 1, "entries": [[1, 2]], "label": "A[1]"}', True),
+        ('{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 64, "meta": []}', True),
+        ('{"format": 1, "kind": "dense", "dim": 1, "entries": [[1e400, 2]]}', True),
+    ],
+)
+def test_orjson_decides_a_file_unless_json_must(tmp_path, monkeypatch, text, decided_by_json):
+    pytest.importorskip("orjson")
+    path = tmp_path / "op.json"
+    path.write_text(text)
+    decoded = []
+    json_load = json.load
+    monkeypatch.setattr(json, "load", lambda handle: decoded.append(path) or json_load(handle))
+    with operator_decoder("orjson"):
+        try:
+            load_operator_file(str(path))
+        except ParseError:
+            pass
+    assert decoded == ([path] if decided_by_json else [])
+
+
+def test_a_non_ascii_label_gives_one_report_under_each_decoder_and_locale(tmp_path):
+    # operator files are UTF-8 whatever the locale's encoding; here the
+    # locale is plain C with Python's UTF-8 mode and locale coercion off
+    path = tmp_path / "op.json"
+    doc = '{"format": 1, "kind": "dense", "dim": 1, "entries": [[2, 0]], "label": "Mößbauer 𝔸"}'
+    path.write_bytes(doc.encode("utf-8"))
+    reports = []
+    for name in DECODERS:
+        with operator_decoder(name), contextlib.redirect_stdout(io.StringIO()):
+            out = tmp_path / f"{name}.json"
+            assert main(["analyze", str(path), "--json-out", str(out)]) == 0
+            reports.append(out.read_bytes())
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join([here, os.path.dirname(os.path.dirname(qherm.__file__))])
+    script = (
+        "import sys\n"
+        "from helpers import operator_decoder\n"
+        "from qherm.cli import main\n"
+        "with operator_decoder('json'):\n"
+        "    sys.exit(main(['analyze', sys.argv[1], '--json-out', sys.argv[2]]))\n"
+    )
+    out = tmp_path / "c_locale.json"
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    reports.append(out.read_bytes())
+    assert reports == [reports[0]] * len(reports)
+    assert b'"label":"M\\u00f6\\u00dfbauer \\ud835\\udd38"' in reports[0]
 
 
 def _reference_payload(op: Operator) -> str:

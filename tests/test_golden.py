@@ -2,11 +2,12 @@
 
 Every subcommand runs on the operator files in ``tests/golden/inputs`` and
 its exit code, stdout, ``--json-out`` and ``--csv-out`` are compared with
-the files recorded under ``tests/golden``.  The recorded files come from
-numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64: floats are written with 17
-significant digits, so another BLAS/LAPACK build can differ in the last
-digits without any change in qherm.  After an intended change of output,
-rewrite the cases it moves with
+the files recorded under ``tests/golden``, with operator files decoded by
+orjson and by the stdlib ``json`` alone, and under one BLAS thread.  The
+recorded files come from numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64:
+floats are written with 17 significant digits, so another BLAS/LAPACK
+build can differ in the last digits without any change in qherm.  After
+an intended change of output, rewrite the cases it moves with
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` (no names rewrites
 every case).  For each file it rewrites, that command prints whether its
 bytes changed and matches the numbers of the old and the new file by their
@@ -32,6 +33,8 @@ from io import StringIO
 import pytest
 
 from qherm.cli import main
+
+from helpers import operator_decoder
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = os.path.join(GOLDEN, "inputs")
@@ -115,9 +118,31 @@ def test_cli_output_matches_golden(name, tmp_path):
             assert data == handle.read(), f"{name}.{suffix} differs from the recorded output"
 
 
+def differing_cases(outdir: str) -> list[str]:
+    """The ``name.suffix`` of every artifact that differs from its recording."""
+    differ = []
+    for name in sorted(CASES):
+        for suffix, data in run_case(name, outdir).items():
+            with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as handle:
+                if data != handle.read():
+                    differ.append(f"{name}.{suffix}")
+    return differ
+
+
+@pytest.mark.parametrize("decoder", ["json", "orjson"])
+def test_every_case_matches_golden_under_each_decoder(decoder, tmp_path):
+    # operator files are decoded by orjson where it is installed and by the
+    # stdlib json alone otherwise; either way every recorded byte comes out
+    if decoder == "orjson":
+        pytest.importorskip("orjson")
+    with operator_decoder(decoder):
+        assert differing_cases(str(tmp_path)) == []
+
+
 def test_every_case_matches_golden_with_one_blas_thread():
     # the benchmark runs qherm with one BLAS thread (benchmark/run.py), so
-    # every recorded case must come out the same under that setting too
+    # every recorded case must come out the same under that setting too,
+    # with each operator-file decoder
     import qherm
 
     here = os.path.dirname(os.path.abspath(__file__))
@@ -125,14 +150,13 @@ def test_every_case_matches_golden_with_one_blas_thread():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([here, package_root])
     script = (
-        "import os, sys, tempfile\n"
-        "from test_golden import CASES, GOLDEN, run_case\n"
-        "with tempfile.TemporaryDirectory() as out:\n"
-        "    for name in sorted(CASES):\n"
-        "        for suffix, data in run_case(name, out).items():\n"
-        "            with open(os.path.join(GOLDEN, f'{name}.{suffix}'), 'rb') as handle:\n"
-        "                if data != handle.read():\n"
-        "                    print(f'{name}.{suffix}')\n"
+        "import tempfile\n"
+        "from helpers import DECODERS, operator_decoder\n"
+        "from test_golden import differing_cases\n"
+        "for decoder in DECODERS:\n"
+        "    with operator_decoder(decoder), tempfile.TemporaryDirectory() as out:\n"
+        "        for artifact in differing_cases(out):\n"
+        "            print(f'{decoder}:{artifact}')\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120

@@ -542,6 +542,23 @@ def test_floor_binding_min_eig_matches_mpmath(monkeypatch):
     assert _agreement_problems(spec, schedule, skip=floored) == []
 
 
+@pytest.mark.parametrize("d, b, box", [(-0.5, 1.0, 1.0), (-0.01, 0.5, 40.0)])
+def test_the_floor_binds_with_unit_modulus_just_exceeded(monkeypatch, d, b, box):
+    # |1 - hc| exceeds 1 by about 4e-7 on these fine grids, and still
+    # min sigma(G) falls below FLOOR_EPSILON max sigma(G), so the inverse
+    # iteration gives the report's min_eig_G
+    grid = HalfLineSpec(d, b, box, halfline.MAX_GRID_SIZE)
+    assert 0.0 < abs(1.0 - grid.spacing * grid.robin_coefficient) - 1.0 < 1e-6
+    taken = []
+    inverse_iteration = halfline._min_singular_squared
+    monkeypatch.setattr(
+        halfline, "_min_singular_squared", lambda g: taken.append(inverse_iteration(g)) or taken[-1]
+    )
+    lowest, highest = halfline._metric_extremes(grid)
+    assert taken == [lowest]
+    assert math.isfinite(lowest) and 0.0 < lowest < halfline.FLOOR_EPSILON * highest
+
+
 @pytest.mark.parametrize(
     "d, b, box, n, singular",
     [
