@@ -24,10 +24,12 @@ with at least two exponent digits; trailing zeros are stripped, and the
 point with them when no fraction is left.  Each cell owns one row of a
 byte array, with a column for every character it could hold (zero bytes
 where it holds none) and its trailer last, so a chunk's text is the row
-bytes with the zeros removed.  Zeros print as ``0`` and ``-0`` and NaN
-cells as nothing.  The cells the kernel does not decide (``|x| >= 1e17``,
-subnormals, a misjudged decade, a near-midpoint product) are formatted by
-``'%.17g'`` one by one into their rows.
+bytes with the zeros removed.  Zeros print as ``0`` and ``-0``, written
+apart from the digit arithmetic in a chunk that is a quarter zeros or
+more (the imaginary halves of a real matrix), and NaN cells as nothing.
+The cells the kernel does not decide (``|x| >= 1e17``, subnormals, a
+misjudged decade, a near-midpoint product) are formatted by ``'%.17g'``
+one by one into their rows.
 """
 
 from __future__ import annotations
@@ -144,6 +146,27 @@ def _cells(x: np.ndarray, trailers: np.ndarray) -> bytes:
     zero-padded trailer of its column (``trailers``, ``(cols, t)`` uint8)."""
     rows, cols = x.shape
     x = x.reshape(-1)
+    out = np.zeros((x.size, _CONTENT + trailers.shape[1]), dtype=np.uint8)
+    out.reshape(rows, cols, -1)[:, :, _CONTENT:] = trailers
+    live = x != 0.0  # NaN too
+    count = np.count_nonzero(live)
+    # a zero is its sign and "0"; where at least a quarter of the cells are
+    # zeros (the imaginary halves of a real matrix), only the others get
+    # digits, and picking them out costs less than the digits it saves
+    if 4 * count > 3 * x.size:
+        _write(x, out)
+    else:
+        out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+        out[:, _DIGITS.start] = ord("0")
+        some = np.empty((count, _CONTENT), dtype=np.uint8)
+        _write(x[live], some)
+        out[live, :_CONTENT] = some
+    return out.tobytes().translate(None, b"\0")
+
+
+def _write(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the text of the cells ``x`` into the first :data:`_CONTENT`
+    columns of ``out``'s rows, zero-padded."""
     digits, k, decided = _digits(x)
     t = _tables()
 
@@ -162,22 +185,17 @@ def _cells(x: np.ndarray, trailers: np.ndarray) -> bytes:
     trailing = t["trailing"][key]
     last = np.maximum(16 - trailing, k)
 
-    width = _CONTENT + trailers.shape[1]
-    out = np.zeros((x.size, width), dtype=np.uint8)
     out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
     out[:, _DIGITS] = text * t["keep"][last]
     out[:, _DOTS] = t["dots"][(np.maximum(k, -5) + 5) * 17 + last]
     affix = t["affix"][np.maximum(-k, 0)]
     out[:, _LEAD] = affix[:, :5]
     out[:, _EXP] = affix[:, 5:]
-    out.reshape(rows, cols, width)[:, :, _CONTENT:] = trailers
     for i in np.flatnonzero(~decided & (x != 0.0)).tolist():
         out[i, :_CONTENT] = 0
         if x[i] == x[i]:  # NaN cells stay empty
             cell = b"%.17g" % x[i]
             out[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-    flat = out.reshape(-1)
-    return np.compress(flat != 0, flat).tobytes()
 
 
 def format_rows(table: np.ndarray, head: str, tail: str, sep: str, out: list[str]) -> None:

@@ -19,11 +19,16 @@ that decides every refusal (:func:`load_operator_file`).  A dense operator
 file whose entries are all pairs of JSON numbers becomes one float64 array
 in a single ``np.fromiter`` pass; any other file is checked entry by
 entry, and that check alone writes the error naming the first bad entry.
-A matrix in a report is its ``(n*n, 2)`` float64 view.  It and every CSV
-table are formatted whole: below :data:`_KERNEL_MIN_CELLS` cells by one
-``%``-template over all their rows, from it on by the exact numpy
-``%.17g`` kernel of :mod:`qherm._fmt17`, whose chunks of text go to the
-file one by one.
+Under orjson, one numpy census of the file's bytes replaces the per-item
+type check: a text with no backslash, whose quotes and letters ``a`` and
+``u`` are all those of its top-level keys, strings, ``true``, ``false``
+and ``null``, holds no other string, bool or null, since no JSON number
+holds either letter.  A matrix in a report is its ``(n*n, 2)`` float64
+view, a list of eigenvalues its ``(n, 2)`` view and a 1-D float64 array
+one row.  Each of them and every CSV table is formatted whole: below
+:data:`_KERNEL_MIN_CELLS` cells by one ``%``-template over all their
+rows, from it on by the exact numpy ``%.17g`` kernel of
+:mod:`qherm._fmt17`, whose chunks of text go to the file one by one.
 
 :func:`main` may be called any number of times in one process: the
 argument parser is built once, at import, and each call parses into a
@@ -120,6 +125,9 @@ def _render(value, out: list[str]) -> None:
             out.append("[")
             _format_rows(value, "[", "]", ",", out)
             out.append("]")
+        elif value.ndim == 1 and value.dtype == np.float64:
+            _check_finite(value)
+            _format_rows(value.reshape(1, -1), "[", "]", "", out)
         else:
             _render(value.tolist(), out)
     elif dataclasses.is_dataclass(value):
@@ -137,8 +145,8 @@ def _check_finite(values: np.ndarray) -> None:
 # Tables of at least this many cells are formatted by the numpy kernel of
 # ._fmt17, smaller ones by one %-template, which is faster there: the kernel
 # pays about 60 numpy calls per chunk.  Measured crossover: about 250 cells
-# of a complex matrix, 350 of a CSV table, 700 of a real matrix (half of it
-# zeros, which the template writes fast); 512 is a complex 16 x 16 matrix.
+# of a complex matrix, 350 of a CSV table, 500 of a real matrix (half of it
+# zeros, which both write fast); 512 is a complex 16 x 16 matrix.
 _KERNEL_MIN_CELLS = 512
 
 
@@ -250,7 +258,15 @@ def load_operator_file(path: str):
     limit, orjson does not; a repeated key can hide such a value).
     Both decoders round a JSON number to the nearest double, so every
     Operator is bit for bit, and every ParseError word for word, that of
-    ``json`` alone.
+    ``json`` alone; a value nested too deeply for ``json`` is a ParseError.
+
+    Before orjson decodes the bytes, one numpy census counts their ``[``,
+    ``{``, ``"``, ``\\``, ``a`` and ``u``.  The brackets give the rule
+    above.  The rest spare a dense file the per-entry type check where
+    they prove that no entry holds a string, a bool or a null: no
+    backslash, two quotes per top-level key and string value, and no ``a``
+    or ``u`` but those of these strings and of the top-level ``true``,
+    ``false`` and ``null`` (:func:`_plain_entries`).
     """
     # The cyclic garbage collector is held off: a decode allocates a list
     # and two floats per matrix entry, and each collection they start walks
@@ -277,52 +293,73 @@ def _decode_with_orjson(path: str):
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-        opened = data.count(b"[") + data.count(b"{")
-        loaded = _parse_document(path, loads(data))
-    # RecursionError: a ParseError that writes out a deeply nested value
-    except (OSError, ValueError, RecursionError, ParseError):
+        raw = np.frombuffer(data, dtype=np.uint8)
+        census = [np.count_nonzero(raw == c) for c in b'[{"\\au']
+        doc = loads(data)
+        del data, raw  # the bytes go before the entries' array is made
+        plain = _plain_entries(doc, census)
+        return None if plain is None else _parse_document(path, doc, plain)
+    except (OSError, ValueError, ParseError):
         return None
-    # json refuses nesting past the recursion limit and orjson does not, so
-    # the result stands only where the text opens no list or object but the
-    # top object and a dense file's entries and pairs, whose depth the
-    # checks fixed; a bracket inside a string just sends the file to json
-    if opened != 1 + (1 + loaded.dim**2 if isinstance(loaded, Operator) else 0):
+
+
+def _plain_entries(doc, census: list[int]) -> bool | None:
+    """The census's verdict on orjson's document (see :func:`load_operator_file`):
+    ``None`` leaves the file to ``json``, ``True`` spares the type pass."""
+    opened, braces, quotes, escapes, a, u = census
+    if not isinstance(doc, dict):
         return None
-    return loaded
+    entries = doc.get("entries") if doc.get("kind") == "dense" else None
+    if opened + braces != (2 + len(entries) if isinstance(entries, list) else 1):
+        return None
+    values = doc.values()
+    strings = [*doc, *(v for v in values if isinstance(v, str))]
+    text = "".join(strings)
+    return (
+        not escapes
+        and quotes == 2 * len(strings)
+        and a == text.count("a") + sum(v is False for v in values)
+        and u == text.count("u") + sum(v is True or v is None for v in values)
+    )
 
 
 def _decode_with_json(path: str):
+    # RecursionError: nesting past the recursion limit, in the decoder or in
+    # a ParseError that writes out the nested value
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return _parse_document(path, doc)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        return _parse_document(path, doc)
+    except RecursionError as exc:
+        raise ParseError(f"{path}: a value is nested too deeply") from exc
 
 
-def _parse_document(path: str, doc):
+def _parse_document(path: str, doc, plain: bool = False):
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     if doc.get("format") != 1:
         raise ParseError(f"{path}: unsupported format {doc.get('format')!r}")
     kind = doc.get("kind")
     if kind == "dense":
-        return _parse_dense(path, doc)
+        return _parse_dense(path, doc, plain)
     if kind == "samsonov":
         return _parse_samsonov(path, doc)
     raise ParseError(f"{path}: unknown kind {kind!r}")
 
 
-def _parse_dense(path: str, doc: dict) -> Operator:
+def _parse_dense(path: str, doc: dict, plain: bool) -> Operator:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise ParseError(f"{path}: dim must be a positive integer")
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ParseError(f"{path}: expected {dim * dim} entries")
-    values = _bulk_entries(entries)
+    values = _bulk_entries(entries, plain)
     if values is None:
         _first_bad_entry(path, entries)
     label = doc.get("label", "")
@@ -334,16 +371,17 @@ def _parse_dense(path: str, doc: dict) -> Operator:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _bulk_entries(entries: list) -> np.ndarray | None:
+def _bulk_entries(entries: list, plain: bool = False) -> np.ndarray | None:
     """All ``[re, im]`` pairs as complex128 in C-level passes, or ``None``.
 
     ``None`` means some entry is not a list of two JSON numbers (``bool``
     is its own type here, so ``true`` is not taken for 1) or holds an int
     beyond float range; :func:`_first_bad_entry` then finds and names it.
     A JSON scalar has no ``len``; a 2-character string or a 2-key object
-    yields ``str`` items, which the item-type pass refuses.  numpy rounds
-    an int to float as ``float()`` does, so the values equal
-    ``complex(re, im)`` bit for bit.
+    yields ``str`` items, which the item-type pass refuses; ``plain``
+    skips that pass where :func:`_plain_entries` has shown that no item is
+    a string, a bool or a null.  numpy rounds an int to float as
+    ``float()`` does, so the values equal ``complex(re, im)`` bit for bit.
     """
     try:
         lengths = set(map(len, entries))
@@ -351,7 +389,7 @@ def _bulk_entries(entries: list) -> np.ndarray | None:
         return None
     if lengths != {2}:
         return None
-    if not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+    if not plain and not set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
         return None
     numbers = itertools.chain.from_iterable(entries)
     try:
@@ -417,7 +455,7 @@ def _digest(op: Operator) -> dict:
 
 def _spectral_summary(es) -> dict:
     return {
-        "eigenvalues": [complex(z) for z in es.eigenvalues],
+        "eigenvalues": matrix_entries(es.eigenvalues),
         "all_real": bool(es.real.all()),
         "defective": es.defective,
         "vector_condition": _finite_or_none(es.vector_condition),

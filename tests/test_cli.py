@@ -11,6 +11,8 @@ import pytest
 import qherm
 from qherm.cli import main
 
+from helpers import DECODERS, operator_decoder
+
 WORKED = {
     "format": 1,
     "kind": "dense",
@@ -279,6 +281,17 @@ def test_malformed_files_exit_two(tmp_path, capsys, payload):
     for command in (["analyze", str(path)], ["metric", str(path)], ["samsonov", str(path)]):
         assert main(command) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_a_deeply_nested_member_exits_two_under_each_decoder(tmp_path, capsys, decoder):
+    # json refuses nesting past the recursion limit and orjson takes it, so
+    # under either decoder the file is an input error, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(WORKED)[:-1] + ', "meta": ' + "[" * 3000 + "]" * 3000 + "}")
+    with operator_decoder(decoder):
+        assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: a value is nested too deeply\n"
 
 
 def test_missing_file_exit_two(tmp_path, capsys):

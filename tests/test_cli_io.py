@@ -21,6 +21,8 @@ import math
 import os
 import subprocess
 import sys
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,11 +31,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qherm
-from qherm import ParseError, _fmt17
+from qherm import ParseError, _fmt17, cli
 from qherm.cli import (
     _KERNEL_MIN_CELLS,
     _bulk_entries,
     _first_bad_entry,
+    _parse_document,
+    _spectral_summary,
     load_operator_file,
     main,
     matrix_entries,
@@ -158,8 +162,11 @@ _SPECIAL = st.sampled_from([
     "1e400", "-1e400", str(10**400), "1" * 4400, "NaN", "Infinity", "-Infinity",
     "true", "false", "null", '"1.5"',
 ])
+# escapes that write an "a" or a "u" with neither letter, or either letter
+# with none, move the letter census that lets orjson skip the type pass
 _LABELS = st.sampled_from([
     '"op"', r'"M\u00f6\u00dfbauer \ud835\udd38"', '"Mößbauer 𝔸"', r'"\ud800"', r'"\udc00x"', "1",
+    r'"\u0061"', r'"\u0075\u0061u"', r'"a\\u\"a"', r'"\u00a9"',
 ])
 _KEYS = st.sampled_from(["dim", "label", "format", "kind", "entries", "n", "d", "meta"])
 # a member repeated with another value, of which JSON keeps the last, or one
@@ -217,7 +224,7 @@ def _outcome(path: str):
     """What ``load_operator_file`` gives: the loaded object's bits, or its error."""
     try:
         loaded = load_operator_file(path)
-    except (ParseError, RecursionError) as exc:
+    except ParseError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(loaded, Operator):
         return loaded.label, loaded.matrix.dtype.str, loaded.matrix.tobytes()
@@ -229,15 +236,47 @@ def _outcome(path: str):
 @example(b'{"format": 1, "kind": "dense", "dim": 18446744073709551617, "entries": []}')
 @example(b'{"format": 1, "kind": "samsonov", "d": -1, "b": 1, "n": 18446744073709551616}')
 @example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[1e400, 0]]}')
+# entries that the letter and quote census must not take for numbers: the
+# word's letter matched by a label's, plain or escaped, a string entry, and
+# a letter hidden in a repeated member; top-level words are counted apart
+@example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[false, 0]], "label": "a"}')
+@example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[false, 0]], "label": "\\u0061"}')
+@example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[true, 0]], "label": "u"}')
+@example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[null, 0]]}')
+@example(b'{"format": 1, "kind": "dense", "dim": 1, "entries": [["1.5", 1]]}')
+@example(
+    b'{"format": 1, "kind": "dense", "dim": 1, "label": "u", "entries": [[null, 0]], "label": "x"}'
+)
+@example(
+    b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[2, 0]], "t": true, "f": false, "z": null}'
+)
+@example(
+    b'{"format": 1, "kind": "dense", "dim": 1, "entries": [[true, 0]], "f": false, "z": null}'
+)
 def test_orjson_and_json_load_every_file_alike(tmp_path, data):
-    pytest.importorskip("orjson")
+    orjson = pytest.importorskip("orjson")
     path = tmp_path / "op.json"
     path.write_bytes(data)
     outcomes = []
     for name in ("json", "orjson"):
-        with operator_decoder(name):
+        with operator_decoder(name), mock.patch.object(json, "load", wraps=json.load) as spy:
             outcomes.append(_outcome(str(path)))
     assert outcomes[1] == outcomes[0]
+    # json decides exactly where the bracket count alone sent the file to it
+    assert spy.called != _bracket_rule_lets_orjson_decide(orjson.loads, data)
+
+
+def _bracket_rule_lets_orjson_decide(loads, data: bytes) -> bool:
+    """Whether orjson decides a file by the rule of brackets alone: it
+    decodes the bytes, the checks accept what it returns, and the text
+    opens no list or object but the top object and a dense file's entries
+    and pairs."""
+    try:
+        loaded = _parse_document("op.json", loads(data))
+    except (ValueError, RecursionError, ParseError):
+        return False
+    lists = 1 + (1 + loaded.dim**2 if isinstance(loaded, Operator) else 0)
+    return data.count(b"[") + data.count(b"{") == lists
 
 
 @pytest.mark.parametrize(
@@ -264,6 +303,38 @@ def test_orjson_decides_a_file_unless_json_must(tmp_path, monkeypatch, text, dec
         except ParseError:
             pass
     assert decoded == ([path] if decided_by_json else [])
+
+
+@pytest.mark.parametrize(
+    "label, plain",
+    [
+        ('"A"', True),
+        ('""', True),
+        ('"quasi-unitary"', True),  # the letters of a label are counted
+        ('"Mößbauer 𝔸"', True),  # no byte of a multi-byte UTF-8 character is ASCII
+        (r'"\u0041"', False),  # any backslash keeps the type pass
+        (r'"a\\u"', False),
+    ],
+)
+def test_the_census_spares_a_dense_file_of_numbers_the_type_pass(tmp_path, label, plain):
+    pytest.importorskip("orjson")
+    path = tmp_path / "op.json"
+    text = (
+        '{"format": 1, "kind": "dense", "dim": 2, "label": %s, "meta": null, "t": true,'
+        ' "f": false, "entries": [[1, 2.5], [-0.0, 1e-300], [3, 2e300], [-4, 18446744073709551617]]}'
+    )
+    path.write_text(text % label, encoding="utf-8")
+    passes = []
+    bulk = cli._bulk_entries
+    with (
+        operator_decoder("orjson"),
+        mock.patch.object(json, "load", wraps=json.load) as decoded_by_json,
+        mock.patch.object(cli, "_bulk_entries", lambda e, p: passes.append(p) or bulk(e, p)),
+    ):
+        loaded = load_operator_file(str(path))
+    assert passes == [plain]
+    assert not decoded_by_json.called
+    assert loaded.matrix.tolist() == [[1 + 2.5j, -0.0 + 1e-300j], [3 + 2e300j, -4 + 2.0**64 * 1j]]
 
 
 def test_a_non_ascii_label_gives_one_report_under_each_decoder_and_locale(tmp_path):
@@ -299,13 +370,17 @@ def test_a_non_ascii_label_gives_one_report_under_each_decoder_and_locale(tmp_pa
     assert b'"label":"M\\u00f6\\u00dfbauer \\ud835\\udd38"' in reports[0]
 
 
+def _reference_pairs(values) -> str:
+    """Complex numbers rendered one number at a time, as ``[re, im]`` pairs."""
+    pairs = ",".join(
+        f"[{format(float(z.real), '.17g')},{format(float(z.imag), '.17g')}]" for z in values
+    )
+    return f"[{pairs}]"
+
+
 def _reference_payload(op: Operator) -> str:
     """The operator payload rendered one number at a time."""
-    pairs = ",".join(
-        f"[{format(float(z.real), '.17g')},{format(float(z.imag), '.17g')}]"
-        for z in op.matrix.reshape(-1)
-    )
-    return f'{{"dim":{op.dim},"entries":[{pairs}]}}'
+    return f'{{"dim":{op.dim},"entries":{_reference_pairs(op.matrix.reshape(-1))}}}'
 
 
 def _render_matches_reference(gen, complex_dim: int, real_dim: int) -> None:
@@ -313,6 +388,17 @@ def _render_matches_reference(gen, complex_dim: int, real_dim: int) -> None:
     square = Operator(np.reshape(values, (complex_dim, complex_dim)))
     for op in (square, Operator(gen.standard_normal((real_dim, real_dim)))):
         assert render_json(operator_payload(op)) == _reference_payload(op)
+        # an eigenvalue list is its (n, 2) view, a 1-D float array one row
+        flat = op.matrix.reshape(-1)
+        es = types.SimpleNamespace(
+            eigenvalues=flat, real=flat.imag == 0, defective=False, vector_condition=1.5
+        )
+        summary = '{"eigenvalues":%s,"all_real":%s,"defective":false,"vector_condition":1.5}'
+        all_real = "true" if es.real.all() else "false"
+        assert render_json(_spectral_summary(es)) == summary % (_reference_pairs(flat), all_real)
+        for row in (flat.real.copy(), flat.imag[::-1], np.empty(0)):
+            reference = "[" + ",".join(format(x, ".17g") for x in row.tolist()) + "]"
+            assert render_json({"v": row}) == f'{{"v":{reference}}}'
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -322,7 +408,7 @@ def test_render_matrix_matches_per_element_reference(seed):
 
 def test_render_matrix_above_the_kernel_switch_matches_per_element_reference():
     # 2 * 48^2 and 2 * 70^2 cells, where the numpy kernel writes the digits
-    # in two chunks
+    # in two chunks; rows of 48^2 and 70^2 cells, the latter one chunk
     assert _KERNEL_MIN_CELLS <= 2 * 48**2 <= _fmt17.CHUNK_CELLS * 2
     _render_matches_reference(rng(2), 48, 70)
 
@@ -339,6 +425,8 @@ def test_render_matrix_rejects_non_finite(bad):
     mat[1, 0] = complex(0.5, bad)
     with pytest.raises(ValueError, match=f"reports must contain finite numbers, got {bad}"):
         render_json({"m": matrix_entries(mat)})
+    with pytest.raises(ValueError, match=f"reports must contain finite numbers, got {bad}"):
+        render_json({"v": np.array([1.0, -0.0, bad])})
 
 
 def _reference_csv(header, rows) -> str:
@@ -438,6 +526,26 @@ def test_kernel_writes_the_edge_values_as_format_does():
     values = _EDGES + _ties(rng(28))
     values += [-v for v in values]
     assert _kernel(values) == _reference(values)
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.1, 0.25, 0.3, 0.5, 0.9, 1.0])
+def test_kernel_writes_tables_of_signed_zeros_as_format_does(zeros):
+    # chunks from a quarter zeros on write their zeros apart from the digits;
+    # a real matrix's view is half +0, and the NaN of a CSV table stays empty
+    gen = rng(31)
+    values = gen.integers(0, 2**64, 3 * _fmt17.CHUNK_CELLS, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(values), values, 1.0)
+    values[gen.random(values.size) < zeros] = 0.0
+    values[gen.random(values.size) < zeros / 2] = -0.0
+    assert _kernel(values) == _reference(values)
+    real = matrix_entries(gen.standard_normal((70, 70)) * gen.choice([0.0, -0.0, 1.0], (70, 70)))
+    out: list[str] = []
+    _fmt17.format_rows(real, "[", "]", ",", out)
+    assert "".join(out) == _reference_pairs(real.view(np.complex128).reshape(-1))[1:-1]
+    table = np.tile([[np.nan, 0.0], [-0.0, 2.5]], (_KERNEL_MIN_CELLS, 1))
+    out = []
+    _fmt17.format_rows(table, "", "\n", "", out)
+    assert "".join(out) == ",0\n-0,2.5\n" * _KERNEL_MIN_CELLS
 
 
 def test_kernel_matches_format_on_a_million_doubles_across_all_binades():
