@@ -68,7 +68,6 @@ from .quasisimilarity import (
     SpectralMatch,
     mutual_qs_check,
     push_eigenvectors,
-    resolvent_norms,
     spectral_comparison,
     verify_intertwining,
 )

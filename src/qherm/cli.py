@@ -470,7 +470,6 @@ def cmd_analyze(args) -> tuple[int, dict]:
     tol = args.tol
     # one diagonalization decides the class and feeds the metric builders
     es = eig_general(A, tol)
-    spectral = _spectral_summary(es)
     metric_summary = None
     transform_summary = None
     herm_res = herm_residual(A.matrix)
@@ -480,7 +479,8 @@ def cmd_analyze(args) -> tuple[int, dict]:
         classification = "hermitian"
         metric_summary = {"eig_min": 1.0, "condition": 1.0, "residual": 0.0}
         transform_summary = {"herm_residual": herm_res}
-    elif spectral["all_real"]:
+    elif es.real.all():
+        # the record keeps the condition number of solve_metric's SVD
         sol = solve_metric(es, tol)
         classification = "quasi_hermitian_pd"
         M = sol.canonical
@@ -513,7 +513,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         "classification": classification,
         "metric": metric_summary,
         "transform": transform_summary,
-        "spectrum": spectral,
+        "spectrum": _spectral_summary(es),
     }
 
 
@@ -666,6 +666,13 @@ def _parse_schedule(text: str) -> list[int]:
         raise ParseError(f"bad schedule {text!r}: {exc}") from exc
 
 
+# the report and CSV names of the fields of a SamsonovRow, in their order
+_SAMSONOV_COLUMNS = (
+    "n", "h", "min_eig_G", "gap_to_d2", "residual_full", "herm_residual_h",
+    "max_im_lambda_H", "order_estimates",
+)
+
+
 def cmd_samsonov(args) -> tuple[int, dict]:
     if args.path:
         spec = load_operator_file(args.path)
@@ -677,7 +684,7 @@ def cmd_samsonov(args) -> tuple[int, dict]:
         schedule = _parse_schedule(args.n) if args.n else [200, 400, 800]
         spec = HalfLineSpec(args.d, args.b, box, schedule[0])
     rep = samsonov_report(spec, schedule)
-    rows = [{k: _finite_or_none(v) for k, v in row.items()} for row in rep.csv_rows()]
+    rows = [dict(zip(_SAMSONOV_COLUMNS, map(_finite_or_none, vars(r).values()))) for r in rep.rows]
     for row in rep.rows:
         print(
             f"n={row.n:5d} min_eig_G={row.min_eig_G:.9f} "

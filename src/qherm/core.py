@@ -30,7 +30,9 @@ and spectral checks of the other modules accept the record in place of
 the operator and read its verdicts instead of deciding again
 (:func:`ensure_eigensystem`).  The other costly
 quantities are computed the same way: the canonically scaled
-eigenvector matrix and ``vector_condition`` (one SVD).  The
+eigenvector matrix ``S``, from which every metric and X family is built,
+and ``vector_condition``, the one condition number of ``S`` any path
+computes (one SVD, kept from the builder that takes it first).  The
 defectiveness verdict adds nothing to ``eig`` for a simple spectrum, and
 for repeated eigenvalues one product certifying their eigenvectors and
 one SVD of each cluster's n x m block of them.
@@ -210,9 +212,10 @@ class Eigensystem:
     ``conjugate_pairs`` :class:`SpectrumNotConjugateClosed` when the
     spectrum is not closed under conjugation.
     ``scaled_vectors``, the eigenvector matrix ``S`` with each column
-    scaled to unit largest entry (read-only), and ``vector_condition``, the
-    2-norm condition number of the eigenvector matrix (1 for a normal
-    operator, one SVD), are computed the same way.
+    scaled to unit largest entry (read-only), and ``vector_condition``,
+    ``kappa_2(S)``, are computed the same way.  Its square is ``cond(G)``
+    of the canonical metric ``G = (S S*)^-1``; it is at most ``sqrt(n)``
+    for a normal operator, and ``inf`` where ``S`` is exactly singular.
     """
 
     operator: Operator
@@ -305,7 +308,18 @@ class Eigensystem:
 
     @cached_property
     def vector_condition(self) -> float:
-        return float(np.linalg.cond(self.right_vectors, 2))
+        return float(np.linalg.cond(self.scaled_vectors, 2))
+
+    def keep_vector_condition(self, sig: np.ndarray) -> float:
+        """``vector_condition`` from the descending singular values ``sig`` of
+        ``scaled_vectors``, kept unless it was read before.
+
+        A builder that takes the SVD of ``S`` anyway passes its singular
+        values here, so that the record takes no second one; the quotient is
+        that of ``np.linalg.cond``, ``inf`` with no warning where it overflows.
+        """
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.__dict__.setdefault("vector_condition", float(sig[0] / sig[-1]))
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,8 @@ def build_pair(spec: HalfLineSpec) -> DiscretizedPair:
 
 @dataclass(frozen=True)
 class SamsonovRow:
-    """One grid size of the refinement study (also one CSV row)."""
+    """One grid size of the refinement study; the fields are the report's
+    columns, in their order."""
 
     n: int
     spacing: float
@@ -249,23 +250,6 @@ class SamsonovReport:
     max_im_nonincreasing: bool
     gap_monotone: bool
     passed: bool
-
-    def csv_rows(self) -> list[dict]:
-        out = []
-        for r in self.rows:
-            out.append(
-                {
-                    "n": r.n,
-                    "h": r.spacing,
-                    "min_eig_G": r.min_eig_G,
-                    "gap_to_d2": r.gap_to_d2,
-                    "residual_full": r.residual_full,
-                    "herm_residual_h": r.herm_residual_h,
-                    "max_im_lambda_H": r.max_im_lambda_H,
-                    "order_estimates": r.order_estimate,
-                }
-            )
-        return out
 
 
 def _nonincreasing(values: list[float], floor: float) -> bool:

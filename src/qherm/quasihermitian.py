@@ -21,7 +21,8 @@ module makes none of its own: defectiveness and the realness mask for
 the positive metric, defectiveness and the conjugate pairing
 (``Eigensystem.conjugate_pairs``, which raises
 :class:`~qherm.errors.SpectrumNotConjugateClosed`) for the pseudo-metric.
-Its canonically scaled eigenvector matrix ``S`` builds both.
+Its canonically scaled eigenvector matrix ``S`` builds both, and its
+``vector_condition`` is the one condition number of ``S`` they read.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ class MetricSolution:
     ``||G||_2 = 1``.  ``freedom`` lists the eigenvalue clusters of the
     eigensystem: any Hermitian positive-definite block-diagonal ``D``
     conforming to them yields another admissible metric ``S^-* D S^-1``.
+    ``vector_condition`` is the eigensystem's ``kappa_2(S)``, whose square
+    is ``cond(G)``.
     """
 
     canonical: MetricOperator
@@ -132,17 +135,13 @@ def canonical_eigenbasis(A: Operator | Eigensystem | np.ndarray, tol: float, cal
     return es
 
 
-def basis_condition(sig: np.ndarray, consequence: str, stacklevel: int = 3) -> float:
-    """2-norm condition from descending singular values; warns beyond the threshold.
+def basis_condition(cond: float, consequence: str, stacklevel: int = 3) -> float:
+    """``cond``, the record's ``kappa_2(S)`` or a bound on it, with an
+    :class:`IllConditionedWarning` beyond the threshold.
 
-    ``sig`` comes from the SVD of the eigenvector matrix ``S``: the full one
-    :func:`solve_metric` needs for ``G``, or the one without vectors that
-    :func:`invert_basis` takes only when its O(n^2) bound cannot rule the
-    warning out.  The :class:`IllConditionedWarning` points ``stacklevel``
-    frames up, by default at the caller's caller.
+    The warning names ``consequence`` and points ``stacklevel`` frames up,
+    by default at the caller's caller.
     """
-    # Python floats divide to inf where the quotient overflows, with no warning
-    cond = float(sig[0]) / float(sig[-1]) if sig[-1] > 0 else float("inf")
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"eigenvector basis condition {cond:.3e}; {consequence}",
@@ -152,27 +151,28 @@ def basis_condition(sig: np.ndarray, consequence: str, stacklevel: int = 3) -> f
     return cond
 
 
-def invert_basis(s: np.ndarray, consequence: str) -> tuple[np.ndarray, float]:
-    """``S^-1`` and a bound on the 2-norm condition of ``S``; warns as
-    :func:`basis_condition` does, at the caller's caller.
+def invert_basis(es: Eigensystem, consequence: str) -> tuple[np.ndarray, float]:
+    """``S^-1`` of the record's ``scaled_vectors`` and a bound on ``kappa_2(S)``;
+    warns as :func:`basis_condition` does, at the caller's caller.
 
     The bound is ``||S||_F ||S^-1||_F``, O(n^2) from the inverse, which is at
     least ``kappa_2(S)`` (``||M||_2 <= ||M||_F``).  Where it is at most
     ``CONDITION_WARN_THRESHOLD`` it rules the warning out and is returned;
-    anywhere else, an infinite or NaN bound included, the singular values of
-    ``S`` decide and the exact ``kappa_2`` is returned, so the warning and
-    its text are those of the SVD alone.  A singular ``S`` warns before the
+    anywhere else, an infinite or NaN bound included, the record's
+    ``vector_condition`` decides and is returned, so the warning and its text
+    are those of ``kappa_2(S)`` alone.  A singular ``S`` warns before the
     ``LinAlgError`` of the inverse propagates.
     """
+    s = es.scaled_vectors
     try:
         s_inv = np.linalg.inv(s)
     except np.linalg.LinAlgError:
-        basis_condition(np.linalg.svd(s, compute_uv=False), consequence, stacklevel=4)
+        basis_condition(es.vector_condition, consequence, stacklevel=4)
         raise
     bound = fro(s) * fro(s_inv)
     if bound <= CONDITION_WARN_THRESHOLD:
         return s_inv, bound
-    return s_inv, basis_condition(np.linalg.svd(s, compute_uv=False), consequence, stacklevel=4)
+    return s_inv, basis_condition(es.vector_condition, consequence, stacklevel=4)
 
 
 def solve_metric(
@@ -193,7 +193,7 @@ def solve_metric(
     """
     es = canonical_eigenbasis(A, tol, "solve_metric")
     u, sig, _ = np.linalg.svd(es.scaled_vectors)
-    cond = basis_condition(sig, "metric is nearly singular")
+    cond = basis_condition(es.keep_vector_condition(sig), "metric is nearly singular")
     # (S S*)^-1 = U diag(sig^-2) U*, normalized to unit spectral norm;
     # sig is descending, so scale/sig^2 is already ascending
     scale = float(sig[-1] ** 2)
@@ -347,8 +347,8 @@ def solve_pseudo_metric(
         swap[i], swap[j] = j, i
     # where the O(n^2) bound rules the warning out, ||S^-1||_F <= 1e6 (every
     # column of S has a unit entry, so ||S||_F >= 1) and T cannot overflow:
-    # the message below prints the exact kappa_2 of the SVD
-    s_inv, cond = invert_basis(es.scaled_vectors, "pseudo metric is nearly singular")
+    # the message below prints the record's kappa_2(S)
+    s_inv, cond = invert_basis(es, "pseudo metric is nearly singular")
     with np.errstate(over="ignore", invalid="ignore"):
         t = herm_part(s_inv.conj().T[:, swap] @ s_inv)
     if not np.isfinite(t).all():

@@ -52,7 +52,6 @@ __all__ = [
     "spectral_comparison",
     "push_eigenvectors",
     "mutual_qs_check",
-    "resolvent_norms",
 ]
 
 
@@ -292,19 +291,3 @@ def mutual_qs_check(
         sigma_equal,
         passed,
     )
-
-
-def resolvent_norms(A: Operator | np.ndarray, grid: list[complex]) -> list[float]:
-    """``||(A - lam I)^-1||_2`` per grid point, via the smallest singular value.
-
-    Grid points hitting the spectrum to machine precision report
-    ``float('inf')``.
-    """
-    A = ensure_operator(A)
-    eye = np.eye(A.dim)
-    out: list[float] = []
-    for lam in grid:
-        sv = np.linalg.svd(A.matrix - complex(lam) * eye, compute_uv=False)
-        smin = float(sv[-1])
-        out.append(float("inf") if smin == 0.0 else 1.0 / smin)
-    return out

@@ -161,14 +161,13 @@ def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -
 
     Raises :class:`ComplexSpectrum` or :class:`Defective` when no
     positive metric exists; warns :class:`IllConditionedWarning` when the
-    eigenvector basis is badly conditioned, which one SVD without vectors
-    decides only where ``||S||_F ||S^-1||_F`` exceeds the threshold
-    (:func:`~qherm.quasihermitian.invert_basis`).
+    eigenvector basis is badly conditioned, which the record's
+    ``vector_condition`` decides only where ``||S||_F ||S^-1||_F`` exceeds
+    the threshold (:func:`~qherm.quasihermitian.invert_basis`).
     """
     es = canonical_eigenbasis(A, tol, "x_family")
-    s = es.scaled_vectors
-    s_inv, _ = invert_basis(s, "X family is ill-conditioned")
-    return XFamily(*_steps(es), s, _readonly(s_inv))
+    s_inv, _ = invert_basis(es, "X family is ill-conditioned")
+    return XFamily(*_steps(es), es.scaled_vectors, _readonly(s_inv))
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,6 +133,25 @@ def test_metric_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["worked", "quasi5", "quasi24"])
+def test_analyze_and_metric_report_one_vector_condition(tmp_path, capsys, name):
+    # 17 significant digits read back exactly, so == compares the bits
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", f"{name}.json")
+    reports = {}
+    for command in ("analyze", "metric"):
+        out = str(tmp_path / f"{command}.json")
+        assert main([command, path, "--json-out", out]) == 0
+        reports[command] = json.loads(open(out).read())
+    capsys.readouterr()
+    analyze = reports["analyze"]
+    kappa = analyze["spectrum"]["vector_condition"]
+    assert analyze["classification"] == "quasi_hermitian_pd"
+    assert kappa == reports["metric"]["vector_condition"]
+    # cond(G) of the canonical metric G = (S S*)^-1 is kappa_2(S)^2
+    eps = np.finfo(np.float64).eps
+    assert abs(analyze["metric"]["condition"] - kappa**2) <= 4 * eps * kappa**2
+
+
 def test_analyze_refuses_a_pseudo_metric_that_overflows(tmp_path, capsys):
     # the rotation under a diagonal similarity of condition 1e200: eigenvalues
     # +-i, and S^-* M S^-1 overflows before it can be normalized

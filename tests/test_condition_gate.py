@@ -2,9 +2,10 @@
 
 Both builders form ``S^-1`` for the scaled eigenvector matrix ``S`` and
 bound ``kappa_2(S)`` by ``||S||_F ||S^-1||_F`` from it; only where that
-bound exceeds ``CONDITION_WARN_THRESHOLD`` do the singular values of ``S``
-decide.  The warnings must be those of the SVD alone: one exactly when
-``np.linalg.cond(S, 2)`` exceeds the threshold, with the same text.
+bound exceeds ``CONDITION_WARN_THRESHOLD`` does the record's
+``vector_condition``, ``kappa_2(S)``, decide.  The warnings must be those of
+``kappa_2(S)`` alone: one exactly when ``np.linalg.cond(S, 2)`` exceeds the
+threshold, with the same text.
 
 The records are built from a drawn eigenvector matrix, since ``eig`` cannot
 return a basis of condition 1e8 accurately; with no repeated eigenvalue the
@@ -86,6 +87,20 @@ def _no_svd(*args, **kwargs):
     raise AssertionError("an SVD was taken")
 
 
+def _svd_class_calls(monkeypatch) -> list[str]:
+    """The name of each ``np.linalg.svd`` and ``np.linalg.cond`` call, in order."""
+    calls = []
+    for name in ("svd", "cond"):
+        kernel = getattr(np.linalg, name)
+
+        def recorded(*args, _name=name, _kernel=kernel, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -103,21 +118,28 @@ def test_warning_is_decided_as_by_the_svd(seed, n, log_kappa, profile):
 
 
 def test_the_svd_decides_where_the_bound_cannot(monkeypatch):
-    es = _record(_vectors(0, 32, 10.0**5.5, "two-level"))
-    s = es.scaled_vectors
+    def record():
+        return _record(_vectors(0, 32, 10.0**5.5, "two-level"))
+
+    s = record().scaled_vectors
     assert fro(s) * fro(np.linalg.inv(s)) > CONDITION_WARN_THRESHOLD > np.linalg.cond(s, 2)
+    calls = _svd_class_calls(monkeypatch)
+    # one condition number of S per record, the record's, whichever builder
+    # reads it first; the second builder on the same record takes none
     for build, _ in _CONSEQUENCES:
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k))
+        assert _warned(build, record()) == []
+        assert calls == ["cond"]
+        calls.clear()
+    es = record()
+    for build, _ in _CONSEQUENCES:
         assert _warned(build, es) == []
-        assert calls == [{"compute_uv": False}]
-        monkeypatch.undo()
+    assert calls == ["cond"]
 
 
 def test_a_well_conditioned_basis_takes_no_svd(monkeypatch):
     es = _record(_vectors(3, 16, 10.0, "graded"))
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    monkeypatch.setattr(np.linalg, "cond", _no_svd)
     for build, _ in _CONSEQUENCES:
         assert _warned(build, es) == []
 

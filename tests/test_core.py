@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,11 @@ from qherm import (
     eig_general,
     eig_hermitian,
     make_metric,
+    solve_metric,
 )
-from qherm.core import fro, herm_residual, nearest_partner
+from qherm.core import fro, herm_part, herm_residual, nearest_partner
 from dense_oracle import conjugate_pairing
-from helpers import random_hermitian, random_pd, random_unitary, rng
+from helpers import random_hermitian, random_orthogonal, random_pd, random_unitary, rng
 
 SQRT5 = np.sqrt(5.0)
 
@@ -63,8 +65,41 @@ def test_eig_hermitian_examples():
     es = eig_hermitian(Operator([[1, -1], [-1, 2]]))
     expected = [(3 - SQRT5) / 2, (3 + SQRT5) / 2]
     assert np.allclose(es.eigenvalues, expected, atol=1e-14)
-    assert abs(es.vector_condition - 1.0) <= 1e-12
     assert not es.defective
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 32), hermitian=st.booleans())
+def test_vector_condition_of_a_normal_operator_is_at_most_sqrt_n(seed, n, hermitian):
+    # U diag(lam) U* with eigenvalues at least 1 apart: the columns of S are
+    # orthogonal, each of norm between 1 and sqrt(n)
+    gen = rng(seed)
+    lam = np.arange(n) + (0.0 if hermitian else 1j * gen.uniform(-n, n, n))
+    u = random_unitary(gen, n)
+    a = (u * lam) @ u.conj().T
+    es = eig_general(herm_part(a) if hermitian else a)
+    assert 1.0 <= es.vector_condition <= math.sqrt(n) * (1.0 + 1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::qherm.IllConditionedWarning")
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("log_kappa", [0.0, 3.0, 6.0])
+def test_vector_condition_matches_mpmath(n, log_kappa):
+    # real V of condition 10**log_kappa and eigenvalues 1..n: the record's own
+    # float S against its singular values at 50 digits, where the record takes
+    # kappa_2(S) itself and where it keeps the one of solve_metric's SVD
+    gen = rng(10 * n + int(log_kappa))
+    sigma = np.geomspace(1.0, 10.0**-log_kappa, n)
+    v = (random_orthogonal(gen, n) * sigma) @ random_orthogonal(gen, n).T
+    a = (v * np.arange(1.0, n + 1.0)) @ np.linalg.inv(v)
+    read, kept = eig_general(a), eig_general(a)
+    assert solve_metric(kept).vector_condition == kept.vector_condition
+    for es in (read, kept):
+        with mpmath.workdps(50):
+            sv = mpmath.svd_c(mpmath.matrix(es.scaled_vectors.tolist()), compute_uv=False)
+            exact = float(max(sv) / min(sv))
+        assert es.vector_condition == pytest.approx(exact, rel=1e-8)
+        assert 0.1 * 10.0**log_kappa <= exact
 
 
 def test_eig_hermitian_repeated_eigenvalue_is_not_defective():

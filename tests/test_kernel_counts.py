@@ -2,8 +2,12 @@
 
 ``qherm analyze`` diagonalizes its input once, whatever the class, with
 ``eigh`` when it is Hermitian entry for entry and with ``eig`` else, in
-real arithmetic when its imaginary parts are all zero, and takes no SVD
-of the eigenvector basis of a pseudo-Hermitian input.  ``qherm qsim``
+real arithmetic when its imaginary parts are all zero.  It takes one
+condition number of the scaled eigenvector matrix ``S``, the record's
+``vector_condition``: from the SVD that ``solve_metric`` takes anyway for a
+quasi-Hermitian input, with no ``cond``, and from one ``cond`` for every
+other class, which the pseudo-metric also reads where its bound cannot
+rule the conditioning warning out.  ``qherm qsim``
 diagonalizes each of ``A`` and ``B`` once, clusters each spectrum once
 (one record of ``A``, at the match tolerance, serves the push and the
 match) and takes one SVD of ``T``.  ``qherm spectral`` builds its X family
@@ -24,6 +28,7 @@ evaluations of its secular equation, also where ``min sigma(G)`` is below
 the floor.
 """
 
+import json
 import os
 import sys
 import tracemalloc
@@ -35,6 +40,7 @@ from helpers import (
     diagonalizable_real_spectrum,
     jordan_case,
     metric_extremes_counted,
+    random_orthogonal,
     random_pd,
     rng,
     start_sets_taken,
@@ -58,6 +64,8 @@ from qherm import (
     x_properties,
 )
 from qherm import halfline
+from qherm.core import fro
+from qherm.quasihermitian import CONDITION_WARN_THRESHOLD
 from qherm.spectralfamily import XFamily
 from qherm.cli import main
 from test_golden import run_case
@@ -153,6 +161,43 @@ def test_analyze_computes_one_condition_number(monkeypatch, capsys, name):
     assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
     assert cond_calls[0] == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, svd_shapes", [("worked", [(2, 2)]), ("quasi5", [(5, 2), (5, 5)])]
+)
+def test_positive_analyze_reads_the_condition_of_the_metric_svd(
+    monkeypatch, capsys, name, svd_shapes
+):
+    # the SVD of S that builds G gives vector_condition too; quasi5's double
+    # eigenvalue adds the SVD of its 5 x 2 eigenvector block
+    cond_calls = _count_calls(monkeypatch, "cond")
+    shapes = _record_svd_shapes(monkeypatch)
+    assert main(["analyze", os.path.join(INPUTS, f"{name}.json")]) == 0
+    assert "quasi_hermitian_pd" in capsys.readouterr().out
+    assert (cond_calls[0], shapes) == (0, svd_shapes)
+
+
+def test_ill_conditioned_pseudo_analyze_takes_one_condition_number(monkeypatch, tmp_path, capsys):
+    # V of singular values 1 and 10**-5.7, and eigenvalues 1..6 and 7 +- i:
+    # ||S||_F ||S^-1||_F exceeds the threshold and kappa_2(S) does not, so
+    # the record's kappa_2(S), which the report prints, decides the warning
+    n, gen = 8, rng(0)
+    sigma = np.where(np.arange(n) < n // 2, 1.0, 10.0**-5.7)
+    v = (random_orthogonal(gen, n) * sigma) @ random_orthogonal(gen, n).T
+    d = np.diag(np.arange(1.0, n + 1.0))
+    d[-2:, -2:] = [[n - 1.0, 1.0], [-1.0, n - 1.0]]
+    a = v @ d @ np.linalg.inv(v)
+    s = eig_general(a).scaled_vectors
+    assert fro(s) * fro(np.linalg.inv(s)) > CONDITION_WARN_THRESHOLD > np.linalg.cond(s, 2)
+    path = tmp_path / "pseudo8.json"
+    entries = [[x, 0.0] for x in a.ravel().tolist()]
+    path.write_text(json.dumps({"format": 1, "kind": "dense", "dim": n, "entries": entries}))
+    cond_calls = _count_calls(monkeypatch, "cond")
+    shapes = _record_svd_shapes(monkeypatch)
+    assert main(["analyze", str(path)]) == 0
+    assert "pseudo_hermitian_indefinite" in capsys.readouterr().out
+    assert (cond_calls[0], shapes) == (1, [])
 
 
 def test_qsim_diagonalizes_each_operator_once(monkeypatch, tmp_path):

@@ -12,7 +12,6 @@ from qherm import (
     eig_general,
     mutual_qs_check,
     push_eigenvectors,
-    resolvent_norms,
     spectral_comparison,
     verify_intertwining,
 )
@@ -232,45 +231,6 @@ def test_mutual_qs_flags_impossible_pair():
     assert not rep.sigma_p_equal
     assert rep.intertwining_ab.residual > 0.1
     assert not rep.passed
-
-
-def test_resolvent_norm_examples():
-    assert resolvent_norms(Operator(np.zeros((1, 1))), [2.0]) == [pytest.approx(0.5)]
-    assert resolvent_norms(Operator(np.diag([1.0, 2.0])), [0.0]) == [pytest.approx(1.0)]
-    # non-normal: strictly larger than 1/dist at lam = 1.5
-    (value,) = resolvent_norms(Operator(A_WORKED), [1.5])
-    assert value == pytest.approx(2.0 + 2.0 * np.sqrt(2.0), rel=1e-12)
-    assert value > 2.0
-    (normal_value,) = resolvent_norms(Operator(np.diag([1.0, 2.0])), [1.5])
-    assert normal_value == pytest.approx(2.0, rel=1e-12)
-
-
-def test_resolvent_norm_infinity_marker():
-    out = resolvent_norms(Operator(np.diag([1.0, 2.0])), [1.0])
-    assert out[0] == float("inf")
-
-
-def test_resolvent_lower_bound_random():
-    gen = rng(42)
-    for _ in range(5):
-        n = int(gen.integers(2, 16))
-        a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-        w = eig_general(Operator(a)).eigenvalues
-        grid = [complex(z) for z in gen.standard_normal(4) + 1j * gen.standard_normal(4)]
-        values = resolvent_norms(Operator(a), grid)
-        for lam, val in zip(grid, values):
-            dist = float(np.min(np.abs(w - lam)))
-            assert val >= 1.0 / dist * (1 - 1e-9)
-    # equality for normal operators
-    for _ in range(5):
-        n = int(gen.integers(2, 16))
-        u = random_unitary(gen, n)
-        w = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-        a = (u * w) @ u.conj().T
-        lam = complex(gen.standard_normal() + 1j * gen.standard_normal())
-        (val,) = resolvent_norms(Operator(a), [lam])
-        dist = float(np.min(np.abs(w - lam)))
-        assert val == pytest.approx(1.0 / dist, rel=1e-10)
 
 
 def test_manufactured_similarity_suite():
