@@ -36,6 +36,11 @@ computes (one SVD, kept from the builder that takes it first).  The
 defectiveness verdict adds nothing to ``eig`` for a simple spectrum, and
 for repeated eigenvalues one product certifying their eigenvectors and
 one SVD of each cluster's n x m block of them.
+
+Operands and sample blocks enter the other modules through two gates, the
+only places that raise :class:`DimensionMismatch` besides the square-matrix
+check of :class:`Operator`: :func:`same_dim` for operators that must act on
+one space, and :func:`sample_block` for a stack of sample vectors.
 """
 
 from __future__ import annotations
@@ -65,7 +70,16 @@ __all__ = [
     "nearest_partner",
     "ensure_operator",
     "ensure_eigensystem",
+    "same_dim",
+    "sample_block",
+    "readonly",
 ]
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 def _coerce_square(entries) -> np.ndarray:
@@ -74,8 +88,7 @@ def _coerce_square(entries) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    mat.setflags(write=False)
-    return mat
+    return readonly(mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +121,45 @@ def ensure_operator(value, label: str = "") -> Operator:
     return Operator(value, label)
 
 
+def same_dim(**dims: int) -> int:
+    """The common dimension of the named operands.
+
+    Raises :class:`DimensionMismatch` naming each operand and its dimension,
+    as in "A has dim 3, metric has dim 2", when they are not all equal.
+    """
+    if len(set(dims.values())) > 1:
+        raise DimensionMismatch(", ".join(f"{name} has dim {d}" for name, d in dims.items()))
+    return next(iter(dims.values()))
+
+
+def sample_block(samples, shape: tuple[int, ...], caller: str) -> np.ndarray:
+    """The samples as one complex128 array of shape ``(s, *shape)``, one per row.
+
+    ``samples`` is an array-like of ``s >= 1`` samples (a list of vectors is
+    one).  Raises ``ValueError`` naming ``caller`` when it is empty, and
+    :class:`DimensionMismatch` when its rows differ in shape or have a
+    shape other than ``shape``.  An entry that is not a number raises
+    numpy's ``ValueError``.
+    """
+    if len(samples) == 0:
+        raise ValueError(f"{caller} needs a nonempty sample list")
+    try:
+        block = np.asarray(samples, dtype=np.complex128)
+    except ValueError as exc:
+        # rows of different shapes end numpy's nesting early, or cannot be
+        # stacked at all; any other failure is an entry that is not a number
+        try:
+            ragged = np.asarray(samples, dtype=object).ndim < 1 + len(shape)
+        except ValueError:
+            ragged = True
+        if not ragged:
+            raise
+        raise DimensionMismatch(f"{caller} needs samples of shape {shape}, got ragged rows") from exc
+    if block.shape[1:] != shape:
+        raise DimensionMismatch(f"{caller} needs samples of shape {shape}, got {block.shape[1:]}")
+    return block
+
+
 def fro(a: np.ndarray) -> float:
     """Frobenius norm, also where squaring the entries under- or overflows.
 
@@ -136,14 +188,11 @@ def unit_exponent(*arrays: np.ndarray) -> int:
     over- nor underflow, and since the scaling is exact, a scale-free ratio
     of such products keeps every bit it has on well-scaled input.
     """
-    peak = max(
-        max(float(np.abs(a.real).max(initial=0.0)), float(np.abs(a.imag).max(initial=0.0)))
-        for a in arrays
-    )
-    return -math.frexp(peak)[1] if 0.0 < peak < math.inf else 0
+    peak = max(float(np.abs(x).max(initial=0.0)) for a in arrays for x in (a.real, a.imag))
+    return -math.frexp(peak)[1]  # frexp gives exponent 0 for 0, inf and nan
 
 
-def ldexp(a: np.ndarray, k: int) -> np.ndarray:
+def ldexp(a: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     """``a * 2**k`` as a complex array, exact while the entries stay in the normal range."""
     a = np.ascontiguousarray(a, dtype=np.complex128)
     return np.ldexp(a.view(np.float64), k).view(np.complex128)
@@ -152,6 +201,19 @@ def ldexp(a: np.ndarray, k: int) -> np.ndarray:
 def unit_scaled(a: np.ndarray) -> np.ndarray:
     """``a`` scaled by the exact power of two :func:`unit_exponent` picks for it."""
     return ldexp(a, unit_exponent(a))
+
+
+def unit_scaled_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` with each vector along its last axis scaled by the exact power of
+    two :func:`unit_exponent` picks for that vector alone, and those exponents.
+
+    The exponents have the shape ``a.shape[:-1]``; a vector that is zero or
+    not all finite keeps exponent 0.  Unlike one exponent for the whole of
+    ``a``, this keeps a vector far smaller than the largest one out of the
+    range where its squares underflow.
+    """
+    k = -np.frexp(np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=-1, initial=0.0))[1]
+    return ldexp(a, k[..., None]), k
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -178,11 +240,6 @@ def adjoint(A: Operator | np.ndarray) -> Operator:
     """Conjugate transpose; an exact involution."""
     A = ensure_operator(A)
     return Operator(A.matrix.conj().T, A.label + "*" if A.label else "")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _canonical_eigvec_scaling(v: np.ndarray) -> np.ndarray:
@@ -234,7 +291,7 @@ class Eigensystem:
     @cached_property
     def real(self) -> np.ndarray:
         w = self.eigenvalues
-        return _readonly(np.abs(w.imag) <= self.tol * (1.0 + np.abs(w)))
+        return readonly(np.abs(w.imag) <= self.tol * (1.0 + np.abs(w)))
 
     @cached_property
     def defective(self) -> bool:
@@ -304,7 +361,7 @@ class Eigensystem:
 
     @cached_property
     def scaled_vectors(self) -> np.ndarray:
-        return _readonly(_canonical_eigvec_scaling(self.right_vectors))
+        return readonly(_canonical_eigvec_scaling(self.right_vectors))
 
     @cached_property
     def vector_condition(self) -> float:
@@ -384,7 +441,7 @@ def _sorted_eig(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = v[:, order]
     norms = np.linalg.norm(v, axis=0)
     norms[norms == 0.0] = 1.0
-    return _readonly(w), _readonly(v / norms)
+    return readonly(w), readonly(v / norms)
 
 
 def _eig_by_structure(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +476,7 @@ def eig_hermitian(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensy
             f"Hermiticity defect {defect:.3e} exceeds tolerance {tol:.3e}"
         )
     w, v = _eig_by_structure(herm_part(H.matrix))
-    return Eigensystem(H, _readonly(w), _readonly(v), tol)
+    return Eigensystem(H, readonly(w), readonly(v), tol)
 
 
 def eig_general(A: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> Eigensystem:

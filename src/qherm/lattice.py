@@ -33,8 +33,11 @@ from .core import (
     eig_hermitian,
     herm_part,
     inner,
+    readonly,
+    sample_block,
+    unit_scaled_vectors,
 )
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -67,9 +70,7 @@ class MetricOperator:
 
     def __post_init__(self):
         for name, dtype in (("eigenvalues", np.float64), ("eigenvectors", np.complex128)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(np.array(getattr(self, name), dtype=dtype)))
 
     @property
     def dim(self) -> int:
@@ -122,12 +123,7 @@ def make_metric(G: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> MetricOpe
 
 def g_inner(M: MetricOperator, xi: np.ndarray, eta: np.ndarray) -> complex:
     """The ``G``-inner product ``<G xi, eta>``, linear in ``xi``."""
-    xi = np.asarray(xi, dtype=np.complex128)
-    eta = np.asarray(eta, dtype=np.complex128)
-    if xi.shape != (M.dim,) or eta.shape != (M.dim,):
-        raise DimensionMismatch(
-            f"vectors of shape {xi.shape}, {eta.shape} against dim {M.dim}"
-        )
+    xi, eta = sample_block([xi, eta], (M.dim,), "g_inner")
     return inner(M.G.matrix @ xi, eta)
 
 
@@ -144,28 +140,25 @@ class LatticeNorms:
     rginv_inv: float
 
 
-def _stacked(M: MetricOperator, samples) -> np.ndarray:
-    """The ``(s, n)`` samples, one per row, as the columns of an n x s array."""
-    try:
-        X = np.asarray(samples, dtype=np.complex128)
-    except ValueError as exc:  # rows of different lengths
-        raise DimensionMismatch(f"samples of different lengths against dim {M.dim}") from exc
-    if X.ndim != 2 or X.shape[1] != M.dim:
-        raise DimensionMismatch(f"samples of shape {X.shape} against dim {M.dim}")
-    # C order, so that the column norms sum each column in row order
-    return np.ascontiguousarray(X.T)
-
-
 def _rg_squared(M: MetricOperator, Z: np.ndarray) -> np.ndarray:
     # <z, z> + <G z, z> per column of Z, the squared R_G-norms from one G product
     return np.sum(Z.conj() * (Z + M.G.matrix @ Z), axis=0).real
 
 
-def _block_norms(M: MetricOperator, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The seven norms of every column of ``X``, and ``Y = V* X``.
+def _block_norms(M: MetricOperator, samples, caller: str) -> tuple:
+    """The samples as the columns of ``X``, sample ``j`` scaled by ``2**k[j]``;
+    the seven norms of every column of ``X``; ``Y = V* X``; and ``k``.
 
-    Row ``k`` of the 7 x s norm array is field ``k`` of :class:`LatticeNorms`.
+    ``k[j]`` is the exponent :func:`~qherm.core.unit_exponent` picks for
+    sample ``j`` alone, so that no square of its entries under- or
+    overflows, however its scale compares with the other samples'; the
+    norms of sample ``j`` itself are those of column ``j`` times
+    ``2**-k[j]``, exactly.  Row ``i`` of the 7 x s norm array is field
+    ``i`` of :class:`LatticeNorms`.
     """
+    block, k = unit_scaled_vectors(sample_block(samples, (M.dim,), caller))
+    # C order, so that the column norms sum each column in row order
+    X = np.ascontiguousarray(block.T)
     v, w = M.eigenvectors, M.eigenvalues
     # Y = V* X, taken as (X* V)* so that V is not copied conjugated
     Y = (X.T.conj() @ v).conj().T
@@ -173,7 +166,7 @@ def _block_norms(M: MetricOperator, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     g, g_inv, rg_inv, rginv, rginv_inv = np.sqrt(weights @ np.abs(Y) ** 2)
     plain = np.linalg.norm(X, axis=0)
     rg = np.sqrt(np.maximum(_rg_squared(M, X), 0.0))
-    return np.array([plain, g, g_inv, rg, rg_inv, rginv, rginv_inv]), Y
+    return X, np.array([plain, g, g_inv, rg, rg_inv, rginv, rginv_inv]), Y, k
 
 
 def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
@@ -186,8 +179,8 @@ def lattice_norms(M: MetricOperator, xi: np.ndarray) -> LatticeNorms:
     identity ``rg**2 == plain**2 + g**2`` compares two different
     computations and is a genuine floating-point check.
     """
-    norms, _ = _block_norms(M, _stacked(M, [xi]))
-    return LatticeNorms(*norms[:, 0].tolist())
+    _, norms, _, k = _block_norms(M, [xi], "lattice_norms")
+    return LatticeNorms(*np.ldexp(norms[:, 0], -k[0]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +216,14 @@ def verify_lattice(
     """Check the lattice relations on a nonempty sample of vectors.
 
     ``samples`` is an ``(s, n)`` array-like, one sample per row (a list of
-    vectors is one); a shape other than ``(s, M.dim)``, rows of different
-    lengths included, raises :class:`DimensionMismatch`.
+    vectors is one), read by :func:`~qherm.core.sample_block`: an empty
+    sample raises ``ValueError``, and a shape other than ``(s, M.dim)``,
+    rows of different lengths included, :class:`DimensionMismatch`.
+    Samples of any scale, each on its own, are accepted: every check is
+    decided on the samples each scaled by its own exact power of two, where
+    no square of an entry under- or overflows (every residual is a ratio
+    per sample, and in a Gram ratio ``<xi_j, xi_i> / ||xi_i||_rg`` the
+    scale of ``xi_i`` cancels), and ``norms`` is scaled back exactly.
 
     Per sample: (a) the projective-norm identity, (b) the duality between
     the ``R_G``-norm and its inverse norm — the supremum is taken over the
@@ -242,15 +241,12 @@ def verify_lattice(
     ``X* X``, and a candidate with zero ``R_G``-norm is skipped.  Every
     check is one array expression over the samples.
     """
-    if len(samples) == 0:
-        raise ValueError("verify_lattice needs a nonempty sample list")
-    X = _stacked(M, samples)
-    norms, Y = _block_norms(M, X)
+    X, norms, Y, k = _block_norms(M, samples, "verify_lattice")
     plain, g, g_inv, rg, rg_inv = norms[:5]
     v, w = M.eigenvectors, M.eigenvalues
     eta = v @ (Y / (1.0 + w)[:, None])
     unit = np.linalg.norm(v @ (Y * np.sqrt(1.0 + w)[:, None]), axis=0)
-    # row k < s: <xi_j, xi_k> over ||xi_k||_rg; last row: <xi_j, eta_j> over
+    # row i < s: <xi_j, xi_i> over ||xi_i||_rg; last row: <xi_j, eta_j> over
     # ||eta_j||_rg; a candidate's zero denominator is read as inf, its ratio as 0
     dots = np.vstack([X.conj().T @ X, np.sum(eta.conj() * X, axis=0)])
     eta_rg = np.sqrt(np.maximum(_rg_squared(M, eta), 0.0))
@@ -267,9 +263,7 @@ def verify_lattice(
     scale_root = float(np.sqrt(rescale))
     room = tol * np.maximum(plain, 1.0)
     chain = (g * scale_root <= plain + room) & (plain <= g_inv / scale_root + room)
-    per_sample = (norms, proj, dual, slack, unit_res, chain)
-    for a in per_sample:
-        a.setflags(write=False)
+    per_sample = map(readonly, (np.ldexp(norms, -k), proj, dual, slack, unit_res, chain))
     max_proj, max_dual, max_unit = (float(r.max()) for r in (proj, dual, unit_res))
     chain_all = bool(chain.all())
     passed = max_proj <= tol and max_dual <= tol and max_unit <= tol and chain_all

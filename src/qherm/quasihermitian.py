@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,13 +45,13 @@ from .core import (
     herm_part,
     herm_residual,
     ldexp,
+    same_dim,
     unit_exponent,
     unit_scaled,
 )
 from .errors import (
     ComplexSpectrum,
     Defective,
-    DimensionMismatch,
     IllConditionedWarning,
     NotHermitian,
     NotInvolution,
@@ -88,10 +89,8 @@ def quasi_hermiticity_residual(A: Operator | np.ndarray, G: Operator | np.ndarra
     by an exact power of two first, so that ``GA`` neither over- nor
     underflows; the ratio does not depend on their scales.
     """
-    A = ensure_operator(A)
-    G = ensure_operator(G)
-    if A.dim != G.dim:
-        raise DimensionMismatch(f"A has dim {A.dim}, G has dim {G.dim}")
+    A, G = ensure_operator(A), ensure_operator(G)
+    same_dim(A=A.dim, G=G.dim)
     g, a = unit_scaled(G.matrix), unit_scaled(A.matrix)
     ga = g @ a
     return fro(ga - ga.conj().T) / (fro(g) * fro(a) + _TINY)
@@ -107,14 +106,20 @@ class MetricSolution:
     eigensystem: any Hermitian positive-definite block-diagonal ``D``
     conforming to them yields another admissible metric ``S^-* D S^-1``.
     ``vector_condition`` is the eigensystem's ``kappa_2(S)``, whose square
-    is ``cond(G)``.
+    is ``cond(G)``.  ``operator`` is the operator the metric was solved for,
+    and ``residual`` its :func:`quasi_hermiticity_residual` against
+    ``canonical.G``, computed on first read and then kept.
     """
 
     canonical: MetricOperator
     freedom: tuple[EigenvalueCluster, ...]
-    residual: float
     scale: float
     vector_condition: float
+    operator: Operator
+
+    @cached_property
+    def residual(self) -> float:
+        return quasi_hermiticity_residual(self.operator, self.canonical.G)
 
 
 def canonical_eigenbasis(A: Operator | Eigensystem | np.ndarray, tol: float, caller: str) -> Eigensystem:
@@ -208,8 +213,7 @@ def solve_metric(
         )
     w = scale / sig**2
     G = Operator(herm_part((u * w) @ u.conj().T), "canonical metric")
-    residual = quasi_hermiticity_residual(es.operator, G)
-    return MetricSolution(MetricOperator(G, w, u), es.clusters, residual, scale, cond)
+    return MetricSolution(MetricOperator(G, w, u), es.clusters, scale, cond, es.operator)
 
 
 def quasi_sa_transform(
@@ -225,8 +229,6 @@ def quasi_sa_transform(
     then carries a warning instead).
     """
     A = ensure_operator(A)
-    if A.dim != M.dim:
-        raise DimensionMismatch(f"A has dim {A.dim}, metric has dim {M.dim}")
     residual = quasi_hermiticity_residual(A, M.G)
     if residual > tol:
         if not force:
@@ -241,10 +243,12 @@ def quasi_sa_transform(
     return hermitian_partner(A, M)
 
 
-def hermitian_partner(A: Operator, M: MetricOperator) -> Operator:
+def hermitian_partner(A: Operator | np.ndarray, M: MetricOperator) -> Operator:
     """``K = G^1/2 A G^-1/2`` for ``A`` of the metric's dimension, with no
     check of the metric relation: :func:`quasi_sa_transform` with that
     check passed, for a caller that already holds its residual."""
+    A = ensure_operator(A)
+    same_dim(A=A.dim, metric=M.dim)
     K = M.G_half.matrix @ A.matrix @ M.G_invhalf.matrix
     return Operator(K, "quasi-self-adjoint transform")
 
@@ -252,8 +256,7 @@ def hermitian_partner(A: Operator, M: MetricOperator) -> Operator:
 def sharp_adjoint(S: Operator | np.ndarray, M: MetricOperator) -> Operator:
     """Adjoint of ``S`` in the ``G``-inner product: ``S# = G^-1 S* G``."""
     S = ensure_operator(S)
-    if S.dim != M.dim:
-        raise DimensionMismatch(f"S has dim {S.dim}, metric has dim {M.dim}")
+    same_dim(S=S.dim, metric=M.dim)
     res = M.inverse_matrix() @ S.matrix.conj().T @ M.G.matrix
     return Operator(res, "sharp adjoint")
 
@@ -265,8 +268,7 @@ def minimal_b0(A: Operator | np.ndarray, M: MetricOperator) -> Operator:
     ``A`` is quasi-Hermitian with metric ``G``.
     """
     A = ensure_operator(A)
-    if A.dim != M.dim:
-        raise DimensionMismatch(f"A has dim {A.dim}, metric has dim {M.dim}")
+    same_dim(A=A.dim, metric=M.dim)
     return Operator(M.G.matrix @ A.matrix @ M.inverse_matrix(), "minimal B0")
 
 
@@ -299,10 +301,8 @@ def krein_check(
     underflows; for the involution test only a large ``J`` is scaled,
     down, with both of its sides.
     """
-    A = ensure_operator(A)
-    J = ensure_operator(J)
-    if A.dim != J.dim:
-        raise DimensionMismatch(f"A has dim {A.dim}, J has dim {J.dim}")
+    A, J = ensure_operator(A), ensure_operator(J)
+    same_dim(A=A.dim, J=J.dim)
     k = min(unit_exponent(J.matrix), 0)
     j, c2 = ldexp(J.matrix, k), math.ldexp(1.0, 2 * k)
     if fro(j @ j - c2 * np.eye(J.dim)) > tol * (c2 + fro(j) ** 2):

@@ -32,10 +32,12 @@ from .core import (
     fro,
     ldexp,
     nearest_partner,
+    readonly,
+    same_dim,
     unit_exponent,
     unit_scaled,
 )
-from .errors import DimensionMismatch, IntertwiningViolated
+from .errors import IntertwiningViolated
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -82,10 +84,7 @@ def verify_intertwining(
     means full numerical rank at threshold ``tol * max_sv``.
     """
     A, B, T = ensure_operator(A), ensure_operator(B), ensure_operator(T)
-    if not (A.dim == B.dim == T.dim):
-        raise DimensionMismatch(
-            f"incompatible dims A={A.dim}, B={B.dim}, T={T.dim}"
-        )
+    same_dim(A=A.dim, B=B.dim, T=T.dim)
     k = unit_exponent(A.matrix, B.matrix)
     a, b, t = ldexp(A.matrix, k), ldexp(B.matrix, k), unit_scaled(T.matrix)
     residual = fro(t @ a - b @ t) / (fro(t) * (fro(a) + fro(b)) + _TINY)
@@ -222,9 +221,7 @@ def push_eigenvectors(
     kb = unit_exponent(B.matrix, lam)
     defect = np.linalg.norm(ldexp(B.matrix, kb) @ kept - ldexp(lam, kb) * kept, axis=0)
     res = np.ldexp(defect / y_norms[~gone], -kb)
-    kept_pairs = (lam, norms[~gone], res)
-    for a in kept_pairs:
-        a.setflags(write=False)
+    kept_pairs = map(readonly, (lam, norms[~gone], res))
     annihilated = tuple(zip(es.eigenvalues[gone].tolist(), norms[gone].tolist()))
     max_res = float(res.max(initial=0.0))
     return PushReport(*kept_pairs, annihilated, max_res, rep, max_res <= tol * fro(B.matrix))

@@ -47,8 +47,12 @@ from .core import (
     Operator,
     eig_hermitian,
     ensure_operator,
+    ldexp,
+    readonly,
+    same_dim,
+    sample_block,
+    unit_scaled_vectors,
 )
-from .errors import DimensionMismatch
 from .quasihermitian import canonical_eigenbasis, invert_basis
 
 __all__ = [
@@ -58,11 +62,6 @@ __all__ = [
     "x_family",
     "x_properties",
 ]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +135,7 @@ def _steps(es: Eigensystem) -> tuple[np.ndarray, np.ndarray]:
     # thresholds (cluster means) and cumulative cluster ends of a real spectrum
     thresholds = np.array([c.value.real for c in es.clusters])
     ends = np.array([c.start + c.size for c in es.clusters])
-    return _readonly(thresholds), _readonly(ends)
+    return readonly(thresholds), readonly(ends)
 
 
 def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> XFamily:
@@ -149,7 +148,7 @@ def spectral_family(H: Operator | np.ndarray, tol: float = DEFAULT_TOL) -> XFami
     """
     es = eig_hermitian(H, tol)
     W = es.right_vectors
-    return XFamily(*_steps(es), _readonly(W), _readonly(W.conj().T))
+    return XFamily(*_steps(es), readonly(W), readonly(W.conj().T))
 
 
 def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -> XFamily:
@@ -167,7 +166,7 @@ def x_family(A: Operator | Eigensystem | np.ndarray, tol: float = DEFAULT_TOL) -
     """
     es = canonical_eigenbasis(A, tol, "x_family")
     s_inv, _ = invert_basis(es, "X family is ill-conditioned")
-    return XFamily(*_steps(es), es.scaled_vectors, _readonly(s_inv))
+    return XFamily(*_steps(es), es.scaled_vectors, readonly(s_inv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,26 +218,29 @@ def x_properties(
     falling below the rounding of the sum where ``xi`` is near the kernel of
     ``A``.  The scale is at most ``||A||_2 ||xi|| ||eta||`` and takes no SVD.
 
-    Raises :class:`DimensionMismatch` when ``A`` or the samples do not
-    match the dimension of ``XF``, sample vectors of different lengths
-    included.
+    The samples are read by :func:`~qherm.core.sample_block`: an empty
+    sample raises ``ValueError``, and pairs whose vectors do not match the
+    dimension of ``XF``, vectors of different lengths included,
+    :class:`DimensionMismatch`, as does an ``A`` of another dimension.
+    Vectors of any scale, each on its own, are accepted: every check is
+    decided on the pairs with ``xi`` scaled by an exact power of two
+    ``2**kx`` and ``eta`` by its own ``2**ke``, where no product of two
+    entries under- or overflows (every residual is a ratio per pair, so its
+    value does not depend on the scales), and ``jump_values``,
+    ``total_variations`` and ``variation_bounds``, bilinear in the pair,
+    are scaled back by ``2**-(kx + ke)``: exactly while they stay normal
+    floats, rounded to the float range (``inf`` past it) otherwise.
     """
-    if len(samples) == 0:
-        raise ValueError("x_properties needs a nonempty sample list")
-    A = ensure_operator(A)
     n = XF.right_vectors.shape[0]
-    try:
-        pairs = np.asarray(samples, dtype=np.complex128)
-    except ValueError as exc:  # vectors of different lengths
-        raise DimensionMismatch(f"sample vectors of different lengths against dim {n}") from exc
-    if A.dim != n or pairs.shape[1:] != (2, n):
-        raise DimensionMismatch(f"operator or samples of shape {pairs.shape} against dim {n}")
+    A = ensure_operator(A)
+    pairs, k = unit_scaled_vectors(sample_block(samples, (2, n), "x_properties"))
+    same_dim(family=n, A=A.dim)
+    k = k.sum(axis=1)  # the exponent of each pair's products, kx + ke
     xis, etas = pairs[:, 0].T, pairs[:, 1].T
-    nx = np.linalg.norm(xis, axis=0)
-    ne = np.linalg.norm(etas, axis=0)
+    nx, ne = np.linalg.norm(xis, axis=0), np.linalg.norm(etas, axis=0)
     scale = np.maximum(nx * ne, 1e-300)
     lx, rh = XF._coordinates(xis, etas)
-    values = _readonly(XF._jump_sums(lx, rh))
+    values = XF._jump_sums(lx, rh)
     # the path <X(lam) xi, eta> is zero below the first threshold and
     # reaches the sum of the jump values at the top
     top = values.sum(axis=0)
@@ -256,7 +258,10 @@ def x_properties(
     violations = int(np.count_nonzero(variation > bound * (1.0 + tol)))
     max_recon = float(recon.max())
     passed = max_endpoint <= tol and violations == 0 and max_recon <= tol
-    per_sample = map(_readonly, (endpoint, variation, bound, recon))
+    with np.errstate(over="ignore"):  # inf where a value is past the float range
+        variation, bound = np.ldexp(variation, -k), np.ldexp(bound, -k)
+        values = np.ascontiguousarray(ldexp(values.T, -k[:, None]).T)
+    per_sample = map(readonly, (endpoint, variation, bound, recon))
     return XPropertiesReport(
-        *per_sample, max_endpoint, violations, max_recon, True, passed, values
+        *per_sample, max_endpoint, violations, max_recon, True, passed, readonly(values)
     )

@@ -15,7 +15,10 @@ from one ``eig`` and one ``inv`` with no Hermitian eigensolver, no SVD of
 its basis (the bound ``||S||_F ||S^-1||_F`` rules the conditioning warning
 out), no ``||A||_2`` and no metric root (nor does ``qherm lattice`` read a
 root), and takes the coordinates of its samples once.  ``verify_lattice``
-holds no n x n temporary.  Condition numbers are computed only where a
+holds no n x n temporary.  ``qherm metric``, ``transform`` and a
+quasi-Hermitian ``analyze`` each take one residual of the metric relation:
+``solve_metric`` leaves it to the first reader of ``MetricSolution.residual``.
+Condition numbers are computed only where a
 report or warning reads them and at most once per eigensystem, a spectrum
 is clustered at most once, when a verdict of its eigensystem is first
 read, and a metric read from a file not at all.  ``eig_general`` decides
@@ -68,7 +71,7 @@ from qherm.core import fro
 from qherm.quasihermitian import CONDITION_WARN_THRESHOLD
 from qherm.spectralfamily import XFamily
 from qherm.cli import main
-from test_golden import run_case
+from test_golden import GOLDEN, run_case
 
 INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
 
@@ -153,6 +156,19 @@ def test_metric_file_pipelines_cluster_nothing(monkeypatch, tmp_path, name):
     passes = _count_qherm_calls(monkeypatch, "cluster_eigenvalues")
     assert run_case(name, str(tmp_path))["out"].startswith(b"exit 0\n")
     assert passes[0] == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["transform_quasi5", "transform_worked", "metric_quasi5", "analyze_quasi5"]
+)
+def test_metric_pipelines_take_one_metric_relation_residual(monkeypatch, tmp_path, name):
+    # solve_metric leaves the residual to its first reader: the report of
+    # metric and analyze, the NotQuasiHermitian check of transform
+    calls = _count_qherm_calls(monkeypatch, "quasi_hermiticity_residual")
+    for suffix, data in run_case(name, str(tmp_path)).items():
+        with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as handle:
+            assert data == handle.read()
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize("name", ["pseudo4", "rotation"])

@@ -200,3 +200,62 @@ def test_verify_lattice_is_the_sample_loop(n):
         assert abs(got.max_projective_residual - ref.max_projective_residual) <= 8 * eps
         assert abs(got.max_duality_residual - ref.max_duality_residual) <= 8 * eps
         assert abs(got.max_unitarity_residual - ref.max_unitarity_residual) <= 8 * eps
+
+
+def _worked_samples() -> np.ndarray:
+    z = np.random.default_rng(0).standard_normal((4, 2, 2))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+RESIDUALS = ("projective_residuals", "duality_exact_residuals", "unitarity_residuals")
+
+
+@pytest.mark.parametrize("scale", [2.0**-520, 1e-160, 1e-170, 1e160])
+def test_verify_lattice_passes_at_any_sample_scale(scale):
+    # near 1e-160 the squares of the entries lose bits to underflow, near
+    # 1e-170 they all underflow to 0 and near 1e160 they overflow; the checks
+    # are decided on the samples scaled by a power of two, where none does
+    m = make_metric(Operator(G_WORKED))
+    samples = _worked_samples()
+    rep, ref = verify_lattice(m, samples * scale), verify_lattice(m, samples)
+    assert rep.passed and rep.chain_holds
+    for name in RESIDUALS:
+        assert 0.0 < getattr(rep, name).max() <= 8 * np.finfo(np.float64).eps
+    assert np.allclose(rep.norms, ref.norms * scale, rtol=1e-14, atol=0.0)
+    one = lattice_norms(m, samples[0] * scale)
+    assert np.allclose(astuple(one), ref.norms[:, 0] * scale, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("power", [-520, -300, 300, 500])
+def test_verify_lattice_is_exact_under_power_of_two_scaling(power):
+    # scaling by 2**power changes only the exponent the samples are scaled
+    # back by, so every residual keeps its bits and every norm is exact
+    m = make_metric(Operator(G_WORKED))
+    samples = _worked_samples()
+    rep, ref = verify_lattice(m, samples * 2.0**power), verify_lattice(m, samples)
+    for name in RESIDUALS + ("duality_sample_slacks", "chain_verdicts"):
+        assert np.array_equal(getattr(rep, name), getattr(ref, name))
+    assert np.array_equal(rep.norms, np.ldexp(ref.norms, power))
+    one, ref_one = lattice_norms(m, samples[1] * 2.0**power), lattice_norms(m, samples[1])
+    assert astuple(one) == tuple(np.ldexp(astuple(ref_one), power))
+
+
+@pytest.mark.parametrize("small, large", [(1e-150, 1e150), (1e-300, 1e300), (2.0**-500, 2.0**500)])
+def test_verify_lattice_scales_each_sample_on_its_own(small, large):
+    # one exponent for the whole block would push the small rows to where
+    # their squares underflow, and every one of their residuals would read 0;
+    # each sample is scaled by its own power of two, and the Gram ratios
+    # <xi_j, xi_i> / ||xi_i||_rg do not depend on the scale of xi_i
+    m = make_metric(Operator(G_WORKED))
+    samples = _worked_samples()
+    scales = np.array([small, large, small, large])
+    rep, ref = verify_lattice(m, samples * scales[:, None]), verify_lattice(m, samples)
+    assert rep.passed and rep.chain_holds
+    for name in RESIDUALS:
+        assert getattr(rep, name)[scales == small].max() > 0.0
+        assert getattr(rep, name).max() <= 8 * np.finfo(np.float64).eps
+    assert np.allclose(rep.norms, ref.norms * scales, rtol=1e-14, atol=0.0)
+    if np.all(np.frexp(scales)[0] == 0.5):  # powers of two: bit for bit
+        for name in RESIDUALS + ("duality_sample_slacks", "chain_verdicts"):
+            assert np.array_equal(getattr(rep, name), getattr(ref, name))
+        assert np.array_equal(rep.norms, ref.norms * scales)

@@ -48,3 +48,25 @@ def test_halfline_report_reduces_without_blas():
     # because nothing in the module calls a BLAS or LAPACK kernel
     path = PACKAGE / "halfline.py"
     assert _blas_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    """The names of the exceptions ``tree`` raises by name or by a call of one."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                found.add(exc.id)
+    return found
+
+
+def test_only_core_raises_dimension_mismatch():
+    # operands and sample blocks are checked by the gates of core
+    # (same_dim, sample_block), never by hand in another module
+    raisers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "DimensionMismatch" in _raised_names(ast.parse(path.read_text(), str(path)))
+    ]
+    assert raisers == ["core.py"]

@@ -25,6 +25,7 @@ from qherm import (
     solve_pseudo_metric,
     x_family,
 )
+from qherm.quasihermitian import hermitian_partner
 from dense_oracle import dense_swap_pseudo_metric
 from helpers import (
     diagonalizable_real_spectrum,
@@ -66,6 +67,25 @@ def test_solve_metric_worked_oracle():
     rebuilt = sol.scale * np.linalg.inv(s @ s.conj().T)
     assert np.abs(rebuilt - sol.canonical.G.matrix).max() <= 1e-12
     assert [(c.start, c.size) for c in sol.freedom] == [(0, 1), (1, 1)]
+
+
+def test_metric_solution_computes_its_residual_on_first_read(monkeypatch):
+    from qherm import quasihermitian
+
+    original, calls = quasihermitian.quasi_hermiticity_residual, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quasihermitian, "quasi_hermiticity_residual", counted)
+    a = Operator(A_WORKED)
+    sol = solve_metric(a)
+    # the solution keeps the operator it was solved for, not its eigensystem
+    assert sol.operator is a and calls == []
+    assert sol.residual == original(a, sol.canonical.G)
+    assert sol.residual <= 1e-12
+    assert len(calls) == 1
 
 
 def test_solve_metric_hermitian_input():
@@ -439,17 +459,23 @@ def test_krein_check_large_involution_is_judged_as_one():
         krein_check(Operator.identity(2), Operator([[1.0, 1e200], [0.0, -1.0]]))
 
 
+_M2 = MetricOperator.identity(2)
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: quasi_hermiticity_residual(np.eye(2), np.eye(3)),
-        lambda: quasi_sa_transform(np.eye(3), MetricOperator.identity(2)),
-        lambda: sharp_adjoint(np.eye(3), MetricOperator.identity(2)),
-        lambda: minimal_b0(np.eye(3), MetricOperator.identity(2)),
-        lambda: krein_check(np.eye(2), np.eye(3)),
+        (lambda: quasi_hermiticity_residual(np.eye(2), np.eye(3)), "A has dim 2, G has dim 3"),
+        # the residual, taken first, compares A with G
+        (lambda: quasi_sa_transform(np.eye(3), _M2), "A has dim 3, G has dim 2"),
+        (lambda: sharp_adjoint(np.eye(3), _M2), "S has dim 3, metric has dim 2"),
+        (lambda: minimal_b0(np.eye(3), _M2), "A has dim 3, metric has dim 2"),
+        (lambda: krein_check(np.eye(2), np.eye(3)), "A has dim 2, J has dim 3"),
+        (lambda: hermitian_partner(np.eye(3), _M2), "A has dim 3, metric has dim 2"),
     ],
-    ids=["residual", "transform", "sharp_adjoint", "minimal_b0", "krein_check"],
+    ids=["residual", "transform", "sharp_adjoint", "minimal_b0", "krein_check", "hermitian_partner"],
 )
-def test_dimension_mismatch_raises(call):
-    with pytest.raises(DimensionMismatch):
+def test_dimension_mismatch_raises(call, message):
+    with pytest.raises(DimensionMismatch) as info:
         call()
+    assert str(info.value) == message

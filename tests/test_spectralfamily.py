@@ -270,3 +270,57 @@ def test_x_properties_keeps_its_jump_values():
     rep = x_properties(xf, Operator(a), list(zip(xis.T, etas.T)))
     assert np.array_equal(rep.jump_values, xf.jump_values(xis, etas))
     assert not rep.jump_values.flags.writeable
+
+
+def _worked_pairs() -> np.ndarray:
+    z = np.random.default_rng(0).standard_normal((4, 2, 2, 2))
+    return z[:, :, 0] + 1j * z[:, :, 1]
+
+
+RESIDUALS = ("endpoint_residuals", "reconstruction_residuals")
+
+
+@pytest.mark.parametrize("scale", [2.0**-520, 1e-160, 1e-170, 1e160])
+def test_x_properties_passes_at_any_sample_scale(scale):
+    # the pair products are quadratic: near 1e-160 they are subnormal and
+    # near 1e160 they overflow; the checks are decided on the pairs scaled
+    # by a power of two, where neither happens
+    xf = x_family(Operator(A_WORKED))
+    pairs = _worked_pairs()
+    rep = x_properties(xf, A_WORKED, pairs * scale)
+    assert rep.passed and rep.variation_violations == 0
+    for name in RESIDUALS:
+        assert 0.0 < getattr(rep, name).max() <= 8 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("power", [-500, -300, 300, 500])
+def test_x_properties_is_exact_under_power_of_two_scaling(power):
+    # the residuals keep their bits; the reported values, quadratic in the
+    # pair, are scaled by 2**(2 power) exactly while that stays a normal float
+    xf = x_family(Operator(A_WORKED))
+    pairs = _worked_pairs()
+    rep = x_properties(xf, A_WORKED, pairs * 2.0**power)
+    ref = x_properties(xf, A_WORKED, pairs)
+    for name in RESIDUALS:
+        assert np.array_equal(getattr(rep, name), getattr(ref, name))
+    for name in ("total_variations", "variation_bounds"):
+        assert np.array_equal(getattr(rep, name), np.ldexp(getattr(ref, name), 2 * power))
+    assert np.array_equal(rep.jump_values, ref.jump_values * 2.0 ** (2 * power))
+
+
+@pytest.mark.parametrize("sx, se", [(1e100, 1e-100), (1e-200, 1e200), (2.0**-600, 2.0**600)])
+def test_x_properties_scales_each_vector_on_its_own(sx, se):
+    # one exponent for the whole block would push eta to where its squares
+    # underflow (or to 0), and the residuals would be floored or vacuous;
+    # xi and eta are each scaled by their own power of two
+    xf = x_family(Operator(A_WORKED))
+    pairs = _worked_pairs()
+    rep = x_properties(xf, A_WORKED, pairs * np.array([sx, se])[:, None])
+    ref = x_properties(xf, A_WORKED, pairs)
+    assert rep.passed and rep.variation_violations == 0
+    for name in RESIDUALS:
+        assert 0.0 < getattr(rep, name).max() <= 8 * np.finfo(np.float64).eps
+    assert np.allclose(rep.jump_values, ref.jump_values * (sx * se), rtol=1e-14, atol=0.0)
+    if np.frexp(sx)[0] == np.frexp(se)[0] == 0.5:  # powers of two: bit for bit
+        for name in RESIDUALS + ("total_variations", "variation_bounds", "jump_values"):
+            assert np.array_equal(getattr(rep, name), getattr(ref, name) * (sx * se))
